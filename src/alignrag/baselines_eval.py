@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence
 
@@ -17,6 +16,17 @@ from .pipeline import RetrievalEngine
 from .struct_align import overlap_coefficient
 
 
+def _dense_ranking(
+    question: str, store: VectorStore, provider: EmbeddingProvider, top_k: int
+) -> list[tuple[str, float]]:
+    """The top_k (id, best-chunk cosine) pairs, best first, ties by id."""
+    if top_k < 1:
+        raise ValidationError(f"top_k must be >= 1, got {top_k}")
+    sims = object_similarity(store, provider.embed(question)).tolist()
+    ranked = sorted(zip(store.object_ids, sims), key=lambda p: (-p[1], p[0]))
+    return ranked[:top_k]
+
+
 def dense_retrieve(
     question: str,
     store: VectorStore,
@@ -25,18 +35,7 @@ def dense_retrieve(
     top_k: int = 5,
 ) -> list[str]:
     """Rank objects by best-chunk cosine against the question."""
-    if top_k < 1:
-        raise ValidationError(f"top_k must be >= 1, got {top_k}")
-    question_vec = provider.embed(question)
-    scored = [
-        (
-            -object_similarity(store, question_vec, corpus.chunks_by_object[obj.id]),
-            obj.id,
-        )
-        for obj in corpus.objects
-    ]
-    scored.sort()
-    return [oid for _, oid in scored[:top_k]]
+    return [oid for oid, _ in _dense_ranking(question, store, provider, top_k)]
 
 
 class Reranker(Protocol):
@@ -121,11 +120,7 @@ def decomposed_retrieve(
 
     union: dict[str, float] = {}
     for sub in subquestions:
-        sub_vec = provider.embed(sub)
-        for oid in dense_retrieve(sub, store, provider, corpus, top_k=per_sub):
-            score = object_similarity(
-                store, sub_vec, corpus.chunks_by_object[oid]
-            )
+        for oid, score in _dense_ranking(sub, store, provider, per_sub):
             if score > union.get(oid, float("-inf")):
                 union[oid] = score
     if reranker is not None:
@@ -410,7 +405,6 @@ def run_eval(
     questions: Sequence[Question],
     methods: Sequence[str] = METHODS,
     top_k: Optional[int] = None,
-    jobs: int = 1,
 ) -> dict[str, EvalResult]:
     """Score each method over the question set; macro-averaged summary."""
     if not questions:
@@ -443,11 +437,7 @@ def run_eval(
                 objects_provided=provided,
             )
 
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = tuple(pool.map(score_one, questions))
-        else:
-            rows = tuple(score_one(q) for q in questions)
+        rows = tuple(score_one(q) for q in questions)
         n = len(rows)
         results[method] = EvalResult(
             method=method,

@@ -53,8 +53,6 @@ def _build_engine(args: argparse.Namespace, config: Config) -> RetrievalEngine:
 def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
-    if getattr(args, "jobs", None) is not None:
-        config.jobs = args.jobs
     config.validate()
     return config
 
@@ -93,9 +91,7 @@ def cmd_eval_run(args: argparse.Namespace) -> int:
         raise AlignragError(f"questions file not found: {args.questions}")
     questions = load_questions(args.questions)
     methods = args.method or list(METHODS)
-    results = run_eval(
-        engine, questions, methods=methods, top_k=args.top_k, jobs=config.jobs
-    )
+    results = run_eval(engine, questions, methods=methods, top_k=args.top_k)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "results.json")
     csv_path = os.path.join(args.out, "results.csv")
@@ -164,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", default=None)
     run.add_argument("--config", default=None)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--jobs", type=int, default=None)
     run.set_defaults(func=cmd_eval_run)
 
     return parser

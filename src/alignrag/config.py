@@ -44,7 +44,6 @@ class Config:
     per_search: int = 5
     unit_k: int = 5
     seed: int = 0
-    jobs: int = 1
     template_files: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -74,7 +73,6 @@ class Config:
             "max_iterations",
             "per_search",
             "unit_k",
-            "jobs",
         ):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:

@@ -165,7 +165,7 @@ def _object_from_record(record: dict, line_no: int) -> DataObject:
     if description is not None and not isinstance(description, str):
         raise ParseError(f"line {line_no}: description must be a string")
     if kind is ObjectKind.TABLE:
-        obj = DataObject(
+        return DataObject(
             id=record["id"],
             kind=kind,
             title=record["title"],
@@ -173,22 +173,18 @@ def _object_from_record(record: dict, line_no: int) -> DataObject:
             columns=tuple(str(c) for c in record.get("columns", ())),
             rows=tuple(tuple(str(c) for c in row) for row in record.get("rows", ())),
         )
-    else:
-        obj = DataObject(
-            id=record["id"],
-            kind=kind,
-            title=record["title"],
-            description=description,
-            sentences=tuple(str(s) for s in record.get("sentences", ())),
-        )
-    obj.validate()
-    return obj
+    return DataObject(
+        id=record["id"],
+        kind=kind,
+        title=record["title"],
+        description=description,
+        sentences=tuple(str(s) for s in record.get("sentences", ())),
+    )
 
 
 def load_corpus(path: str, chunk_units: int = 20) -> Corpus:
     """Load a JSONL collection file, validate it, and chunk every object."""
     objects: list[DataObject] = []
-    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -197,11 +193,7 @@ def load_corpus(path: str, chunk_units: int = 20) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {line_no}: {exc.msg}") from exc
-            obj = _object_from_record(record, line_no)
-            if obj.id in seen:
-                raise ValidationError(f"duplicate object id {obj.id!r}")
-            seen.add(obj.id)
-            objects.append(obj)
+            objects.append(_object_from_record(record, line_no))
     return build_corpus(objects, chunk_units=chunk_units)
 
 

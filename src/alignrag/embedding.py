@@ -4,19 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Protocol
 
 import numpy as np
 
 from .corpus import Chunk
-from .errors import (
-    DimensionMismatch,
-    MissingChunk,
-    ParseError,
-    ProviderError,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, ParseError, ProviderError, ZeroVector
 from .ngram_index import normalize_tokens
 
 
@@ -57,8 +51,15 @@ class HashEmbeddingProvider:
 
     def embed(self, text: str) -> np.ndarray:
         cached = self._cache.get(text)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._cache[text] = self._vector(text)
+        return cached
+
+    def embed_chunk(self, chunk: Chunk) -> np.ndarray:
+        """Uncached: the vector store keeps the only copy of chunk vectors."""
+        return self._vector(chunk.text)
+
+    def _vector(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
         tokens = normalize_tokens(text)
         if not tokens:
@@ -68,11 +69,7 @@ class HashEmbeddingProvider:
                 vec[_bucket(tok, self.seed, self.dimension)] += 1.0
             vec /= np.linalg.norm(vec)
         vec.setflags(write=False)
-        self._cache[text] = vec
         return vec
-
-    def embed_chunk(self, chunk: Chunk) -> np.ndarray:
-        return self.embed(chunk.text)
 
 
 class FileVectorProvider:
@@ -129,26 +126,46 @@ class FileVectorProvider:
 
 @dataclass(frozen=True)
 class VectorStore:
-    """Chunk-id keyed vectors of one shared dimension."""
+    """Every chunk vector as one row of a matrix, each object's rows contiguous.
+
+    Object ``object_ids[j]`` owns rows ``offsets[j]:offsets[j + 1]``;
+    ``norms`` holds each row's Euclidean norm.
+    """
 
     dimension: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def get(self, chunk_id: str) -> np.ndarray:
-        try:
-            return self.vectors[chunk_id]
-        except KeyError:
-            raise MissingChunk(f"chunk {chunk_id!r} not in store") from None
+    object_ids: tuple[str, ...]
+    matrix: np.ndarray  # (n_chunks, dimension)
+    offsets: np.ndarray  # (n_objects + 1,)
+    norms: np.ndarray  # (n_chunks,)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.matrix.shape[0]
 
 
 def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> VectorStore:
-    vectors: dict[str, np.ndarray] = {}
+    """Embed every chunk once into a store grouped by object."""
+    grouped: dict[str, list[Chunk]] = {}
     for chunk in chunks:
-        vectors[chunk.chunk_id] = provider.embed_chunk(chunk)
-    return VectorStore(dimension=provider.dimension, vectors=vectors)
+        grouped.setdefault(chunk.object_id, []).append(chunk)
+    rows = [chunk for group in grouped.values() for chunk in group]
+    matrix = np.empty((len(rows), provider.dimension), dtype=np.float64)
+    norms = np.empty(len(rows), dtype=np.float64)
+    for i, chunk in enumerate(rows):
+        vec = provider.embed_chunk(chunk)
+        norms[i] = np.linalg.norm(vec)  # the 1-D norm, as cosine takes it
+        matrix[i] = vec
+        if norms[i] == 0.0:
+            raise ZeroVector(f"chunk {chunk.chunk_id!r} has a zero-norm vector")
+    sizes = [len(group) for group in grouped.values()]
+    offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+    matrix.setflags(write=False)
+    return VectorStore(
+        dimension=provider.dimension,
+        object_ids=tuple(grouped),
+        matrix=matrix,
+        offsets=offsets,
+        norms=norms,
+    )
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -165,10 +182,19 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def object_similarity(
-    store: VectorStore, question_vec: np.ndarray, chunks: Sequence[Chunk]
-) -> float:
-    """Best cosine between the question and any chunk of one object."""
-    if not chunks:
-        raise MissingChunk("object has no chunks")
-    return max(cosine(question_vec, store.get(c.chunk_id)) for c in chunks)
+def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarray:
+    """Every object's best chunk cosine with the question, clamped to [-1, 1].
+
+    Entry j belongs to ``store.object_ids[j]``. The dot products read
+    only the question's non-zero coordinates.
+    """
+    q = np.asarray(question_vec, dtype=np.float64)
+    if q.shape != (store.dimension,):
+        raise DimensionMismatch(f"question {q.shape}, store dim {store.dimension}")
+    q_norm = np.linalg.norm(q)
+    if q_norm == 0.0:
+        raise ZeroVector("cosine undefined for zero-norm vector")
+    support = np.flatnonzero(q)
+    cosines = (store.matrix[:, support] @ q[support]) / (q_norm * store.norms)
+    np.clip(cosines, -1.0, 1.0, out=cosines)
+    return np.maximum.reduceat(cosines, store.offsets[:-1])

@@ -27,10 +27,6 @@ class ZeroVector(AlignragError):
     """Cosine similarity requested against a zero-norm vector."""
 
 
-class MissingChunk(AlignragError):
-    """A chunk id was looked up in a vector store that lacks it."""
-
-
 class ProviderError(AlignragError):
     """An embedding provider could not produce a vector."""
 

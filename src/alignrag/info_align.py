@@ -199,17 +199,17 @@ def retrieve_base(
     else:
         chunk_norm = {}
 
-    question_vec = provider.embed(question)
+    sims = object_similarity(store, provider.embed(question)).tolist()
     entries = []
-    for obj in corpus.objects:
-        chunks = corpus.chunks_by_object[obj.id]
+    for oid, sim in zip(store.object_ids, sims):
         bm25_comp = max(
-            (chunk_norm.get(c.chunk_id, 0.0) for c in chunks), default=0.0
+            (chunk_norm.get(c.chunk_id, 0.0) for c in corpus.chunks_by_object[oid]),
+            default=0.0,
         )
-        embed_comp = clamp01(object_similarity(store, question_vec, chunks))
+        embed_comp = clamp01(sim)
         fused = alpha * bm25_comp + (1.0 - alpha) * embed_comp
         entries.append(
-            BaseEntry(object_id=obj.id, fused=fused, bm25=bm25_comp, embed=embed_comp)
+            BaseEntry(object_id=oid, fused=fused, bm25=bm25_comp, embed=embed_comp)
         )
     entries.sort(key=lambda e: (-e.fused, e.object_id))
     return entries[:base_size]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 from .errors import AllBeamsDead, ValidationError
 from .ngram_index import MAX_NGRAM, NGram, NGramTrie, normalize_tokens
@@ -208,9 +208,6 @@ class _Hypothesis:
         )
 
 
-PruneHook = Callable[[Sequence[Beam], Sequence[Beam]], None]
-
-
 def constrained_ngram_decode(
     scorer: TokenScorer,
     trie: NGramTrie,
@@ -218,7 +215,6 @@ def constrained_ngram_decode(
     beam_width: int = 3,
     max_ngrams: int = 3,
     label: str = "",
-    on_prune: Optional[PruneHook] = None,
 ) -> list[Beam]:
     """Beam-decode one alignment segment of indexed N-grams.
 
@@ -265,12 +261,7 @@ def constrained_ngram_decode(
         open_hyps = sorted(
             (h for h in expansions if not h.closed), key=_Hypothesis.sort_key
         )
-        kept, pruned = open_hyps[:beam_width], open_hyps[beam_width:]
-        if on_prune is not None:
-            on_prune(
-                [h.freeze() for h in kept], [h.freeze() for h in pruned]
-            )
-        live = kept
+        live = open_hyps[:beam_width]
 
     if not done:
         raise AllBeamsDead(f"no alignment decoded for {label or seed_text!r}")

@@ -302,14 +302,8 @@ class RetrievalEngine:
 
     def relevance_map(self, question_vec) -> dict[str, float]:
         """Clamped best-chunk similarity for every corpus object."""
-        return {
-            obj.id: clamp01(
-                object_similarity(
-                    self.store, question_vec, self.corpus.chunks_by_object[obj.id]
-                )
-            )
-            for obj in self.corpus.objects
-        }
+        sims = object_similarity(self.store, question_vec).tolist()
+        return {oid: clamp01(s) for oid, s in zip(self.store.object_ids, sims)}
 
     def run_arm(
         self,

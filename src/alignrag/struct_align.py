@@ -224,14 +224,11 @@ class SearchSet:
     object_ids: tuple[str, ...]
 
 
-DEFAULT_STRATEGIES: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (1, 2))
-
-
 def expand_base(
     base_ids: Sequence[str],
     candidate_ids: Sequence[str],
     compat_fn: Callable[[str, str], float],
-    strategies: Sequence[tuple[int, int]] = DEFAULT_STRATEGIES,
+    strategies: Sequence[tuple[int, int]],
 ) -> list[SearchSet]:
     """Grow the base set along most-compatible neighbors, per strategy.
 

@@ -389,12 +389,6 @@ class TestRunEval:
         results = run_eval(engine, QUESTIONS, methods=("dense",), top_k=1)
         assert all(len(r.retrieved) == 1 for r in results["dense"].rows)
 
-    def test_parallel_matches_serial(self, city_corpus):
-        engine = RetrievalEngine(city_corpus)
-        serial = run_eval(engine, QUESTIONS, methods=("dense", "arm"), jobs=1)
-        parallel = run_eval(engine, QUESTIONS, methods=("dense", "arm"), jobs=2)
-        assert eval_to_json(serial) == eval_to_json(parallel)
-
     def test_gold_validation(self, city_corpus):
         engine = RetrievalEngine(city_corpus)
         with pytest.raises(EmptyGold):

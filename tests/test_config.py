@@ -50,7 +50,7 @@ class TestValidation:
             Config(bm25_k1=-0.1).validate()
 
     def test_positive_integer_knobs(self):
-        for name in ("embed_dim", "base_size", "mip_k", "final_k", "jobs"):
+        for name in ("embed_dim", "base_size", "mip_k", "final_k"):
             with pytest.raises(ConfigError, match=name):
                 Config(**{name: 0}).validate()
         with pytest.raises(ConfigError, match="beam_width"):

@@ -8,24 +8,21 @@ import random
 import numpy as np
 import pytest
 
-from alignrag.corpus import Chunk
+from alignrag.baselines_eval import dense_retrieve
+from alignrag.corpus import Chunk, build_corpus
 from alignrag.embedding import (
     FileVectorProvider,
     HashEmbeddingProvider,
-    VectorStore,
     cosine,
     embed_corpus,
     object_similarity,
 )
-from alignrag.errors import (
-    DimensionMismatch,
-    MissingChunk,
-    ParseError,
-    ProviderError,
-    ZeroVector,
-)
+from alignrag.errors import DimensionMismatch, ParseError, ProviderError, ZeroVector
+from alignrag.info_align import retrieve_base
+from alignrag.ngram_index import build_bm25
 
 import oracles
+from conftest import make_passage
 
 
 def chunk(cid: str, text: str) -> Chunk:
@@ -187,25 +184,80 @@ class TestFileProvider:
 class TestStore:
     def test_embed_corpus_and_similarity(self):
         provider = HashEmbeddingProvider(dimension=64, seed=0)
-        chunks = [
-            chunk("a#0", "paris is big"),
-            chunk("a#1", "lyon is small"),
-            chunk("b#0", "unrelated text"),
-        ]
-        store = embed_corpus(provider, chunks)
+        # one object's chunks need not be adjacent in the input
+        texts = {"a#0": "paris is big", "b#0": "unrelated text", "a#1": "lyon is big"}
+        store = embed_corpus(provider, [chunk(cid, t) for cid, t in texts.items()])
         assert len(store) == 3
+        assert store.object_ids == ("a", "b")
         question_vec = provider.embed("how big is paris")
+        got = object_similarity(store, question_vec)
+        oracle = {
+            cid: oracles.cosine_np(question_vec, oracles.hash_embed(t, 0, 64))
+            for cid, t in texts.items()
+        }
         # object similarity is the best of the object's chunks
-        expected = max(
-            oracles.cosine_np(question_vec, store.get("a#0")),
-            oracles.cosine_np(question_vec, store.get("a#1")),
-        )
-        got = object_similarity(store, question_vec, chunks[:2])
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert got[0] == pytest.approx(max(oracle["a#0"], oracle["a#1"]), abs=1e-12)
+        assert got[1] == pytest.approx(oracle["b#0"], abs=1e-12)
 
-    def test_missing_chunk(self):
-        store = VectorStore(dimension=2, vectors={})
-        with pytest.raises(MissingChunk):
-            store.get("a#0")
-        with pytest.raises(MissingChunk):
-            object_similarity(store, np.ones(2), [])
+    def test_missing_chunk(self, tmp_path):
+        # a chunk with no vector fails the store build, not a later question
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(json.dumps({"chunk_id": "a#0", "vector": [1.0, 0.0]}) + "\n")
+        provider = FileVectorProvider(str(path))
+        with pytest.raises(ProviderError, match="b#0"):
+            embed_corpus(provider, [chunk("a#0", "x"), chunk("b#0", "y")])
+
+    def test_zero_vectors_rejected(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(json.dumps({"chunk_id": "a#0", "vector": [0.0, 0.0]}) + "\n")
+        with pytest.raises(ZeroVector, match="a#0"):
+            embed_corpus(FileVectorProvider(str(path)), [chunk("a#0", "x")])
+        store = embed_corpus(HashEmbeddingProvider(dimension=2), [chunk("a#0", "x")])
+        with pytest.raises(ZeroVector):
+            object_similarity(store, np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            object_similarity(store, np.ones(3))
+
+    def test_chunk_vectors_not_cached_twice(self, city_corpus):
+        provider = HashEmbeddingProvider(dimension=64, seed=0)
+        embed_corpus(provider, city_corpus.chunks)
+        cached = set(provider._cache)
+        assert not cached & {c.text for c in city_corpus.chunks}
+
+    def test_multi_chunk_objects_match_oracle(self, city_objects):
+        corpus = build_corpus(city_objects, chunk_units=1)
+        assert any(len(cs) > 1 for cs in corpus.chunks_by_object.values())
+        provider = HashEmbeddingProvider(dimension=64, seed=0)
+        store = embed_corpus(provider, corpus.chunks)
+        for question in ["paris population", "lyon", "country area of france"]:
+            question_vec = provider.embed(question)
+            got = dict(zip(store.object_ids, object_similarity(store, question_vec)))
+            assert list(got) == [obj.id for obj in corpus.objects]
+            for oid, chunks in corpus.chunks_by_object.items():
+                expected = max(
+                    oracles.cosine_np(question_vec, oracles.hash_embed(c.text, 0, 64))
+                    for c in chunks
+                )
+                assert abs(got[oid] - expected) <= 1e-12
+
+    def test_identical_text_ranks_by_id(self):
+        sentences = ["paris is the capital of france."]
+        corpus = build_corpus(
+            [
+                make_passage("twin-b", "paris", sentences),
+                make_passage("other", "lyon notes", ["lyon is smaller."]),
+                make_passage("twin-a", "paris", sentences),
+            ]
+        )
+        provider = HashEmbeddingProvider(dimension=64, seed=0)
+        store = embed_corpus(provider, corpus.chunks)
+        question = "capital of france"
+        assert dense_retrieve(question, store, provider, corpus, top_k=2) == [
+            "twin-a",
+            "twin-b",
+        ]
+        base = retrieve_base(
+            question, [], build_bm25(corpus.chunks), store, provider, corpus
+        )
+        assert [e.object_id for e in base[:2]] == ["twin-a", "twin-b"]
+        assert base[0].embed == base[1].embed

@@ -168,23 +168,6 @@ class TestNgramDecode:
         beams = constrained_ngram_decode(scorer, trie, "all about paris")
         assert beams[0].ngrams[0].tokens == ("paris",)
 
-    def test_prune_hook_keeps_the_best(self):
-        trie = trie_of(("a",), ("b",), ("c",), ("d",), ("e",))
-        scorer = MockScorer(seed=2)
-        events = []
-
-        def on_prune(kept, pruned):
-            events.append((list(kept), list(pruned)))
-
-        constrained_ngram_decode(
-            scorer, trie, "q", beam_width=2, on_prune=on_prune
-        )
-        assert events
-        for kept, pruned in events:
-            assert len(kept) <= 2
-            if kept and pruned:
-                assert min(b.score for b in kept) >= max(b.score for b in pruned)
-
     def test_dead_trie_raises(self):
         class DeadTrie:
             def __len__(self):

@@ -60,7 +60,7 @@ class TestEngine:
         assert engine.corpus is city_corpus
         assert len(engine.trie) > 0
         assert engine.bm25.size == len(city_corpus.chunks)
-        assert set(engine.store.vectors) == {c.chunk_id for c in city_corpus.chunks}
+        assert len(engine.store) == len(city_corpus.chunks)
         assert set(engine.templates) == {
             "keyword", "align", "verify", "decompose", "react",
         }

@@ -13,7 +13,6 @@ from alignrag.errors import Infeasible, TooLarge, ValidationError
 from alignrag.struct_align import (
     CompatibilityCache,
     ConnectionKind,
-    DEFAULT_STRATEGIES,
     Draft,
     MipInstance,
     brute_force_mip,
@@ -214,7 +213,12 @@ def walk_fn(x, y):
 
 class TestExpandBase:
     def test_strategies_hand_walk(self):
-        sets = expand_base(["a"], ["a", "b", "c", "d", "e"], walk_fn)
+        sets = expand_base(
+            ["a"],
+            ["a", "b", "c", "d", "e"],
+            walk_fn,
+            strategies=[(1, 1), (2, 1), (1, 2)],
+        )
         by_strategy = {s.strategy: s.object_ids for s in sets}
         assert by_strategy[(1, 1)] == ("a", "b")
         assert by_strategy[(2, 1)] == ("a", "b", "c")
@@ -241,9 +245,6 @@ class TestExpandBase:
     def test_invalid_strategy(self):
         with pytest.raises(ValidationError):
             expand_base(["a"], ["a", "b"], walk_fn, strategies=[(0, 1)])
-
-    def test_default_strategies(self):
-        assert DEFAULT_STRATEGIES == ((1, 1), (2, 1), (1, 2))
 
 
 class TestInstance:
