@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
 from . import prompts
@@ -12,7 +12,7 @@ from .embedding import EmbeddingProvider, VectorStore, object_similarity
 from .errors import EmptyGold, ParseError, UnknownGoldId, ValidationError
 from .lm import SEP_TOKEN, TokenScorer, free_decode
 from .ngram_index import normalize_tokens
-from .pipeline import RetrievalEngine
+from .pipeline import ArmResult, RetrievalEngine
 from .struct_align import overlap_coefficient
 
 
@@ -322,6 +322,8 @@ class QuestionRow:
     perfect_recall: bool
     llm_calls: int
     objects_provided: int
+    # the full answer behind an arm row, so a trace can reuse it
+    arm_result: Optional[ArmResult] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -393,11 +395,14 @@ def build_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRunn
         return run_react
     if method == "arm":
         def run_arm(q: Question) -> tuple[list[str], int, int]:
-            result = engine.run_arm(q.question, final_k=top_k)
-            return list(result.final), result.llm_calls, len(result.final)
+            return _arm_answer(engine.run_arm(q.question, final_k=top_k))
 
         return run_arm
     raise ValidationError(f"unknown method {method!r}")
+
+
+def _arm_answer(result: ArmResult) -> tuple[list[str], int, int]:
+    return list(result.final), result.llm_calls, len(result.final)
 
 
 def run_eval(
@@ -424,7 +429,12 @@ def run_eval(
         runner = build_runner(method, engine, k)
 
         def score_one(q: Question) -> QuestionRow:
-            retrieved, llm_calls, provided = runner(q)
+            arm_result = None
+            if method == "arm":
+                arm_result = engine.run_arm(q.question, final_k=k)
+                retrieved, llm_calls, provided = _arm_answer(arm_result)
+            else:
+                retrieved, llm_calls, provided = runner(q)
             metrics = compute_metrics(retrieved, q.gold_ids)
             return QuestionRow(
                 question_id=q.question_id,
@@ -435,6 +445,7 @@ def run_eval(
                 perfect_recall=metrics.perfect_recall,
                 llm_calls=llm_calls,
                 objects_provided=provided,
+                arm_result=arm_result,
             )
 
         rows = tuple(score_one(q) for q in questions)

@@ -100,9 +100,13 @@ def cmd_eval_run(args: argparse.Namespace) -> int:
     with open(csv_path, "w", encoding="utf-8") as handle:
         handle.write(eval_to_csv(results))
     if args.trace:
+        if "arm" in results:
+            answers = [row.arm_result for row in results["arm"].rows]
+        else:
+            k = args.top_k or config.final_k
+            answers = [engine.run_arm(q.question, final_k=k) for q in questions]
         with open(args.trace, "w", encoding="utf-8") as handle:
-            for q in questions:
-                result = engine.run_arm(q.question, final_k=args.top_k or config.final_k)
+            for q, result in zip(questions, answers):
                 handle.write(json.dumps(result.to_trace(q.question_id), sort_keys=True))
                 handle.write("\n")
     header = (

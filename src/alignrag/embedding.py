@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -47,19 +47,9 @@ class HashEmbeddingProvider:
             raise ProviderError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
         self.seed = seed
-        self._cache: dict[str, np.ndarray] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        cached = self._cache.get(text)
-        if cached is None:
-            cached = self._cache[text] = self._vector(text)
-        return cached
-
-    def embed_chunk(self, chunk: Chunk) -> np.ndarray:
-        """Uncached: the vector store keeps the only copy of chunk vectors."""
-        return self._vector(chunk.text)
-
-    def _vector(self, text: str) -> np.ndarray:
+        """Uncached: callers that reuse a vector keep their own copy."""
         vec = np.zeros(self.dimension, dtype=np.float64)
         tokens = normalize_tokens(text)
         if not tokens:
@@ -70,6 +60,9 @@ class HashEmbeddingProvider:
             vec /= np.linalg.norm(vec)
         vec.setflags(write=False)
         return vec
+
+    def embed_chunk(self, chunk: Chunk) -> np.ndarray:
+        return self.embed(chunk.text)
 
 
 class FileVectorProvider:
@@ -125,21 +118,87 @@ class FileVectorProvider:
 
 
 @dataclass(frozen=True)
-class VectorStore:
-    """Every chunk vector as one row of a matrix, each object's rows contiguous.
+class SparseRows:
+    """Sparse rows in CSR form: row i holds ``indices[ptr[i]:ptr[i + 1]]``,
+    ascending, with ``values`` at the same positions (all ones when None).
 
-    Object ``object_ids[j]`` owns rows ``offsets[j]:offsets[j + 1]``;
-    ``norms`` holds each row's Euclidean norm.
+    ``transpose`` turns rows of coordinates into inverted lists, one row
+    per coordinate naming the rows that hold it.
+    """
+
+    ptr: np.ndarray
+    indices: np.ndarray
+    values: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[np.ndarray], values: Optional[Sequence[np.ndarray]] = None
+    ) -> "SparseRows":
+        lengths = np.fromiter((len(r) for r in rows), dtype=np.intp, count=len(rows))
+        ptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=ptr[1:])
+        empty = [np.empty(0)]
+        return cls(
+            ptr=ptr,
+            indices=np.concatenate(empty + list(rows)).astype(np.intp),
+            values=None if values is None else np.concatenate(empty + list(values)),
+        )
+
+    def row(self, i: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        span = slice(self.ptr[i], self.ptr[i + 1])
+        return self.indices[span], None if self.values is None else self.values[span]
+
+    def transpose(self, n_columns: int) -> "SparseRows":
+        """Inverted lists: column k lists the rows holding it, ascending."""
+        owners = np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+        order = np.argsort(self.indices, kind="stable")
+        ptr = np.zeros(n_columns + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.indices, minlength=n_columns), out=ptr[1:])
+        values = None if self.values is None else self.values[order]
+        return SparseRows(ptr=ptr, indices=owners[order], values=values)
+
+    def positions(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entry positions of rows ``keys``, concatenated, and each row's length."""
+        starts = self.ptr[keys]
+        lengths = self.ptr[keys + 1] - starts
+        positions = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        positions += np.arange(positions.size)
+        return positions, lengths
+
+    def accumulate(
+        self, keys: np.ndarray, weights: Optional[np.ndarray], size: int
+    ) -> np.ndarray:
+        """Per entry owner, the sum over ``keys`` of weight times stored
+        value, in ascending key order; without weights, the keys it holds."""
+        positions, lengths = self.positions(keys)
+        owners = self.indices[positions]
+        if weights is None:
+            return np.bincount(owners, minlength=size)
+        products = self.values[positions] * np.repeat(weights, lengths)
+        return np.bincount(owners, weights=products, minlength=size)
+
+
+@dataclass(frozen=True)
+class VectorStore:
+    """Every chunk vector, stored sparse by coordinate, each object's chunks
+    contiguous.
+
+    Object ``object_ids[j]`` owns chunks ``offsets[j]:offsets[j + 1]``;
+    ``norms`` holds each chunk vector's Euclidean norm. Row ``d`` of
+    ``columns`` lists the chunks whose vector is non-zero at coordinate
+    ``d``, with the values there. A hashed chunk vector is non-zero on a
+    few dozen of its thousands of coordinates, so the store holds a small
+    fraction of a dense matrix and is built without one.
     """
 
     dimension: int
     object_ids: tuple[str, ...]
-    matrix: np.ndarray  # (n_chunks, dimension)
+    columns: SparseRows  # one row per coordinate: chunk indices and values
     offsets: np.ndarray  # (n_objects + 1,)
     norms: np.ndarray  # (n_chunks,)
 
     def __len__(self) -> int:
-        return self.matrix.shape[0]
+        return self.norms.shape[0]
 
 
 def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> VectorStore:
@@ -148,21 +207,27 @@ def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> Vector
     for chunk in chunks:
         grouped.setdefault(chunk.object_id, []).append(chunk)
     rows = [chunk for group in grouped.values() for chunk in group]
-    matrix = np.empty((len(rows), provider.dimension), dtype=np.float64)
     norms = np.empty(len(rows), dtype=np.float64)
+    supports, weights = [], []
     for i, chunk in enumerate(rows):
-        vec = provider.embed_chunk(chunk)
+        vec = np.asarray(provider.embed_chunk(chunk), dtype=np.float64)
+        if vec.shape != (provider.dimension,):
+            raise DimensionMismatch(
+                f"chunk {chunk.chunk_id!r}: vector {vec.shape}, "
+                f"provider dim {provider.dimension}"
+            )
         norms[i] = np.linalg.norm(vec)  # the 1-D norm, as cosine takes it
-        matrix[i] = vec
         if norms[i] == 0.0:
             raise ZeroVector(f"chunk {chunk.chunk_id!r} has a zero-norm vector")
+        support = np.flatnonzero(vec != 0.0)
+        supports.append(support)
+        weights.append(vec[support])
     sizes = [len(group) for group in grouped.values()]
     offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-    matrix.setflags(write=False)
     return VectorStore(
         dimension=provider.dimension,
         object_ids=tuple(grouped),
-        matrix=matrix,
+        columns=SparseRows.from_rows(supports, weights).transpose(provider.dimension),
         offsets=offsets,
         norms=norms,
     )
@@ -186,7 +251,10 @@ def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarra
     """Every object's best chunk cosine with the question, clamped to [-1, 1].
 
     Entry j belongs to ``store.object_ids[j]``. The dot products read
-    only the question's non-zero coordinates.
+    only the question's non-zero coordinates: their columns are unpacked
+    into a dense column-major block, the layout slicing those columns from
+    a dense matrix gives, so the matrix-vector product sums each dot in the
+    same order and the results match a dense store bit for bit.
     """
     q = np.asarray(question_vec, dtype=np.float64)
     if q.shape != (store.dimension,):
@@ -195,6 +263,11 @@ def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarra
     if q_norm == 0.0:
         raise ZeroVector("cosine undefined for zero-norm vector")
     support = np.flatnonzero(q)
-    cosines = (store.matrix[:, support] @ q[support]) / (q_norm * store.norms)
+    block = np.zeros((len(store), support.size), order="F")
+    positions, lengths = store.columns.positions(support)
+    block[
+        store.columns.indices[positions], np.repeat(np.arange(support.size), lengths)
+    ] = store.columns.values[positions]
+    cosines = (block @ q[support]) / (q_norm * store.norms)
     np.clip(cosines, -1.0, 1.0, out=cosines)
     return np.maximum.reduceat(cosines, store.offsets[:-1])

@@ -1,12 +1,21 @@
 """Stage two: expand the base set along compatibility and solve selection.
 
 Compatibility blends semantic similarity of embeddings with exact-value
-overlap, specialized per object-kind pair. Selection is an integer
-program: choose exactly k objects and up to 2(k-1) of their pairwise
-connections to maximize total relevance plus connection strength. The
-solver is an exact branch and bound over the selection indicators with a
-closed-form completion of the connection variables; a brute-force
-enumerator provides an independent route to the same optimum.
+overlap, specialized per object-kind pair. The scalar ``compatibility``
+scores one pair and names the connection that achieves it; it is the
+reference. ``CompatibilityCache`` serves scores from rows instead: one
+object's compatibility with every corpus object, computed in one
+vectorized pass over a sparse index of the corpus's cells, sentences
+and columns. It applies the scalar formulas elementwise; only the order
+in which a dot product sums its terms can differ. Connections still come
+from the scalar witness.
+
+Selection is an integer program: choose exactly k objects and up to
+2(k-1) of their pairwise connections to maximize total relevance plus
+connection strength. The solver is an exact branch and bound over the
+selection indicators with a closed-form completion of the connection
+variables; a brute-force enumerator provides an independent route to the
+same optimum.
 """
 
 from __future__ import annotations
@@ -16,9 +25,11 @@ from enum import Enum
 from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .corpus import Corpus, DataObject, ObjectKind
-from .embedding import EmbeddingProvider, cosine
-from .errors import Infeasible, TooLarge, ValidationError
+from .embedding import EmbeddingProvider, SparseRows, cosine
+from .errors import Infeasible, TooLarge, ValidationError, ZeroVector
 from .info_align import clamp01
 from .ngram_index import normalize_tokens
 
@@ -184,8 +195,142 @@ def compatibility(
     return table_passage_compat(obj_b, obj_a, provider, w)
 
 
+class _UnitIndex:
+    """Every object's scoring units and columns, laid out to score one
+    object against the whole corpus in one vectorized pass.
+
+    Units are cells and sentences with at least one token; those without
+    score 0 against everything, so they are left out. Each distinct unit
+    text and column header is embedded once; its vector's non-zero
+    coordinates and its normalized-token ids are stored as sparse rows,
+    with inverted lists over coordinates and tokens so that a pass reads
+    only shared buckets and tokens. Unit texts come first, so ids below
+    ``n_unit_texts`` carry tokens. Object ``j`` owns unit slots
+    ``unit_bounds[j]:unit_bounds[j + 1]`` and column slots
+    ``column_bounds[j]:column_bounds[j + 1]``; the first slot of each is
+    a pad (text id -1) that scores 0, which is the floor of every object
+    score and keeps ``np.maximum.reduceat`` from reading a neighbour's
+    segment when an object has no units or no columns.
+    """
+
+    def __init__(self, corpus: Corpus, provider: EmbeddingProvider) -> None:
+        texts: dict[str, int] = {}
+        vocab: dict[str, int] = {}
+        token_rows: list[np.ndarray] = []
+        unit_ids: dict[str, int] = {}  # -1: no tokens
+        unit_text: list[int] = []
+        unit_bounds: list[int] = []
+        for obj in corpus.objects:
+            unit_bounds.append(len(unit_text))
+            unit_text.append(-1)
+            if obj.kind is ObjectKind.TABLE:
+                units = [cell for row in obj.rows for cell in row]
+            else:
+                units = list(obj.sentences)
+            for unit in units:
+                tid = unit_ids.get(unit)
+                if tid is None:
+                    tokens = {
+                        vocab.setdefault(t, len(vocab)) for t in normalize_tokens(unit)
+                    }
+                    tid = unit_ids[unit] = len(texts) if tokens else -1
+                    if tokens:
+                        texts[unit] = tid
+                        token_rows.append(np.array(sorted(tokens)))
+                if tid >= 0:
+                    unit_text.append(tid)
+        unit_bounds.append(len(unit_text))
+        self.n_unit_texts = len(texts)
+
+        values: dict[str, int] = {}
+        value_rows: list[np.ndarray] = []
+        column_text: list[int] = []
+        column_bounds: list[int] = []
+        for obj in corpus.objects:
+            column_bounds.append(len(column_text))
+            column_text.append(-1)
+            value_rows.append(np.empty(0))
+            for c, header in enumerate(obj.columns):
+                column_text.append(texts.setdefault(header, len(texts)))
+                ids = {values.setdefault(row[c], len(values)) for row in obj.rows}
+                value_rows.append(np.array(sorted(ids)))
+        column_bounds.append(len(column_text))
+
+        coordinates, weights = [], []
+        self.norms = np.empty(len(texts))
+        for text, tid in texts.items():
+            vec = np.asarray(provider.embed(text), dtype=np.float64)
+            self.norms[tid] = np.linalg.norm(vec)  # the 1-D norm, as cosine takes it
+            if self.norms[tid] == 0.0:
+                raise ZeroVector(f"text {text!r} has a zero-norm vector")
+            support = np.flatnonzero(vec != 0.0)
+            coordinates.append(support)
+            weights.append(vec[support])
+        self.vectors = SparseRows.from_rows(coordinates, weights)
+        self.buckets = self.vectors.transpose(provider.dimension)
+        self.tokens = SparseRows.from_rows(token_rows)
+        self.token_texts = self.tokens.transpose(len(vocab))
+        self.n_tokens = np.diff(self.tokens.ptr)
+        self.values = SparseRows.from_rows(value_rows)
+        self.value_columns = self.values.transpose(len(values))
+        self.n_values = np.diff(self.values.ptr)
+        self.unit_text = np.array(unit_text, dtype=np.intp)
+        self.unit_bounds = np.array(unit_bounds, dtype=np.intp)
+        self.column_text = np.array(column_text, dtype=np.intp)
+        self.column_bounds = np.array(column_bounds, dtype=np.intp)
+        self.is_table = np.array(
+            [obj.kind is ObjectKind.TABLE for obj in corpus.objects]
+        )
+
+    def _cosines(self, tid: int) -> np.ndarray:
+        """Clamped cosine of text ``tid`` with every indexed text."""
+        dots = self.buckets.accumulate(*self.vectors.row(tid), len(self.norms))
+        return np.clip(dots / (self.norms[tid] * self.norms), 0.0, 1.0)
+
+    def _unit_scores(self, tid: int, w: float) -> np.ndarray:
+        """``unit_compat`` of unit text ``tid`` with every unit text."""
+        n = self.n_unit_texts
+        shared = self.token_texts.accumulate(self.tokens.row(tid)[0], None, n)
+        overlap = shared / np.minimum(self.n_tokens[tid], self.n_tokens)
+        return w * self._cosines(tid)[:n] + (1.0 - w) * overlap
+
+    def _column_scores(self, slot: int, w: float) -> np.ndarray:
+        """``column_compat`` of column ``slot`` with every column slot."""
+        semantic = np.zeros(len(self.norms) + 1)  # the last entry serves pads
+        semantic[:-1] = self._cosines(self.column_text[slot])
+        n = len(self.column_text)
+        shared = self.value_columns.accumulate(self.values.row(slot)[0], None, n)
+        union = self.n_values[slot] + self.n_values - shared
+        jaccard_part = np.divide(shared, union, out=np.zeros(n), where=union > 0)
+        return w * semantic[self.column_text] + (1.0 - w) * jaccard_part
+
+    def row(self, j: int, w: float) -> np.ndarray:
+        """``compatibility`` of object ``j`` with every object, by position."""
+        lo, hi = self.unit_bounds[j] + 1, self.unit_bounds[j + 1]
+        best = np.zeros(self.n_unit_texts + 1)  # the last entry serves pads
+        for tid in np.unique(self.unit_text[lo:hi]):
+            np.maximum(best[:-1], self._unit_scores(tid, w), out=best[:-1])
+        scores = np.maximum.reduceat(best[self.unit_text], self.unit_bounds[:-1])
+        if self.is_table[j]:
+            best = np.zeros(len(self.column_text))
+            for slot in range(self.column_bounds[j] + 1, self.column_bounds[j + 1]):
+                np.maximum(best, self._column_scores(slot, w), out=best)
+            columns = np.maximum.reduceat(best, self.column_bounds[:-1])
+            scores = np.where(self.is_table, columns, scores)
+        return scores
+
+
 class CompatibilityCache:
-    """Memoized pairwise compatibility over one corpus."""
+    """Pairwise compatibility over one corpus: scores come from rows,
+    connections from the scalar witness.
+
+    A row is one object's compatibility with every corpus object,
+    computed in one vectorized pass over a unit index that the first
+    lookup builds. ``score(a, b)`` reads the row of whichever of the two
+    already has one and otherwise computes ``a``'s. ``get`` adds the
+    connection that the scalar ``compatibility`` finds for the pair,
+    memoized; only draft serialization needs connections.
+    """
 
     def __init__(
         self, corpus: Corpus, provider: EmbeddingProvider, w: float = 0.5
@@ -195,25 +340,39 @@ class CompatibilityCache:
         self._corpus = corpus
         self._provider = provider
         self._w = w
-        self._cache: dict[tuple[str, str], tuple[float, Optional[Connection]]] = {}
+        self._position = {obj.id: j for j, obj in enumerate(corpus.objects)}
+        self._index: Optional[_UnitIndex] = None
+        self._rows: dict[str, np.ndarray] = {}
+        self._connections: dict[
+            tuple[str, str], tuple[float, Optional[Connection]]
+        ] = {}
 
-    def get(self, id_a: str, id_b: str) -> tuple[float, Optional[Connection]]:
+    def score(self, id_a: str, id_b: str) -> float:
         if id_a == id_b:
             raise ValidationError(f"compatibility of {id_a!r} with itself")
+        rows = self._rows
+        if id_a not in rows and id_b in rows:
+            id_a, id_b = id_b, id_a
+        row = rows.get(id_a)
+        if row is None:
+            if self._index is None:
+                self._index = _UnitIndex(self._corpus, self._provider)
+            row = rows[id_a] = self._index.row(self._position[id_a], self._w)
+        return float(row[self._position[id_b]])
+
+    def get(self, id_a: str, id_b: str) -> tuple[float, Optional[Connection]]:
         key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-        cached = self._cache.get(key)
+        cached = self._connections.get(key)
         if cached is None:
-            cached = compatibility(
+            score = self.score(*key)
+            _, conn = compatibility(
                 self._corpus.by_id[key[0]],
                 self._corpus.by_id[key[1]],
                 self._provider,
                 self._w,
             )
-            self._cache[key] = cached
+            cached = self._connections[key] = (score, conn)
         return cached
-
-    def score(self, id_a: str, id_b: str) -> float:
-        return self.get(id_a, id_b)[0]
 
 
 @dataclass(frozen=True)

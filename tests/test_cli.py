@@ -10,7 +10,7 @@ import pytest
 
 from alignrag.baselines_eval import METHODS
 from alignrag.cli import main
-from alignrag.pipeline import TRACE_SCHEMA
+from alignrag.pipeline import TRACE_SCHEMA, RetrievalEngine
 
 CITY_RECORDS = [
     {
@@ -274,7 +274,15 @@ class TestEvalRun:
         for name in ("results.json", "results.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_trace_lines_per_question(self, workdir, capsys):
+    def test_trace_lines_per_question(self, workdir, capsys, monkeypatch):
+        answered = []
+        run_arm = RetrievalEngine.run_arm
+
+        def counted(engine, question, *args, **kwargs):
+            answered.append(question)
+            return run_arm(engine, question, *args, **kwargs)
+
+        monkeypatch.setattr(RetrievalEngine, "run_arm", counted)
         trace_path = workdir["tmp"] / "traces.jsonl"
         self.run(
             workdir,
@@ -282,6 +290,8 @@ class TestEvalRun:
             extra=["--method", "arm", "--trace", str(trace_path)],
         )
         capsys.readouterr()
+        # the trace reuses the arm pass's answers
+        assert answered == [record["question"] for record in QUESTION_RECORDS]
         lines = trace_path.read_text().splitlines()
         assert len(lines) == len(QUESTION_RECORDS)
         for line, record in zip(lines, QUESTION_RECORDS):

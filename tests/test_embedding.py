@@ -62,9 +62,13 @@ class TestHashProvider:
         b = HashEmbeddingProvider(dimension=64, seed=1)
         assert not np.array_equal(a.embed("some text"), b.embed("some text"))
 
-    def test_cache_returns_same_array(self):
+    def test_repeated_embeds_are_equal_fresh_arrays(self):
         provider = HashEmbeddingProvider(dimension=16, seed=0)
-        assert provider.embed("x y") is provider.embed("x y")
+        first = provider.embed("x y")
+        second = provider.embed("x y")
+        assert first is not second
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, oracles.hash_embed("x y", 0, 16))
 
     def test_vectors_are_write_protected(self):
         provider = HashEmbeddingProvider(dimension=16, seed=0)
@@ -218,11 +222,27 @@ class TestStore:
         with pytest.raises(DimensionMismatch):
             object_similarity(store, np.ones(3))
 
-    def test_chunk_vectors_not_cached_twice(self, city_corpus):
-        provider = HashEmbeddingProvider(dimension=64, seed=0)
-        embed_corpus(provider, city_corpus.chunks)
-        cached = set(provider._cache)
-        assert not cached & {c.text for c in city_corpus.chunks}
+        class Short(HashEmbeddingProvider):
+            def embed_chunk(self, c):
+                return np.ones(self.dimension - 1)
+
+        with pytest.raises(DimensionMismatch, match="a#0"):
+            embed_corpus(Short(dimension=4), [chunk("a#0", "x")])
+
+    def test_similarity_matches_dense_matrix_exactly(self, city_objects):
+        # the sparse store must reproduce the dense matrix product bit for bit
+        corpus = build_corpus(city_objects, chunk_units=1)
+        provider = HashEmbeddingProvider(dimension=32, seed=1)
+        store = embed_corpus(provider, corpus.chunks)
+        dense = np.array([provider.embed_chunk(c) for c in corpus.chunks])
+        norms = np.array([np.linalg.norm(row) for row in dense])
+        for question in ["paris population", "lyon is smaller", "country area 643"]:
+            q = provider.embed(question)
+            support = np.flatnonzero(q)
+            cosines = (dense[:, support] @ q[support]) / (np.linalg.norm(q) * norms)
+            np.clip(cosines, -1.0, 1.0, out=cosines)
+            expected = np.maximum.reduceat(cosines, store.offsets[:-1])
+            np.testing.assert_array_equal(object_similarity(store, q), expected)
 
     def test_multi_chunk_objects_match_oracle(self, city_objects):
         corpus = build_corpus(city_objects, chunk_units=1)

@@ -7,6 +7,7 @@ import json
 import jsonschema
 import pytest
 
+from alignrag import struct_align
 from alignrag.config import Config
 from alignrag.embedding import FileVectorProvider, HashEmbeddingProvider
 from alignrag.errors import ValidationError
@@ -21,6 +22,7 @@ from alignrag.pipeline import (
     build_scorer,
     render_alignment,
 )
+from planted import build_planted
 
 
 class TestBuilders:
@@ -79,6 +81,40 @@ class TestEngine:
         assert set(relevance) == {"t1", "t2", "p1"}
         assert all(0.0 <= v <= 1.0 for v in relevance.values())
         assert relevance["p1"] > relevance["t2"]
+
+
+class TestCompatibilityCost:
+    def test_expansion_and_instances_read_rows(self, monkeypatch):
+        bench = build_planted()
+        engine = RetrievalEngine(bench.corpus, config=bench.config)
+        calls = []
+        scalar = struct_align.compatibility
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(struct_align, "compatibility", counted)
+        for question in bench.questions[:3]:
+            result = engine.run_arm(question.question, stage="sa")
+            assert result.drafts
+        # stage "sa" stops after expand_base, build_mip_instance and solve_mip
+        assert calls == []
+
+    def test_alignment_stage_embeds_only_the_question(self, monkeypatch):
+        bench = build_planted()
+        engine = RetrievalEngine(bench.corpus, config=bench.config)
+        embedded = []
+        embed = engine.provider.embed
+
+        def counted(text):
+            embedded.append(text)
+            return embed(text)
+
+        monkeypatch.setattr(engine.provider, "embed", counted)
+        question = bench.questions[0].question
+        engine.run_arm(question, stage="ia")
+        assert embedded == [question]
 
 
 class TestRunArm:

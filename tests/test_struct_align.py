@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 import oracles
 from alignrag.corpus import build_corpus
-from alignrag.embedding import HashEmbeddingProvider
+from alignrag.embedding import FileVectorProvider, HashEmbeddingProvider
 from alignrag.errors import Infeasible, TooLarge, ValidationError
 from alignrag.struct_align import (
     CompatibilityCache,
@@ -196,6 +198,50 @@ class TestCompatibilityCache:
     def test_w_validated(self, city_corpus):
         with pytest.raises(ValidationError):
             CompatibilityCache(city_corpus, PROVIDER, w=-0.1)
+
+    @pytest.mark.parametrize("kind", ["hash", "file"])
+    def test_rows_match_scalar_on_every_pair(self, kind, tmp_path):
+        objects = [
+            make_passage("p1", "notes", ["paris is big.", "lyon code c1.", "???"]),
+            make_table("t0", "empty", ["city", "code"], []),
+            make_table(
+                "t1",
+                "codes",
+                ["code", "city", "note"],
+                [["c1", "paris", "???"], ["c1", "lyon", "big"], ["c2", "paris", "c1"]],
+            ),
+            make_passage("p2", "more", ["paris lyon c1 big.", "big big city.", "c2"]),
+            make_table(
+                "t2", "tail", ["code", "city"], [["c1", "lyon c1"], ["c3", "???"]]
+            ),
+        ]
+        corpus = build_corpus(objects)
+        provider = PROVIDER
+        if kind == "file":
+            # dense vectors with negative coordinates and one zero coordinate
+            rng = np.random.default_rng(4)
+            texts = {t for o in objects for t in o.columns + o.sentences}
+            texts |= {cell for o in objects for row in o.rows for cell in row}
+            path = tmp_path / "vectors.jsonl"
+            with open(path, "w", encoding="utf-8") as handle:
+                for text in sorted(texts):
+                    vector = rng.normal(size=6)
+                    vector[rng.integers(6)] = 0.0
+                    record = {"chunk_id": text, "vector": vector.tolist()}
+                    handle.write(json.dumps(record) + "\n")
+            provider = FileVectorProvider(str(path))
+        ids = corpus.object_ids()
+        # one cache per object, so that object's own row serves its lookups
+        caches = {oid: CompatibilityCache(corpus, provider) for oid in ids}
+        for a in ids:
+            for b in ids:
+                if a == b:
+                    continue
+                got = caches[a].score(a, b)
+                assert got == caches[b].score(b, a) == caches[a].score(b, a)
+                assert got == caches[a].get(a, b)[0] == caches[b].get(b, a)[0]
+                want, _ = compatibility(corpus.by_id[a], corpus.by_id[b], provider)
+                assert abs(got - want) <= 1e-12
 
 
 WALK_COMPAT = {
