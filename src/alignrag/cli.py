@@ -17,8 +17,15 @@ from .baselines_eval import (
 )
 from .config import Config, resolve_config
 from .corpus import load_corpus
-from .errors import AlignragError
-from .ngram_index import build_bm25, build_trie, corpus_ngrams, load_index, save_index
+from .errors import AlignragError, ValidationError
+from .ngram_index import (
+    build_bm25,
+    build_trie,
+    corpus_ngrams,
+    load_index,
+    normalize_tokens,
+    save_index,
+)
 from .pipeline import RetrievalEngine
 
 
@@ -47,6 +54,19 @@ def _build_engine(args: argparse.Namespace, config: Config) -> RetrievalEngine:
         raise AlignragError(f"index file not found: {args.index}")
     trie, bm25, chunk_units = load_index(args.index)
     corpus = _load_corpus_checked(args.corpus, chunk_units)
+    # an index built from another corpus would align to phrases the
+    # collection does not hold; its BM25 chunk table gives it away
+    expected = {c.chunk_id: len(normalize_tokens(c.text)) for c in corpus.chunks}
+    if bm25.doc_len != expected:
+        differing = min(
+            cid
+            for cid in expected.keys() | bm25.doc_len.keys()
+            if expected.get(cid) != bm25.doc_len.get(cid)
+        )
+        raise ValidationError(
+            f"index {args.index} does not match corpus {args.corpus}: "
+            f"chunk {differing!r} differs"
+        )
     return RetrievalEngine(corpus, config=config, trie=trie, bm25=bm25)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import prompts
 from .corpus import Corpus
 from .embedding import EmbeddingProvider, VectorStore, object_similarity
@@ -199,17 +201,34 @@ def retrieve_base(
     else:
         chunk_norm = {}
 
-    sims = object_similarity(store, provider.embed(question)).tolist()
-    entries = []
-    for oid, sim in zip(store.object_ids, sims):
-        bm25_comp = max(
-            (chunk_norm.get(c.chunk_id, 0.0) for c in corpus.chunks_by_object[oid]),
-            default=0.0,
+    ids = store.object_ids
+    position = {oid: j for j, oid in enumerate(ids)}
+    bm25 = np.zeros(len(ids))
+    for cid, norm in chunk_norm.items():
+        # a hit on a chunk the corpus does not hold still counted in the
+        # normalization above, but feeds no object
+        oid = cid.rpartition("#")[0]
+        j = position.get(oid)
+        if j is None:
+            continue
+        if any(c.chunk_id == cid for c in corpus.chunks_by_object[oid]):
+            bm25[j] = max(bm25[j], norm)
+    embed = np.clip(object_similarity(store, provider.embed(question)), 0.0, 1.0)
+    embed += 0.0  # -0.0 becomes 0.0, as clamp01 gives
+    fused = alpha * bm25 + (1.0 - alpha) * embed
+
+    top = np.arange(len(ids))
+    if base_size < len(ids):
+        cut = len(ids) - base_size
+        top = np.flatnonzero(fused >= np.partition(fused, cut)[cut])
+    scores = fused.tolist()
+    chosen = sorted(top.tolist(), key=lambda j: (-scores[j], ids[j]))[:base_size]
+    return [
+        BaseEntry(
+            object_id=ids[j],
+            fused=scores[j],
+            bm25=float(bm25[j]),
+            embed=float(embed[j]),
         )
-        embed_comp = clamp01(sim)
-        fused = alpha * bm25_comp + (1.0 - alpha) * embed_comp
-        entries.append(
-            BaseEntry(object_id=oid, fused=fused, bm25=bm25_comp, embed=embed_comp)
-        )
-    entries.sort(key=lambda e: (-e.fused, e.object_id))
-    return entries[:base_size]
+        for j in chosen
+    ]

@@ -2,7 +2,9 @@
 
 Decoding is masked: at every step the caller computes the set of valid
 next tokens (from a trie or a choice set) and the scorer only ranks
-within that set, so emitted sequences are valid by construction.
+within that set, so emitted sequences are valid by construction. The
+N-gram beam search ranks every scored candidate by a key built from its
+parent, but only materializes the hypotheses that survive a step.
 
 Reserved tokens open/close alignment segments, separate list items, and
 stop generation. Text normalization strips bare punctuation, so none of
@@ -12,7 +14,10 @@ them can collide with a real corpus token.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import heapq
+from collections import Counter
+from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional, Protocol, Sequence
 
 from .errors import AllBeamsDead, ValidationError
@@ -109,6 +114,7 @@ class MockScorer:
         self, context: Sequence[str], candidates: Sequence[str]
     ) -> list[float]:
         rule = self._match(context)
+        counts = Counter(context) if self.context_weight else None
         logits = []
         for tok in candidates:
             if rule is not None and tok in rule.ranked:
@@ -117,8 +123,8 @@ class MockScorer:
                 )
                 continue
             value = self.token_bias.get(tok, 0.0)
-            if self.context_weight:
-                value += self.context_weight * sum(1 for c in context if c == tok)
+            if counts is not None:
+                value += self.context_weight * counts.get(tok, 0)
             if self.seed is not None:
                 value += _stable_unit(self.seed, context, tok)
             logits.append(value)
@@ -153,57 +159,69 @@ def ngram_score(logits: Sequence[float]) -> float:
     return sum(logits) / len(logits)
 
 
-@dataclass
+def _rank_key(total: float, count: int, tokens: tuple) -> tuple:
+    """Beam order: mean content logit, then total content logit, then tokens.
+
+    The total breaks ties so a beam is never outranked by its own
+    early-closed prefix. ``total`` is a running sum of the content logits
+    taken left to right, which on CPython 3.11 is bit for bit what ``sum``
+    of the logit list gives, so the order is the one a full re-sum gives.
+    """
+    mean = total / count if count else 0.0
+    return (-mean, -total, tokens)
+
+
+@dataclass(frozen=True)
 class _Hypothesis:
-    tokens: list[str] = field(default_factory=list)
-    logits: list[float] = field(default_factory=list)
-    prefix_tokens: list[str] = field(default_factory=list)
-    prefix_logits: list[float] = field(default_factory=list)
-    ngrams: list[NGram] = field(default_factory=list)
-    ngram_scores: list[float] = field(default_factory=list)
-    content_logits: list[float] = field(default_factory=list)
+    tokens: tuple[str, ...] = ()
+    logits: tuple[float, ...] = ()
+    prefix_tokens: tuple[str, ...] = ()
+    prefix_logits: tuple[float, ...] = ()
+    ngrams: tuple[NGram, ...] = ()
+    ngram_scores: tuple[float, ...] = ()
+    content_total: float = 0.0
+    content_count: int = 0
     closed: bool = False
 
-    def rank_score(self) -> float:
-        if not self.content_logits:
-            return 0.0
-        return sum(self.content_logits) / len(self.content_logits)
-
     def sort_key(self) -> tuple:
-        # mean content logit first; total content breaks ties so a beam
-        # is never outranked by its own early-closed prefix
-        return (-self.rank_score(), -sum(self.content_logits), tuple(self.tokens))
+        return _rank_key(self.content_total, self.content_count, self.tokens)
+
+    def rank_score(self) -> float:
+        return -self.sort_key()[0]
 
     def child(self, token: str, logit: float) -> "_Hypothesis":
-        new = _Hypothesis(
-            tokens=self.tokens + [token],
-            logits=self.logits + [logit],
-            prefix_tokens=list(self.prefix_tokens),
-            prefix_logits=list(self.prefix_logits),
-            ngrams=list(self.ngrams),
-            ngram_scores=list(self.ngram_scores),
-            content_logits=list(self.content_logits),
-        )
+        tokens = self.tokens + (token,)
+        logits = self.logits + (logit,)
         if token == OPEN_TOKEN:
-            pass  # delimiter only: opens the segment, carries no content
-        elif token == SEP_TOKEN or token == CLOSE_TOKEN:
-            new.ngrams.append(NGram(tokens=tuple(new.prefix_tokens)))
-            new.ngram_scores.append(ngram_score(new.prefix_logits))
-            new.prefix_tokens = []
-            new.prefix_logits = []
-            new.closed = token == CLOSE_TOKEN
-        else:
-            new.prefix_tokens.append(token)
-            new.prefix_logits.append(logit)
-            new.content_logits.append(logit)
-        return new
+            # delimiter only: opens the segment, carries no content
+            return replace(self, tokens=tokens, logits=logits)
+        if token == SEP_TOKEN or token == CLOSE_TOKEN:
+            return replace(
+                self,
+                tokens=tokens,
+                logits=logits,
+                prefix_tokens=(),
+                prefix_logits=(),
+                ngrams=self.ngrams + (NGram(tokens=self.prefix_tokens),),
+                ngram_scores=self.ngram_scores + (ngram_score(self.prefix_logits),),
+                closed=token == CLOSE_TOKEN,
+            )
+        return replace(
+            self,
+            tokens=tokens,
+            logits=logits,
+            prefix_tokens=self.prefix_tokens + (token,),
+            prefix_logits=self.prefix_logits + (logit,),
+            content_total=self.content_total + logit,
+            content_count=self.content_count + 1,
+        )
 
     def freeze(self) -> Beam:
         return Beam(
-            tokens=tuple(self.tokens),
-            logits=tuple(self.logits),
-            ngrams=tuple(self.ngrams),
-            ngram_scores=tuple(self.ngram_scores),
+            tokens=self.tokens,
+            logits=self.logits,
+            ngrams=self.ngrams,
+            ngram_scores=self.ngram_scores,
             score=self.rank_score(),
         )
 
@@ -223,6 +241,12 @@ def constrained_ngram_decode(
     after a complete N-gram, or the close delimiter after a complete
     N-gram may appear. Beams with no valid continuation are dropped;
     when every beam dies the decode fails.
+
+    Only survivors are materialized: an open candidate is ranked by a key
+    built from its parent, token and logit, and only the ``beam_width``
+    best of a step, plus the candidates that close the segment, become
+    hypotheses. Every candidate's tokens are unique, so keys never tie
+    and ``heapq.nsmallest`` keeps exactly the beams a full sort keeps.
     """
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
@@ -241,7 +265,7 @@ def constrained_ngram_decode(
     for _ in range(max_steps):
         if not live:
             break
-        expansions: list[_Hypothesis] = []
+        ranked: list[tuple[tuple, _Hypothesis, str, float]] = []
         for hyp in live:
             nexts, terminal = trie.valid_continuations(hyp.prefix_tokens)
             candidates = set(nexts)
@@ -252,16 +276,24 @@ def constrained_ngram_decode(
             if not candidates:
                 continue  # dead end: beam dropped
             ordered = sorted(candidates)
-            logits = scorer.score(context + hyp.tokens, ordered)
+            logits = scorer.score(context + list(hyp.tokens), ordered)
+            # an open candidate's key is its child's sort_key, with the
+            # tokens as (parent tokens, token): live hypotheses of a step
+            # have equal length, so that orders them as the joined tuple
+            total, count, tokens = hyp.content_total, hyp.content_count, hyp.tokens
             for tok, logit in zip(ordered, logits):
-                expansions.append(hyp.child(tok, logit))
-        done.extend(h for h in expansions if h.closed)
+                if tok == CLOSE_TOKEN:
+                    done.append(hyp.child(tok, logit))
+                elif tok == SEP_TOKEN:
+                    key = _rank_key(total, count, (tokens, tok))
+                    ranked.append((key, hyp, tok, logit))
+                else:
+                    key = _rank_key(total + logit, count + 1, (tokens, tok))
+                    ranked.append((key, hyp, tok, logit))
         done.sort(key=_Hypothesis.sort_key)
         del done[beam_width:]
-        open_hyps = sorted(
-            (h for h in expansions if not h.closed), key=_Hypothesis.sort_key
-        )
-        live = open_hyps[:beam_width]
+        survivors = heapq.nsmallest(beam_width, ranked, key=itemgetter(0))
+        live = [hyp.child(tok, logit) for _, hyp, tok, logit in survivors]
 
     if not done:
         raise AllBeamsDead(f"no alignment decoded for {label or seed_text!r}")

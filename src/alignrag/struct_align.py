@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -393,8 +393,22 @@ def expand_base(
 
     A strategy (k, l) runs l rounds; each round every current member
     nominates its k most compatible absent objects (ties by object id)
-    and nominations merge at the end of the round.
+    and nominations merge at the end of the round. A member's ranking of
+    the candidates does not depend on the round, so it is sorted once per
+    call and shared by every strategy and round: each (member, candidate)
+    pair is scored at most once.
     """
+    rankings: dict[str, list[str]] = {}
+
+    def ranking(member: str) -> list[str]:
+        ranked = rankings.get(member)
+        if ranked is None:
+            ranked = rankings[member] = sorted(
+                (oid for oid in candidate_ids if oid != member),
+                key=lambda oid: (-compat_fn(member, oid), oid),
+            )
+        return ranked
+
     sets = []
     for per_step, steps in strategies:
         if per_step < 1 or steps < 1:
@@ -407,11 +421,8 @@ def expand_base(
             present = set(members)
             nominated: set[str] = set()
             for member in members:
-                neighbors = sorted(
-                    (oid for oid in candidate_ids if oid not in present),
-                    key=lambda oid: (-compat_fn(member, oid), oid),
-                )
-                nominated.update(neighbors[:per_step])
+                absent = (oid for oid in ranking(member) if oid not in present)
+                nominated.update(islice(absent, per_step))
             members.extend(sorted(nominated))
         sets.append(
             SearchSet(strategy=(per_step, steps), object_ids=tuple(members))

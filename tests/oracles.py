@@ -194,6 +194,143 @@ def best_passage_passage(
 
 
 # ---------------------------------------------------------------------------
+# base-set fusion
+
+
+def fuse_base(
+    query_hits: list[list[tuple[str, float]]],
+    sims: dict[str, float],
+    chunks_of: dict[str, list[str]],
+    alpha: float,
+    base_size: int,
+) -> list[tuple[str, float, float, float]]:
+    """Fused (object id, fused, bm25, embed) rows, best first, ties by id.
+
+    Each chunk keeps its best score over the queries; scores are min-max
+    normalized over every hit chunk, including chunks no object owns, and
+    an object takes its best chunk. Embedding similarity is clamped to
+    [0, 1].
+    """
+    best: dict[str, float] = {}
+    for hits in query_hits:
+        for cid, score in hits:
+            if cid not in best or score > best[cid]:
+                best[cid] = score
+    norm: dict[str, float] = {}
+    if best:
+        lo, hi = min(best.values()), max(best.values())
+        for cid, score in best.items():
+            norm[cid] = 1.0 if hi == lo else (score - lo) / (hi - lo)
+    rows = []
+    for oid, sim in sims.items():
+        bm = 0.0
+        for cid in chunks_of[oid]:
+            if cid in norm and norm[cid] > bm:
+                bm = norm[cid]
+        embed = 0.0 if sim <= 0.0 else (1.0 if sim >= 1.0 else sim)
+        rows.append((oid, alpha * bm + (1.0 - alpha) * embed, bm, embed))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return rows[:base_size]
+
+
+# ---------------------------------------------------------------------------
+# constrained n-gram decoding
+
+
+def _left_sum(values: list[float]) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def beam_decode_reference(
+    scorer, ngrams, seed_text: str, beam_width: int, max_ngrams: int
+) -> list[tuple]:
+    """The plain beam search: expand every hypothesis, sort every candidate.
+
+    ``ngrams`` holds the indexed token tuples. A segment opens with "(",
+    lists N-grams separated by "," and ends with ")"; only a complete
+    N-gram may be followed by a separator or the close. Hypotheses rank
+    by mean content logit, then total content logit, then tokens, with
+    totals re-summed left to right for every comparison. Returns one
+    (tokens, logits, ngrams, ngram scores, mean) tuple per beam, best
+    first; an empty list when every beam dies.
+    """
+    open_tok, close_tok, sep_tok = "(", ")", ","
+    continuations: dict[tuple[str, ...], set[str]] = {}
+    for gram in ngrams:
+        for i in range(len(gram)):
+            continuations.setdefault(tuple(gram[:i]), set()).add(gram[i])
+    complete = {tuple(gram) for gram in ngrams}
+
+    def key(hyp: dict) -> tuple:
+        total = _left_sum(hyp["content"])
+        mean = total / len(hyp["content"]) if hyp["content"] else 0.0
+        return (-mean, -total, tuple(hyp["tokens"]))
+
+    context = scorer.tokenize(seed_text)
+    first = scorer.score(context, [open_tok])[0]
+    live = [
+        {
+            "tokens": [open_tok],
+            "logits": [first],
+            "prefix": [],
+            "prefix_logits": [],
+            "grams": [],
+            "gram_scores": [],
+            "content": [],
+            "closed": False,
+        }
+    ]
+    done: list[dict] = []
+    for _ in range(max_ngrams * 4 + 2):
+        if not live:
+            break
+        expansions = []
+        for hyp in live:
+            prefix = tuple(hyp["prefix"])
+            options = set(continuations.get(prefix, ()))
+            if prefix and prefix in complete:
+                options.add(close_tok)
+                if len(hyp["grams"]) + 1 < max_ngrams:
+                    options.add(sep_tok)
+            ordered = sorted(options)
+            if not ordered:
+                continue
+            logits = scorer.score(context + hyp["tokens"], ordered)
+            for tok, logit in zip(ordered, logits):
+                new = {k: list(v) if isinstance(v, list) else v for k, v in hyp.items()}
+                new["tokens"].append(tok)
+                new["logits"].append(logit)
+                if tok in (sep_tok, close_tok):
+                    new["grams"].append(tuple(new["prefix"]))
+                    gram_logits = new["prefix_logits"]
+                    new["gram_scores"].append(sum(gram_logits) / len(gram_logits))
+                    new["prefix"], new["prefix_logits"] = [], []
+                    new["closed"] = tok == close_tok
+                else:
+                    new["prefix"].append(tok)
+                    new["prefix_logits"].append(logit)
+                    new["content"].append(logit)
+                expansions.append(new)
+        done = sorted(done + [h for h in expansions if h["closed"]], key=key)
+        done = done[:beam_width]
+        live = sorted((h for h in expansions if not h["closed"]), key=key)
+        live = live[:beam_width]
+    return [
+        (
+            tuple(h["tokens"]),
+            tuple(h["logits"]),
+            tuple(h["grams"]),
+            tuple(h["gram_scores"]),
+            -key(h)[0],
+        )
+        for h in done
+    ]
+
+
+# ---------------------------------------------------------------------------
 # selection program
 
 

@@ -170,6 +170,36 @@ class TestRetrieve:
         assert code == 1
         assert "error: index file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["retrieve", "eval"])
+    def test_index_of_another_corpus_rejected(self, workdir, capsys, command):
+        other = [
+            dict(record, id=f"x{i}", title=f"renamed {i}")
+            for i, record in enumerate(CITY_RECORDS, start=7)
+        ]
+        corpus = write_jsonl(workdir["tmp"] / "other.jsonl", other)
+        args = ["--corpus", corpus, "--index", workdir["index"]]
+        if command == "retrieve":
+            argv = ["retrieve", "paris population", *args]
+        else:
+            out = str(workdir["tmp"] / "out")
+            argv = ["eval", "run", "--questions", workdir["questions"], "--out", out]
+            argv += args
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"error: index {workdir['index']} does not match corpus {corpus}: "
+            "chunk 'p1#0' differs" in captured.err
+        )
+
+    def test_index_of_edited_corpus_rejected(self, workdir, capsys):
+        edited = [dict(r) for r in CITY_RECORDS]
+        edited[1]["title"] = "country areas and more"
+        corpus = write_jsonl(workdir["tmp"] / "edited.jsonl", edited)
+        argv = ["retrieve", "q", "--corpus", corpus, "--index", workdir["index"]]
+        assert main(argv) == 1
+        assert "chunk 't2#0' differs" in capsys.readouterr().err
+
     def test_env_config_picked_up(self, workdir, capsys, monkeypatch):
         cfg = workdir["tmp"] / "cfg.json"
         cfg.write_text(json.dumps({"final_k": 1}))

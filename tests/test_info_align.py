@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from alignrag.corpus import Chunk, build_corpus
 from alignrag.embedding import HashEmbeddingProvider, embed_corpus
 from alignrag.errors import ValidationError
 from alignrag.info_align import (
@@ -16,7 +17,14 @@ from alignrag.info_align import (
     retrieve_base,
 )
 from alignrag.lm import MockScorer, OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN, STOP_TOKEN
-from alignrag.ngram_index import NGram, build_bm25, build_trie, corpus_ngrams
+from alignrag.ngram_index import (
+    NGram,
+    bm25_search,
+    build_bm25,
+    build_trie,
+    corpus_ngrams,
+)
+from conftest import make_passage, make_table
 
 
 def frequency_scorer() -> MockScorer:
@@ -240,6 +248,73 @@ class TestRetrieveBase:
             retrieve_base("q", [], bm25, store, provider, city_corpus, alpha=-0.1)
         with pytest.raises(ValidationError):
             retrieve_base("q", [], bm25, store, provider, city_corpus, base_size=0)
+
+
+class TestRetrieveBaseAgainstOracle:
+    """Ties, a base larger than the corpus and BM25 hits on foreign chunks."""
+
+    OBJECTS = [
+        make_table("t1", "city populations", ["city", "pop"], [["paris", "2m"]]),
+        make_table("t2", "city populations", ["city", "pop"], [["paris", "2m"]]),
+        make_table("t0", "city populations", ["city", "pop"], [["paris", "2m"]]),
+        make_table("a#b", "paris lyon", ["city"], [["lyon"], ["paris"], ["nice"]]),
+        make_passage("p1", "paris overview", ["paris is big.", "lyon is smaller."]),
+        make_passage("p2", "river notes", ["the seine runs through paris."]),
+        make_passage("p3", "unrelated", ["nothing to see."]),
+    ]
+
+    def check(self, corpus, bm25, question, alignments, alpha, base_size):
+        provider = HashEmbeddingProvider(dimension=64, seed=0)
+        store = embed_corpus(provider, corpus.chunks)
+        got = retrieve_base(
+            question, alignments, bm25, store, provider, corpus, alpha, base_size
+        )
+        query_hits = [
+            bm25_search(bm25, [t for g in lst.ngrams for t in g.tokens])
+            for al in alignments
+            for lst in al.lists
+        ]
+        qv = provider.embed(question)
+        sims = {
+            oid: max(oracles.cosine_np(qv, provider.embed_chunk(c)) for c in chunks)
+            for oid, chunks in corpus.chunks_by_object.items()
+        }
+        chunks_of = {
+            oid: [c.chunk_id for c in chunks]
+            for oid, chunks in corpus.chunks_by_object.items()
+        }
+        want = oracles.fuse_base(query_hits, sims, chunks_of, alpha, base_size)
+        assert [e.object_id for e in got] == [row[0] for row in want]
+        for entry, (_, fused, bm, embed) in zip(got, want):
+            assert entry.bm25 == bm
+            assert entry.embed == pytest.approx(embed, abs=1e-12)
+            assert entry.fused == pytest.approx(fused, abs=1e-12)
+        return got
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("base_size", [1, 2, 3, 4, 7, 12])
+    def test_matches_oracle(self, alpha, base_size):
+        corpus = build_corpus(self.OBJECTS, chunk_units=1)
+        bm25 = build_bm25(corpus.chunks)
+        alignments = [unigram_alignment("paris"), unigram_alignment("lyon", "seine")]
+        got = self.check(corpus, bm25, "paris city", alignments, alpha, base_size)
+        assert len(got) == min(base_size, len(self.OBJECTS))
+
+    @pytest.mark.parametrize("base_size", [2, 7])
+    def test_foreign_chunks_count_in_normalization_only(self, base_size):
+        corpus = build_corpus(self.OBJECTS, chunk_units=1)
+        foreign = (
+            Chunk("zz", 0, "lyon lyon paris paris", (0, 1)),  # unknown object
+            Chunk("t1", 5, "paris paris", (5, 6)),  # unknown chunk of t1
+            Chunk("a#b", 7, "lyon", (7, 8)),  # unknown chunk of a#b
+            Chunk("a#b#0", 0, "lyon", (0, 1)),  # unknown object a#b#0
+        )
+        bm25 = build_bm25(corpus.chunks + foreign)
+        alignments = [unigram_alignment("paris", "lyon")]
+        got = self.check(corpus, bm25, "paris", alignments, 0.5, base_size)
+        hits = dict(bm25_search(bm25, ["paris", "lyon"]))
+        assert max(hits, key=hits.get) not in {c.chunk_id for c in corpus.chunks}
+        assert all(e.bm25 < 1.0 for e in got)
 
 
 def test_clamp01():

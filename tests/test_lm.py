@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
 
+import oracles
+from alignrag import lm
 from alignrag.errors import AllBeamsDead, ValidationError
 from alignrag.lm import (
     Beam,
@@ -189,6 +192,84 @@ class TestNgramDecode:
             constrained_ngram_decode(MockScorer(), trie, "q", max_ngrams=0)
         with pytest.raises(ValidationError):
             constrained_ngram_decode(MockScorer(), NGramTrie(), "q")
+
+
+def random_grams(rng: random.Random) -> set[tuple[str, ...]]:
+    vocab = [f"w{i}" for i in range(rng.randint(2, 8))]
+    return {
+        tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 40))
+    }
+
+
+def as_plain(beam: Beam) -> tuple:
+    grams = tuple(g.tokens for g in beam.ngrams)
+    return (beam.tokens, beam.logits, grams, beam.ngram_scores, beam.score)
+
+
+class TestDecodeAgainstReference:
+    @pytest.mark.parametrize("case", range(8))
+    def test_beams_equal_reference(self, case):
+        rng = random.Random(case)
+        grams = random_grams(rng)
+        trie = trie_of(*grams)
+        vocab = sorted({tok for gram in grams for tok in gram})
+        seed_text = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 6)))
+        scorers = [
+            MockScorer(),  # every logit 0.0: ties everywhere
+            MockScorer(context_weight=1.0, token_bias={CLOSE_TOKEN: 0.5}),
+            MockScorer(seed=case, context_weight=1.0, token_bias={SEP_TOKEN: 0.25}),
+        ]
+        for scorer in scorers:
+            for beam_width in range(1, 6):
+                for max_ngrams in range(1, 5):
+                    want = oracles.beam_decode_reference(
+                        scorer, grams, seed_text, beam_width, max_ngrams
+                    )
+                    if not want:
+                        with pytest.raises(AllBeamsDead):
+                            constrained_ngram_decode(
+                                scorer, trie, seed_text, beam_width, max_ngrams
+                            )
+                        continue
+                    beams = constrained_ngram_decode(
+                        scorer, trie, seed_text, beam_width, max_ngrams
+                    )
+                    got = [as_plain(b) for b in beams]
+                    assert got == want
+                    assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+
+    def test_only_survivors_are_built(self, monkeypatch):
+        # 40 first tokens, each with 5 continuations: every step scores far
+        # more candidates than the 2 * beam_width hypotheses it may build
+        grams = {(f"a{i:02d}",) for i in range(40)}
+        grams |= {(f"a{i:02d}", f"b{j}") for i in range(40) for j in range(5)}
+        trie = trie_of(*grams)
+        built: collections.Counter = collections.Counter()
+        child = lm._Hypothesis.child
+
+        def counting_child(self, token, logit):
+            built[len(self.tokens)] += 1  # live hypotheses of a step share a length
+            return child(self, token, logit)
+
+        monkeypatch.setattr(lm._Hypothesis, "child", counting_child)
+        scorer = MockScorer(seed=3)
+        scored = []
+        score = scorer.score
+
+        def counting_score(context, candidates):
+            scored.append(len(candidates))
+            return score(context, candidates)
+
+        scorer.score = counting_score
+        for beam_width in (1, 3, 5):
+            built.clear()
+            scored.clear()
+            beams = constrained_ngram_decode(scorer, trie, "q", beam_width, 3)
+            assert beams
+            assert built[0] == 1  # the open delimiter
+            assert max(built.values()) <= 2 * beam_width
+            assert sum(scored) > 3 * sum(built.values())
 
 
 class TestChoiceDecode:

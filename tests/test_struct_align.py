@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -291,6 +293,36 @@ class TestExpandBase:
     def test_invalid_strategy(self):
         with pytest.raises(ValidationError):
             expand_base(["a"], ["a", "b"], walk_fn, strategies=[(0, 1)])
+
+    def test_each_pair_scored_once(self):
+        rng = random.Random(11)
+        ids = [f"o{i:02d}" for i in range(30)]
+        table = {
+            pair: rng.choice([0.0, 0.25, 0.5, 0.75])  # few values: many ties
+            for pair in combinations(ids, 2)
+        }
+        calls: collections.Counter = collections.Counter()
+
+        def compat(a, b):
+            calls[(a, b)] += 1
+            return table[(a, b) if a < b else (b, a)]
+
+        strategies = [(1, 1), (2, 2), (3, 3), (1, 4)]
+        sets = expand_base(["o07", "o21", "o07"], ids, compat, strategies)
+        assert max(calls.values()) == 1
+        assert all(a != b for a, b in calls)
+
+        # the plain walk: every member re-ranks the absent objects each round
+        for search_set, (per_step, steps) in zip(sets, strategies):
+            members = ["o07", "o21"]
+            for _ in range(steps):
+                nominated = set()
+                for member in members:
+                    absent = [o for o in ids if o not in members]
+                    absent.sort(key=lambda o: (-compat(member, o), o))
+                    nominated.update(absent[:per_step])
+                members += sorted(nominated)
+            assert search_set.object_ids == tuple(members)
 
 
 class TestInstance:
