@@ -8,7 +8,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 from . import prompts
 from .corpus import Corpus, serialize_object
-from .embedding import EmbeddingProvider, VectorStore, object_similarity
+from .embedding import EmbeddingProvider, VectorStore, object_similarity, top_objects
 from .errors import EmptyGold, ParseError, UnknownGoldId, ValidationError
 from .lm import SEP_TOKEN, TokenScorer, free_decode
 from .ngram_index import normalize_tokens
@@ -22,9 +22,9 @@ def _dense_ranking(
     """The top_k (id, best-chunk cosine) pairs, best first, ties by id."""
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
-    sims = object_similarity(store, provider.embed(question)).tolist()
-    ranked = sorted(zip(store.object_ids, sims), key=lambda p: (-p[1], p[0]))
-    return ranked[:top_k]
+    sims = object_similarity(store, provider.embed(question))
+    ids = store.object_ids
+    return [(ids[j], float(sims[j])) for j in top_objects(sims, ids, top_k)]
 
 
 def dense_retrieve(

@@ -19,31 +19,60 @@ _SCORERS = ("mock", "mock-random")
 
 @dataclass
 class Config:
+    """Every run knob. Comments name what a field controls and which stage
+    reads it; engine set-up reads a field once per engine."""
+
+    # embedding provider, "hash" or "file" (engine set-up)
     provider: str = "hash"
+    # JSONL of precomputed vectors for the "file" provider (engine set-up)
     vector_file: Optional[str] = None
+    # hash-embedding dimension; the "file" provider ignores it (engine set-up)
     embed_dim: int = 64
+    # "mock" counts context tokens, "mock-random" adds seeded noise (engine set-up)
     scorer: str = "mock"
+    # mock scorer's logit per occurrence of a candidate in the context (all decoding)
     mock_context_weight: float = 1.0
+    # mock scorer's logit bias on the stop token (all decoding)
     mock_stop_bias: float = 1.5
+    # BM25 weight in base fusion, the embedding taking 1 - alpha (retrieve_base)
     alpha: float = 0.5
+    # semantic weight in compatibility, overlap taking 1 - w (CompatibilityCache)
     compat_w: float = 0.5
+    # share of vote weight against softmax vote count in confidence (aggregate)
     vote_lambda: float = 0.5
+    # objects in the fused base set (retrieve_base)
     base_size: int = 10
+    # objects each draft selects (solve_mip)
     mip_k: int = 5
+    # ids a run returns, ARM and baselines, unless --top-k is given (finalize)
     final_k: int = 5
+    # beams kept per step when aligning a keyword (align_keyword)
     beam_width: int = 3
+    # most N-grams one aligned list may hold (align_keyword)
     max_ngrams: int = 3
+    # BM25 term saturation (build_bm25); the CLI reads it at `index build` only
     bm25_k1: float = 1.2
+    # BM25 length normalization (build_bm25); the CLI reads it at `index build` only
     bm25_b: float = 0.75
+    # rows or sentences per chunk; read at `index build`, the index's value wins after
     chunk_units: int = 20
+    # expansion strategies (per_step, steps), one draft each (expand_base)
     strategies: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (1, 2))
+    # dense candidates the rerank baseline rescores (rerank_retrieve)
     rerank_pool: int = 50
+    # dense hits kept per subquestion (decomposed_retrieve)
     per_sub: int = 30
+    # cap on decoded subquestions (decomposed_retrieve)
     max_subquestions: int = 6
+    # cap on search/finish steps of the agent baseline (agentic_retrieve)
     max_iterations: int = 8
+    # objects each agent search returns (agentic_retrieve)
     per_search: int = 5
+    # rows or sentences shown per object in a draft (serialize_draft)
     unit_k: int = 5
+    # hash-embedding seed and the "mock-random" scorer's seed (engine set-up)
     seed: int = 0
+    # prompt name -> file overriding that default template (engine set-up)
     template_files: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:

@@ -5,12 +5,18 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import Chunk
-from .errors import DimensionMismatch, ParseError, ProviderError, ZeroVector
+from .errors import (
+    DimensionMismatch,
+    ParseError,
+    ProviderError,
+    ValidationError,
+    ZeroVector,
+)
 from .ngram_index import normalize_tokens
 
 
@@ -184,7 +190,8 @@ class VectorStore:
     contiguous.
 
     Object ``object_ids[j]`` owns chunks ``offsets[j]:offsets[j + 1]``;
-    ``norms`` holds each chunk vector's Euclidean norm. Row ``d`` of
+    ``chunk_rows`` maps each chunk id to its chunk index and ``norms``
+    holds each chunk vector's Euclidean norm. Row ``d`` of
     ``columns`` lists the chunks whose vector is non-zero at coordinate
     ``d``, with the values there. A hashed chunk vector is non-zero on a
     few dozen of its thousands of coordinates, so the store holds a small
@@ -195,6 +202,7 @@ class VectorStore:
     object_ids: tuple[str, ...]
     columns: SparseRows  # one row per coordinate: chunk indices and values
     offsets: np.ndarray  # (n_objects + 1,)
+    chunk_rows: Mapping[str, int]
     norms: np.ndarray  # (n_chunks,)
 
     def __len__(self) -> int:
@@ -229,6 +237,7 @@ def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> Vector
         object_ids=tuple(grouped),
         columns=SparseRows.from_rows(supports, weights).transpose(provider.dimension),
         offsets=offsets,
+        chunk_rows={chunk.chunk_id: i for i, chunk in enumerate(rows)},
         norms=norms,
     )
 
@@ -271,3 +280,18 @@ def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarra
     cosines = (block @ q[support]) / (q_norm * store.norms)
     np.clip(cosines, -1.0, 1.0, out=cosines)
     return np.maximum.reduceat(cosines, store.offsets[:-1])
+
+
+def top_objects(scores: np.ndarray, ids: Sequence[str], k: int) -> list[int]:
+    """Positions of the ``k`` best ``scores``, best first, ties by id
+    (``-0.0`` ties ``0.0``). A partition finds the k-th best score and only
+    the entries at or above it are sorted, ties there in id order."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    top = np.arange(len(ids))
+    if k < len(ids):
+        cut = len(ids) - k
+        top = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+    positions = top.tolist()
+    keys = zip((-scores[top]).tolist(), [ids[j] for j in positions], positions)
+    return [j for _, _, j in sorted(keys)[:k]]

@@ -13,8 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import prompts
-from .corpus import Corpus
-from .embedding import EmbeddingProvider, VectorStore, object_similarity
+from .embedding import EmbeddingProvider, VectorStore, object_similarity, top_objects
 from .errors import AllBeamsDead, ValidationError
 from .lm import (
     Beam,
@@ -164,7 +163,6 @@ def retrieve_base(
     bm25_index: Bm25Index,
     store: VectorStore,
     provider: EmbeddingProvider,
-    corpus: Corpus,
     alpha: float = 0.5,
     base_size: int = 10,
 ) -> list[BaseEntry]:
@@ -190,45 +188,27 @@ def retrieve_base(
             for chunk_id, score in bm25_search(bm25_index, terms):
                 if score > chunk_best.get(chunk_id, float("-inf")):
                     chunk_best[chunk_id] = score
+    chunk_norm = np.zeros(len(store))
     if chunk_best:
         low = min(chunk_best.values())
-        high = max(chunk_best.values())
-        span = high - low
-        chunk_norm = {
-            cid: 1.0 if span == 0.0 else (s - low) / span
-            for cid, s in chunk_best.items()
-        }
-    else:
-        chunk_norm = {}
-
-    ids = store.object_ids
-    position = {oid: j for j, oid in enumerate(ids)}
-    bm25 = np.zeros(len(ids))
-    for cid, norm in chunk_norm.items():
-        # a hit on a chunk the corpus does not hold still counted in the
-        # normalization above, but feeds no object
-        oid = cid.rpartition("#")[0]
-        j = position.get(oid)
-        if j is None:
-            continue
-        if any(c.chunk_id == cid for c in corpus.chunks_by_object[oid]):
-            bm25[j] = max(bm25[j], norm)
+        span = max(chunk_best.values()) - low
+        for cid, score in chunk_best.items():
+            # a hit on a chunk the store does not hold still counted in the
+            # normalization, but feeds no object
+            row = store.chunk_rows.get(cid)
+            if row is not None:
+                chunk_norm[row] = 1.0 if span == 0.0 else (score - low) / span
+    bm25 = np.maximum.reduceat(chunk_norm, store.offsets[:-1])
     embed = np.clip(object_similarity(store, provider.embed(question)), 0.0, 1.0)
     embed += 0.0  # -0.0 becomes 0.0, as clamp01 gives
     fused = alpha * bm25 + (1.0 - alpha) * embed
 
-    top = np.arange(len(ids))
-    if base_size < len(ids):
-        cut = len(ids) - base_size
-        top = np.flatnonzero(fused >= np.partition(fused, cut)[cut])
-    scores = fused.tolist()
-    chosen = sorted(top.tolist(), key=lambda j: (-scores[j], ids[j]))[:base_size]
     return [
         BaseEntry(
-            object_id=ids[j],
-            fused=scores[j],
+            object_id=store.object_ids[j],
+            fused=float(fused[j]),
             bm25=float(bm25[j]),
             embed=float(embed[j]),
         )
-        for j in chosen
+        for j in top_objects(fused, store.object_ids, base_size)
     ]

@@ -181,7 +181,6 @@ class _Hypothesis:
     ngram_scores: tuple[float, ...] = ()
     content_total: float = 0.0
     content_count: int = 0
-    closed: bool = False
 
     def sort_key(self) -> tuple:
         return _rank_key(self.content_total, self.content_count, self.tokens)
@@ -204,7 +203,6 @@ class _Hypothesis:
                 prefix_logits=(),
                 ngrams=self.ngrams + (NGram(tokens=self.prefix_tokens),),
                 ngram_scores=self.ngram_scores + (ngram_score(self.prefix_logits),),
-                closed=token == CLOSE_TOKEN,
             )
         return replace(
             self,

@@ -342,7 +342,6 @@ class RetrievalEngine:
             self.bm25,
             self.store,
             self.provider,
-            self.corpus,
             alpha=cfg.alpha,
             base_size=cfg.base_size,
         )
@@ -361,10 +360,7 @@ class RetrievalEngine:
         relevance = self.relevance_map(question_vec)
         base_ids = [e.object_id for e in base]
         result.search_sets = expand_base(
-            base_ids,
-            self.corpus.object_ids(),
-            self.cache.score,
-            strategies=cfg.strategies,
+            base_ids, self.cache.nearest, strategies=cfg.strategies
         )
         for search_set in result.search_sets:
             k = min(cfg.mip_k, len(search_set.object_ids))

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, DataObject, ObjectKind
-from .embedding import EmbeddingProvider, SparseRows, cosine
+from .embedding import EmbeddingProvider, SparseRows, cosine, top_objects
 from .errors import Infeasible, TooLarge, ValidationError, ZeroVector
 from .info_align import clamp01
 from .ngram_index import normalize_tokens
@@ -327,9 +327,10 @@ class CompatibilityCache:
     A row is one object's compatibility with every corpus object,
     computed in one vectorized pass over a unit index that the first
     lookup builds. ``score(a, b)`` reads the row of whichever of the two
-    already has one and otherwise computes ``a``'s. ``get`` adds the
-    connection that the scalar ``compatibility`` finds for the pair,
-    memoized; only draft serialization needs connections.
+    already has one and otherwise computes ``a``'s; ``nearest`` ranks one
+    object's row. ``get`` returns the connection that the scalar
+    ``compatibility`` finds for the pair, memoized; only draft
+    serialization needs connections.
     """
 
     def __init__(
@@ -340,39 +341,46 @@ class CompatibilityCache:
         self._corpus = corpus
         self._provider = provider
         self._w = w
-        self._position = {obj.id: j for j, obj in enumerate(corpus.objects)}
+        self._ids = corpus.object_ids()
+        self._position = {oid: j for j, oid in enumerate(self._ids)}
         self._index: Optional[_UnitIndex] = None
         self._rows: dict[str, np.ndarray] = {}
-        self._connections: dict[
-            tuple[str, str], tuple[float, Optional[Connection]]
-        ] = {}
+        self._connections: dict[tuple[str, str], Optional[Connection]] = {}
+
+    def _row(self, oid: str) -> np.ndarray:
+        row = self._rows.get(oid)
+        if row is None:
+            if self._index is None:
+                self._index = _UnitIndex(self._corpus, self._provider)
+            row = self._rows[oid] = self._index.row(self._position[oid], self._w)
+        return row
 
     def score(self, id_a: str, id_b: str) -> float:
         if id_a == id_b:
             raise ValidationError(f"compatibility of {id_a!r} with itself")
-        rows = self._rows
-        if id_a not in rows and id_b in rows:
+        if id_a not in self._rows and id_b in self._rows:
             id_a, id_b = id_b, id_a
-        row = rows.get(id_a)
-        if row is None:
-            if self._index is None:
-                self._index = _UnitIndex(self._corpus, self._provider)
-            row = rows[id_a] = self._index.row(self._position[id_a], self._w)
-        return float(row[self._position[id_b]])
+        return float(self._row(id_a)[self._position[id_b]])
 
-    def get(self, id_a: str, id_b: str) -> tuple[float, Optional[Connection]]:
+    def nearest(self, oid: str, n: int) -> list[str]:
+        """The ``n`` objects most compatible with ``oid``, best first, ties
+        by id; ``oid`` itself is left out."""
+        me = self._position[oid]
+        ranked = top_objects(self._row(oid), self._ids, n + 1)
+        return [self._ids[j] for j in ranked if j != me][:n]
+
+    def get(self, id_a: str, id_b: str) -> Optional[Connection]:
+        if id_a == id_b:
+            raise ValidationError(f"compatibility of {id_a!r} with itself")
         key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-        cached = self._connections.get(key)
-        if cached is None:
-            score = self.score(*key)
-            _, conn = compatibility(
+        if key not in self._connections:
+            self._connections[key] = compatibility(
                 self._corpus.by_id[key[0]],
                 self._corpus.by_id[key[1]],
                 self._provider,
                 self._w,
-            )
-            cached = self._connections[key] = (score, conn)
-        return cached
+            )[1]
+        return self._connections[key]
 
 
 @dataclass(frozen=True)
@@ -385,30 +393,17 @@ class SearchSet:
 
 def expand_base(
     base_ids: Sequence[str],
-    candidate_ids: Sequence[str],
-    compat_fn: Callable[[str, str], float],
+    nearest: Callable[[str, int], Sequence[str]],
     strategies: Sequence[tuple[int, int]],
 ) -> list[SearchSet]:
     """Grow the base set along most-compatible neighbors, per strategy.
 
     A strategy (k, l) runs l rounds; each round every current member
     nominates its k most compatible absent objects (ties by object id)
-    and nominations merge at the end of the round. A member's ranking of
-    the candidates does not depend on the round, so it is sorted once per
-    call and shared by every strategy and round: each (member, candidate)
-    pair is scored at most once.
+    and nominations merge at the end of the round. ``nearest(member, n)``
+    lists the n objects most compatible with ``member``, best first, ties
+    by id, leaving ``member`` out.
     """
-    rankings: dict[str, list[str]] = {}
-
-    def ranking(member: str) -> list[str]:
-        ranked = rankings.get(member)
-        if ranked is None:
-            ranked = rankings[member] = sorted(
-                (oid for oid in candidate_ids if oid != member),
-                key=lambda oid: (-compat_fn(member, oid), oid),
-            )
-        return ranked
-
     sets = []
     for per_step, steps in strategies:
         if per_step < 1 or steps < 1:
@@ -421,7 +416,12 @@ def expand_base(
             present = set(members)
             nominated: set[str] = set()
             for member in members:
-                absent = (oid for oid in ranking(member) if oid not in present)
+                # The member is present and left out of its own list, so at
+                # most len(present) - 1 of these neighbors are present: they
+                # hold the per_step best absent objects whenever the corpus
+                # has that many.
+                neighbors = nearest(member, per_step + len(present))
+                absent = (oid for oid in neighbors if oid not in present)
                 nominated.update(islice(absent, per_step))
             members.extend(sorted(nominated))
         sets.append(

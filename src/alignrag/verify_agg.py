@@ -114,7 +114,7 @@ def serialize_draft(
     connection_lines = []
     if cache is not None:
         for id_a, id_b in draft.connections:
-            _, conn = cache.get(id_a, id_b)
+            conn = cache.get(id_a, id_b)
             if conn is not None:
                 connection_lines.append(render_connection(conn, corpus))
     return SerializedDraft(

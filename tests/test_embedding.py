@@ -16,8 +16,15 @@ from alignrag.embedding import (
     cosine,
     embed_corpus,
     object_similarity,
+    top_objects,
 )
-from alignrag.errors import DimensionMismatch, ParseError, ProviderError, ZeroVector
+from alignrag.errors import (
+    DimensionMismatch,
+    ParseError,
+    ProviderError,
+    ValidationError,
+    ZeroVector,
+)
 from alignrag.info_align import retrieve_base
 from alignrag.ngram_index import build_bm25
 
@@ -276,8 +283,25 @@ class TestStore:
             "twin-a",
             "twin-b",
         ]
-        base = retrieve_base(
-            question, [], build_bm25(corpus.chunks), store, provider, corpus
-        )
+        base = retrieve_base(question, [], build_bm25(corpus.chunks), store, provider)
         assert [e.object_id for e in base[:2]] == ["twin-a", "twin-b"]
         assert base[0].embed == base[1].embed
+
+
+class TestTopObjects:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sorted_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 60))
+        # four values: heavy ties, at zero among them with both signs
+        scores = rng.choice(np.array([0.5, 0.0, -0.0, 0.25]), size=n)
+        zeros = scores[scores == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        ids = [f"o{j}" for j in rng.permutation(n)]  # id order is not position order
+        want = sorted(range(n), key=lambda j: (-scores[j], ids[j]))
+        for k in (1, 2, n // 2, n - 1, n, n + 5):
+            assert top_objects(scores, ids, k) == want[:k]
+
+    def test_k_validated(self):
+        with pytest.raises(ValidationError):
+            top_objects(np.zeros(3), ["a", "b", "c"], 0)

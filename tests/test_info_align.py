@@ -141,7 +141,6 @@ class TestRetrieveBase:
             bm25,
             store,
             provider,
-            city_corpus,
         )
         assert [e.object_id for e in entries] == ["t1", "p1", "t2"]
         for entry in entries:
@@ -158,7 +157,6 @@ class TestRetrieveBase:
             bm25,
             store,
             provider,
-            city_corpus,
         )
         docs = {c.chunk_id: oracles.tokenize(c.text) for c in city_corpus.chunks}
         raw = oracles.bm25_scores(docs, ["populations", "paris"])
@@ -185,7 +183,6 @@ class TestRetrieveBase:
             bm25,
             store,
             provider,
-            city_corpus,
             alpha=0.0,
         )
         assert all(e.fused == e.embed for e in entries)
@@ -200,7 +197,6 @@ class TestRetrieveBase:
             bm25,
             store,
             provider,
-            city_corpus,
             alpha=1.0,
         )
         assert all(e.fused == e.bm25 for e in entries)
@@ -213,7 +209,6 @@ class TestRetrieveBase:
             bm25,
             store,
             provider,
-            city_corpus,
         )
         by_id = {e.object_id: e for e in entries}
         assert by_id["t1"].bm25 == 1.0
@@ -221,9 +216,7 @@ class TestRetrieveBase:
 
     def test_no_alignments_falls_back_to_embedding(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
-        entries = retrieve_base(
-            "paris", [], bm25, store, provider, city_corpus
-        )
+        entries = retrieve_base("paris", [], bm25, store, provider)
         assert all(e.bm25 == 0.0 for e in entries)
         assert all(e.fused == pytest.approx(0.5 * e.embed) for e in entries)
 
@@ -235,7 +228,6 @@ class TestRetrieveBase:
             bm25,
             store,
             provider,
-            city_corpus,
             base_size=2,
         )
         assert len(entries) == 2
@@ -243,11 +235,11 @@ class TestRetrieveBase:
     def test_parameter_validation(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
         with pytest.raises(ValidationError):
-            retrieve_base("q", [], bm25, store, provider, city_corpus, alpha=1.0001)
+            retrieve_base("q", [], bm25, store, provider, alpha=1.0001)
         with pytest.raises(ValidationError):
-            retrieve_base("q", [], bm25, store, provider, city_corpus, alpha=-0.1)
+            retrieve_base("q", [], bm25, store, provider, alpha=-0.1)
         with pytest.raises(ValidationError):
-            retrieve_base("q", [], bm25, store, provider, city_corpus, base_size=0)
+            retrieve_base("q", [], bm25, store, provider, base_size=0)
 
 
 class TestRetrieveBaseAgainstOracle:
@@ -267,7 +259,7 @@ class TestRetrieveBaseAgainstOracle:
         provider = HashEmbeddingProvider(dimension=64, seed=0)
         store = embed_corpus(provider, corpus.chunks)
         got = retrieve_base(
-            question, alignments, bm25, store, provider, corpus, alpha, base_size
+            question, alignments, bm25, store, provider, alpha, base_size
         )
         query_hits = [
             bm25_search(bm25, [t for g in lst.ngrams for t in g.tokens])

@@ -7,7 +7,7 @@ import json
 import jsonschema
 import pytest
 
-from alignrag import struct_align
+from alignrag import pipeline, struct_align
 from alignrag.config import Config
 from alignrag.embedding import FileVectorProvider, HashEmbeddingProvider
 from alignrag.errors import ValidationError
@@ -99,6 +99,33 @@ class TestCompatibilityCost:
             result = engine.run_arm(question.question, stage="sa")
             assert result.drafts
         # stage "sa" stops after expand_base, build_mip_instance and solve_mip
+        assert calls == []
+
+    def test_expansion_makes_no_score_call(self, monkeypatch):
+        bench = build_planted()
+        engine = RetrievalEngine(bench.corpus, config=bench.config)
+        inside = []
+        calls = []
+        score = struct_align.CompatibilityCache.score
+        expand = pipeline.expand_base
+
+        def counted_score(cache, id_a, id_b):
+            if inside:
+                calls.append((id_a, id_b))
+            return score(cache, id_a, id_b)
+
+        def traced_expand(*args, **kwargs):
+            inside.append(True)
+            try:
+                return expand(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(struct_align.CompatibilityCache, "score", counted_score)
+        monkeypatch.setattr(pipeline, "expand_base", traced_expand)
+        for question in bench.questions:
+            result = engine.run_arm(question.question, stage="sa")
+            assert result.search_sets
         assert calls == []
 
     def test_alignment_stage_embeds_only_the_question(self, monkeypatch):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import collections
 import json
 import random
 from itertools import combinations
@@ -185,12 +184,52 @@ class TestObjectCompat:
             compatibility(t, p, PROVIDER, w=1.5)
 
 
+def mixed_corpus(kind, tmp_path):
+    """A rowless table, a tokenless cell, repeated column values, a
+    three-column table, multi-sentence passages, a table last, and a passage
+    ``p9`` compatible with nothing else, under the hash or file provider."""
+    objects = [
+        make_passage("p1", "notes", ["paris is big.", "lyon code c1.", "???"]),
+        make_table("t0", "empty", ["city", "code"], []),
+        make_table(
+            "t1",
+            "codes",
+            ["code", "city", "note"],
+            [["c1", "paris", "???"], ["c1", "lyon", "big"], ["c2", "paris", "c1"]],
+        ),
+        make_passage("p2", "more", ["paris lyon c1 big.", "big big city.", "c2"]),
+        make_table("t2", "tail", ["code", "city"], [["c1", "lyon c1"], ["c3", "???"]]),
+    ]
+    # "zebra" hashes to a bucket no other token of the corpus uses
+    lone = make_passage("p9", "lone", ["zebra."])
+    corpus = build_corpus(objects + [lone])
+    if kind == "hash":
+        return corpus, PROVIDER
+    # dense vectors with negative coordinates and one zero coordinate; the
+    # lone sentence gets a coordinate of its own
+    rng = np.random.default_rng(4)
+    texts = {t for o in objects for t in o.columns + o.sentences}
+    texts |= {cell for o in objects for row in o.rows for cell in row}
+    path = tmp_path / "vectors.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        for text in sorted(texts):
+            vector = np.append(rng.normal(size=6), 0.0)
+            vector[rng.integers(6)] = 0.0
+            record = {"chunk_id": text, "vector": vector.tolist()}
+            handle.write(json.dumps(record) + "\n")
+        record = {"chunk_id": "zebra.", "vector": [0.0] * 6 + [1.0]}
+        handle.write(json.dumps(record) + "\n")
+    return corpus, FileVectorProvider(str(path))
+
+
 class TestCompatibilityCache:
     def test_memoizes_and_orders_keys(self, city_corpus):
         cache = CompatibilityCache(city_corpus, PROVIDER)
         first = cache.get("t1", "p1")
+        assert first is not None
         assert cache.get("p1", "t1") is first
-        assert cache.score("t1", "p1") == first[0]
+        t1, p1 = city_corpus.by_id["t1"], city_corpus.by_id["p1"]
+        assert first == compatibility(t1, p1, PROVIDER)[1]
 
     def test_self_pair_rejected(self, city_corpus):
         cache = CompatibilityCache(city_corpus, PROVIDER)
@@ -203,35 +242,7 @@ class TestCompatibilityCache:
 
     @pytest.mark.parametrize("kind", ["hash", "file"])
     def test_rows_match_scalar_on_every_pair(self, kind, tmp_path):
-        objects = [
-            make_passage("p1", "notes", ["paris is big.", "lyon code c1.", "???"]),
-            make_table("t0", "empty", ["city", "code"], []),
-            make_table(
-                "t1",
-                "codes",
-                ["code", "city", "note"],
-                [["c1", "paris", "???"], ["c1", "lyon", "big"], ["c2", "paris", "c1"]],
-            ),
-            make_passage("p2", "more", ["paris lyon c1 big.", "big big city.", "c2"]),
-            make_table(
-                "t2", "tail", ["code", "city"], [["c1", "lyon c1"], ["c3", "???"]]
-            ),
-        ]
-        corpus = build_corpus(objects)
-        provider = PROVIDER
-        if kind == "file":
-            # dense vectors with negative coordinates and one zero coordinate
-            rng = np.random.default_rng(4)
-            texts = {t for o in objects for t in o.columns + o.sentences}
-            texts |= {cell for o in objects for row in o.rows for cell in row}
-            path = tmp_path / "vectors.jsonl"
-            with open(path, "w", encoding="utf-8") as handle:
-                for text in sorted(texts):
-                    vector = rng.normal(size=6)
-                    vector[rng.integers(6)] = 0.0
-                    record = {"chunk_id": text, "vector": vector.tolist()}
-                    handle.write(json.dumps(record) + "\n")
-            provider = FileVectorProvider(str(path))
+        corpus, provider = mixed_corpus(kind, tmp_path)
         ids = corpus.object_ids()
         # one cache per object, so that object's own row serves its lookups
         caches = {oid: CompatibilityCache(corpus, provider) for oid in ids}
@@ -241,9 +252,21 @@ class TestCompatibilityCache:
                     continue
                 got = caches[a].score(a, b)
                 assert got == caches[b].score(b, a) == caches[a].score(b, a)
-                assert got == caches[a].get(a, b)[0] == caches[b].get(b, a)[0]
                 want, _ = compatibility(corpus.by_id[a], corpus.by_id[b], provider)
                 assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["hash", "file"])
+    def test_nearest_matches_sorted_scores(self, kind, tmp_path):
+        corpus, provider = mixed_corpus(kind, tmp_path)
+        ids = corpus.object_ids()
+        cache = CompatibilityCache(corpus, provider)
+        # p9's row is zero apart from its own entry: its list is all ties
+        assert all(cache.score("p9", oid) == 0.0 for oid in ids if oid != "p9")
+        for oid in ids:
+            others = [other for other in ids if other != oid]
+            want = sorted(others, key=lambda other: (-cache.score(oid, other), other))
+            for n in range(1, len(ids) + 1):
+                assert cache.nearest(oid, n) == want[:n]
 
 
 WALK_COMPAT = {
@@ -259,14 +282,22 @@ def walk_fn(x, y):
     return WALK_COMPAT.get((x, y)) or WALK_COMPAT.get((y, x)) or 0.0
 
 
+def nearest_from(compat, ids):
+    """A ``nearest`` over ``ids`` that ranks every other id by ``compat``."""
+
+    def nearest(member, n):
+        others = [oid for oid in ids if oid != member]
+        return sorted(others, key=lambda oid: (-compat(member, oid), oid))[:n]
+
+    return nearest
+
+
+WALK = nearest_from(walk_fn, ["a", "b", "c", "d", "e"])
+
+
 class TestExpandBase:
     def test_strategies_hand_walk(self):
-        sets = expand_base(
-            ["a"],
-            ["a", "b", "c", "d", "e"],
-            walk_fn,
-            strategies=[(1, 1), (2, 1), (1, 2)],
-        )
+        sets = expand_base(["a"], WALK, strategies=[(1, 1), (2, 1), (1, 2)])
         by_strategy = {s.strategy: s.object_ids for s in sets}
         assert by_strategy[(1, 1)] == ("a", "b")
         assert by_strategy[(2, 1)] == ("a", "b", "c")
@@ -274,43 +305,37 @@ class TestExpandBase:
         assert by_strategy[(1, 2)] == ("a", "b", "c")
 
     def test_two_steps_reach_further(self):
-        sets = expand_base(
-            ["a"], ["a", "b", "c", "d", "e"], walk_fn, strategies=[(1, 3)]
-        )
+        sets = expand_base(["a"], WALK, strategies=[(1, 3)])
         # a->b, then b->c, then c->d
         assert sets[0].object_ids == ("a", "b", "c", "d")
 
     def test_zero_compat_ties_break_by_id(self):
-        sets = expand_base(
-            ["m"], ["m", "z", "y", "x"], lambda a, b: 0.0, strategies=[(1, 1)]
-        )
+        nearest = nearest_from(lambda a, b: 0.0, ["m", "z", "y", "x"])
+        sets = expand_base(["m"], nearest, strategies=[(1, 1)])
         assert sets[0].object_ids == ("m", "x")
 
     def test_base_duplicates_dropped(self):
-        sets = expand_base(["a", "a"], ["a", "b"], walk_fn, strategies=[(1, 1)])
+        nearest = nearest_from(walk_fn, ["a", "b"])
+        sets = expand_base(["a", "a"], nearest, strategies=[(1, 1)])
         assert sets[0].object_ids == ("a", "b")
 
     def test_invalid_strategy(self):
         with pytest.raises(ValidationError):
-            expand_base(["a"], ["a", "b"], walk_fn, strategies=[(0, 1)])
+            expand_base(["a"], nearest_from(walk_fn, ["a", "b"]), strategies=[(0, 1)])
 
-    def test_each_pair_scored_once(self):
+    def test_matches_plain_walk(self):
         rng = random.Random(11)
         ids = [f"o{i:02d}" for i in range(30)]
         table = {
             pair: rng.choice([0.0, 0.25, 0.5, 0.75])  # few values: many ties
             for pair in combinations(ids, 2)
         }
-        calls: collections.Counter = collections.Counter()
 
         def compat(a, b):
-            calls[(a, b)] += 1
             return table[(a, b) if a < b else (b, a)]
 
         strategies = [(1, 1), (2, 2), (3, 3), (1, 4)]
-        sets = expand_base(["o07", "o21", "o07"], ids, compat, strategies)
-        assert max(calls.values()) == 1
-        assert all(a != b for a, b in calls)
+        sets = expand_base(["o07", "o21", "o07"], nearest_from(compat, ids), strategies)
 
         # the plain walk: every member re-ranks the absent objects each round
         for search_set, (per_step, steps) in zip(sets, strategies):
