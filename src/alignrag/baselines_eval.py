@@ -13,7 +13,6 @@ from .errors import EmptyGold, ParseError, UnknownGoldId, ValidationError
 from .lm import SEP_TOKEN, TokenScorer, free_decode
 from .ngram_index import normalize_tokens
 from .pipeline import ArmResult, RetrievalEngine
-from .struct_align import overlap_coefficient
 
 
 def _dense_ranking(
@@ -42,6 +41,13 @@ class Reranker(Protocol):
     """Scores a question against one serialized object; higher is better."""
 
     def score(self, question: str, serialized_object: str) -> float: ...
+
+
+def overlap_coefficient(a: set, b: set) -> float:
+    """Intersection over the smaller set; 0 when either set is empty."""
+    if not a or not b:
+        return 0.0
+    return len(a & b) / min(len(a), len(b))
 
 
 class OverlapReranker:

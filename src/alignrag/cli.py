@@ -37,7 +37,7 @@ def _load_corpus_checked(path: str, chunk_units: int):
 
 def cmd_index_build(args: argparse.Namespace) -> int:
     config = resolve_config(args.config)
-    chunk_units = args.chunk_units or config.chunk_units
+    chunk_units = config.chunk_units if args.chunk_units is None else args.chunk_units
     corpus = _load_corpus_checked(args.corpus, chunk_units)
     trie = build_trie(corpus_ngrams(corpus.chunks))
     bm25 = build_bm25(corpus.chunks, k1=config.bm25_k1, b=config.bm25_b)
@@ -80,7 +80,7 @@ def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
     engine = _build_engine(args, config)
-    top_k = args.top_k or config.final_k
+    top_k = config.final_k if args.top_k is None else args.top_k
     if args.method == "arm":
         result = engine.run_arm(args.question, final_k=top_k)
         retrieved = result.final
@@ -123,7 +123,7 @@ def cmd_eval_run(args: argparse.Namespace) -> int:
         if "arm" in results:
             answers = [row.arm_result for row in results["arm"].rows]
         else:
-            k = args.top_k or config.final_k
+            k = config.final_k if args.top_k is None else args.top_k
             answers = [engine.run_arm(q.question, final_k=k) for q in questions]
         with open(args.trace, "w", encoding="utf-8") as handle:
             for q, result in zip(questions, answers):

@@ -15,6 +15,13 @@ ENV_CONFIG = "ARM_CONFIG"
 
 _PROVIDERS = ("hash", "file")
 _SCORERS = ("mock", "mock-random")
+# field annotation (a string, as annotations are postponed) -> value types
+_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "Optional[str]": (str, type(None)),
+}
 
 
 @dataclass
@@ -76,6 +83,10 @@ class Config:
     template_files: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in _TYPES.get(f.type, (type(value),)):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.provider not in _PROVIDERS:
             raise ConfigError(f"unknown provider {self.provider!r}")
         if self.provider == "file" and not self.vector_file:
@@ -104,13 +115,17 @@ class Config:
             "unit_k",
         ):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not self.strategies:
-            raise ConfigError("strategies must not be empty")
+        if type(self.strategies) not in (tuple, list) or not self.strategies:
+            raise ConfigError("strategies must be a non-empty list of pairs")
         for strategy in self.strategies:
-            if len(strategy) != 2 or strategy[0] < 1 or strategy[1] < 1:
+            pair = strategy if type(strategy) in (tuple, list) else ()
+            if len(pair) != 2 or not all(type(n) is int and n >= 1 for n in pair):
                 raise ConfigError(f"invalid strategy {strategy!r}")
+        paths = self.template_files
+        if type(paths) is not dict or any(type(p) is not str for p in paths.values()):
+            raise ConfigError("template_files must map template names to paths")
         unknown_templates = set(self.template_files) - set(DEFAULT_TEMPLATES)
         if unknown_templates:
             raise ConfigError(f"unknown template names {sorted(unknown_templates)}")
@@ -119,8 +134,11 @@ class Config:
         """Default templates overlaid with any configured template files."""
         resolved = dict(DEFAULT_TEMPLATES)
         for name, path in sorted(self.template_files.items()):
-            with open(path, "r", encoding="utf-8") as handle:
-                resolved[name] = handle.read().strip()
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    resolved[name] = handle.read().strip()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"template {name!r}: cannot read {path}: {exc}")
         return resolved
 
 
@@ -137,8 +155,10 @@ def load_config(path: str) -> Config:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-    if "strategies" in raw:
-        raw["strategies"] = tuple(tuple(s) for s in raw["strategies"])
+    if type(raw.get("strategies")) is list:
+        raw["strategies"] = tuple(
+            tuple(s) if type(s) is list else s for s in raw["strategies"]
+        )
     config = Config(**raw)
     config.validate()
     return config

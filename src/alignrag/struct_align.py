@@ -1,14 +1,11 @@
 """Stage two: expand the base set along compatibility and solve selection.
 
 Compatibility blends semantic similarity of embeddings with exact-value
-overlap, specialized per object-kind pair. The scalar ``compatibility``
-scores one pair and names the connection that achieves it; it is the
-reference. ``CompatibilityCache`` serves scores from rows instead: one
-object's compatibility with every corpus object, computed in one
-vectorized pass over a sparse index of the corpus's cells, sentences
-and columns. It applies the scalar formulas elementwise; only the order
-in which a dot product sums its terms can differ. Connections still come
-from the scalar witness.
+overlap, specialized per object-kind pair. One sparse index of the
+corpus's cells, sentences and columns computes it: ``CompatibilityCache``
+reads scores from rows, one object against the whole corpus in one
+vectorized pass, and ``compatibility`` names the connection behind a
+pair's score from the same index.
 
 Selection is an integer program: choose exactly k objects and up to
 2(k-1) of their pairwise connections to maximize total relevance plus
@@ -22,32 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, islice
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, DataObject, ObjectKind
-from .embedding import EmbeddingProvider, SparseRows, cosine, top_objects
+from .embedding import EmbeddingProvider, SparseRows, top_objects
 from .errors import Infeasible, TooLarge, ValidationError, ZeroVector
 from .info_align import clamp01
 from .ngram_index import normalize_tokens
 
 _BOUND_SLACK = 1e-12
-
-
-def jaccard(a: set, b: set) -> float:
-    """Intersection over union; 0 when both sets are empty."""
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
-def overlap_coefficient(a: set, b: set) -> float:
-    """Intersection over the smaller set; 0 when either set is empty."""
-    if not a or not b:
-        return 0.0
-    return len(a & b) / min(len(a), len(b))
 
 
 class ConnectionKind(str, Enum):
@@ -70,129 +54,20 @@ class Connection:
     score: float
 
 
-def _semantic(provider: EmbeddingProvider, text_a: str, text_b: str) -> float:
-    return clamp01(cosine(provider.embed(text_a), provider.embed(text_b)))
+def _units(obj: DataObject) -> Iterator[tuple[object, str]]:
+    """An object's cells, row by row, or its sentences, with locators."""
+    if obj.kind is ObjectKind.TABLE:
+        for r, row in enumerate(obj.rows):
+            for c, cell in enumerate(row):
+                yield (r, c), cell
+    else:
+        yield from enumerate(obj.sentences)
 
 
-def column_compat(
-    header_a: str,
-    values_a: Sequence[str],
-    header_b: str,
-    values_b: Sequence[str],
-    provider: EmbeddingProvider,
-    w: float = 0.5,
-) -> float:
-    """Header similarity blended with exact-value Jaccard overlap."""
-    semantic = _semantic(provider, header_a, header_b)
-    value_part = jaccard(set(values_a), set(values_b))
-    return w * semantic + (1.0 - w) * value_part
-
-
-def unit_compat(
-    text_a: str, text_b: str, provider: EmbeddingProvider, w: float = 0.5
-) -> float:
-    """Cell/sentence pair score; a unit with no tokens contributes 0."""
-    tokens_a = set(normalize_tokens(text_a))
-    tokens_b = set(normalize_tokens(text_b))
-    if not tokens_a or not tokens_b:
-        return 0.0
-    semantic = _semantic(provider, text_a, text_b)
-    return w * semantic + (1.0 - w) * overlap_coefficient(tokens_a, tokens_b)
-
-
-def _column_values(table: DataObject, col: int) -> list[str]:
-    return [row[col] for row in table.rows]
-
-
-def table_table_compat(
-    table_a: DataObject,
-    table_b: DataObject,
-    provider: EmbeddingProvider,
-    w: float = 0.5,
-) -> tuple[float, Optional[Connection]]:
-    """Best column pair across the two tables."""
-    best = 0.0
-    conn: Optional[Connection] = None
-    for ca, header_a in enumerate(table_a.columns):
-        values_a = _column_values(table_a, ca)
-        for cb, header_b in enumerate(table_b.columns):
-            score = column_compat(
-                header_a, values_a, header_b, _column_values(table_b, cb), provider, w
-            )
-            if score > best:
-                best = score
-                conn = Connection(
-                    kind=ConnectionKind.JOIN_COLUMN,
-                    a=Endpoint(table_a.id, header_a),
-                    b=Endpoint(table_b.id, header_b),
-                    score=score,
-                )
-    return best, conn
-
-
-def table_passage_compat(
-    table: DataObject,
-    passage: DataObject,
-    provider: EmbeddingProvider,
-    w: float = 0.5,
-) -> tuple[float, Optional[Connection]]:
-    """Best (cell, sentence) pair between a table and a passage."""
-    best = 0.0
-    conn: Optional[Connection] = None
-    for r, row in enumerate(table.rows):
-        for c, cell in enumerate(row):
-            for s, sentence in enumerate(passage.sentences):
-                score = unit_compat(cell, sentence, provider, w)
-                if score > best:
-                    best = score
-                    conn = Connection(
-                        kind=ConnectionKind.ENTITY_LINK,
-                        a=Endpoint(table.id, (r, c)),
-                        b=Endpoint(passage.id, s),
-                        score=score,
-                    )
-    return best, conn
-
-
-def passage_passage_compat(
-    passage_a: DataObject,
-    passage_b: DataObject,
-    provider: EmbeddingProvider,
-    w: float = 0.5,
-) -> tuple[float, Optional[Connection]]:
-    """Best sentence pair between two passages."""
-    best = 0.0
-    conn: Optional[Connection] = None
-    for sa, sent_a in enumerate(passage_a.sentences):
-        for sb, sent_b in enumerate(passage_b.sentences):
-            score = unit_compat(sent_a, sent_b, provider, w)
-            if score > best:
-                best = score
-                conn = Connection(
-                    kind=ConnectionKind.SENTENCE_LINK,
-                    a=Endpoint(passage_a.id, sa),
-                    b=Endpoint(passage_b.id, sb),
-                    score=score,
-                )
-    return best, conn
-
-
-def compatibility(
-    obj_a: DataObject,
-    obj_b: DataObject,
-    provider: EmbeddingProvider,
-    w: float = 0.5,
-) -> tuple[float, Optional[Connection]]:
-    """Kind-dispatched pairwise compatibility; symmetric in its score."""
-    if not 0.0 <= w <= 1.0:
-        raise ValidationError(f"w must be in [0, 1], got {w}")
-    if obj_a.kind is ObjectKind.TABLE and obj_b.kind is ObjectKind.TABLE:
-        return table_table_compat(obj_a, obj_b, provider, w)
-    if obj_a.kind is ObjectKind.PASSAGE and obj_b.kind is ObjectKind.PASSAGE:
-        return passage_passage_compat(obj_a, obj_b, provider, w)
-    if obj_a.kind is ObjectKind.TABLE:
-        return table_passage_compat(obj_a, obj_b, provider, w)
-    return table_passage_compat(obj_b, obj_a, provider, w)
+def _unit_locator(obj: DataObject, n: int) -> object:
+    """Locator of the ``n``-th unit of ``obj`` that carries tokens."""
+    carrying = (loc for loc, text in _units(obj) if normalize_tokens(text))
+    return next(islice(carrying, n, None))
 
 
 class _UnitIndex:
@@ -223,11 +98,7 @@ class _UnitIndex:
         for obj in corpus.objects:
             unit_bounds.append(len(unit_text))
             unit_text.append(-1)
-            if obj.kind is ObjectKind.TABLE:
-                units = [cell for row in obj.rows for cell in row]
-            else:
-                units = list(obj.sentences)
-            for unit in units:
+            for _, unit in _units(obj):
                 tid = unit_ids.get(unit)
                 if tid is None:
                     tokens = {
@@ -278,6 +149,7 @@ class _UnitIndex:
         self.unit_bounds = np.array(unit_bounds, dtype=np.intp)
         self.column_text = np.array(column_text, dtype=np.intp)
         self.column_bounds = np.array(column_bounds, dtype=np.intp)
+        self.objects = corpus.objects
         self.is_table = np.array(
             [obj.kind is ObjectKind.TABLE for obj in corpus.objects]
         )
@@ -288,14 +160,16 @@ class _UnitIndex:
         return np.clip(dots / (self.norms[tid] * self.norms), 0.0, 1.0)
 
     def _unit_scores(self, tid: int, w: float) -> np.ndarray:
-        """``unit_compat`` of unit text ``tid`` with every unit text."""
+        """Unit text ``tid`` against every unit text: ``w`` times the clamped
+        cosine plus ``1 - w`` times the overlap coefficient of token sets."""
         n = self.n_unit_texts
         shared = self.token_texts.accumulate(self.tokens.row(tid)[0], None, n)
         overlap = shared / np.minimum(self.n_tokens[tid], self.n_tokens)
         return w * self._cosines(tid)[:n] + (1.0 - w) * overlap
 
     def _column_scores(self, slot: int, w: float) -> np.ndarray:
-        """``column_compat`` of column ``slot`` with every column slot."""
+        """Column ``slot`` against every column slot: ``w`` times the clamped
+        header cosine plus ``1 - w`` times the Jaccard index of value sets."""
         semantic = np.zeros(len(self.norms) + 1)  # the last entry serves pads
         semantic[:-1] = self._cosines(self.column_text[slot])
         n = len(self.column_text)
@@ -305,7 +179,7 @@ class _UnitIndex:
         return w * semantic[self.column_text] + (1.0 - w) * jaccard_part
 
     def row(self, j: int, w: float) -> np.ndarray:
-        """``compatibility`` of object ``j`` with every object, by position."""
+        """Object ``j``'s compatibility with every object, by position."""
         lo, hi = self.unit_bounds[j] + 1, self.unit_bounds[j + 1]
         best = np.zeros(self.n_unit_texts + 1)  # the last entry serves pads
         for tid in np.unique(self.unit_text[lo:hi]):
@@ -319,18 +193,61 @@ class _UnitIndex:
             scores = np.where(self.is_table, columns, scores)
         return scores
 
+    def witness(self, a: int, b: int, w: float) -> Optional[tuple[int, int, float]]:
+        """Positions of the best pair among ``a``'s and ``b``'s columns (two
+        tables) or units, and its score; None when no pair scores above 0.
+        Of equal scores, the first in row-major order, ``a`` down, wins.
+        Scores come from the side with fewer distinct texts: both sides sum
+        a score's terms in the same order, so they hold the same bits."""
+        tables = self.is_table[a] and self.is_table[b]
+        bounds = self.column_bounds if tables else self.unit_bounds
+        keys = [np.arange(bounds[j] + 1, bounds[j + 1]) for j in (a, b)]
+        if not tables:
+            keys = [self.unit_text[slots] for slots in keys]
+        scores = self._column_scores if tables else self._unit_scores
+        if not (len(keys[0]) and len(keys[1])):
+            return None
+        (texts_a, inverse_a), (texts_b, inverse_b) = (
+            np.unique(side, return_inverse=True) for side in keys
+        )
+        if len(texts_a) <= len(texts_b):
+            matrix = np.stack([scores(t, w)[keys[1]] for t in texts_a])[inverse_a]
+        else:
+            matrix = np.stack([scores(t, w)[keys[0]] for t in texts_b])[inverse_b].T
+        i, k = np.unravel_index(np.argmax(matrix), matrix.shape)
+        best = float(matrix[i, k])
+        return (int(i), int(k), best) if best > 0.0 else None
+
+
+def compatibility(
+    index: _UnitIndex, a: int, b: int, w: float
+) -> Optional[Connection]:
+    """The connection behind objects ``a`` and ``b``, by position, or None
+    when they score 0; a table and a passage connect with the table as
+    endpoint ``a``."""
+    if index.is_table[b] and not index.is_table[a]:
+        a, b = b, a
+    best = index.witness(a, b, w)
+    if best is None:
+        return None
+    i, k, score = best
+    obj_a, obj_b = index.objects[a], index.objects[b]
+    if obj_b.kind is ObjectKind.TABLE:
+        kind = ConnectionKind.JOIN_COLUMN
+        loc_a, loc_b = obj_a.columns[i], obj_b.columns[k]
+    else:
+        entity = obj_a.kind is ObjectKind.TABLE
+        kind = ConnectionKind.ENTITY_LINK if entity else ConnectionKind.SENTENCE_LINK
+        loc_a, loc_b = _unit_locator(obj_a, i), _unit_locator(obj_b, k)
+    return Connection(kind, Endpoint(obj_a.id, loc_a), Endpoint(obj_b.id, loc_b), score)
+
 
 class CompatibilityCache:
-    """Pairwise compatibility over one corpus: scores come from rows,
-    connections from the scalar witness.
-
-    A row is one object's compatibility with every corpus object,
-    computed in one vectorized pass over a unit index that the first
-    lookup builds. ``score(a, b)`` reads the row of whichever of the two
-    already has one and otherwise computes ``a``'s; ``nearest`` ranks one
-    object's row. ``get`` returns the connection that the scalar
-    ``compatibility`` finds for the pair, memoized; only draft
-    serialization needs connections.
+    """Pairwise compatibility over one corpus, from a unit index that the
+    first lookup builds. ``score(a, b)`` reads the row of whichever of the
+    two already has one and otherwise computes ``a``'s; ``nearest`` ranks
+    one object's row; ``get`` returns the connection behind a pair,
+    memoized by the pair.
     """
 
     def __init__(
@@ -343,15 +260,16 @@ class CompatibilityCache:
         self._w = w
         self._ids = corpus.object_ids()
         self._position = {oid: j for j, oid in enumerate(self._ids)}
-        self._index: Optional[_UnitIndex] = None
         self._rows: dict[str, np.ndarray] = {}
         self._connections: dict[tuple[str, str], Optional[Connection]] = {}
+
+    @cached_property
+    def _index(self) -> _UnitIndex:
+        return _UnitIndex(self._corpus, self._provider)
 
     def _row(self, oid: str) -> np.ndarray:
         row = self._rows.get(oid)
         if row is None:
-            if self._index is None:
-                self._index = _UnitIndex(self._corpus, self._provider)
             row = self._rows[oid] = self._index.row(self._position[oid], self._w)
         return row
 
@@ -375,11 +293,11 @@ class CompatibilityCache:
         key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
         if key not in self._connections:
             self._connections[key] = compatibility(
-                self._corpus.by_id[key[0]],
-                self._corpus.by_id[key[1]],
-                self._provider,
+                self._index,
+                self._position[key[0]],
+                self._position[key[1]],
                 self._w,
-            )[1]
+            )
         return self._connections[key]
 
 

@@ -132,8 +132,8 @@ def overlap(a: set, b: set) -> float:
     return len(a & b) / min(len(a), len(b))
 
 
-def _sem(text_a: str, text_b: str, seed: int, dim: int) -> float:
-    value = cosine_np(hash_embed(text_a, seed, dim), hash_embed(text_b, seed, dim))
+def _sem(text_a: str, text_b: str, embed) -> float:
+    value = cosine_np(embed(text_a), embed(text_b))
     return max(0.0, min(1.0, value))
 
 
@@ -143,54 +143,66 @@ def column_pair(
     header_b: str,
     values_b: list[str],
     w: float,
-    seed: int = 0,
-    dim: int = 64,
+    embed=hash_embed,
 ) -> float:
-    return w * _sem(header_a, header_b, seed, dim) + (1.0 - w) * jaccard(
+    return w * _sem(header_a, header_b, embed) + (1.0 - w) * jaccard(
         set(values_a), set(values_b)
     )
 
 
-def unit_pair(
-    text_a: str, text_b: str, w: float, seed: int = 0, dim: int = 64
-) -> float:
+def unit_pair(text_a: str, text_b: str, w: float, embed=hash_embed) -> float:
     ta, tb = set(tokenize(text_a)), set(tokenize(text_b))
     if not ta or not tb:
         return 0.0
-    return w * _sem(text_a, text_b, seed, dim) + (1.0 - w) * overlap(ta, tb)
+    return w * _sem(text_a, text_b, embed) + (1.0 - w) * overlap(ta, tb)
 
 
-def best_table_table(table_a, table_b, w: float, seed: int = 0, dim: int = 64) -> float:
-    """Max over every column pair; tables given as (columns, rows)."""
+# Witnesses: the best-scoring pair and its locators, enumerated in a fixed
+# order; a later pair replaces the best only when strictly greater, so a
+# tie keeps the first. (0.0, None) when no pair scores above 0. ``embed``
+# maps a text to its vector; the default is the hash embedding at seed 0,
+# dimension 64.
+
+
+def witness_table_table(table_a, table_b, w: float, embed=hash_embed):
+    """Over column pairs, a's columns outer; tables given as (columns,
+    rows); locators are the two headers."""
     cols_a, rows_a = table_a
     cols_b, rows_b = table_b
-    best = 0.0
+    best, where = 0.0, None
     for ia, ha in enumerate(cols_a):
         va = [row[ia] for row in rows_a]
         for ib, hb in enumerate(cols_b):
             vb = [row[ib] for row in rows_b]
-            best = max(best, column_pair(ha, va, hb, vb, w, seed, dim))
-    return best
+            score = column_pair(ha, va, hb, vb, w, embed)
+            if score > best:
+                best, where = score, (ha, hb)
+    return best, where
 
 
-def best_table_passage(table, sentences, w: float, seed: int = 0, dim: int = 64) -> float:
+def witness_table_passage(table, sentences, w: float, embed=hash_embed):
+    """Over (cell, sentence) pairs, cells row by row; locators are the
+    (row, column) address and the sentence index."""
     _, rows = table
-    best = 0.0
-    for row in rows:
-        for cell in row:
-            for sent in sentences:
-                best = max(best, unit_pair(cell, sent, w, seed, dim))
-    return best
+    best, where = 0.0, None
+    for r, row in enumerate(rows):
+        for c, cell in enumerate(row):
+            for s, sent in enumerate(sentences):
+                score = unit_pair(cell, sent, w, embed)
+                if score > best:
+                    best, where = score, ((r, c), s)
+    return best, where
 
 
-def best_passage_passage(
-    sentences_a, sentences_b, w: float, seed: int = 0, dim: int = 64
-) -> float:
-    best = 0.0
-    for sa in sentences_a:
-        for sb in sentences_b:
-            best = max(best, unit_pair(sa, sb, w, seed, dim))
-    return best
+def witness_passage_passage(sentences_a, sentences_b, w: float, embed=hash_embed):
+    """Over sentence pairs, a's sentences outer; locators are indices."""
+    best, where = 0.0, None
+    for ia, sa in enumerate(sentences_a):
+        for ib, sb in enumerate(sentences_b):
+            score = unit_pair(sa, sb, w, embed)
+            if score > best:
+                best, where = score, (ia, ib)
+    return best, where
 
 
 # ---------------------------------------------------------------------------

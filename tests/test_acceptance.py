@@ -38,15 +38,13 @@ from alignrag.ngram_index import (
 )
 from alignrag.pipeline import RetrievalEngine
 from alignrag.struct_align import (
+    CompatibilityCache,
     Draft,
     MipInstance,
     brute_force_mip,
     build_mip_instance,
     check_draft,
-    passage_passage_compat,
     solve_mip,
-    table_passage_compat,
-    table_table_compat,
 )
 from alignrag.verify_agg import serialize_draft, verify_select
 
@@ -411,8 +409,7 @@ def test_c08_compatibility_against_enumeration_oracle():
         if kind == 0:
             a = _random_table(rng, pool, "a")
             b = _random_table(rng, pool, "b")
-            got, _ = table_table_compat(a, b, provider, w=w)
-            want = oracles.best_table_table(
+            want, where = oracles.witness_table_table(
                 (list(a.columns), [list(r) for r in a.rows]),
                 (list(b.columns), [list(r) for r in b.rows]),
                 w,
@@ -420,22 +417,29 @@ def test_c08_compatibility_against_enumeration_oracle():
         elif kind == 1:
             a = _random_table(rng, pool, "a")
             b = _random_passage(rng, pool, "b")
-            got, _ = table_passage_compat(a, b, provider, w=w)
-            want = oracles.best_table_passage(
+            want, where = oracles.witness_table_passage(
                 (list(a.columns), [list(r) for r in a.rows]), list(b.sentences), w
             )
         else:
             a = _random_passage(rng, pool, "a")
             b = _random_passage(rng, pool, "b")
-            got, _ = passage_passage_compat(a, b, provider, w=w)
-            want = oracles.best_passage_passage(
+            want, where = oracles.witness_passage_passage(
                 list(a.sentences), list(b.sentences), w
             )
+        cache = CompatibilityCache(build_corpus([a, b]), provider, w)
+        got = cache.score("a", "b")
         assert abs(got - want) <= 1e-9, (trial, kind)
+        conn = cache.get("a", "b")
+        if where is None:
+            assert conn is None and got == 0.0, (trial, kind)
+        else:
+            assert conn.score == got, (trial, kind)
+            assert (conn.a.object_id, conn.b.object_id) == ("a", "b"), trial
+            assert (conn.a.locator, conn.b.locator) == where, (trial, kind)
         checked += 1
     report(
         8,
-        "compatibility scores match the enumeration oracle",
+        "compatibility rows and connection witnesses match the enumeration oracle",
         checked == 50,
         "50 random pairs at 1e-9",
     )

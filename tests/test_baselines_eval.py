@@ -21,6 +21,7 @@ from alignrag.baselines_eval import (
     eval_to_csv,
     eval_to_json,
     load_questions,
+    overlap_coefficient,
     rerank_retrieve,
     run_eval,
 )
@@ -77,6 +78,11 @@ class CountryReranker:
 
 
 class TestRerank:
+    def test_overlap_coefficient(self):
+        assert overlap_coefficient(set(), {"a"}) == 0.0
+        assert overlap_coefficient({"a", "b"}, {"b", "c"}) == 0.5
+        assert overlap_coefficient({"a"}, {"a", "b", "c"}) == 1.0
+
     def test_overlap_reranker_matches_oracle(self, city_corpus):
         reranker = OverlapReranker()
         for obj in city_corpus.objects:

@@ -3,7 +3,10 @@
 ``bench/run.py --trace 1`` wraps pipeline attributes by name through
 ``spans.Tracer``; this test installs the tracer over a full-stage pass of
 the planted questions, so renaming or removing one of those names fails
-here rather than only in a traced benchmark run.
+here rather than only in a traced benchmark run. It also checks that
+connections go through ``struct_align.compatibility``, the leaf behind the
+benchmark's ``struct_align.compat_computed``: one call per distinct pair
+that ``CompatibilityCache.get`` is asked for.
 """
 
 from __future__ import annotations
@@ -41,6 +44,14 @@ def test_traced_pass_matches_and_restores(monkeypatch):
     bench = build_planted()
     untraced = answer_all(bench)
 
+    pairs = set()
+    get = CompatibilityCache.get
+
+    def recording_get(cache, id_a, id_b):
+        pairs.add(tuple(sorted((id_a, id_b))))
+        return get(cache, id_a, id_b)
+
+    monkeypatch.setattr(CompatibilityCache, "get", recording_get)
     targets = [(pipeline, attr) for attr in spans.SPAN_MODULES]
     targets += [(owner, attr) for owner, attr, _ in spans.LEAF_PATCHES]
     targets += [(RetrievalEngine, "relevance_map"), (CompatibilityCache, "get")]
@@ -58,3 +69,6 @@ def test_traced_pass_matches_and_restores(monkeypatch):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
     recorded = {span[0] for span in tracer.spans}
     assert STAGE_SPANS <= recorded
+    computed = tracer.leaves["struct_align.compatibility"][0]
+    assert computed > 0
+    assert computed == len(pairs)

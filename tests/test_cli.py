@@ -79,6 +79,15 @@ class TestIndexBuild:
         assert code == 1
         assert "error: corpus file not found: nope.jsonl" in capsys.readouterr().err
 
+    def test_zero_chunk_units_rejected(self, tmp_path, capsys):
+        corpus = write_jsonl(tmp_path / "c.jsonl", CITY_RECORDS)
+        out = tmp_path / "idx.json"
+        args = ["--corpus", corpus, "--out", str(out), "--chunk-units", "0"]
+        assert main(["index", "build"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "got 0" in err
+        assert not out.exists()
+
 
 class TestRetrieve:
     def test_arm_prints_confidence(self, workdir, capsys):
@@ -118,6 +127,45 @@ class TestRetrieve:
         assert len(lines) == 2
         assert all("\t" not in line for line in lines)
         assert set(lines) <= {"t1", "t2", "p1"}
+
+    @pytest.mark.parametrize("method", ["arm", "dense"])
+    def test_zero_top_k_rejected(self, workdir, capsys, method):
+        code = main(
+            [
+                "retrieve",
+                "paris population",
+                "--corpus",
+                workdir["corpus"],
+                "--index",
+                workdir["index"],
+                "--method",
+                method,
+                "--top-k",
+                "0",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "got 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"strategies": [1, 2]},
+            {"alpha": "0.5"},
+            {"base_size": True},
+            {"template_files": {"keyword": "no-such-dir/missing.txt"}},
+        ],
+    )
+    def test_bad_config_reported(self, workdir, capsys, payload):
+        config = workdir["tmp"] / "config.json"
+        config.write_text(json.dumps(payload))
+        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        code = main(["retrieve", "paris", *args, "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_trace_file_matches_schema(self, workdir, capsys):
         trace_path = workdir["tmp"] / "trace.json"

@@ -107,6 +107,34 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="alpha"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "payload, name",
+        [
+            ({"strategies": [1, 2]}, "strategy"),
+            ({"strategies": [[1, True]]}, "strategy"),
+            ({"strategies": [[1, 1.0]]}, "strategy"),
+            ({"strategies": 5}, "strategies"),
+            ({"alpha": "0.5"}, "alpha"),
+            ({"bm25_k1": None}, "bm25_k1"),
+            ({"mock_stop_bias": True}, "mock_stop_bias"),
+            ({"base_size": True}, "base_size"),
+            ({"seed": 1.5}, "seed"),
+            ({"provider": ["hash"]}, "provider"),
+            ({"vector_file": 0}, "vector_file"),
+            ({"template_files": ["keyword"]}, "template_files"),
+            ({"template_files": {"keyword": 3}}, "template_files"),
+        ],
+    )
+    def test_wrong_types_rejected(self, tmp_path, payload, name):
+        path = self.write(tmp_path, payload)
+        with pytest.raises(ConfigError, match=name):
+            load_config(path)
+
+    def test_integral_floats_are_numbers(self, tmp_path):
+        path = self.write(tmp_path, {"alpha": 1, "bm25_k1": 2})
+        cfg = load_config(path)
+        assert (cfg.alpha, cfg.bm25_k1) == (1, 2)
+
 
 class TestResolveConfig:
     def test_explicit_path_wins(self, tmp_path, monkeypatch):
@@ -151,3 +179,9 @@ class TestTemplates:
         resolved = cfg.templates()
         assert resolved["keyword"] == "custom {user_question} keywords:"
         assert resolved["align"] == DEFAULT_TEMPLATES["align"]
+
+    def test_unreadable_file(self, tmp_path):
+        cfg = Config(template_files={"keyword": str(tmp_path / "missing.txt")})
+        cfg.validate()
+        with pytest.raises(ConfigError, match="keyword"):
+            cfg.templates()

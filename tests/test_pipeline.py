@@ -88,11 +88,11 @@ class TestCompatibilityCost:
         bench = build_planted()
         engine = RetrievalEngine(bench.corpus, config=bench.config)
         calls = []
-        scalar = struct_align.compatibility
+        original = struct_align.compatibility
 
         def counted(*args, **kwargs):
             calls.append(args[:2])
-            return scalar(*args, **kwargs)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(struct_align, "compatibility", counted)
         for question in bench.questions[:3]:

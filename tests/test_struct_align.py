@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from alignrag.corpus import build_corpus
+from alignrag.corpus import ObjectKind, build_corpus
 from alignrag.embedding import FileVectorProvider, HashEmbeddingProvider
 from alignrag.errors import Infeasible, TooLarge, ValidationError
 from alignrag.struct_align import (
@@ -21,33 +21,47 @@ from alignrag.struct_align import (
     brute_force_mip,
     build_mip_instance,
     check_draft,
-    compatibility,
-    column_compat,
     expand_base,
-    jaccard,
-    overlap_coefficient,
-    passage_passage_compat,
     solve_mip,
-    table_passage_compat,
-    table_table_compat,
-    unit_compat,
 )
 from conftest import make_passage, make_table
 
 PROVIDER = HashEmbeddingProvider(dimension=64, seed=0)
 
 
-class TestSetSimilarity:
-    def test_jaccard(self):
-        assert jaccard(set(), set()) == 0.0
-        assert jaccard({"a"}, set()) == 0.0
-        assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
-        assert jaccard({"a"}, {"a"}) == 1.0
+def pair_cache(obj_a, obj_b, w=0.5):
+    """A cache over the corpus of just ``obj_a`` and ``obj_b``."""
+    return CompatibilityCache(build_corpus([obj_a, obj_b]), PROVIDER, w)
 
-    def test_overlap_coefficient(self):
-        assert overlap_coefficient(set(), {"a"}) == 0.0
-        assert overlap_coefficient({"a", "b"}, {"b", "c"}) == 0.5
-        assert overlap_coefficient({"a"}, {"a", "b", "c"}) == 1.0
+
+def oracle_witness(obj_a, obj_b, w=0.5, embed=oracles.hash_embed):
+    """The oracle's (score, endpoint ids, locators) for a pair: the table
+    first when one of the two is a table, else ``obj_a``."""
+    if obj_a.kind is ObjectKind.PASSAGE and obj_b.kind is ObjectKind.TABLE:
+        obj_a, obj_b = obj_b, obj_a
+    if obj_b.kind is ObjectKind.TABLE:
+        best, where = oracles.witness_table_table(
+            (obj_a.columns, obj_a.rows), (obj_b.columns, obj_b.rows), w, embed
+        )
+    elif obj_a.kind is ObjectKind.TABLE:
+        best, where = oracles.witness_table_passage(
+            (obj_a.columns, obj_a.rows), obj_b.sentences, w, embed
+        )
+    else:
+        best, where = oracles.witness_passage_passage(
+            obj_a.sentences, obj_b.sentences, w, embed
+        )
+    return best, (obj_a.id, obj_b.id), where
+
+
+def assert_witness(conn, score, ids, where):
+    """``conn`` is the oracle's witness and carries the row ``score``."""
+    if where is None:
+        assert conn is None and score == 0.0
+    else:
+        assert (conn.a.object_id, conn.b.object_id) == ids
+        assert (conn.a.locator, conn.b.locator) == where
+        assert conn.score == score
 
 
 class TestPairScores:
@@ -59,9 +73,14 @@ class TestPairScores:
             va = [rng.choice(vocab) for _ in range(rng.randint(1, 5))]
             vb = [rng.choice(vocab) for _ in range(rng.randint(1, 5))]
             w = rng.random()
-            got = column_compat(ha, va, hb, vb, PROVIDER, w)
+            ta = make_table("a", "x", [ha], [[v] for v in va])
+            tb = make_table("b", "y", [hb], [[v] for v in vb])
+            cache = pair_cache(ta, tb, w)
+            got = cache.score("a", "b")
             want = oracles.column_pair(ha, va, hb, vb, w)
             assert got == pytest.approx(want, abs=1e-12)
+            where = (ha, hb) if want > 0.0 else None
+            assert_witness(cache.get("a", "b"), got, ("a", "b"), where)
 
     def test_unit_compat_matches_oracle(self):
         rng = random.Random(4)
@@ -70,17 +89,34 @@ class TestPairScores:
             ta = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
             tb = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
             w = rng.random()
-            got = unit_compat(ta, tb, PROVIDER, w)
-            assert got == pytest.approx(oracles.unit_pair(ta, tb, w), abs=1e-12)
+            pa, pb = make_passage("a", "x", [ta]), make_passage("b", "y", [tb])
+            cache = pair_cache(pa, pb, w)
+            got = cache.score("a", "b")
+            want = oracles.unit_pair(ta, tb, w)
+            assert got == pytest.approx(want, abs=1e-12)
+            where = (0, 0) if want > 0.0 else None
+            assert_witness(cache.get("a", "b"), got, ("a", "b"), where)
 
     def test_tokenless_unit_scores_zero(self):
-        assert unit_compat("???", "paris", PROVIDER) == 0.0
-        assert unit_compat("paris", "  ", PROVIDER) == 0.0
+        for text_a, text_b in [("???", "paris"), ("paris", "  ")]:
+            pa = make_passage("a", "x", [text_a])
+            cache = pair_cache(pa, make_passage("b", "y", [text_b]))
+            assert cache.score("a", "b") == 0.0
+            assert cache.get("a", "b") is None
+        t = make_table("t", "x", ["city"], [["???"]])
+        cache = pair_cache(t, make_passage("p", "y", ["paris"]))
+        assert cache.score("t", "p") == 0.0
+        assert cache.get("t", "p") is None
 
     def test_entity_link_constant(self):
         # one shared token of two, identical token sets on the short side
-        got = unit_compat("ent0", "ent0 gist0", PROVIDER)
+        t = make_table("t", "codes", ["code"], [["ent0"]])
+        cache = pair_cache(t, make_passage("p", "notes", ["ent0 gist0"]))
+        got = cache.score("t", "p")
         assert got == pytest.approx(0.8535533905932737, abs=1e-12)
+        conn = cache.get("p", "t")
+        assert conn.kind is ConnectionKind.ENTITY_LINK
+        assert_witness(conn, got, ("t", "p"), ((0, 0), 0))
 
 
 def random_table(rng, oid, vocab):
@@ -109,16 +145,13 @@ class TestObjectCompat:
             ta = random_table(rng, "a", vocab)
             tb = random_table(rng, "b", vocab)
             w = rng.random()
-            score, conn = table_table_compat(ta, tb, PROVIDER, w)
-            want = oracles.best_table_table(
-                (ta.columns, ta.rows), (tb.columns, tb.rows), w
-            )
+            cache = pair_cache(ta, tb, w)
+            score, conn = cache.score("a", "b"), cache.get("a", "b")
+            want, ids, where = oracle_witness(ta, tb, w)
             assert score == pytest.approx(want, abs=1e-9)
+            assert_witness(conn, score, ids, where)
             if conn is not None:
                 assert conn.kind is ConnectionKind.JOIN_COLUMN
-                assert conn.score == score
-                assert conn.a.object_id == "a" and conn.b.object_id == "b"
-                assert conn.a.locator in ta.columns
 
     def test_table_passage_matches_oracle(self):
         rng = random.Random(6)
@@ -127,11 +160,11 @@ class TestObjectCompat:
             t = random_table(rng, "t", vocab)
             p = random_passage(rng, "p", vocab)
             w = rng.random()
-            score, conn = table_passage_compat(t, p, PROVIDER, w)
-            want = oracles.best_table_passage(
-                (t.columns, t.rows), p.sentences, w
-            )
+            cache = pair_cache(t, p, w)
+            score, conn = cache.score("t", "p"), cache.get("t", "p")
+            want, ids, where = oracle_witness(t, p, w)
             assert score == pytest.approx(want, abs=1e-9)
+            assert_witness(conn, score, ids, where)
             if conn is not None:
                 assert conn.kind is ConnectionKind.ENTITY_LINK
                 r, c = conn.a.locator
@@ -145,49 +178,74 @@ class TestObjectCompat:
             pa = random_passage(rng, "pa", vocab)
             pb = random_passage(rng, "pb", vocab)
             w = rng.random()
-            score, conn = passage_passage_compat(pa, pb, PROVIDER, w)
-            want = oracles.best_passage_passage(pa.sentences, pb.sentences, w)
+            cache = pair_cache(pa, pb, w)
+            score, conn = cache.score("pa", "pb"), cache.get("pa", "pb")
+            want, ids, where = oracle_witness(pa, pb, w)
             assert score == pytest.approx(want, abs=1e-9)
+            assert_witness(conn, score, ids, where)
             if conn is not None:
                 assert conn.kind is ConnectionKind.SENTENCE_LINK
 
     def test_join_column_jaccard_only(self):
         ta = make_table("a", "left", ["code"], [[f"c{i}"] for i in range(5)])
         tb = make_table("b", "right", ["tag"], [[f"c{i}"] for i in range(6)])
-        score, conn = table_table_compat(ta, tb, PROVIDER, w=0.0)
+        cache = pair_cache(ta, tb, w=0.0)
+        score, conn = cache.score("a", "b"), cache.get("a", "b")
         assert score == pytest.approx(5 / 6, abs=1e-12)
         assert conn.a.locator == "code" and conn.b.locator == "tag"
 
     def test_tie_keeps_first_locator(self):
         pa = make_passage("pa", "x", ["alpha beta."])
         pb = make_passage("pb", "y", ["alpha beta.", "alpha beta."])
-        score, conn = passage_passage_compat(pa, pb, PROVIDER)
+        cache = pair_cache(pa, pb)
+        score, conn = cache.score("pa", "pb"), cache.get("pa", "pb")
         assert score == pytest.approx(1.0)
         assert conn.b.locator == 0
+        # pa has more distinct sentences than pb, so its scores come from
+        # pb's side; the tie still goes to pa's first best sentence
+        pa = make_passage("pa", "x", ["gamma.", "alpha beta.", "alpha beta."])
+        conn = pair_cache(pa, pb).get("pa", "pb")
+        assert (conn.a.locator, conn.b.locator) == (1, 0)
 
     def test_no_signal_yields_none(self):
         t = make_table("t", "x", ["a"], [["???"]])
         p = make_passage("p", "y", ["words here."])
-        assert table_passage_compat(t, p, PROVIDER) == (0.0, None)
+        cache = pair_cache(t, p)
+        assert (cache.score("t", "p"), cache.get("t", "p")) == (0.0, None)
         ta = make_table("ta", "x", ["a"], [["v1"]])
         tb = make_table("tb", "y", ["b"], [["v2"]])
-        assert table_table_compat(ta, tb, PROVIDER, w=0.0) == (0.0, None)
+        cache = pair_cache(ta, tb, w=0.0)
+        assert (cache.score("ta", "tb"), cache.get("ta", "tb")) == (0.0, None)
 
     def test_dispatch_symmetry_and_validation(self):
         t = make_table("t", "codes", ["code"], [["ent0"]])
         p = make_passage("p", "notes", ["ent0 gist0."])
-        s1, c1 = compatibility(t, p, PROVIDER)
-        s2, c2 = compatibility(p, t, PROVIDER)
+        cache = pair_cache(t, p)
+        s1, c1 = cache.score("t", "p"), cache.get("t", "p")
+        s2, c2 = cache.score("p", "t"), cache.get("p", "t")
         assert s1 == s2 and s1 > 0.0
         assert c1 == c2  # table-first in both orders
         with pytest.raises(ValidationError):
-            compatibility(t, p, PROVIDER, w=1.5)
+            pair_cache(t, p, w=1.5)
+
+    def test_table_is_endpoint_a_when_passage_sorts_first(self):
+        p = make_passage("a-notes", "notes", ["nothing here.", "paris c1."])
+        rows = [["lyon", "c2"], ["paris", "c1"]]
+        t = make_table("b-codes", "codes", ["city", "code"], rows)
+        cache = pair_cache(p, t)
+        conn = cache.get("a-notes", "b-codes")
+        assert conn.kind is ConnectionKind.ENTITY_LINK
+        want, ids, where = oracle_witness(p, t)
+        assert ids == ("b-codes", "a-notes")
+        assert conn.score == pytest.approx(want, abs=1e-12)
+        assert_witness(conn, cache.score("a-notes", "b-codes"), ids, where)
 
 
 def mixed_corpus(kind, tmp_path):
     """A rowless table, a tokenless cell, repeated column values, a
     three-column table, multi-sentence passages, a table last, and a passage
-    ``p9`` compatible with nothing else, under the hash or file provider."""
+    ``p9`` compatible with nothing else, under the hash or file provider;
+    with the provider, the text-to-vector map the oracles read."""
     objects = [
         make_passage("p1", "notes", ["paris is big.", "lyon code c1.", "???"]),
         make_table("t0", "empty", ["city", "code"], []),
@@ -204,22 +262,24 @@ def mixed_corpus(kind, tmp_path):
     lone = make_passage("p9", "lone", ["zebra."])
     corpus = build_corpus(objects + [lone])
     if kind == "hash":
-        return corpus, PROVIDER
+        return corpus, PROVIDER, oracles.hash_embed
     # dense vectors with negative coordinates and one zero coordinate; the
     # lone sentence gets a coordinate of its own
     rng = np.random.default_rng(4)
     texts = {t for o in objects for t in o.columns + o.sentences}
     texts |= {cell for o in objects for row in o.rows for cell in row}
+    vectors = {}
+    for text in sorted(texts):
+        vector = np.append(rng.normal(size=6), 0.0)
+        vector[rng.integers(6)] = 0.0
+        vectors[text] = vector
+    vectors["zebra."] = np.array([0.0] * 6 + [1.0])
     path = tmp_path / "vectors.jsonl"
     with open(path, "w", encoding="utf-8") as handle:
-        for text in sorted(texts):
-            vector = np.append(rng.normal(size=6), 0.0)
-            vector[rng.integers(6)] = 0.0
+        for text, vector in vectors.items():
             record = {"chunk_id": text, "vector": vector.tolist()}
             handle.write(json.dumps(record) + "\n")
-        record = {"chunk_id": "zebra.", "vector": [0.0] * 6 + [1.0]}
-        handle.write(json.dumps(record) + "\n")
-    return corpus, FileVectorProvider(str(path))
+    return corpus, FileVectorProvider(str(path)), vectors.__getitem__
 
 
 class TestCompatibilityCache:
@@ -229,7 +289,9 @@ class TestCompatibilityCache:
         assert first is not None
         assert cache.get("p1", "t1") is first
         t1, p1 = city_corpus.by_id["t1"], city_corpus.by_id["p1"]
-        assert first == compatibility(t1, p1, PROVIDER)[1]
+        want, ids, where = oracle_witness(t1, p1)
+        assert first.score == pytest.approx(want, abs=1e-12)
+        assert_witness(first, cache.score("t1", "p1"), ids, where)
 
     def test_self_pair_rejected(self, city_corpus):
         cache = CompatibilityCache(city_corpus, PROVIDER)
@@ -242,7 +304,7 @@ class TestCompatibilityCache:
 
     @pytest.mark.parametrize("kind", ["hash", "file"])
     def test_rows_match_scalar_on_every_pair(self, kind, tmp_path):
-        corpus, provider = mixed_corpus(kind, tmp_path)
+        corpus, provider, embed = mixed_corpus(kind, tmp_path)
         ids = corpus.object_ids()
         # one cache per object, so that object's own row serves its lookups
         caches = {oid: CompatibilityCache(corpus, provider) for oid in ids}
@@ -252,12 +314,16 @@ class TestCompatibilityCache:
                     continue
                 got = caches[a].score(a, b)
                 assert got == caches[b].score(b, a) == caches[a].score(b, a)
-                want, _ = compatibility(corpus.by_id[a], corpus.by_id[b], provider)
+                first, second = (corpus.by_id[oid] for oid in sorted((a, b)))
+                want, pair, where = oracle_witness(first, second, embed=embed)
                 assert abs(got - want) <= 1e-12
+                conn = caches[a].get(a, b)
+                assert conn is caches[a].get(b, a)
+                assert_witness(conn, got, pair, where)
 
     @pytest.mark.parametrize("kind", ["hash", "file"])
     def test_nearest_matches_sorted_scores(self, kind, tmp_path):
-        corpus, provider = mixed_corpus(kind, tmp_path)
+        corpus, provider, _ = mixed_corpus(kind, tmp_path)
         ids = corpus.object_ids()
         cache = CompatibilityCache(corpus, provider)
         # p9's row is zero apart from its own entry: its list is all ties
