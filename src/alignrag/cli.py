@@ -17,7 +17,7 @@ from .baselines_eval import (
 )
 from .config import Config, resolve_config
 from .corpus import load_corpus
-from .errors import AlignragError, ValidationError
+from .errors import AlignragError, ConfigError, ValidationError
 from .ngram_index import (
     build_bm25,
     build_trie,
@@ -37,6 +37,8 @@ def _load_corpus_checked(path: str, chunk_units: int):
 
 def cmd_index_build(args: argparse.Namespace) -> int:
     config = resolve_config(args.config)
+    if args.chunk_units is not None and args.chunk_units < 1:
+        raise ConfigError(f"--chunk-units must be >= 1, got {args.chunk_units}")
     chunk_units = config.chunk_units if args.chunk_units is None else args.chunk_units
     corpus = _load_corpus_checked(args.corpus, chunk_units)
     trie = build_trie(corpus_ngrams(corpus.chunks))

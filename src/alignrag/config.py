@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -87,6 +88,8 @@ class Config:
             value = getattr(self, f.name)
             if type(value) not in _TYPES.get(f.type, (type(value),)):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.provider not in _PROVIDERS:
             raise ConfigError(f"unknown provider {self.provider!r}")
         if self.provider == "file" and not self.vector_file:

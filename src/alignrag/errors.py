@@ -36,7 +36,8 @@ class Infeasible(AlignragError):
 
 
 class TooLarge(AlignragError):
-    """Instance exceeds the enumeration limit of the brute-force solver."""
+    """Instance exceeds the brute-force solver's enumeration limit or the
+    exact solver's node budget."""
 
 
 class AllBeamsDead(AlignragError):

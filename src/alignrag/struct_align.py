@@ -11,8 +11,12 @@ Selection is an integer program: choose exactly k objects and up to
 2(k-1) of their pairwise connections to maximize total relevance plus
 connection strength. The solver is an exact branch and bound over the
 selection indicators with a closed-form completion of the connection
-variables; a brute-force enumerator provides an independent route to the
-same optimum.
+variables. It branches on objects in order of decreasing potential
+(relevance plus half the object's k-1 strongest connections) and bounds
+each node by the smaller of a relevance-plus-top-connections bound and a
+per-object bound that counts each connection among the objects still to
+be chosen half at each end. A brute-force enumerator provides an
+independent route to the same optimum.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from .info_align import clamp01
 from .ngram_index import normalize_tokens
 
 _BOUND_SLACK = 1e-12
+# Most branch-and-bound nodes solve_mip visits before it raises TooLarge.
+# A dense 40-object instance with k=5 needs about 3,400.
+_NODE_BUDGET = 200_000
 
 
 class ConnectionKind(str, Enum):
@@ -474,60 +481,126 @@ def brute_force_mip(instance: MipInstance, limit: int = 15) -> Draft:
 def solve_mip(instance: MipInstance) -> Draft:
     """Exact branch and bound over selection indicators.
 
-    Bound: relevance of the fixed part plus the best remaining relevance
-    plus the top 2(k-1) connection strengths not yet excluded. Ties in
-    the optimum resolve to the lexicographically smallest id set.
+    Objects are branched on in order of decreasing potential ``g_i = r_i +
+    ½·(i's k-1 strongest connections)``, each included before it is
+    excluded, so the first selections reached are strong incumbents. With
+    I the included objects, U the undecided ones and need = k - |I|, a node
+    is pruned when the smaller of two upper bounds falls below the best
+    objective found:
+
+    - r(I) + the best ``need`` relevances in U + the top 2(k-1) strengths
+      with no excluded endpoint;
+    - r(I) + the strengths inside I + the best ``need`` values over t in U
+      of ``r_t + Σ_{i∈I} c(t, i) + ½·(t's need-1 strongest connections
+      within U)``, which counts every connection among the objects still
+      to be chosen half at each end.
+
+    Ties in the optimum resolve to the lexicographically smallest id set.
+    Raises ``TooLarge`` once the search visits more than ``_NODE_BUDGET``
+    nodes.
     """
     m = instance.size
     k = instance.k
     if k > m:
         raise Infeasible(f"k={k} exceeds {m} objects")
     cap = 2 * (k - 1)
-    positive = [(key, c) for key, c in instance.compat.items() if c > 0.0]
+    rel = instance.relevance
+    neighbors: list[list[tuple[float, int]]] = [[] for _ in range(m)]
+    edges: list[tuple[float, int, int]] = []
+    for (i, j), c in instance.compat.items():
+        if c > 0.0:
+            neighbors[i].append((c, j))
+            neighbors[j].append((c, i))
+            edges.append((c, i, j))
+    for nbrs in neighbors:
+        nbrs.sort(reverse=True)
+    edges.sort(reverse=True)
+    by_relevance = sorted(((r, i) for i, r in enumerate(rel)), reverse=True)
+    potential = [
+        rel[i] + 0.5 * sum(c for c, _ in neighbors[i][: k - 1]) for i in range(m)
+    ]
+    order = sorted(range(m), key=lambda i: (-potential[i], i))
+
+    undecided, included, excluded = 0, 1, 2
+    state = [undecided] * m
+    # cross[t]: total strength between t and the included objects
+    cross = [0.0] * m
+    chosen: list[int] = []
+    nodes = 0
 
     best_obj = float("-inf")
     best_ids: Optional[tuple[str, ...]] = None
     best: Optional[tuple[list[int], list[tuple[int, int]]]] = None
 
-    def bound(pos: int, included: list[int], excluded: set[int]) -> float:
-        r_sum = sum(instance.relevance[i] for i in included)
-        remaining = sorted(
-            (instance.relevance[j] for j in range(pos, m)), reverse=True
-        )
-        r_sum += sum(remaining[: k - len(included)])
+    def relevance_bound(r_in: float, need: int) -> float:
+        total, taken = r_in, 0
+        for r, i in by_relevance:
+            if state[i] == undecided:
+                total += r
+                taken += 1
+                if taken == need:
+                    break
         if cap > 0:
-            values = sorted(
-                (
-                    c
-                    for (i, j), c in positive
-                    if i not in excluded and j not in excluded
-                ),
-                reverse=True,
+            taken = 0
+            for c, i, j in edges:
+                if state[i] != excluded and state[j] != excluded:
+                    total += c
+                    taken += 1
+                    if taken == cap:
+                        break
+        return total
+
+    def potential_bound(pos: int, base: float, need: int) -> float:
+        values = []
+        for t in order[pos:]:
+            half, taken = 0.0, 0
+            if need > 1:
+                for c, j in neighbors[t]:
+                    if state[j] == undecided:
+                        half += c
+                        taken += 1
+                        if taken == need - 1:
+                            break
+            values.append(rel[t] + cross[t] + 0.5 * half)
+        values.sort(reverse=True)
+        return base + sum(values[:need])
+
+    def visit(pos: int, r_in: float, e_in: float) -> None:
+        nonlocal best_obj, best_ids, best, nodes
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise TooLarge(
+                f"solver exceeded {_NODE_BUDGET} nodes on {m} objects with k={k}"
             )
-            r_sum += sum(values[:cap])
-        return r_sum
-
-    def visit(pos: int, included: list[int], excluded: set[int]) -> None:
-        nonlocal best_obj, best_ids, best
-        if len(included) == k:
-            pairs = _best_pairs(instance, included)
-            obj = _objective(instance, included, pairs)
-            ids = tuple(sorted(instance.object_ids[i] for i in included))
+        if len(chosen) == k:
+            pairs = _best_pairs(instance, chosen)
+            obj = _objective(instance, chosen, pairs)
+            ids = tuple(sorted(instance.object_ids[i] for i in chosen))
             if obj > best_obj or (obj == best_obj and ids < best_ids):
-                best_obj, best_ids, best = obj, ids, (list(included), pairs)
+                best_obj, best_ids, best = obj, ids, (list(chosen), pairs)
             return
-        if len(included) + (m - pos) < k:
+        need = k - len(chosen)
+        if need > m - pos:
             return
-        if bound(pos, included, excluded) < best_obj - _BOUND_SLACK:
+        floor = best_obj - _BOUND_SLACK
+        if relevance_bound(r_in, need) < floor:
             return
-        included.append(pos)
-        visit(pos + 1, included, excluded)
-        included.pop()
-        excluded.add(pos)
-        visit(pos + 1, included, excluded)
-        excluded.discard(pos)
+        if potential_bound(pos, r_in + e_in, need) < floor:
+            return
+        v = order[pos]
+        saved = cross[:]
+        for c, j in neighbors[v]:
+            cross[j] += c
+        state[v] = included
+        chosen.append(v)
+        visit(pos + 1, r_in + rel[v], e_in + saved[v])
+        chosen.pop()
+        cross[:] = saved
+        state[v] = excluded
+        visit(pos + 1, r_in, e_in)
+        state[v] = undecided
 
-    visit(0, [], set())
+    visit(0, 0.0, 0.0)
     assert best is not None
     return _draft_from_indices(instance, best[0], best[1])
 

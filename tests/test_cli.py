@@ -8,6 +8,7 @@ import re
 import jsonschema
 import pytest
 
+from alignrag import struct_align
 from alignrag.baselines_eval import METHODS
 from alignrag.cli import main
 from alignrag.pipeline import TRACE_SCHEMA, RetrievalEngine
@@ -86,6 +87,7 @@ class TestIndexBuild:
         assert main(["index", "build"] + args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "got 0" in err
+        assert "--chunk-units" in err
         assert not out.exists()
 
 
@@ -166,6 +168,14 @@ class TestRetrieve:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_solver_node_budget_reported(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(struct_align, "_NODE_BUDGET", 1)
+        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        assert main(["retrieve", "paris population", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "nodes" in captured.err
 
     def test_trace_file_matches_schema(self, workdir, capsys):
         trace_path = workdir["tmp"] / "trace.json"

@@ -130,6 +130,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=name):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ('{"bm25_k1": NaN}', "bm25_k1"),
+            ('{"mock_stop_bias": Infinity}', "mock_stop_bias"),
+            ('{"mock_context_weight": -Infinity}', "mock_context_weight"),
+            ('{"alpha": NaN}', "alpha"),
+        ],
+    )
+    def test_non_finite_rejected(self, tmp_path, text, name):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+            load_config(path)
+
     def test_integral_floats_are_numbers(self, tmp_path):
         path = self.write(tmp_path, {"alpha": 1, "bm25_k1": 2})
         cfg = load_config(path)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from alignrag import struct_align
 from alignrag.corpus import ObjectKind, build_corpus
 from alignrag.embedding import FileVectorProvider, HashEmbeddingProvider
 from alignrag.errors import Infeasible, TooLarge, ValidationError
@@ -454,17 +455,27 @@ class TestInstance:
             MipInstance(object_ids=("a",), relevance=(0.5,), k=0)
 
 
-def random_instance(rng, max_size=12, max_k=4):
-    m = rng.randint(2, max_size)
-    k = rng.randint(1, min(max_k, m))
+def random_instance(rng, max_size=12, max_k=4, min_k=1, density=0.5, digits=None):
+    m = rng.randint(max(2, min_k), max_size)
+    k = rng.randint(min_k, min(max_k, m))
+    value = rng.random if digits is None else lambda: round(rng.random(), digits)
     ids = tuple(f"o{i:02d}" for i in range(m))
-    rel = tuple(rng.random() for _ in range(m))
+    rel = tuple(value() for _ in range(m))
     compat = {}
     for i in range(m):
         for j in range(i + 1, m):
-            if rng.random() < 0.5:
-                compat[(i, j)] = rng.random()
+            if rng.random() < density:
+                compat[(i, j)] = value()
     return MipInstance(object_ids=ids, relevance=rel, compat=compat, k=k)
+
+
+def dense_instance(rng, m, k=5):
+    return MipInstance(
+        object_ids=tuple(f"o{i:02d}" for i in range(m)),
+        relevance=tuple(rng.random() for _ in range(m)),
+        compat={key: rng.random() for key in combinations(range(m), 2)},
+        k=k,
+    )
 
 
 class TestSolvers:
@@ -509,6 +520,39 @@ class TestSolvers:
             assert a.objective == b.objective  # exact, not approximate
             assert a.object_ids == b.object_ids
             assert a.connections == b.connections
+
+    def test_routes_agree_where_cap_binds_and_ties_occur(self):
+        # k of 5 or 6, where 2(k-1) < k(k-1)/2 so the connection cap can
+        # bind; every other instance rounds its values to 0.1 to force ties
+        rng = random.Random(64)
+        for n in range(240):
+            inst = random_instance(
+                rng,
+                max_size=13,
+                min_k=5,
+                max_k=6,
+                density=rng.uniform(0.3, 1.0),
+                digits=1 if n % 2 else None,
+            )
+            a = solve_mip(inst)
+            b = brute_force_mip(inst)
+            assert a.objective == b.objective
+            assert a.object_ids == b.object_ids
+            assert a.connections == b.connections
+
+    def test_dense_twenty_objects_match_brute_force(self):
+        inst = dense_instance(random.Random(65), 20)
+        a = solve_mip(inst)
+        b = brute_force_mip(inst, limit=20)
+        assert a.objective == b.objective
+        assert a.object_ids == b.object_ids
+        assert a.connections == b.connections
+
+    def test_node_budget_raises(self, monkeypatch):
+        inst = dense_instance(random.Random(65), 20)
+        monkeypatch.setattr(struct_align, "_NODE_BUDGET", 10)
+        with pytest.raises(TooLarge, match="20 objects with k=5"):
+            solve_mip(inst)
 
     def test_routes_agree_with_enumeration_oracle(self):
         rng = random.Random(61)
