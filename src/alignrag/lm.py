@@ -3,22 +3,24 @@
 Decoding is masked: at every step the caller computes the set of valid
 next tokens (from a trie or a choice set) and the scorer only ranks
 within that set, so emitted sequences are valid by construction. The
-N-gram beam search ranks every scored candidate by a key built from its
-parent, but only materializes the hypotheses that survive a step.
+N-gram beam search ranks all candidates of a step over arrays, with one
+``np.lexsort``, and only materializes the hypotheses that survive it.
 
 Reserved tokens open/close alignment segments, separate list items, and
 stop generation. Text normalization strips bare punctuation, so none of
-them can collide with a real corpus token.
+them can collide with a real corpus token; the trie rejects any indexed
+token that is not its own normalization.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 from collections import Counter
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from itertools import repeat
 from typing import Optional, Protocol, Sequence
+
+import numpy as np
 
 from .errors import AllBeamsDead, ValidationError
 from .ngram_index import MAX_NGRAM, NGram, NGramTrie, normalize_tokens
@@ -55,10 +57,13 @@ class _Rule:
     order: int
 
 
-def _stable_unit(seed: int, context: Sequence[str], token: str) -> float:
+def _noise_prefix(seed: int, context: Sequence[str]) -> bytes:
     tail = "\x1f".join(context[-4:])
-    payload = f"{seed}\x1e{tail}\x1e{token}".encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    return f"{seed}\x1e{tail}\x1e".encode("utf-8")
+
+
+def _stable_unit(prefix: bytes, token: str) -> float:
+    digest = hashlib.blake2b(prefix + token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0**64
 
 
@@ -113,22 +118,34 @@ class MockScorer:
     def score(
         self, context: Sequence[str], candidates: Sequence[str]
     ) -> list[float]:
-        rule = self._match(context)
-        counts = Counter(context) if self.context_weight else None
-        logits = []
-        for tok in candidates:
-            if rule is not None and tok in rule.ranked:
-                logits.append(
-                    _PREFERRED_BASE + len(rule.ranked) - rule.ranked.index(tok)
-                )
-                continue
-            value = self.token_bias.get(tok, 0.0)
-            if counts is not None:
+        # one table per call: bias + weight * count for every biased or
+        # context token, then the matched rule's ranks over them; every
+        # other candidate takes the same expression with no bias and count 0
+        table = dict(self.token_bias)
+        default = 0.0
+        if self.context_weight:
+            counts = Counter(context)
+            default += self.context_weight * 0
+            for tok in table.keys() | counts.keys():
+                value = table.get(tok, 0.0)
                 value += self.context_weight * counts.get(tok, 0)
-            if self.seed is not None:
-                value += _stable_unit(self.seed, context, tok)
-            logits.append(value)
-        return logits
+                table[tok] = value
+        ruled: dict[str, float] = {}
+        rule = self._match(context)
+        if rule is not None:
+            top = _PREFERRED_BASE + len(rule.ranked)
+            for i, tok in enumerate(rule.ranked):
+                ruled.setdefault(tok, top - i)
+        if self.seed is None:
+            table.update(ruled)
+            return list(map(table.get, candidates, repeat(default)))
+        prefix = _noise_prefix(self.seed, context)
+        return [
+            ruled[tok]
+            if tok in ruled
+            else table.get(tok, default) + _stable_unit(prefix, tok)
+            for tok in candidates
+        ]
 
     def free_next(self, context: Sequence[str]) -> tuple[str, float]:
         rule = self._match(context)
@@ -159,18 +176,6 @@ def ngram_score(logits: Sequence[float]) -> float:
     return sum(logits) / len(logits)
 
 
-def _rank_key(total: float, count: int, tokens: tuple) -> tuple:
-    """Beam order: mean content logit, then total content logit, then tokens.
-
-    The total breaks ties so a beam is never outranked by its own
-    early-closed prefix. ``total`` is a running sum of the content logits
-    taken left to right, which on CPython 3.11 is bit for bit what ``sum``
-    of the logit list gives, so the order is the one a full re-sum gives.
-    """
-    mean = total / count if count else 0.0
-    return (-mean, -total, tokens)
-
-
 @dataclass(frozen=True)
 class _Hypothesis:
     tokens: tuple[str, ...] = ()
@@ -183,7 +188,17 @@ class _Hypothesis:
     content_count: int = 0
 
     def sort_key(self) -> tuple:
-        return _rank_key(self.content_total, self.content_count, self.tokens)
+        """Beam order: mean content logit, then total content logit, then tokens.
+
+        The total breaks ties so a beam is never outranked by its own
+        early-closed prefix. ``content_total`` is a running sum of the
+        content logits taken left to right, which on CPython 3.11 is bit
+        for bit what ``sum`` of the logit list gives, so the order is the
+        one a full re-sum gives.
+        """
+        count = self.content_count
+        mean = self.content_total / count if count else 0.0
+        return (-mean, -self.content_total, self.tokens)
 
     def rank_score(self) -> float:
         return -self.sort_key()[0]
@@ -240,11 +255,16 @@ def constrained_ngram_decode(
     N-gram may appear. Beams with no valid continuation are dropped;
     when every beam dies the decode fails.
 
-    Only survivors are materialized: an open candidate is ranked by a key
-    built from its parent, token and logit, and only the ``beam_width``
-    best of a step, plus the candidates that close the segment, become
-    hypotheses. Every candidate's tokens are unique, so keys never tie
-    and ``heapq.nsmallest`` keeps exactly the beams a full sort keeps.
+    Each live hypothesis keeps its trie node and is scored once per step
+    over its sorted candidates. The open candidates of all hypotheses
+    are then ranked together by one ``np.lexsort`` over (-mean, -total)
+    content logit, with ties kept in flat order: hypotheses are laid out
+    in token order and each one's candidates in token order, so, as live
+    hypotheses have equal length, the flat order is the order of the
+    candidates' token tuples and the ranking is exactly
+    ``_Hypothesis.sort_key``'s. Only the ``beam_width`` best, plus the
+    candidates that close the segment, become hypotheses. NumPy float64
+    ``+`` and ``/`` give the bits Python floats give.
     """
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
@@ -254,44 +274,63 @@ def constrained_ngram_decode(
         raise ValidationError("cannot decode against an empty trie")
 
     context = scorer.tokenize(seed_text)
-    root = _Hypothesis()
+    root = trie.root
     open_logit = scorer.score(context, [OPEN_TOKEN])[0]
-    live = [root.child(OPEN_TOKEN, open_logit)]
+    live = [(_Hypothesis().child(OPEN_TOKEN, open_logit), root)]
     done: list[_Hypothesis] = []
     max_steps = max_ngrams * (MAX_NGRAM + 1) + 2
 
     for _ in range(max_steps):
         if not live:
             break
-        ranked: list[tuple[tuple, _Hypothesis, str, float]] = []
-        for hyp in live:
-            nexts, terminal = trie.valid_continuations(hyp.prefix_tokens)
-            candidates = set(nexts)
-            if terminal and hyp.prefix_tokens:
-                candidates.add(CLOSE_TOKEN)
+        live.sort(key=lambda entry: entry[0].tokens)
+        tokens: list[str] = []  # the step's open candidates, flat
+        logits: list[float] = []
+        parents: list[int] = []  # live index of each hypothesis scored
+        sizes: list[int] = []  # its number of open candidates
+        separators: list[int] = []  # flat index of each separator
+        for p, (hyp, node) in enumerate(live):
+            ordered = node.continuations()
+            closes = node.terminal and bool(hyp.prefix_tokens)
+            if closes:
+                extra = (CLOSE_TOKEN,)
                 if len(hyp.ngrams) + 1 < max_ngrams:
-                    candidates.add(SEP_TOKEN)
-            if not candidates:
+                    extra += (SEP_TOKEN,)
+                ordered = tuple(sorted(ordered + extra))
+            if not ordered:
                 continue  # dead end: beam dropped
-            ordered = sorted(candidates)
-            logits = scorer.score(context + list(hyp.tokens), ordered)
-            # an open candidate's key is its child's sort_key, with the
-            # tokens as (parent tokens, token): live hypotheses of a step
-            # have equal length, so that orders them as the joined tuple
-            total, count, tokens = hyp.content_total, hyp.content_count, hyp.tokens
-            for tok, logit in zip(ordered, logits):
-                if tok == CLOSE_TOKEN:
-                    done.append(hyp.child(tok, logit))
-                elif tok == SEP_TOKEN:
-                    key = _rank_key(total, count, (tokens, tok))
-                    ranked.append((key, hyp, tok, logit))
-                else:
-                    key = _rank_key(total + logit, count + 1, (tokens, tok))
-                    ranked.append((key, hyp, tok, logit))
+            scored = scorer.score(context + list(hyp.tokens), ordered)
+            if closes:
+                at = ordered.index(CLOSE_TOKEN)
+                done.append(hyp.child(CLOSE_TOKEN, scored[at]))
+                ordered = ordered[:at] + ordered[at + 1 :]
+                scored = scored[:at] + scored[at + 1 :]
+                if SEP_TOKEN in extra:
+                    separators.append(len(tokens) + ordered.index(SEP_TOKEN))
+            tokens.extend(ordered)
+            logits.extend(scored)
+            parents.append(p)
+            sizes.append(len(ordered))
         done.sort(key=_Hypothesis.sort_key)
         del done[beam_width:]
-        survivors = heapq.nsmallest(beam_width, ranked, key=itemgetter(0))
-        live = [hyp.child(tok, logit) for _, hyp, tok, logit in survivors]
+
+        # a content candidate adds its logit to the parent's running sum,
+        # a separator leaves sum and count unchanged
+        totals = np.repeat([live[p][0].content_total for p in parents], sizes)
+        counts = np.repeat([live[p][0].content_count for p in parents], sizes)
+        content = np.ones(len(tokens), dtype=bool)
+        content[separators] = False
+        totals = np.where(content, totals + np.array(logits, dtype=np.float64), totals)
+        counts += content
+        best = np.lexsort((-totals, -totals / counts))[:beam_width]
+        owners = np.repeat(parents, sizes)[best]
+        survivors = []
+        for i, p in zip(best.tolist(), owners.tolist()):
+            hyp, node = live[p]
+            tok = tokens[i]
+            nxt = root if tok == SEP_TOKEN else node.children[tok]
+            survivors.append((hyp.child(tok, logits[i]), nxt))
+        live = survivors
 
     if not done:
         raise AllBeamsDead(f"no alignment decoded for {label or seed_text!r}")

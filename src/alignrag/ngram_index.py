@@ -61,28 +61,52 @@ def extract_ngrams(text: str, max_n: int = MAX_NGRAM) -> set[NGram]:
 
 
 class _TrieNode:
-    __slots__ = ("children", "terminal")
+    __slots__ = ("children", "terminal", "_sorted")
 
     def __init__(self) -> None:
         self.children: dict[str, _TrieNode] = {}
         self.terminal = False
+        self._sorted: Optional[tuple[str, ...]] = None
+
+    def continuations(self) -> tuple[str, ...]:
+        """Child tokens in sorted order, sorted and checked on first call.
+
+        Every child must be a normalized token, which also excludes the
+        decoder's reserved delimiters: a token the decoder could not emit
+        as itself (or would read as a delimiter) raises ValidationError.
+        """
+        if self._sorted is None:
+            tokens = tuple(sorted(self.children))
+            bad = [tok for tok in tokens if normalize_tokens(tok) != [tok]]
+            if bad:
+                raise ValidationError(
+                    f"indexed tokens {bad!r} are not normalized tokens and "
+                    "cannot be decoded"
+                )
+            self._sorted = tokens
+        return self._sorted
 
 
 class NGramTrie:
     """Prefix trie over N-gram token sequences.
 
-    valid_continuations() is the masking surface used by the constrained
-    decoder: an unknown prefix yields no continuations and no terminal.
+    The constrained decoder walks it from ``root``: each node's
+    ``continuations()`` and ``terminal`` are the masking surface, and a
+    hypothesis keeps the node of its prefix rather than walking again.
     """
 
     def __init__(self) -> None:
-        self._root = _TrieNode()
+        self.root = _TrieNode()
         self._size = 0
 
     def add(self, ngram: NGram) -> None:
-        node = self._root
+        node = self.root
         for tok in ngram.tokens:
-            node = node.children.setdefault(tok, _TrieNode())
+            child = node.children.get(tok)
+            if child is None:
+                child = node.children[tok] = _TrieNode()
+                node._sorted = None
+            node = child
         if not node.terminal:
             node.terminal = True
             self._size += 1
@@ -91,23 +115,12 @@ class NGramTrie:
         return self._size
 
     def __contains__(self, ngram: NGram) -> bool:
-        node = self._walk(ngram.tokens)
-        return node is not None and node.terminal
-
-    def _walk(self, prefix: Sequence[str]) -> Optional[_TrieNode]:
-        node = self._root
-        for tok in prefix:
+        node = self.root
+        for tok in ngram.tokens:
             node = node.children.get(tok)
             if node is None:
-                return None
-        return node
-
-    def valid_continuations(self, prefix: Sequence[str]) -> tuple[set[str], bool]:
-        """Next tokens reachable from prefix, and whether prefix is terminal."""
-        node = self._walk(prefix)
-        if node is None:
-            return set(), False
-        return set(node.children), node.terminal
+                return False
+        return node.terminal
 
     def ngrams(self) -> Iterator[NGram]:
         """Enumerate stored N-grams in lexicographic token order."""
@@ -118,7 +131,7 @@ class NGramTrie:
             for tok in sorted(node.children):
                 yield from walk(node.children[tok], path + (tok,))
 
-        yield from walk(self._root, ())
+        yield from walk(self.root, ())
 
 
 def build_trie(ngrams: Iterable[NGram]) -> NGramTrie:

@@ -377,6 +377,7 @@ class RetrievalEngine:
             return result
 
         n_beams = max((len(al.lists) for al in alignments), default=0) or 1
+        kept_units: dict[str, list[int]] = {}
         for si, draft in enumerate(result.drafts):
             sdraft = serialize_draft(
                 draft,
@@ -386,6 +387,7 @@ class RetrievalEngine:
                 question_vec,
                 cache=self.cache,
                 unit_k=cfg.unit_k,
+                kept_units=kept_units,
             )
             result.serialized.append(sdraft)
             for bi in range(n_beams):

@@ -97,19 +97,27 @@ def serialize_draft(
     question_vec: np.ndarray,
     cache: Optional[CompatibilityCache] = None,
     unit_k: int = 5,
+    kept_units: Optional[dict[str, list[int]]] = None,
 ) -> SerializedDraft:
     """Render a draft: objects by descending relevance, then connections.
 
     Each object shows at most unit_k of its rows or sentences, the ones
-    most similar to the question.
+    most similar to the question. ``kept_units`` memoizes those unit
+    indices by object id: pass one dict for all drafts of one question
+    (same question vector, provider and unit_k), so an object shared by
+    several drafts has its units embedded once.
     """
     if unit_k < 1:
         raise ValidationError(f"unit_k must be >= 1, got {unit_k}")
+    if kept_units is None:
+        kept_units = {}
     order = sorted(draft.object_ids, key=lambda oid: (-relevance.get(oid, 0.0), oid))
     object_lines = []
     for oid in order:
         obj = corpus.by_id[oid]
-        units = _top_units(obj, question_vec, provider, unit_k)
+        units = kept_units.get(oid)
+        if units is None:
+            units = kept_units[oid] = _top_units(obj, question_vec, provider, unit_k)
         object_lines.append(_object_line(obj, units))
     connection_lines = []
     if cache is not None:

@@ -250,6 +250,20 @@ class TestRetrieve:
             "chunk 'p1#0' differs" in captured.err
         )
 
+    @pytest.mark.parametrize("token", [")", "(", ",", "<>", "x y", "paris,"])
+    def test_index_token_decoder_cannot_emit_rejected(self, workdir, capsys, token):
+        with open(workdir["index"], encoding="utf-8") as handle:
+            snapshot = json.load(handle)
+        snapshot["ngrams"].append([token])
+        with open(workdir["index"], "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle)
+        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        assert main(["retrieve", "paris population", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert repr(token) in captured.err
+
     def test_index_of_edited_corpus_rejected(self, workdir, capsys):
         edited = [dict(r) for r in CITY_RECORDS]
         edited[1]["title"] = "country areas and more"

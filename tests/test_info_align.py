@@ -98,12 +98,17 @@ class TestAlignKeyword:
         assert top.scores == (1002.0, 1001.0)
 
     def test_dead_decode_yields_empty_alignment(self):
+        class DeadNode:
+            terminal = False
+
+            def continuations(self):
+                return ()
+
         class DeadTrie:
+            root = DeadNode()
+
             def __len__(self):
                 return 1
-
-            def valid_continuations(self, prefix):
-                return set(), False
 
         alignment = align_keyword(MockScorer(), DeadTrie(), "kw")
         assert alignment.lists == ()

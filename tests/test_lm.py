@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import random
 
 import pytest
@@ -106,6 +107,69 @@ class TestMockScorer:
             ctx = ctx + [tok]
 
 
+RESERVED = (OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN, STOP_TOKEN)
+SCORER_VOCAB = ("a", "b", "c", "paris", "\x01w", "0", "9a") + RESERVED
+
+
+def documented_logit(rules, bias, weight, seed, context, tok):
+    """MockScorer's documented formula, restated without its code.
+
+    The longest rule suffix matching the context wins, the later rule on
+    equal length; a token on its ranked list scores 1000 + len(ranked) -
+    (first position). Any other token scores its bias, plus weight times
+    its count in the context when the weight is nonzero, plus, when
+    seeded, blake2b noise over the seed, the last four context tokens
+    and the token.
+    """
+    ctx = tuple(context)
+    matched = None
+    for suffix, ranked in rules:
+        n = len(suffix)
+        if n <= len(ctx) and ctx[len(ctx) - n :] == tuple(suffix):
+            if matched is None or n >= len(matched[0]):
+                matched = (suffix, ranked)
+    if matched is not None and tok in matched[1]:
+        ranked = matched[1]
+        return 1000.0 + len(ranked) - ranked.index(tok)
+    value = bias.get(tok, 0.0)
+    if weight:
+        value += weight * ctx.count(tok)
+    if seed is not None:
+        tail = "\x1f".join(ctx[-4:])
+        payload = f"{seed}\x1e{tail}\x1e{tok}".encode("utf-8")
+        digest = hashlib.blake2b(payload, digest_size=8).digest()
+        value += int.from_bytes(digest, "big") / 2.0**64
+    return value
+
+
+class TestScorerAgainstFormula:
+    @pytest.mark.parametrize("case", range(300))
+    def test_logits_equal_formula(self, case):
+        rng = random.Random(case)
+
+        def tokens(low, high):
+            return [rng.choice(SCORER_VOCAB) for _ in range(rng.randint(low, high))]
+
+        rules = [(tokens(0, 2), tokens(1, 4)) for _ in range(rng.randint(0, 3))]
+        bias_values = (0.5, -0.25, 2, 0.0, -0.0, 1e-300, -3.75)
+        bias = {tok: rng.choice(bias_values) for tok in tokens(0, 4)}
+        weight = rng.choice((0.0, -0.0, 1.0, -1.0, 0.5, -2.5))
+        seed = rng.choice((None, case))
+        scorer = MockScorer(seed=seed, context_weight=weight, token_bias=bias)
+        for suffix, ranked in rules:
+            scorer.add_rule(suffix, ranked)
+        for _ in range(5):
+            context = tokens(0, 8)
+            candidates = tokens(0, 12)  # duplicates included
+            want = [
+                documented_logit(rules, bias, weight, seed, context, tok)
+                for tok in candidates
+            ]
+            got = scorer.score(context, candidates)
+            assert type(got) is list
+            assert repr(got) == repr(want)  # also tells -0.0 from 0.0, 2 from 2.0
+
+
 class TestNgramDecode:
     def test_scripted_bigram_path_ranks_first(self):
         trie = trie_of(*CITY_TRIE)
@@ -172,12 +236,17 @@ class TestNgramDecode:
         assert beams[0].ngrams[0].tokens == ("paris",)
 
     def test_dead_trie_raises(self):
+        class DeadNode:
+            terminal = False
+
+            def continuations(self):
+                return ()
+
         class DeadTrie:
+            root = DeadNode()
+
             def __len__(self):
                 return 1
-
-            def valid_continuations(self, prefix):
-                return set(), False
 
         with pytest.raises(AllBeamsDead, match="label-x"):
             constrained_ngram_decode(
@@ -207,12 +276,38 @@ def as_plain(beam: Beam) -> tuple:
     return (beam.tokens, beam.logits, grams, beam.ngram_scores, beam.score)
 
 
+def assert_matches_reference(scorer, grams, seed_text):
+    trie = trie_of(*grams)
+    for beam_width in range(1, 6):
+        for max_ngrams in range(1, 5):
+            want = oracles.beam_decode_reference(
+                scorer, grams, seed_text, beam_width, max_ngrams
+            )
+            if not want:
+                with pytest.raises(AllBeamsDead):
+                    constrained_ngram_decode(
+                        scorer, trie, seed_text, beam_width, max_ngrams
+                    )
+                continue
+            beams = constrained_ngram_decode(
+                scorer, trie, seed_text, beam_width, max_ngrams
+            )
+            got = [as_plain(b) for b in beams]
+            assert got == want
+            assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+
+
+# tokens that sort before the reserved ones ("\x01w") and between them
+# and the letters (digits), so the place of "," and ")" among a node's
+# children is pinned
+WIDE_VOCAB = ("\x01w", "0", "9a", "w1", "w2", "w3")
+
+
 class TestDecodeAgainstReference:
     @pytest.mark.parametrize("case", range(8))
     def test_beams_equal_reference(self, case):
         rng = random.Random(case)
         grams = random_grams(rng)
-        trie = trie_of(*grams)
         vocab = sorted({tok for gram in grams for tok in gram})
         seed_text = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 6)))
         scorers = [
@@ -221,23 +316,36 @@ class TestDecodeAgainstReference:
             MockScorer(seed=case, context_weight=1.0, token_bias={SEP_TOKEN: 0.25}),
         ]
         for scorer in scorers:
-            for beam_width in range(1, 6):
-                for max_ngrams in range(1, 5):
-                    want = oracles.beam_decode_reference(
-                        scorer, grams, seed_text, beam_width, max_ngrams
-                    )
-                    if not want:
-                        with pytest.raises(AllBeamsDead):
-                            constrained_ngram_decode(
-                                scorer, trie, seed_text, beam_width, max_ngrams
-                            )
-                        continue
-                    beams = constrained_ngram_decode(
-                        scorer, trie, seed_text, beam_width, max_ngrams
-                    )
-                    got = [as_plain(b) for b in beams]
-                    assert got == want
-                    assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+            assert_matches_reference(scorer, grams, seed_text)
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_wide_vocabulary_rules_and_negative_weight(self, case):
+        rng = random.Random(100 + case)
+        grams = {
+            tuple(rng.choice(WIDE_VOCAB) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 40))
+        }
+        # complete grams with continuations that sort before "," and ")"
+        # (the first live beam, so a tie with "," decides) and after them
+        grams |= {("\x01w",), ("\x01w", "\x01w"), ("0",), ("0", "0"), ("0", "9a")}
+        vocab = sorted({tok for gram in grams for tok in gram})
+        seed_text = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 6)))
+        scripted = MockScorer(context_weight=1.0)
+        path = list(rng.choice(sorted(grams)))
+        scripted.script(("(",), path + [rng.choice((SEP_TOKEN, CLOSE_TOKEN))])
+        scripted.add_rule((SEP_TOKEN,), [rng.choice(vocab), CLOSE_TOKEN, "zz"])
+        scripted.add_rule((), [rng.choice(vocab), SEP_TOKEN])
+        scorers = [
+            MockScorer(),  # ties everywhere: token order decides
+            scripted,
+            MockScorer(
+                context_weight=-1.0,
+                token_bias={SEP_TOKEN: 0.25, CLOSE_TOKEN: -0.5, vocab[0]: -0.0},
+            ),
+            MockScorer(seed=case, context_weight=-0.5, token_bias={CLOSE_TOKEN: 0.5}),
+        ]
+        for scorer in scorers:
+            assert_matches_reference(scorer, grams, seed_text)
 
     def test_only_survivors_are_built(self, monkeypatch):
         # 40 first tokens, each with 5 continuations: every step scores far

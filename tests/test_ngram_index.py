@@ -103,7 +103,14 @@ class TestTrie:
         for _ in range(100):
             depth = rng.randint(0, 2)
             prefix = tuple(rng.choice(vocab) for _ in range(depth))
-            nexts, terminal = trie.valid_continuations(prefix)
+            node = trie.root
+            for tok in prefix:
+                node = node.children.get(tok) if node is not None else None
+            if node is None:
+                nexts, terminal = set(), False
+            else:
+                assert list(node.continuations()) == sorted(node.children)
+                nexts, terminal = set(node.continuations()), node.terminal
             expect_nexts = {
                 g[depth]
                 for g in stored

@@ -140,6 +140,42 @@ class TestSerializeDraft:
             "t1 | city populations | city | pop | lyon | 500k",
         )
 
+    def test_kept_units_rank_each_object_once(self, city_corpus):
+        class CountingProvider:
+            def __init__(self):
+                self.texts = []
+
+            def embed(self, text):
+                self.texts.append(text)
+                return PROVIDER.embed(text)
+
+        question_vec = PROVIDER.embed("paris")
+        drafts = [
+            self.draft(),
+            Draft(object_ids=("t1", "t2"), connections=(), objective=1.0),
+            Draft(object_ids=("p1",), connections=(), objective=0.5),
+        ]
+        plain_provider, kept_provider = CountingProvider(), CountingProvider()
+        kept: dict = {}
+        for draft in drafts:
+            plain = serialize_draft(
+                draft, {}, city_corpus, plain_provider, question_vec, unit_k=1
+            )
+            memo = serialize_draft(
+                draft,
+                {},
+                city_corpus,
+                kept_provider,
+                question_vec,
+                unit_k=1,
+                kept_units=kept,
+            )
+            assert memo == plain
+        units = sum(city_corpus.by_id[oid].units for oid in ("p1", "t1", "t2"))
+        assert len(kept_provider.texts) == units
+        assert len(plain_provider.texts) > units
+        assert set(kept) == {"p1", "t1", "t2"}
+
     def test_table_description_rendered(self):
         corpus = build_corpus(
             [
