@@ -301,20 +301,27 @@ def load_questions(path: str) -> list[Question]:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            where = f"questions file {path} line {line_no}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"line {line_no}: {exc.msg}") from exc
+                raise ParseError(f"{where}: {exc.msg}") from exc
+            if not isinstance(record, dict):
+                raise ParseError(f"{where}: expected a JSON object")
             try:
-                questions.append(
-                    Question(
-                        question_id=str(record["question_id"]),
-                        question=str(record["question"]),
-                        gold_ids=tuple(str(g) for g in record["gold_object_ids"]),
-                    )
-                )
+                question_id = str(record["question_id"])
+                question = str(record["question"])
+                gold = record["gold_object_ids"]
             except KeyError as exc:
-                raise ParseError(f"line {line_no}: missing field {exc}") from exc
+                raise ParseError(f"{where}: missing field {exc}") from exc
+            # ids are strings; an integer id reads as its decimal text
+            if not isinstance(gold, list) or not all(
+                type(g) in (str, int) for g in gold
+            ):
+                raise ParseError(f"{where}: gold_object_ids must be a list of ids")
+            questions.append(
+                Question(question_id, question, tuple(str(g) for g in gold))
+            )
     return questions
 
 

@@ -87,20 +87,25 @@ class FileVectorProvider:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
+                where = f"vector file {path} line {line_no}"
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ParseError(f"line {line_no}: {exc.msg}") from exc
+                    raise ParseError(f"{where}: {exc.msg}") from exc
+                if not isinstance(record, dict):
+                    raise ParseError(f"{where}: expected a JSON object")
                 key = record.get("chunk_id")
                 vector = record.get("vector")
                 if not isinstance(key, str) or not isinstance(vector, list):
-                    raise ParseError(f"line {line_no}: need chunk_id and vector")
+                    raise ParseError(f"{where}: need chunk_id and vector")
+                if not all(type(x) in (int, float) for x in vector):
+                    raise ParseError(f"{where}: vector must be a flat list of numbers")
                 arr = np.asarray(vector, dtype=np.float64)
                 if self.dimension == 0:
                     self.dimension = arr.shape[0]
                 elif arr.shape[0] != self.dimension:
                     raise DimensionMismatch(
-                        f"line {line_no}: vector of dim {arr.shape[0]}, "
+                        f"{where}: vector of dim {arr.shape[0]}, "
                         f"expected {self.dimension}"
                     )
                 arr.setflags(write=False)

@@ -120,12 +120,11 @@ class MockScorer:
     ) -> list[float]:
         # one table per call: bias + weight * count for every biased or
         # context token, then the matched rule's ranks over them; every
-        # other candidate takes the same expression with no bias and count 0
+        # other candidate scores 0.0, the same expression with no bias and
+        # count 0 (weights are finite)
         table = dict(self.token_bias)
-        default = 0.0
         if self.context_weight:
             counts = Counter(context)
-            default += self.context_weight * 0
             for tok in table.keys() | counts.keys():
                 value = table.get(tok, 0.0)
                 value += self.context_weight * counts.get(tok, 0)
@@ -138,12 +137,12 @@ class MockScorer:
                 ruled.setdefault(tok, top - i)
         if self.seed is None:
             table.update(ruled)
-            return list(map(table.get, candidates, repeat(default)))
+            return list(map(table.get, candidates, repeat(0.0)))
         prefix = _noise_prefix(self.seed, context)
         return [
             ruled[tok]
             if tok in ruled
-            else table.get(tok, default) + _stable_unit(prefix, tok)
+            else table.get(tok, 0.0) + _stable_unit(prefix, tok)
             for tok in candidates
         ]
 

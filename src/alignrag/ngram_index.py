@@ -234,27 +234,49 @@ def save_index(
         handle.write("\n")
 
 
+def _key(record: dict, key: str, kind: type | tuple[type, ...], where: str):
+    """``record[key]``, which must exist and be a ``kind`` (never a bool)."""
+    if key not in record:
+        raise ParseError(f"{where}: missing key {key!r}")
+    value = record[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"{where}: {key!r} has type {type(value).__name__}")
+    return value
+
+
 def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
+    where = f"index file {path}"
     with open(path, "r", encoding="utf-8") as handle:
         try:
             snapshot = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"index file {path}: {exc.msg}") from exc
+            raise ParseError(f"{where}: {exc.msg}") from exc
+    if not isinstance(snapshot, dict):
+        raise ParseError(f"{where}: expected a JSON object")
     if snapshot.get("format") != INDEX_FORMAT:
-        raise ParseError(
-            f"index file {path}: unsupported format {snapshot.get('format')!r}"
+        raise ParseError(f"{where}: unsupported format {snapshot.get('format')!r}")
+    chunk_units = _key(snapshot, "chunk_units", int, where)
+    ngrams = _key(snapshot, "ngrams", list, where)
+    raw = _key(snapshot, "bm25", dict, where)
+    k1 = _key(raw, "k1", (int, float), f"{where} bm25")
+    b = _key(raw, "b", (int, float), f"{where} bm25")
+    doc_len = _key(raw, "doc_len", dict, f"{where} bm25")
+    postings = _key(raw, "postings", dict, f"{where} bm25")
+    if not all(isinstance(toks, list) for toks in ngrams):
+        raise ParseError(f"{where}: every n-gram must be a list of tokens")
+    try:
+        trie = build_trie(NGram(tokens=tuple(toks)) for toks in ngrams)
+        bm25 = Bm25Index(
+            k1=float(k1),
+            b=float(b),
+            doc_len={cid: int(n) for cid, n in doc_len.items()},
+            postings={
+                term: {cid: int(f) for cid, f in posting.items()}
+                for term, posting in postings.items()
+            },
         )
-    trie = build_trie(NGram(tokens=tuple(toks)) for toks in snapshot["ngrams"])
-    raw = snapshot["bm25"]
-    bm25 = Bm25Index(
-        k1=float(raw["k1"]),
-        b=float(raw["b"]),
-        doc_len={cid: int(n) for cid, n in raw["doc_len"].items()},
-        postings={
-            term: {cid: int(f) for cid, f in posting.items()}
-            for term, posting in raw["postings"].items()
-        },
-    )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: malformed entry: {exc}") from exc
     if bm25.doc_len:
         bm25.avgdl = sum(bm25.doc_len.values()) / len(bm25.doc_len)
-    return trie, bm25, int(snapshot["chunk_units"])
+    return trie, bm25, chunk_units

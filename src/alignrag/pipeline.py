@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .config import Config
 from .corpus import Corpus
 from .embedding import (
@@ -26,7 +28,6 @@ from .info_align import (
     BaseEntry,
     KeywordAlignment,
     align_keyword,
-    clamp01,
     extract_keywords,
     retrieve_base,
 )
@@ -302,8 +303,9 @@ class RetrievalEngine:
 
     def relevance_map(self, question_vec) -> dict[str, float]:
         """Clamped best-chunk similarity for every corpus object."""
-        sims = object_similarity(self.store, question_vec).tolist()
-        return {oid: clamp01(s) for oid, s in zip(self.store.object_ids, sims)}
+        # + 0.0 turns -0.0 into 0.0, as in retrieve_base
+        sims = np.clip(object_similarity(self.store, question_vec), 0.0, 1.0) + 0.0
+        return dict(zip(self.store.object_ids, sims.tolist()))
 
     def run_arm(
         self,

@@ -13,9 +13,8 @@ connection strength. The solver is an exact branch and bound over the
 selection indicators with a closed-form completion of the connection
 variables. It branches on objects in order of decreasing potential
 (relevance plus half the object's k-1 strongest connections) and bounds
-each node by the smaller of a relevance-plus-top-connections bound and a
-per-object bound that counts each connection among the objects still to
-be chosen half at each end. A brute-force enumerator provides an
+each node per object: a connection among the objects still to be chosen
+counts half at each end. A brute-force enumerator provides an
 independent route to the same optimum.
 """
 
@@ -37,7 +36,7 @@ from .ngram_index import normalize_tokens
 
 _BOUND_SLACK = 1e-12
 # Most branch-and-bound nodes solve_mip visits before it raises TooLarge.
-# A dense 40-object instance with k=5 needs about 3,400.
+# A dense 40-object instance with k=5 needs about 3,900.
 _NODE_BUDGET = 200_000
 
 
@@ -485,15 +484,12 @@ def solve_mip(instance: MipInstance) -> Draft:
     ½·(i's k-1 strongest connections)``, each included before it is
     excluded, so the first selections reached are strong incumbents. With
     I the included objects, U the undecided ones and need = k - |I|, a node
-    is pruned when the smaller of two upper bounds falls below the best
-    objective found:
-
-    - r(I) + the best ``need`` relevances in U + the top 2(k-1) strengths
-      with no excluded endpoint;
-    - r(I) + the strengths inside I + the best ``need`` values over t in U
-      of ``r_t + Σ_{i∈I} c(t, i) + ½·(t's need-1 strongest connections
-      within U)``, which counts every connection among the objects still
-      to be chosen half at each end.
+    is pruned when this upper bound falls below the best objective found:
+    r(I) + the strengths inside I + the best ``need`` values over t in U of
+    ``r_t + Σ_{i∈I} c(t, i) + ½·(t's need-1 strongest connections within
+    U)``, which counts every connection among the objects still to be
+    chosen half at each end. The bound ignores the 2(k-1) connection cap;
+    the leaves apply it.
 
     Ties in the optimum resolve to the lexicographically smallest id set.
     Raises ``TooLarge`` once the search visits more than ``_NODE_BUDGET``
@@ -503,26 +499,22 @@ def solve_mip(instance: MipInstance) -> Draft:
     k = instance.k
     if k > m:
         raise Infeasible(f"k={k} exceeds {m} objects")
-    cap = 2 * (k - 1)
     rel = instance.relevance
     neighbors: list[list[tuple[float, int]]] = [[] for _ in range(m)]
-    edges: list[tuple[float, int, int]] = []
     for (i, j), c in instance.compat.items():
         if c > 0.0:
             neighbors[i].append((c, j))
             neighbors[j].append((c, i))
-            edges.append((c, i, j))
     for nbrs in neighbors:
         nbrs.sort(reverse=True)
-    edges.sort(reverse=True)
-    by_relevance = sorted(((r, i) for i, r in enumerate(rel)), reverse=True)
     potential = [
         rel[i] + 0.5 * sum(c for c, _ in neighbors[i][: k - 1]) for i in range(m)
     ]
     order = sorted(range(m), key=lambda i: (-potential[i], i))
-
-    undecided, included, excluded = 0, 1, 2
-    state = [undecided] * m
+    # the objects at order[pos:] are the undecided ones at depth pos
+    rank = [0] * m
+    for r, i in enumerate(order):
+        rank[i] = r
     # cross[t]: total strength between t and the included objects
     cross = [0.0] * m
     chosen: list[int] = []
@@ -532,31 +524,13 @@ def solve_mip(instance: MipInstance) -> Draft:
     best_ids: Optional[tuple[str, ...]] = None
     best: Optional[tuple[list[int], list[tuple[int, int]]]] = None
 
-    def relevance_bound(r_in: float, need: int) -> float:
-        total, taken = r_in, 0
-        for r, i in by_relevance:
-            if state[i] == undecided:
-                total += r
-                taken += 1
-                if taken == need:
-                    break
-        if cap > 0:
-            taken = 0
-            for c, i, j in edges:
-                if state[i] != excluded and state[j] != excluded:
-                    total += c
-                    taken += 1
-                    if taken == cap:
-                        break
-        return total
-
     def potential_bound(pos: int, base: float, need: int) -> float:
         values = []
         for t in order[pos:]:
             half, taken = 0.0, 0
             if need > 1:
                 for c, j in neighbors[t]:
-                    if state[j] == undecided:
+                    if rank[j] >= pos:
                         half += c
                         taken += 1
                         if taken == need - 1:
@@ -565,7 +539,8 @@ def solve_mip(instance: MipInstance) -> Draft:
         values.sort(reverse=True)
         return base + sum(values[:need])
 
-    def visit(pos: int, r_in: float, e_in: float) -> None:
+    # base: relevance of the included objects plus the strengths among them
+    def visit(pos: int, base: float) -> None:
         nonlocal best_obj, best_ids, best, nodes
         nodes += 1
         if nodes > _NODE_BUDGET:
@@ -582,25 +557,19 @@ def solve_mip(instance: MipInstance) -> Draft:
         need = k - len(chosen)
         if need > m - pos:
             return
-        floor = best_obj - _BOUND_SLACK
-        if relevance_bound(r_in, need) < floor:
-            return
-        if potential_bound(pos, r_in + e_in, need) < floor:
+        if potential_bound(pos, base, need) < best_obj - _BOUND_SLACK:
             return
         v = order[pos]
         saved = cross[:]
         for c, j in neighbors[v]:
             cross[j] += c
-        state[v] = included
         chosen.append(v)
-        visit(pos + 1, r_in + rel[v], e_in + saved[v])
+        visit(pos + 1, base + rel[v] + saved[v])
         chosen.pop()
         cross[:] = saved
-        state[v] = excluded
-        visit(pos + 1, r_in, e_in)
-        state[v] = undecided
+        visit(pos + 1, base)
 
-    visit(0, 0.0, 0.0)
+    visit(0, 0.0)
     assert best is not None
     return _draft_from_indices(instance, best[0], best[1])
 

@@ -346,6 +346,25 @@ class TestLoadQuestions:
         with pytest.raises(ParseError, match="line 2"):
             load_questions(path)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([1], "expected a JSON object"),
+            ("q1", "expected a JSON object"),
+            ({"gold_object_ids": "t1"}, "list of ids"),
+            ({"gold_object_ids": [["t1"]]}, "list of ids"),
+            ({"gold_object_ids": [None]}, "list of ids"),
+            ({"gold_object_ids": [True]}, "list of ids"),
+        ],
+    )
+    def test_malformed_line_is_parse_error(self, tmp_path, record, message):
+        if isinstance(record, dict):
+            record = dict({"question_id": "q", "question": "x"}, **record)
+        path = self.write(tmp_path, [json.dumps(record)])
+        with pytest.raises(ParseError, match=message) as info:
+            load_questions(path)
+        assert f"{path} line 1" in str(info.value)
+
 
 QUESTIONS = [
     Question("q1", "paris population", ("t1",)),

@@ -228,6 +228,15 @@ class TestRetrieve:
         assert code == 1
         assert "error: index file not found" in capsys.readouterr().err
 
+    def test_malformed_index_reported(self, workdir, capsys):
+        index = workdir["tmp"] / "partial.json"
+        index.write_text(json.dumps({"format": "alignrag-index-v1"}))
+        argv = ["retrieve", "q", "--corpus", workdir["corpus"], "--index", str(index)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: index file {index}: missing key")
+
     @pytest.mark.parametrize("command", ["retrieve", "eval"])
     def test_index_of_another_corpus_rejected(self, workdir, capsys, command):
         other = [
@@ -418,6 +427,17 @@ class TestEvalRun:
         )
         assert code == 1
         assert "error: questions file not found" in capsys.readouterr().err
+
+    def test_malformed_questions_reported(self, workdir, capsys):
+        questions = workdir["tmp"] / "bad.jsonl"
+        questions.write_text("[1]\n")
+        argv = ["eval", "run", "--questions", str(questions)]
+        argv += ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        argv += ["--out", str(workdir["tmp"] / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: questions file {questions} line 1: ")
+        assert "expected a JSON object" in err
 
     def test_unknown_gold_id_reported(self, workdir, capsys):
         bad = write_jsonl(

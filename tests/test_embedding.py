@@ -185,6 +185,25 @@ class TestFileProvider:
         with pytest.raises(ParseError, match="line 1"):
             FileVectorProvider(str(path))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1]", "expected a JSON object"),
+            ('{"chunk_id": "a", "vector": ["x"]}', "flat list of numbers"),
+            ('{"chunk_id": "a", "vector": [[1.0, 2.0]]}', "flat list of numbers"),
+            ('{"chunk_id": "a", "vector": [1.0, null]}', "flat list of numbers"),
+            ('{"chunk_id": "a", "vector": [true, 1.0]}', "flat list of numbers"),
+        ],
+    )
+    def test_malformed_line_is_parse_error(self, tmp_path, line, message):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(json.dumps({"chunk_id": "b", "vector": [1.0, 0.0]}) + "\n")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(ParseError, match=message) as info:
+            FileVectorProvider(str(path))
+        assert f"{path} line 2" in str(info.value)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text("\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -273,6 +274,36 @@ class TestPersistence:
         path.write_text("{nope")
         with pytest.raises(ParseError):
             load_index(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: [s], "expected a JSON object"),
+            (lambda s: {"format": s["format"]}, "missing key 'chunk_units'"),
+            (lambda s: dict(s, chunk_units="20"), "'chunk_units' has type str"),
+            (lambda s: dict(s, chunk_units=True), "'chunk_units' has type bool"),
+            (lambda s: dict(s, ngrams="apple"), "'ngrams' has type str"),
+            (lambda s: dict(s, ngrams=["apple"]), "every n-gram must be a list"),
+            (lambda s: dict(s, ngrams=[[7]]), "malformed entry"),
+            (lambda s: dict(s, bm25=[]), "'bm25' has type list"),
+            (lambda s: dict(s, bm25={}), "bm25: missing key 'k1'"),
+            (lambda s: dict(s, bm25=dict(s["bm25"], b="x")), "'b' has type str"),
+            (lambda s: dict(s, bm25=dict(s["bm25"], doc_len=[])), "'doc_len'"),
+            (
+                lambda s: dict(s, bm25=dict(s["bm25"], postings={"apple": [1]})),
+                "malformed entry",
+            ),
+        ],
+    )
+    def test_malformed_snapshot_is_parse_error(self, tmp_path, edit, message):
+        chunks = [chunk(cid, text) for cid, text in BM25_DOCS.items()]
+        path = tmp_path / "index.json"
+        save_index(str(path), build_trie(corpus_ngrams(chunks)), build_bm25(chunks), 20)
+        snapshot = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(snapshot)))
+        with pytest.raises(ParseError, match=message) as info:
+            load_index(str(path))
+        assert str(path) in str(info.value)
 
 
 def test_bm25_dataclass_defaults():

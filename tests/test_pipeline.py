@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from alignrag import pipeline, struct_align
 from alignrag.config import Config
+from alignrag.corpus import build_corpus
 from alignrag.embedding import FileVectorProvider, HashEmbeddingProvider
 from alignrag.errors import ValidationError
 from alignrag.info_align import AlignedList, KeywordAlignment
@@ -22,6 +24,8 @@ from alignrag.pipeline import (
     build_scorer,
     render_alignment,
 )
+import oracles
+from conftest import make_passage
 from planted import build_planted
 
 
@@ -81,6 +85,72 @@ class TestEngine:
         assert set(relevance) == {"t1", "t2", "p1"}
         assert all(0.0 <= v <= 1.0 for v in relevance.values())
         assert relevance["p1"] > relevance["t2"]
+
+    @staticmethod
+    def clamped(cosine):
+        return 0.0 if cosine <= 0.0 else (1.0 if cosine >= 1.0 else cosine)
+
+    def test_relevance_map_matches_oracle(self, city_objects):
+        corpus = build_corpus(city_objects, chunk_units=1)
+        assert any(len(cs) > 1 for cs in corpus.chunks_by_object.values())
+        provider = HashEmbeddingProvider(dimension=64, seed=0)
+        engine = RetrievalEngine(corpus, provider=provider)
+        for question in ["paris population", "lyon", "country area of france", "zz"]:
+            question_vec = provider.embed(question)
+            relevance = engine.relevance_map(question_vec)
+            assert list(relevance) == [obj.id for obj in corpus.objects]
+            for oid, chunks in corpus.chunks_by_object.items():
+                best = max(
+                    oracles.cosine_np(question_vec, oracles.hash_embed(c.text, 0, 64))
+                    for c in chunks
+                )
+                assert repr(relevance[oid]) == repr(self.clamped(best))
+
+    def test_relevance_map_clamps_negative_cosines(self, tmp_path):
+        # against the question [-1, 0], "neg" has a negative cosine and
+        # "orth" a zero one
+        objects = [
+            make_passage("neg", "a", ["b"]),
+            make_passage("orth", "c", ["d"]),
+            make_passage("pos", "e", ["f"]),
+            make_passage("same", "g", ["h"]),
+        ]
+        corpus = build_corpus(objects)
+        vectors = {
+            "neg#0": [1.0, 0.5],
+            "orth#0": [0.0, 1.0],
+            "pos#0": [-0.5, 0.25],
+            "same#0": [-2.0, 0.0],
+            "q": [-1.0, 0.0],
+        }
+        assert {c.chunk_id for c in corpus.chunks} == set(vectors) - {"q"}
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"chunk_id": key, "vector": vector}) + "\n"
+                for key, vector in vectors.items()
+            )
+        )
+        provider = FileVectorProvider(str(path))
+        engine = RetrievalEngine(corpus, provider=provider)
+        relevance = engine.relevance_map(provider.embed("q"))
+        for oid, chunks in corpus.chunks_by_object.items():
+            best = max(
+                oracles.cosine_np(vectors["q"], vectors[c.chunk_id]) for c in chunks
+            )
+            assert repr(relevance[oid]) == repr(self.clamped(best))
+        assert repr(relevance["neg"]) == repr(relevance["orth"]) == "0.0"
+        assert 0.0 < relevance["pos"] < 1.0
+        assert relevance["same"] == 1.0
+
+    def test_relevance_map_turns_signed_zero_positive(self, city_corpus, monkeypatch):
+        # a dot product of signed zeros can sum to -0.0, depending on the
+        # BLAS; relevance reads it as 0.0, as clamping a float does
+        engine = RetrievalEngine(city_corpus)
+        sims = np.array([-0.0, -0.25, 1.5])
+        monkeypatch.setattr(pipeline, "object_similarity", lambda store, vec: sims)
+        relevance = engine.relevance_map(engine.provider.embed("paris"))
+        assert [repr(v) for v in relevance.values()] == ["0.0", "0.0", "1.0"]
 
 
 class TestCompatibilityCost:
