@@ -145,12 +145,19 @@ def chunk_object(obj: DataObject, max_units: int = 20) -> tuple[Chunk, ...]:
     )
 
 
-def _object_from_record(record: dict, line_no: int) -> DataObject:
+def _strings(values: object) -> bool:
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
+def _object_from_record(record: object, where: str) -> DataObject:
+    """The object a parsed JSONL line describes. Text fields must be
+    strings and ``columns``, ``rows`` and ``sentences`` lists of them;
+    a malformed record raises ParseError naming ``where``."""
     if not isinstance(record, dict):
-        raise ParseError(f"line {line_no}: expected a JSON object")
+        raise ParseError(f"{where}: expected a JSON object")
     kind_raw = record.get("kind")
     if kind_raw not in (ObjectKind.TABLE.value, ObjectKind.PASSAGE.value):
-        raise ParseError(f"line {line_no}: unknown kind {kind_raw!r}")
+        raise ParseError(f"{where}: unknown kind {kind_raw!r}")
     kind = ObjectKind(kind_raw)
     allowed = _TABLE_KEYS if kind is ObjectKind.TABLE else _PASSAGE_KEYS
     extra = set(record) - allowed
@@ -160,25 +167,33 @@ def _object_from_record(record: dict, line_no: int) -> DataObject:
         )
     for key in ("id", "title"):
         if not isinstance(record.get(key), str):
-            raise ParseError(f"line {line_no}: missing or non-string {key!r}")
+            raise ParseError(f"{where}: missing or non-string {key!r}")
     description = record.get("description")
     if description is not None and not isinstance(description, str):
-        raise ParseError(f"line {line_no}: description must be a string")
+        raise ParseError(f"{where}: description must be a string")
     if kind is ObjectKind.TABLE:
+        columns, rows = record.get("columns", []), record.get("rows", [])
+        if not _strings(columns):
+            raise ParseError(f"{where}: 'columns' must be a list of strings")
+        if not (isinstance(rows, list) and all(map(_strings, rows))):
+            raise ParseError(f"{where}: 'rows' must be a list of lists of strings")
         return DataObject(
             id=record["id"],
             kind=kind,
             title=record["title"],
             description=description,
-            columns=tuple(str(c) for c in record.get("columns", ())),
-            rows=tuple(tuple(str(c) for c in row) for row in record.get("rows", ())),
+            columns=tuple(columns),
+            rows=tuple(map(tuple, rows)),
         )
+    sentences = record.get("sentences", [])
+    if not _strings(sentences):
+        raise ParseError(f"{where}: 'sentences' must be a list of strings")
     return DataObject(
         id=record["id"],
         kind=kind,
         title=record["title"],
         description=description,
-        sentences=tuple(str(s) for s in record.get("sentences", ())),
+        sentences=tuple(sentences),
     )
 
 
@@ -189,11 +204,12 @@ def load_corpus(path: str, chunk_units: int = 20) -> Corpus:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            where = f"corpus file {path} line {line_no}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"line {line_no}: {exc.msg}") from exc
-            objects.append(_object_from_record(record, line_no))
+                raise ParseError(f"{where}: {exc.msg}") from exc
+            objects.append(_object_from_record(record, where))
     return build_corpus(objects, chunk_units=chunk_units)
 
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Protocol, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +46,10 @@ class HashEmbeddingProvider:
 
     Identical text always maps to the identical vector for a given
     (seed, dimension); text with no tokens maps to a fixed basis vector
-    so every embedding has unit norm.
+    so every embedding has unit norm. Each token's bucket is a keyed
+    blake2b hash; the buckets of the texts embedded in batches (the
+    corpus) are kept in a table, so each distinct corpus token is hashed
+    once.
     """
 
     name = "hash"
@@ -53,22 +59,65 @@ class HashEmbeddingProvider:
             raise ProviderError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
         self.seed = seed
+        self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        """Uncached: callers that reuse a vector keep their own copy."""
+        """The text's token counts per bucket divided by their Euclidean
+        norm, as a fresh read-only array; a text with no tokens maps to the
+        first basis vector.
+
+        Tokens of the batch-embedded texts read their bucket from the
+        table; any other token is hashed on each call and not stored, so
+        the table stays bounded by the corpus. Counts are integers, so the
+        norm taken over the distinct buckets alone is exact. Uncached:
+        callers that reuse a vector keep their own copy.
+        """
         vec = np.zeros(self.dimension, dtype=np.float64)
         tokens = normalize_tokens(text)
-        if not tokens:
-            vec[0] = 1.0
+        if tokens:
+            table = self._buckets
+            counts = Counter(
+                table[tok] if tok in table else _bucket(tok, self.seed, self.dimension)
+                for tok in tokens
+            )
+            norm = math.sqrt(sum(c * c for c in counts.values()))
+            vec[list(counts)] = [c / norm for c in counts.values()]
         else:
-            for tok in tokens:
-                vec[_bucket(tok, self.seed, self.dimension)] += 1.0
-            vec /= np.linalg.norm(vec)
+            vec[0] = 1.0
         vec.setflags(write=False)
         return vec
 
     def embed_chunk(self, chunk: Chunk) -> np.ndarray:
         return self.embed(chunk.text)
+
+    def _rows(self, texts: Sequence[str]) -> SparseRows:
+        """Every text's ``embed`` vector as one sparse row, built from one
+        ``np.unique`` over (row, bucket) keys; new tokens enter the table.
+
+        Counts are integers, so their sum of squares, its square root and
+        each ``count / norm`` are the bits ``embed`` computes.
+        """
+        token_lists = [normalize_tokens(text) for text in texts]
+        table = self._buckets
+        for tok in set(chain.from_iterable(token_lists)).difference(table):
+            table[tok] = _bucket(tok, self.seed, self.dimension)
+        n, dim = len(token_lists), self.dimension
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n)
+        buckets = np.fromiter(
+            map(table.__getitem__, chain.from_iterable(token_lists)),
+            dtype=np.intp,
+            count=int(lengths.sum()),
+        )
+        keys = np.repeat(np.arange(n, dtype=np.intp) * dim, lengths) + buckets
+        # a text with no tokens counts once in bucket 0, the basis vector
+        keys = np.concatenate((keys, np.flatnonzero(lengths == 0) * dim))
+        keys, counts = np.unique(keys, return_counts=True)
+        owners = keys // dim
+        counts = counts.astype(np.float64)
+        norms = np.sqrt(np.bincount(owners, weights=counts * counts, minlength=n))
+        ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owners, minlength=n), out=ptr[1:])
+        return SparseRows(ptr=ptr, indices=keys % dim, values=counts / norms[owners])
 
 
 class FileVectorProvider:
@@ -214,33 +263,73 @@ class VectorStore:
         return self.norms.shape[0]
 
 
+def embed_rows(
+    provider: EmbeddingProvider, items: Union[Sequence[Chunk], Sequence[str]]
+) -> tuple[SparseRows, np.ndarray]:
+    """Every item's vector as a sparse row (its non-zero coordinates,
+    ascending, with their values) and the vector's 1-D norm, as cosine
+    takes it. Chunks are embedded with ``embed_chunk``, strings with
+    ``embed``.
+
+    A ``HashEmbeddingProvider`` embeds them all in one batch; a subclass
+    may override either method, so it goes through them one vector at a
+    time like every other provider.
+    """
+    if type(provider) is HashEmbeddingProvider:
+        rows = provider._rows([i.text if isinstance(i, Chunk) else i for i in items])
+        return rows, _dense_norms(rows, provider.dimension)
+    norms = np.empty(len(items), dtype=np.float64)
+    supports, weights = [], []
+    for i, item in enumerate(items):
+        chunk = isinstance(item, Chunk)
+        vec = provider.embed_chunk(item) if chunk else provider.embed(item)
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (provider.dimension,):
+            raise DimensionMismatch(
+                f"{_label(item)}: vector {vec.shape}, provider dim {provider.dimension}"
+            )
+        norms[i] = np.linalg.norm(vec)
+        if norms[i] == 0.0:
+            raise ZeroVector(f"{_label(item)} has a zero-norm vector")
+        support = np.flatnonzero(vec != 0.0)
+        supports.append(support)
+        weights.append(vec[support])
+    return SparseRows.from_rows(supports, weights), norms
+
+
+def _label(item: Union[Chunk, str]) -> str:
+    return f"chunk {item.chunk_id!r}" if isinstance(item, Chunk) else f"text {item!r}"
+
+
+def _dense_norms(rows: SparseRows, dimension: int) -> np.ndarray:
+    """``np.linalg.norm`` of each row's dense vector. BLAS sums the squares
+    in lanes set by coordinate position, so the sum over the row's values
+    alone can differ in the last bit; each row is scattered into one
+    reusable buffer instead."""
+    buffer = np.zeros(dimension, dtype=np.float64)
+    norms = np.empty(len(rows.ptr) - 1, dtype=np.float64)
+    bounds = rows.ptr.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        support = rows.indices[lo:hi]
+        buffer[support] = rows.values[lo:hi]
+        norms[i] = np.linalg.norm(buffer)
+        buffer[support] = 0.0
+    return norms
+
+
 def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> VectorStore:
     """Embed every chunk once into a store grouped by object."""
     grouped: dict[str, list[Chunk]] = {}
     for chunk in chunks:
         grouped.setdefault(chunk.object_id, []).append(chunk)
     rows = [chunk for group in grouped.values() for chunk in group]
-    norms = np.empty(len(rows), dtype=np.float64)
-    supports, weights = [], []
-    for i, chunk in enumerate(rows):
-        vec = np.asarray(provider.embed_chunk(chunk), dtype=np.float64)
-        if vec.shape != (provider.dimension,):
-            raise DimensionMismatch(
-                f"chunk {chunk.chunk_id!r}: vector {vec.shape}, "
-                f"provider dim {provider.dimension}"
-            )
-        norms[i] = np.linalg.norm(vec)  # the 1-D norm, as cosine takes it
-        if norms[i] == 0.0:
-            raise ZeroVector(f"chunk {chunk.chunk_id!r} has a zero-norm vector")
-        support = np.flatnonzero(vec != 0.0)
-        supports.append(support)
-        weights.append(vec[support])
+    vectors, norms = embed_rows(provider, rows)
     sizes = [len(group) for group in grouped.values()]
     offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
     return VectorStore(
         dimension=provider.dimension,
         object_ids=tuple(grouped),
-        columns=SparseRows.from_rows(supports, weights).transpose(provider.dimension),
+        columns=vectors.transpose(provider.dimension),
         offsets=offsets,
         chunk_rows={chunk.chunk_id: i for i, chunk in enumerate(rows)},
         norms=norms,

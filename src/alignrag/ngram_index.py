@@ -12,6 +12,7 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .corpus import Chunk
@@ -100,16 +101,22 @@ class NGramTrie:
         self._size = 0
 
     def add(self, ngram: NGram) -> None:
-        node = self.root
-        for tok in ngram.tokens:
-            child = node.children.get(tok)
-            if child is None:
-                child = node.children[tok] = _TrieNode()
-                node._sorted = None
-            node = child
-        if not node.terminal:
-            node.terminal = True
-            self._size += 1
+        self._insert((ngram.tokens,))
+
+    def _insert(self, token_lists: Iterable[Sequence[str]]) -> None:
+        """Store each token sequence; callers have checked the tokens."""
+        root = self.root
+        for tokens in token_lists:
+            node = root
+            for tok in tokens:
+                child = node.children.get(tok)
+                if child is None:
+                    child = node.children[tok] = _TrieNode()
+                    node._sorted = None
+                node = child
+            if not node.terminal:
+                node.terminal = True
+                self._size += 1
 
     def __len__(self) -> int:
         return self._size
@@ -136,8 +143,7 @@ class NGramTrie:
 
 def build_trie(ngrams: Iterable[NGram]) -> NGramTrie:
     trie = NGramTrie()
-    for gram in ngrams:
-        trie.add(gram)
+    trie._insert(gram.tokens for gram in ngrams)
     return trie
 
 
@@ -245,6 +251,11 @@ def _key(record: dict, key: str, kind: type | tuple[type, ...], where: str):
 
 
 def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
+    """The trie, BM25 statistics and ``chunk_units`` saved by ``save_index``.
+
+    Each n-gram's length is checked, and each distinct token once; a
+    malformed file raises ParseError naming it.
+    """
     where = f"index file {path}"
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -262,10 +273,25 @@ def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     b = _key(raw, "b", (int, float), f"{where} bm25")
     doc_len = _key(raw, "doc_len", dict, f"{where} bm25")
     postings = _key(raw, "postings", dict, f"{where} bm25")
-    if not all(isinstance(toks, list) for toks in ngrams):
-        raise ParseError(f"{where}: every n-gram must be a list of tokens")
+    if not all(
+        isinstance(toks, list) and 1 <= len(toks) <= MAX_NGRAM for toks in ngrams
+    ):
+        raise ParseError(
+            f"{where}: every n-gram must be a list of 1 to {MAX_NGRAM} tokens"
+        )
     try:
-        trie = build_trie(NGram(tokens=tuple(toks)) for toks in ngrams)
+        vocab = dict.fromkeys(chain.from_iterable(ngrams))  # first-seen order
+    except TypeError as exc:
+        raise ParseError(f"{where}: malformed entry: {exc}") from exc
+    for tok in vocab:
+        if not isinstance(tok, str) or normalize_tokens(tok) != [tok]:
+            raise ParseError(
+                f"{where}: malformed entry: n-gram token {tok!r} is not a "
+                "normalized token"
+            )
+    trie = NGramTrie()
+    trie._insert(ngrams)
+    try:
         bm25 = Bm25Index(
             k1=float(k1),
             b=float(b),

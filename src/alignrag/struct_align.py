@@ -29,8 +29,8 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, DataObject, ObjectKind
-from .embedding import EmbeddingProvider, SparseRows, top_objects
-from .errors import Infeasible, TooLarge, ValidationError, ZeroVector
+from .embedding import EmbeddingProvider, SparseRows, embed_rows, top_objects
+from .errors import Infeasible, TooLarge, ValidationError
 from .info_align import clamp01
 from .ngram_index import normalize_tokens
 
@@ -133,17 +133,7 @@ class _UnitIndex:
                 value_rows.append(np.array(sorted(ids)))
         column_bounds.append(len(column_text))
 
-        coordinates, weights = [], []
-        self.norms = np.empty(len(texts))
-        for text, tid in texts.items():
-            vec = np.asarray(provider.embed(text), dtype=np.float64)
-            self.norms[tid] = np.linalg.norm(vec)  # the 1-D norm, as cosine takes it
-            if self.norms[tid] == 0.0:
-                raise ZeroVector(f"text {text!r} has a zero-norm vector")
-            support = np.flatnonzero(vec != 0.0)
-            coordinates.append(support)
-            weights.append(vec[support])
-        self.vectors = SparseRows.from_rows(coordinates, weights)
+        self.vectors, self.norms = embed_rows(provider, list(texts))  # in id order
         self.buckets = self.vectors.transpose(provider.dimension)
         self.tokens = SparseRows.from_rows(token_rows)
         self.token_texts = self.tokens.transpose(len(vocab))

@@ -203,6 +203,40 @@ class TestLoadSave:
         with pytest.raises(ParseError, match="title"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "passage", "sentences": "abc"}, "'sentences' must be a list"),
+            ({"kind": "passage", "sentences": ["a", 7]}, "'sentences' must be a list"),
+            ({"kind": "passage", "sentences": [["a"]]}, "'sentences' must be a list"),
+            ({"kind": "table", "columns": "ab"}, "'columns' must be a list of strings"),
+            ({"kind": "table", "columns": ["a", None]}, "'columns' must be a list"),
+            ({"kind": "table", "columns": {"a": 1}}, "'columns' must be a list"),
+            ({"kind": "table", "columns": ["a"], "rows": "zz"}, "'rows' must be a list"),
+            ({"kind": "table", "columns": ["a"], "rows": ["z"]}, "'rows' must be a list"),
+            ({"kind": "table", "columns": ["a"], "rows": [[1.5]]}, "lists of strings"),
+            ({"kind": "table", "columns": ["a"], "rows": [[True]]}, "lists of strings"),
+            ({"kind": "passage", "sentences": ["s"], "description": 3}, "description"),
+            ({"kind": "passage", "sentences": ["s"], "id": 5}, "'id'"),
+        ],
+    )
+    def test_wrong_field_types_name_file_and_line(self, tmp_path, fields, message):
+        good = {"id": "a", "kind": "passage", "title": "t", "sentences": ["s"]}
+        record = dict({"id": "b", "title": "t"}, **fields)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=message) as info:
+            load_corpus(str(path))
+        assert f"{path} line 2" in str(info.value)
+
+    @pytest.mark.parametrize("line", ["{oops", "[1]", '{"id": "b", "kind": "graph"}'])
+    def test_malformed_line_names_file(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ParseError) as info:
+            load_corpus(str(path))
+        assert f"{path} line 1" in str(info.value)
+
     def test_duplicate_id_across_lines(self, tmp_path):
         record = {"id": "a", "kind": "passage", "title": "t", "sentences": ["s"]}
         path = tmp_path / "dup.jsonl"

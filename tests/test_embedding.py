@@ -27,9 +27,10 @@ from alignrag.errors import (
 )
 from alignrag.info_align import retrieve_base
 from alignrag.ngram_index import build_bm25
+from alignrag.struct_align import _UnitIndex
 
 import oracles
-from conftest import make_passage
+from conftest import make_passage, make_table
 
 
 def chunk(cid: str, text: str) -> Chunk:
@@ -305,6 +306,102 @@ class TestStore:
         base = retrieve_base(question, [], build_bm25(corpus.chunks), store, provider)
         assert [e.object_id for e in base[:2]] == ["twin-a", "twin-b"]
         assert base[0].embed == base[1].embed
+
+
+class PerVectorProvider:
+    """Exposes only embed and embed_chunk, so embedding goes one vector at
+    a time; its vectors are the independent oracle's."""
+
+    name = "per-vector"
+
+    def __init__(self, dimension: int, seed: int) -> None:
+        self.dimension = dimension
+        self.seed = seed
+
+    def embed(self, text):
+        return oracles.hash_embed(text, self.seed, self.dimension)
+
+    def embed_chunk(self, c):
+        return self.embed(c.text)
+
+
+def random_objects(rng: random.Random, n: int) -> list:
+    """Tables and passages over a small vocabulary: repeated tokens, cells
+    and headers with no tokens, passages that span several chunks."""
+    vocab = [f"w{i}" for i in range(25)] + ["...", "!!", "--"]
+
+    def text(lo, hi):
+        return " ".join(rng.choice(vocab) for _ in range(rng.randint(lo, hi)))
+
+    objects = []
+    for i in range(n):
+        if i % 2:
+            rows = [[text(0, 3) for _ in range(2)] for _ in range(rng.randint(0, 4))]
+            objects.append(make_table(f"t{i}", text(0, 2), [text(0, 2), "--"], rows))
+        else:
+            sentences = [text(0, 6) for _ in range(rng.randint(1, 5))]
+            objects.append(make_passage(f"p{i}", text(0, 3), sentences))
+    return objects
+
+
+def hex_list(array: np.ndarray) -> list:
+    values = array.tolist()
+    return [x.hex() for x in values] if array.dtype.kind == "f" else values
+
+
+def assert_rows_identical(got, want) -> None:
+    assert got.ptr.dtype == want.ptr.dtype and got.indices.dtype == want.indices.dtype
+    assert got.ptr.tolist() == want.ptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert hex_list(got.values) == hex_list(want.values)
+
+
+class TestBatchEmbedding:
+    """The hash provider's batch path against the per-vector path, bit for bit."""
+
+    # at dimension 8 the 25 words of random_objects must share buckets
+    @pytest.mark.parametrize("dimension, seed", [(8, 0), (64, 3), (4096, 0)])
+    def test_store_and_unit_index_match_per_vector_path(self, dimension, seed):
+        objects = random_objects(random.Random(dimension + seed), 30)
+        objects.append(make_passage("silent", "...", ["!!", "--"]))  # no tokens
+        objects.append(make_passage("echo", "w1 w1", ["w1 w1 w1 w2", "w2 w2"]))
+        corpus = build_corpus(objects, chunk_units=2)
+        assert any(len(cs) > 1 for cs in corpus.chunks_by_object.values())
+        fast = HashEmbeddingProvider(dimension=dimension, seed=seed)
+        slow = PerVectorProvider(dimension, seed)
+
+        got, want = embed_corpus(fast, corpus.chunks), embed_corpus(slow, corpus.chunks)
+        assert_rows_identical(got.columns, want.columns)
+        assert hex_list(got.norms) == hex_list(want.norms)
+        assert got.offsets.tolist() == want.offsets.tolist()
+        assert got.chunk_rows == want.chunk_rows
+
+        got, want = _UnitIndex(corpus, fast), _UnitIndex(corpus, slow)
+        assert_rows_identical(got.vectors, want.vectors)
+        assert_rows_identical(got.buckets, want.buckets)
+        assert hex_list(got.norms) == hex_list(want.norms)
+
+    @pytest.mark.parametrize("dimension", [8, 64])
+    def test_embed_matches_oracle_bits_before_and_after_batch(self, dimension):
+        rng = random.Random(dimension)
+        texts = [f"{rng.choice(['w1', 'W1!', 'x'])} " * 3 + f"w{i}" for i in range(20)]
+        texts += ["", "... !!", "w3 w3 w3 w3 w5"]
+        provider = HashEmbeddingProvider(dimension=dimension, seed=1)
+        for _ in range(2):  # the second round reads the buckets from the table
+            for text in texts:
+                want = oracles.hash_embed(text, 1, dimension)
+                assert hex_list(provider.embed(text)) == hex_list(want)
+            embed_corpus(provider, [chunk(f"c{i}#0", t) for i, t in enumerate(texts)])
+
+    def test_unseen_question_tokens_are_not_stored(self):
+        provider = HashEmbeddingProvider(dimension=64, seed=0)
+        embed_corpus(provider, [chunk("a#0", "paris is big"), chunk("b#0", "lyon")])
+        size = len(provider._buckets)
+        assert size == 4
+        question = "zebra quokka paris never seen"
+        vec = provider.embed(question)
+        assert len(provider._buckets) == size
+        assert hex_list(vec) == hex_list(oracles.hash_embed(question))
 
 
 class TestTopObjects:

@@ -285,6 +285,13 @@ class TestPersistence:
             (lambda s: dict(s, ngrams="apple"), "'ngrams' has type str"),
             (lambda s: dict(s, ngrams=["apple"]), "every n-gram must be a list"),
             (lambda s: dict(s, ngrams=[[7]]), "malformed entry"),
+            (lambda s: dict(s, ngrams=[[]]), "list of 1 to 3 tokens"),
+            (lambda s: dict(s, ngrams=[["a", "b", "c", "d"]]), "list of 1 to 3 tokens"),
+            (lambda s: dict(s, ngrams=[["Apple"]]), "'Apple' is not a normalized"),
+            (lambda s: dict(s, ngrams=[["x."]]), "'x.' is not a normalized"),
+            (lambda s: dict(s, ngrams=[["a b"]]), "'a b' is not a normalized"),
+            (lambda s: dict(s, ngrams=[["apple", ""]]), "'' is not a normalized"),
+            (lambda s: dict(s, ngrams=[[["apple"]]]), "malformed entry: unhashable"),
             (lambda s: dict(s, bm25=[]), "'bm25' has type list"),
             (lambda s: dict(s, bm25={}), "bm25: missing key 'k1'"),
             (lambda s: dict(s, bm25=dict(s["bm25"], b="x")), "'b' has type str"),
