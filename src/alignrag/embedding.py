@@ -90,14 +90,14 @@ class HashEmbeddingProvider:
     def embed_chunk(self, chunk: Chunk) -> np.ndarray:
         return self.embed(chunk.text)
 
-    def _rows(self, texts: Sequence[str]) -> SparseRows:
-        """Every text's ``embed`` vector as one sparse row, built from one
-        ``np.unique`` over (row, bucket) keys; new tokens enter the table.
+    def _rows(self, token_lists: Sequence[list[str]]) -> SparseRows:
+        """The ``embed`` vector of every text, given as its normalized
+        tokens, as one sparse row, built from one ``np.unique`` over (row,
+        bucket) keys; new tokens enter the table.
 
         Counts are integers, so their sum of squares, its square root and
         each ``count / norm`` are the bits ``embed`` computes.
         """
-        token_lists = [normalize_tokens(text) for text in texts]
         table = self._buckets
         for tok in set(chain.from_iterable(token_lists)).difference(table):
             table[tok] = _bucket(tok, self.seed, self.dimension)
@@ -192,7 +192,9 @@ class SparseRows:
 
     @classmethod
     def from_rows(
-        cls, rows: Sequence[np.ndarray], values: Optional[Sequence[np.ndarray]] = None
+        cls,
+        rows: Sequence[Sequence[int]],
+        values: Optional[Sequence[np.ndarray]] = None,
     ) -> "SparseRows":
         lengths = np.fromiter((len(r) for r in rows), dtype=np.intp, count=len(rows))
         ptr = np.zeros(len(rows) + 1, dtype=np.intp)
@@ -225,17 +227,13 @@ class SparseRows:
         positions += np.arange(positions.size)
         return positions, lengths
 
-    def accumulate(
-        self, keys: np.ndarray, weights: Optional[np.ndarray], size: int
-    ) -> np.ndarray:
-        """Per entry owner, the sum over ``keys`` of weight times stored
-        value, in ascending key order; without weights, the keys it holds."""
+    def take(self, keys: np.ndarray) -> "SparseRows":
+        """Rows ``keys``, in that order, as rows of their own."""
         positions, lengths = self.positions(keys)
-        owners = self.indices[positions]
-        if weights is None:
-            return np.bincount(owners, minlength=size)
-        products = self.values[positions] * np.repeat(weights, lengths)
-        return np.bincount(owners, weights=products, minlength=size)
+        ptr = np.zeros(len(keys) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=ptr[1:])
+        values = None if self.values is None else self.values[positions]
+        return SparseRows(ptr=ptr, indices=self.indices[positions], values=values)
 
 
 @dataclass(frozen=True)
@@ -264,19 +262,25 @@ class VectorStore:
 
 
 def embed_rows(
-    provider: EmbeddingProvider, items: Union[Sequence[Chunk], Sequence[str]]
+    provider: EmbeddingProvider,
+    items: Union[Sequence[Chunk], Sequence[str]],
+    tokens: Optional[Sequence[list[str]]] = None,
 ) -> tuple[SparseRows, np.ndarray]:
     """Every item's vector as a sparse row (its non-zero coordinates,
     ascending, with their values) and the vector's 1-D norm, as cosine
     takes it. Chunks are embedded with ``embed_chunk``, strings with
     ``embed``.
 
-    A ``HashEmbeddingProvider`` embeds them all in one batch; a subclass
-    may override either method, so it goes through them one vector at a
-    time like every other provider.
+    A ``HashEmbeddingProvider`` embeds them all in one batch, from
+    ``tokens``, each item's ``normalize_tokens`` list, when the caller has
+    them; a subclass may override either method, so it goes through them
+    one vector at a time like every other provider, which reads no tokens.
     """
     if type(provider) is HashEmbeddingProvider:
-        rows = provider._rows([i.text if isinstance(i, Chunk) else i for i in items])
+        if tokens is None:
+            texts = (i.text if isinstance(i, Chunk) else i for i in items)
+            tokens = [normalize_tokens(text) for text in texts]
+        rows = provider._rows(tokens)
         return rows, _dense_norms(rows, provider.dimension)
     norms = np.empty(len(items), dtype=np.float64)
     supports, weights = [], []

@@ -250,11 +250,30 @@ def _key(record: dict, key: str, kind: type | tuple[type, ...], where: str):
     return value
 
 
+def _check_counts(doc_len: dict, postings: dict, where: str) -> None:
+    """Raise ParseError unless every BM25 document length and posting is a
+    non-negative integer (never a bool); the check runs over all of them
+    at once and names the first bad one."""
+    counts = list(chain(doc_len.values(), *map(dict.values, postings.values())))
+    if set(map(type, counts)) <= {int} and min(counts, default=0) >= 0:
+        return
+    named = [("doc_len of", doc_len)]
+    named += [(f"posting of {term!r} in", p) for term, p in postings.items()]
+    for what, figures in named:
+        for cid, value in figures.items():
+            if type(value) is not int or value < 0:
+                raise ParseError(
+                    f"{where}: bm25 {what} {cid!r} must be a non-negative "
+                    f"integer, got {value!r}"
+                )
+
+
 def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     """The trie, BM25 statistics and ``chunk_units`` saved by ``save_index``.
 
-    Each n-gram's length is checked, and each distinct token once; a
-    malformed file raises ParseError naming it.
+    Each n-gram's length is checked, and each distinct token once, as is
+    every BM25 document length and posting; a malformed file raises
+    ParseError naming it.
     """
     where = f"index file {path}"
     with open(path, "r", encoding="utf-8") as handle:
@@ -292,17 +311,10 @@ def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     trie = NGramTrie()
     trie._insert(ngrams)
     try:
-        bm25 = Bm25Index(
-            k1=float(k1),
-            b=float(b),
-            doc_len={cid: int(n) for cid, n in doc_len.items()},
-            postings={
-                term: {cid: int(f) for cid, f in posting.items()}
-                for term, posting in postings.items()
-            },
-        )
-    except (AttributeError, TypeError, ValueError) as exc:
+        _check_counts(doc_len, postings, where)
+    except TypeError as exc:  # a posting that is not an object
         raise ParseError(f"{where}: malformed entry: {exc}") from exc
+    bm25 = Bm25Index(k1=float(k1), b=float(b), doc_len=doc_len, postings=postings)
     if bm25.doc_len:
         bm25.avgdl = sum(bm25.doc_len.values()) / len(bm25.doc_len)
     return trie, bm25, chunk_units

@@ -2,10 +2,13 @@
 
 Compatibility blends semantic similarity of embeddings with exact-value
 overlap, specialized per object-kind pair. One sparse index of the
-corpus's cells, sentences and columns computes it: ``CompatibilityCache``
-reads scores from rows, one object against the whole corpus in one
-vectorized pass, and ``compatibility`` names the connection behind a
-pair's score from the same index.
+corpus's cells, sentences and columns holds it, and one scorer reads it:
+for a batch of unit texts or column slots, it walks only the inverted
+lists that their buckets, tokens and values hit, and scores those pairs
+alone. ``CompatibilityCache`` computes the missing rows of a whole set (a
+round of expansion, a search set) in one such pass, and
+``compatibility`` names the connection behind a pair's score from the
+same pair scores.
 
 Selection is an integer program: choose exactly k objects and up to
 2(k-1) of their pairwise connections to maximize total relevance plus
@@ -77,139 +80,196 @@ def _unit_locator(obj: DataObject, n: int) -> object:
 
 
 class _UnitIndex:
-    """Every object's scoring units and columns, laid out to score one
-    object against the whole corpus in one vectorized pass.
+    """Every object's scoring units and columns, laid out so that one pass
+    scores a batch of unit texts or column slots against the corpus.
 
     Units are cells and sentences with at least one token; those without
     score 0 against everything, so they are left out. Each distinct unit
-    text and column header is embedded once; its vector's non-zero
-    coordinates and its normalized-token ids are stored as sparse rows,
-    with inverted lists over coordinates and tokens so that a pass reads
-    only shared buckets and tokens. Unit texts come first, so ids below
-    ``n_unit_texts`` carry tokens. Object ``j`` owns unit slots
-    ``unit_bounds[j]:unit_bounds[j + 1]`` and column slots
-    ``column_bounds[j]:column_bounds[j + 1]``; the first slot of each is
-    a pad (text id -1) that scores 0, which is the floor of every object
-    score and keeps ``np.maximum.reduceat`` from reading a neighbour's
-    segment when an object has no units or no columns.
+    text and column header is tokenized and embedded once. Unit texts are
+    stored as sparse rows of vector coordinates and of normalized-token
+    ids, column slots as rows of their header's coordinates and of value
+    ids, each with inverted lists, so that a pass walks only the buckets,
+    tokens and values its batch hits. Object ``j`` holds the unit texts
+    ``units.row(j)``, in unit order (``unit_sets.row(j)``: each once,
+    ascending), and the column slots ``columns.row(j)``, numbered object
+    by object; ``holders`` lists each unit text's objects.
     """
 
     def __init__(self, corpus: Corpus, provider: EmbeddingProvider) -> None:
         texts: dict[str, int] = {}
+        token_lists: list[list[str]] = []  # by text id
         vocab: dict[str, int] = {}
-        token_rows: list[np.ndarray] = []
+        token_rows: list[list[int]] = []
         unit_ids: dict[str, int] = {}  # -1: no tokens
-        unit_text: list[int] = []
-        unit_bounds: list[int] = []
+        unit_rows: list[list[int]] = []
         for obj in corpus.objects:
-            unit_bounds.append(len(unit_text))
-            unit_text.append(-1)
+            row = []
             for _, unit in _units(obj):
                 tid = unit_ids.get(unit)
                 if tid is None:
-                    tokens = {
-                        vocab.setdefault(t, len(vocab)) for t in normalize_tokens(unit)
-                    }
+                    tokens = normalize_tokens(unit)
                     tid = unit_ids[unit] = len(texts) if tokens else -1
                     if tokens:
                         texts[unit] = tid
-                        token_rows.append(np.array(sorted(tokens)))
+                        token_lists.append(tokens)
+                        ids = {vocab.setdefault(t, len(vocab)) for t in tokens}
+                        token_rows.append(sorted(ids))
                 if tid >= 0:
-                    unit_text.append(tid)
-        unit_bounds.append(len(unit_text))
-        self.n_unit_texts = len(texts)
+                    row.append(tid)
+            unit_rows.append(row)
+        n_units = len(texts)
 
         values: dict[str, int] = {}
-        value_rows: list[np.ndarray] = []
-        column_text: list[int] = []
-        column_bounds: list[int] = []
+        value_rows: list[list[int]] = []
+        slot_text: list[int] = []
         for obj in corpus.objects:
-            column_bounds.append(len(column_text))
-            column_text.append(-1)
-            value_rows.append(np.empty(0))
             for c, header in enumerate(obj.columns):
-                column_text.append(texts.setdefault(header, len(texts)))
+                if header not in texts:
+                    texts[header] = len(texts)
+                    # a header that is a unit text is one without tokens
+                    tokens = [] if header in unit_ids else normalize_tokens(header)
+                    token_lists.append(tokens)
+                slot_text.append(texts[header])
                 ids = {values.setdefault(row[c], len(values)) for row in obj.rows}
-                value_rows.append(np.array(sorted(ids)))
-        column_bounds.append(len(column_text))
+                value_rows.append(sorted(ids))
 
-        self.vectors, self.norms = embed_rows(provider, list(texts))  # in id order
-        self.buckets = self.vectors.transpose(provider.dimension)
+        dim = provider.dimension
+        vectors, norms = embed_rows(provider, list(texts), tokens=token_lists)
+        self.vectors = vectors.take(np.arange(n_units))
+        self.norms = norms[:n_units]
+        self.buckets = self.vectors.transpose(dim)
         self.tokens = SparseRows.from_rows(token_rows)
         self.token_texts = self.tokens.transpose(len(vocab))
         self.n_tokens = np.diff(self.tokens.ptr)
+        slots = np.array(slot_text, dtype=np.intp)
+        self.slot_vectors = vectors.take(slots)
+        self.slot_norms = norms[slots]
+        self.slot_buckets = self.slot_vectors.transpose(dim)
         self.values = SparseRows.from_rows(value_rows)
         self.value_columns = self.values.transpose(len(values))
         self.n_values = np.diff(self.values.ptr)
-        self.unit_text = np.array(unit_text, dtype=np.intp)
-        self.unit_bounds = np.array(unit_bounds, dtype=np.intp)
-        self.column_text = np.array(column_text, dtype=np.intp)
-        self.column_bounds = np.array(column_bounds, dtype=np.intp)
+
+        self.units = SparseRows.from_rows(unit_rows)
+        self.unit_sets = SparseRows.from_rows([sorted(set(row)) for row in unit_rows])
+        self.holders = self.unit_sets.transpose(n_units)
+        n_columns = [len(obj.columns) for obj in corpus.objects]
+        self.slot_owner = np.repeat(np.arange(len(n_columns)), n_columns)
+        ptr = np.concatenate(([0], np.cumsum(n_columns, dtype=np.intp)))
+        self.columns = SparseRows(ptr=ptr, indices=np.arange(ptr[-1]))
         self.objects = corpus.objects
         self.is_table = np.array(
             [obj.kind is ObjectKind.TABLE for obj in corpus.objects]
         )
 
-    def _cosines(self, tid: int) -> np.ndarray:
-        """Clamped cosine of text ``tid`` with every indexed text."""
-        dots = self.buckets.accumulate(*self.vectors.row(tid), len(self.norms))
-        return np.clip(dots / (self.norms[tid] * self.norms), 0.0, 1.0)
+    def _pairs(
+        self,
+        keys: np.ndarray,
+        w: float,
+        columns: bool,
+        within: Optional[np.ndarray] = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair of a key in ``keys`` (unit texts, or column slots when
+        ``columns``) with a key that shares a vector coordinate or a token
+        (a value) with it, optionally only the keys ``within``, as (position
+        in ``keys``, key, score), ordered by both.
 
-    def _unit_scores(self, tid: int, w: float) -> np.ndarray:
-        """Unit text ``tid`` against every unit text: ``w`` times the clamped
-        cosine plus ``1 - w`` times the overlap coefficient of token sets."""
-        n = self.n_unit_texts
-        shared = self.token_texts.accumulate(self.tokens.row(tid)[0], None, n)
-        overlap = shared / np.minimum(self.n_tokens[tid], self.n_tokens)
-        return w * self._cosines(tid)[:n] + (1.0 - w) * overlap
+        A unit pair scores ``w`` times the clamped cosine plus ``1 - w``
+        times the overlap coefficient of token sets; a column pair takes
+        the header cosine and the Jaccard index of value sets. Every other
+        pair scores 0. Each dot product sums its terms in ascending
+        coordinate order, as a dense dot over the key's coordinates would
+        (``np.bincount`` adds in input order), so a pair's score holds the
+        same bits whatever the batch and whichever side is the query.
+        """
+        if columns:
+            vectors, buckets = self.slot_vectors, self.slot_buckets
+            norms, sets, holders, sizes = (
+                self.slot_norms, self.values, self.value_columns, self.n_values
+            )
+        else:
+            vectors, buckets = self.vectors, self.buckets
+            norms, sets, holders, sizes = (
+                self.norms, self.tokens, self.token_texts, self.n_tokens
+            )
+        n = len(norms)
+        queries = np.arange(len(keys))
+        coords, lengths = vectors.positions(keys)
+        hits, per_coord = buckets.positions(vectors.indices[coords])
+        products = buckets.values[hits] * np.repeat(vectors.values[coords], per_coord)
+        dot_keys = np.repeat(np.repeat(queries, lengths), per_coord) * n
+        dot_keys += buckets.indices[hits]
+        members, lengths = sets.positions(keys)
+        shares, per_member = holders.positions(sets.indices[members])
+        set_keys = np.repeat(np.repeat(queries, lengths), per_member) * n
+        set_keys += holders.indices[shares]
+        if within is not None:
+            wanted = np.zeros(n, dtype=bool)
+            wanted[within] = True
+            kept = wanted[dot_keys % n]
+            products, dot_keys = products[kept], dot_keys[kept]
+            set_keys = set_keys[wanted[set_keys % n]]
+        pairs, inverse = np.unique(
+            np.concatenate((dot_keys, set_keys)), return_inverse=True
+        )
+        dots = np.bincount(inverse[: dot_keys.size], products, minlength=pairs.size)
+        shared = np.bincount(inverse[dot_keys.size :], minlength=pairs.size)
+        query, other = np.divmod(pairs, n)
+        me = keys[query]
+        cosines = np.clip(dots / (norms[me] * norms[other]), 0.0, 1.0)
+        if columns:
+            # two empty value sets have a Jaccard index of 0
+            part = shared / np.maximum(sizes[me] + sizes[other] - shared, 1)
+        else:
+            part = shared / np.minimum(sizes[me], sizes[other])
+        return query, other, w * cosines + (1.0 - w) * part
 
-    def _column_scores(self, slot: int, w: float) -> np.ndarray:
-        """Column ``slot`` against every column slot: ``w`` times the clamped
-        header cosine plus ``1 - w`` times the Jaccard index of value sets."""
-        semantic = np.zeros(len(self.norms) + 1)  # the last entry serves pads
-        semantic[:-1] = self._cosines(self.column_text[slot])
-        n = len(self.column_text)
-        shared = self.value_columns.accumulate(self.values.row(slot)[0], None, n)
-        union = self.n_values[slot] + self.n_values - shared
-        jaccard_part = np.divide(shared, union, out=np.zeros(n), where=union > 0)
-        return w * semantic[self.column_text] + (1.0 - w) * jaccard_part
-
-    def row(self, j: int, w: float) -> np.ndarray:
-        """Object ``j``'s compatibility with every object, by position."""
-        lo, hi = self.unit_bounds[j] + 1, self.unit_bounds[j + 1]
-        best = np.zeros(self.n_unit_texts + 1)  # the last entry serves pads
-        for tid in np.unique(self.unit_text[lo:hi]):
-            np.maximum(best[:-1], self._unit_scores(tid, w), out=best[:-1])
-        scores = np.maximum.reduceat(best[self.unit_text], self.unit_bounds[:-1])
-        if self.is_table[j]:
-            best = np.zeros(len(self.column_text))
-            for slot in range(self.column_bounds[j] + 1, self.column_bounds[j + 1]):
-                np.maximum(best, self._column_scores(slot, w), out=best)
-            columns = np.maximum.reduceat(best, self.column_bounds[:-1])
-            scores = np.where(self.is_table, columns, scores)
-        return scores
+    def rows(self, objects: np.ndarray, w: float) -> np.ndarray:
+        """Each of ``objects``' compatibility with every object, by
+        position, in one pass: the best column pair when both are tables,
+        else the best unit pair, and 0 when no pair scores above it."""
+        n = len(self.objects)
+        batch = np.arange(len(objects))
+        out = np.zeros((len(objects), n))
+        members, per_object = self.unit_sets.positions(objects)
+        query, other, score = self._pairs(
+            self.unit_sets.indices[members], w, columns=False
+        )
+        owner = np.repeat(batch, per_object)[query]
+        holders, per_pair = self.holders.positions(other)
+        np.maximum.at(
+            out,
+            (np.repeat(owner, per_pair), self.holders.indices[holders]),
+            np.repeat(score, per_pair),
+        )
+        tables = self.is_table[objects]
+        if tables.any():
+            slots, per_object = self.columns.positions(objects)
+            query, other, score = self._pairs(slots, w, columns=True)
+            owner = np.repeat(batch, per_object)[query]
+            best = np.zeros((len(objects), n))
+            np.maximum.at(best, (owner, self.slot_owner[other]), score)
+            out = np.where(tables[:, None] & self.is_table, best, out)
+        return out
 
     def witness(self, a: int, b: int, w: float) -> Optional[tuple[int, int, float]]:
         """Positions of the best pair among ``a``'s and ``b``'s columns (two
         tables) or units, and its score; None when no pair scores above 0.
         Of equal scores, the first in row-major order, ``a`` down, wins.
-        Scores come from the side with fewer distinct texts: both sides sum
-        a score's terms in the same order, so they hold the same bits."""
+        Scores come from the scorer behind the rows, so a witness holds
+        the bits of the pair's row entry."""
         tables = self.is_table[a] and self.is_table[b]
-        bounds = self.column_bounds if tables else self.unit_bounds
-        keys = [np.arange(bounds[j] + 1, bounds[j + 1]) for j in (a, b)]
-        if not tables:
-            keys = [self.unit_text[slots] for slots in keys]
-        scores = self._column_scores if tables else self._unit_scores
-        if not (len(keys[0]) and len(keys[1])):
-            return None
-        (texts_a, inverse_a), (texts_b, inverse_b) = (
-            np.unique(side, return_inverse=True) for side in keys
+        distinct, ordered = (
+            (self.columns, self.columns) if tables else (self.unit_sets, self.units)
         )
-        if len(texts_a) <= len(texts_b):
-            matrix = np.stack([scores(t, w)[keys[1]] for t in texts_a])[inverse_a]
-        else:
-            matrix = np.stack([scores(t, w)[keys[0]] for t in texts_b])[inverse_b].T
+        texts_a, texts_b = distinct.row(a)[0], distinct.row(b)[0]
+        if not (len(texts_a) and len(texts_b)):
+            return None
+        inverse_a = np.searchsorted(texts_a, ordered.row(a)[0])
+        inverse_b = np.searchsorted(texts_b, ordered.row(b)[0])
+        query, other, score = self._pairs(texts_a, w, tables, within=texts_b)
+        matrix = np.zeros((len(texts_a), len(texts_b)))
+        matrix[query, np.searchsorted(texts_b, other)] = score
+        matrix = matrix[inverse_a][:, inverse_b]
         i, k = np.unravel_index(np.argmax(matrix), matrix.shape)
         best = float(matrix[i, k])
         return (int(i), int(k), best) if best > 0.0 else None
@@ -240,10 +300,11 @@ def compatibility(
 
 class CompatibilityCache:
     """Pairwise compatibility over one corpus, from a unit index that the
-    first lookup builds. ``score(a, b)`` reads the row of whichever of the
-    two already has one and otherwise computes ``a``'s; ``nearest`` ranks
-    one object's row; ``get`` returns the connection behind a pair,
-    memoized by the pair.
+    first lookup builds. Rows are computed a set at a time: ``nearest``
+    ranks the rows of a round's members, ``strengths`` serves one search
+    set's pairs, and ``score(a, b)`` reads the row of whichever of the two
+    already has one and otherwise computes ``a``'s. ``get`` returns the
+    connection behind a pair, memoized by the pair.
     """
 
     def __init__(
@@ -263,25 +324,47 @@ class CompatibilityCache:
     def _index(self) -> _UnitIndex:
         return _UnitIndex(self._corpus, self._provider)
 
-    def _row(self, oid: str) -> np.ndarray:
-        row = self._rows.get(oid)
-        if row is None:
-            row = self._rows[oid] = self._index.row(self._position[oid], self._w)
-        return row
+    def _fill(self, oids: Sequence[str]) -> None:
+        """Compute the rows ``oids`` lack, in one pass."""
+        missing = [oid for oid in oids if oid not in self._rows]
+        if missing:
+            positions = np.array([self._position[oid] for oid in missing])
+            self._rows.update(zip(missing, self._index.rows(positions, self._w)))
 
     def score(self, id_a: str, id_b: str) -> float:
         if id_a == id_b:
             raise ValidationError(f"compatibility of {id_a!r} with itself")
-        if id_a not in self._rows and id_b in self._rows:
-            id_a, id_b = id_b, id_a
-        return float(self._row(id_a)[self._position[id_b]])
+        if id_a not in self._rows:
+            if id_b in self._rows:
+                id_a, id_b = id_b, id_a
+            else:
+                self._fill([id_a])
+        return float(self._rows[id_a][self._position[id_b]])
 
-    def nearest(self, oid: str, n: int) -> list[str]:
-        """The ``n`` objects most compatible with ``oid``, best first, ties
-        by id; ``oid`` itself is left out."""
-        me = self._position[oid]
-        ranked = top_objects(self._row(oid), self._ids, n + 1)
-        return [self._ids[j] for j in ranked if j != me][:n]
+    def strengths(self, object_ids: Sequence[str]) -> Callable[[str, str], float]:
+        """``score`` over one set. Its first call computes, in one pass,
+        the rows of all but the last (by id) member without one: a pair
+        needs only one of its two rows."""
+        pending = sorted(oid for oid in set(object_ids) if oid not in self._rows)[:-1]
+
+        def score(id_a: str, id_b: str) -> float:
+            if pending:
+                self._fill(pending)
+                pending.clear()
+            return self.score(id_a, id_b)
+
+        return score
+
+    def nearest(self, oids: Sequence[str], n: int) -> list[list[str]]:
+        """For each of ``oids``, the ``n`` objects most compatible with it,
+        best first, ties by id, leaving it out."""
+        self._fill(oids)
+        lists = []
+        for oid in oids:
+            me = self._position[oid]
+            ranked = top_objects(self._rows[oid], self._ids, n + 1)
+            lists.append([self._ids[j] for j in ranked if j != me][:n])
+        return lists
 
     def get(self, id_a: str, id_b: str) -> Optional[Connection]:
         if id_a == id_b:
@@ -307,16 +390,16 @@ class SearchSet:
 
 def expand_base(
     base_ids: Sequence[str],
-    nearest: Callable[[str, int], Sequence[str]],
+    nearest: Callable[[Sequence[str], int], Sequence[Sequence[str]]],
     strategies: Sequence[tuple[int, int]],
 ) -> list[SearchSet]:
     """Grow the base set along most-compatible neighbors, per strategy.
 
     A strategy (k, l) runs l rounds; each round every current member
     nominates its k most compatible absent objects (ties by object id)
-    and nominations merge at the end of the round. ``nearest(member, n)``
-    lists the n objects most compatible with ``member``, best first, ties
-    by id, leaving ``member`` out.
+    and nominations merge at the end of the round. ``nearest(members, n)``
+    is called once per round; for each member it lists the n objects most
+    compatible with it, best first, ties by id, leaving the member out.
     """
     sets = []
     for per_step, steps in strategies:
@@ -329,12 +412,11 @@ def expand_base(
         for _ in range(steps):
             present = set(members)
             nominated: set[str] = set()
-            for member in members:
-                # The member is present and left out of its own list, so at
-                # most len(present) - 1 of these neighbors are present: they
-                # hold the per_step best absent objects whenever the corpus
-                # has that many.
-                neighbors = nearest(member, per_step + len(present))
+            # Each member is present and left out of its own list, so at
+            # most len(present) - 1 of its neighbors are present: they hold
+            # the per_step best absent objects whenever the corpus has that
+            # many.
+            for neighbors in nearest(members, per_step + len(present)):
                 absent = (oid for oid in neighbors if oid not in present)
                 nominated.update(islice(absent, per_step))
             members.extend(sorted(nominated))

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from alignrag import embedding, struct_align
 from alignrag.baselines_eval import dense_retrieve
 from alignrag.corpus import Chunk, build_corpus
 from alignrag.embedding import (
@@ -380,6 +381,25 @@ class TestBatchEmbedding:
         assert_rows_identical(got.vectors, want.vectors)
         assert_rows_identical(got.buckets, want.buckets)
         assert hex_list(got.norms) == hex_list(want.norms)
+
+    def test_unit_index_tokenizes_each_text_once(self, monkeypatch):
+        objects = random_objects(random.Random(5), 30)
+        # a header that is also a cell, and a header that is a token-less cell
+        objects.append(make_table("twice", "x", ["w1", "!!"], [["w1", "!!"]]))
+        corpus = build_corpus(objects)
+        texts = {unit for obj in objects for unit in obj.sentences + obj.columns}
+        texts |= {cell for obj in objects for row in obj.rows for cell in row}
+        calls = []
+        for module in (embedding, struct_align):
+            original = module.normalize_tokens
+
+            def counted(text, original=original):
+                calls.append(text)
+                return original(text)
+
+            monkeypatch.setattr(module, "normalize_tokens", counted)
+        _UnitIndex(corpus, HashEmbeddingProvider(dimension=64, seed=0))
+        assert sorted(calls) == sorted(texts)
 
     @pytest.mark.parametrize("dimension", [8, 64])
     def test_embed_matches_oracle_bits_before_and_after_batch(self, dimension):

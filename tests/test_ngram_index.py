@@ -313,6 +313,36 @@ class TestPersistence:
         assert str(path) in str(info.value)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("posting", 2.7),
+            ("posting", "2"),
+            ("posting", True),
+            ("posting", -1),
+            ("doc_len", 5.0),
+            ("doc_len", "-5"),
+            ("doc_len", False),
+            ("doc_len", -5),
+        ],
+    )
+    def test_malformed_bm25_figure_is_parse_error(self, tmp_path, field, value):
+        chunks = [chunk(cid, text) for cid, text in BM25_DOCS.items()]
+        path = tmp_path / "index.json"
+        save_index(str(path), build_trie(corpus_ngrams(chunks)), build_bm25(chunks), 20)
+        snapshot = json.loads(path.read_text())
+        if field == "posting":
+            snapshot["bm25"]["postings"]["apple"]["d#2"] = value
+            what = "posting of 'apple' in 'd#2'"
+        else:
+            snapshot["bm25"]["doc_len"]["d#2"] = value
+            what = "doc_len of 'd#2'"
+        path.write_text(json.dumps(snapshot))
+        message = f"bm25 {what} must be a non-negative"
+        with pytest.raises(ParseError, match=message) as info:
+            load_index(str(path))
+        assert str(path) in str(info.value)
+
 def test_bm25_dataclass_defaults():
     index = Bm25Index()
     assert index.k1 == 1.2 and index.b == 0.75

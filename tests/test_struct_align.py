@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from itertools import combinations
@@ -14,6 +15,7 @@ from alignrag import struct_align
 from alignrag.corpus import ObjectKind, build_corpus
 from alignrag.embedding import FileVectorProvider, HashEmbeddingProvider
 from alignrag.errors import Infeasible, TooLarge, ValidationError
+from alignrag.pipeline import build_provider
 from alignrag.struct_align import (
     CompatibilityCache,
     ConnectionKind,
@@ -26,6 +28,7 @@ from alignrag.struct_align import (
     solve_mip,
 )
 from conftest import make_passage, make_table
+from planted import build_planted
 
 PROVIDER = HashEmbeddingProvider(dimension=64, seed=0)
 
@@ -333,7 +336,197 @@ class TestCompatibilityCache:
             others = [other for other in ids if other != oid]
             want = sorted(others, key=lambda other: (-cache.score(oid, other), other))
             for n in range(1, len(ids) + 1):
-                assert cache.nearest(oid, n) == want[:n]
+                assert cache.nearest([oid], n) == [want[:n]]
+
+
+class VectorTable:
+    """A provider that reads each text's vector from a dict."""
+
+    name = "table"
+
+    def __init__(self, vectors, dimension):
+        self.vectors, self.dimension = vectors, dimension
+
+    def embed(self, text):
+        return self.vectors[text]
+
+    def embed_chunk(self, chunk):
+        return self.vectors[chunk.text]
+
+
+def row_corpora():
+    """(name, corpus, provider, oracle embed): the planted benchmark, and
+    seeded random corpora with repeated headers, cells and tokens,
+    token-less units and headers, a rowless table, and corpora of one kind;
+    the mixed one also under dense random vectors with negative and zero
+    coordinates."""
+    planted = build_planted()
+    provider = build_provider(planted.config)
+    dim, seed = planted.config.embed_dim, planted.config.seed
+    yield "planted", planted.corpus, provider, (
+        lambda text: oracles.hash_embed(text, seed, dim)
+    )
+    rng = random.Random(12)
+    vocab = [f"w{i}" for i in range(10)] + ["???", "--"]
+
+    def text(lo, hi):
+        return " ".join(rng.choice(vocab) for _ in range(rng.randint(lo, hi)))
+
+    def table(oid):
+        ncols = rng.randint(1, 4)
+        headers = [rng.choice(["code", "city", "??", text(1, 2)]) for _ in range(ncols)]
+        rows = [[text(0, 3) for _ in range(ncols)] for _ in range(rng.randint(0, 4))]
+        return make_table(oid, text(1, 2), headers, rows)
+
+    def passage(oid):
+        sentences = [text(0, 9) for _ in range(rng.randint(1, 4))]
+        return make_passage(oid, text(1, 2), sentences)
+
+    mixed = [table(f"t{i}") if i % 3 else passage(f"p{i}") for i in range(24)]
+    mixed.append(make_table("t-empty", "x", ["code", "code"], []))
+    mixed.append(make_passage("p-silent", "x", ["???", "-- --"]))
+    yield "mixed", build_corpus(mixed), PROVIDER, oracles.hash_embed
+    yield "tables", build_corpus([table(f"t{i}") for i in range(12)]), PROVIDER, (
+        oracles.hash_embed
+    )
+    yield "passages", build_corpus([passage(f"p{i}") for i in range(12)]), (
+        PROVIDER
+    ), oracles.hash_embed
+    texts = {t for o in mixed for t in o.columns + o.sentences}
+    texts |= {cell for o in mixed for row in o.rows for cell in row}
+    gen = np.random.default_rng(12)
+    vectors = {}
+    for t in sorted(texts):
+        vectors[t] = gen.normal(size=8) * (gen.random(8) < 0.7)
+        vectors[t][gen.integers(8)] = 1.0  # never the zero vector
+    yield "dense", build_corpus(mixed), VectorTable(vectors, 8), vectors.__getitem__
+
+
+ROW_CORPORA = {name: rest for name, *rest in row_corpora()}
+
+
+def ascending_score(text_a, text_b, part, w, embed):
+    """``w`` times the clamped cosine plus ``1 - w`` times ``part``, the dot
+    product summed in ascending coordinate order over the coordinates both
+    vectors hold, and each norm taken over the dense vector."""
+    u, v = embed(text_a), embed(text_b)
+    dot = 0.0
+    for d in sorted(set(np.flatnonzero(u)) & set(np.flatnonzero(v))):
+        dot += float(u[d]) * float(v[d])
+    norms = float(np.linalg.norm(u)) * float(np.linalg.norm(v))
+    return w * min(max(dot / norms, 0.0), 1.0) + (1.0 - w) * part
+
+
+def ascending_entry(obj_a, obj_b, w, embed):
+    """A row entry from ``ascending_score``: the best column pair of two
+    tables, else the best pair of token-carrying units, floored at 0."""
+    best = 0.0
+    if obj_a.kind is obj_b.kind is ObjectKind.TABLE:
+        for i, head_a in enumerate(obj_a.columns):
+            for k, head_b in enumerate(obj_b.columns):
+                va = {row[i] for row in obj_a.rows}
+                vb = {row[k] for row in obj_b.rows}
+                union = len(va | vb)
+                jac = len(va & vb) / union if union else 0.0
+                best = max(best, ascending_score(head_a, head_b, jac, w, embed))
+        return best
+    units_a, units_b = (
+        obj.sentences or [cell for row in obj.rows for cell in row]
+        for obj in (obj_a, obj_b)
+    )
+    for text_a in units_a:
+        for text_b in units_b:
+            ta, tb = set(oracles.tokenize(text_a)), set(oracles.tokenize(text_b))
+            if ta and tb:
+                part = len(ta & tb) / min(len(ta), len(tb))
+                best = max(best, ascending_score(text_a, text_b, part, w, embed))
+    return best
+
+
+def bits(array):
+    return [x.hex() for x in np.asarray(array, dtype=np.float64).ravel().tolist()]
+
+
+@pytest.mark.parametrize("name", list(ROW_CORPORA))
+class TestRowBits:
+    """Rows from the sparse scorer: the same bits in any batch and from
+    either side of a pair, and the enumeration oracle's values."""
+
+    def index(self, name):
+        corpus, provider, _ = ROW_CORPORA[name]
+        return corpus, struct_align._UnitIndex(corpus, provider)
+
+    def test_batched_rows_match_rows_alone(self, name):
+        corpus, index = self.index(name)
+        n = len(corpus.objects)
+        alone = np.stack([index.rows(np.array([j]), 0.5)[0] for j in range(n)])
+        rng = np.random.default_rng(n)
+        batches = [np.arange(n)] + [
+            rng.choice(n, size=int(rng.integers(2, 8)), replace=False)
+            for _ in range(10)
+        ]
+        for batch in batches:
+            assert bits(index.rows(batch, 0.5)) == bits(alone[batch])
+
+    def test_rows_are_bit_symmetric(self, name):
+        corpus, index = self.index(name)
+        for w in (0.0, 0.37, 1.0):
+            rows = index.rows(np.arange(len(corpus.objects)), w)
+            assert bits(rows) == bits(rows.T)
+
+    def test_rows_match_enumeration_oracle(self, name):
+        corpus, index = self.index(name)
+        embed = functools.lru_cache(maxsize=None)(ROW_CORPORA[name][2])
+        rows = index.rows(np.arange(len(corpus.objects)), 0.5)
+        objects = corpus.objects
+        for a, b in combinations(range(len(objects)), 2):
+            want = oracle_witness(objects[a], objects[b], embed=embed)[0]
+            assert abs(rows[a, b] - want) <= 1e-9, (objects[a].id, objects[b].id)
+
+    def test_rows_hold_the_bits_of_ascending_dot_products(self, name):
+        corpus, index = self.index(name)
+        embed = functools.lru_cache(maxsize=None)(ROW_CORPORA[name][2])
+        w = 0.37
+        rows = index.rows(np.arange(len(corpus.objects)), w)
+        objects = corpus.objects
+        for a, obj_a in enumerate(objects):
+            for b, obj_b in enumerate(objects[a:], start=a):  # rows are symmetric
+                want = ascending_entry(obj_a, obj_b, w, embed)
+                assert rows[a, b].hex() == want.hex(), (obj_a.id, obj_b.id)
+
+    def test_batched_nearest_returns_per_member_lists(self, name):
+        corpus, provider, _ = ROW_CORPORA[name]
+        ids = corpus.object_ids()
+        members = ids[::2] + ids[1::2]  # not in id order
+        # one cache computes each member's row alone, the other all at once
+        alone, batched = (CompatibilityCache(corpus, provider) for _ in range(2))
+        for n in (1, 3, len(ids)):
+            one_by_one = [alone.nearest([oid], n)[0] for oid in members]
+            assert batched.nearest(members, n) == one_by_one
+
+
+class TestStrengths:
+    def test_first_call_fills_all_but_the_last_missing_row(self, city_corpus):
+        cache = CompatibilityCache(city_corpus, PROVIDER)
+        cache.nearest(["t2"], 1)
+        strength = cache.strengths(["t1", "p1", "t2", "t1"])
+        assert set(cache._rows) == {"t2"}  # nothing before the first call
+        assert strength("p1", "t1") == cache.score("t1", "p1")
+        # p1 and t1 lack rows; t1 is the last by id, and p1's row serves it
+        assert set(cache._rows) == {"t2", "p1"}
+
+    def test_instance_matches_pairwise_scores(self):
+        corpus, provider, _ = ROW_CORPORA["mixed"]
+        ids = corpus.object_ids()
+        rng = random.Random(2)
+        cache, other = (CompatibilityCache(corpus, provider) for _ in range(2))
+        for _ in range(5):
+            members = rng.sample(ids, 8)
+            relevance = {oid: rng.random() for oid in members}
+            got = build_mip_instance(members, relevance, cache.strengths(members), 3)
+            want = build_mip_instance(members, relevance, other.score, 3)
+            assert got == want
+            assert bits(list(got.compat.values())) == bits(list(want.compat.values()))
 
 
 WALK_COMPAT = {
@@ -350,11 +543,16 @@ def walk_fn(x, y):
 
 
 def nearest_from(compat, ids):
-    """A ``nearest`` over ``ids`` that ranks every other id by ``compat``."""
+    """A ``nearest`` over ``ids`` that ranks, for each member, every other
+    id by ``compat``."""
 
-    def nearest(member, n):
-        others = [oid for oid in ids if oid != member]
-        return sorted(others, key=lambda oid: (-compat(member, oid), oid))[:n]
+    def nearest(members, n):
+        lists = []
+        for member in members:
+            others = [oid for oid in ids if oid != member]
+            others.sort(key=lambda oid: (-compat(member, oid), oid))
+            lists.append(others[:n])
+        return lists
 
     return nearest
 
