@@ -309,18 +309,22 @@ def load_questions(path: str) -> list[Question]:
             if not isinstance(record, dict):
                 raise ParseError(f"{where}: expected a JSON object")
             try:
-                question_id = str(record["question_id"])
-                question = str(record["question"])
+                question_id = record["question_id"]
+                question = record["question"]
                 gold = record["gold_object_ids"]
             except KeyError as exc:
                 raise ParseError(f"{where}: missing field {exc}") from exc
             # ids are strings; an integer id reads as its decimal text
+            if type(question_id) not in (str, int):
+                raise ParseError(f"{where}: question_id must be a string or an integer")
+            if not isinstance(question, str):
+                raise ParseError(f"{where}: question must be a string")
             if not isinstance(gold, list) or not all(
                 type(g) in (str, int) for g in gold
             ):
                 raise ParseError(f"{where}: gold_object_ids must be a list of ids")
             questions.append(
-                Question(question_id, question, tuple(str(g) for g in gold))
+                Question(str(question_id), question, tuple(str(g) for g in gold))
             )
     return questions
 

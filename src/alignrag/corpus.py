@@ -162,9 +162,7 @@ def _object_from_record(record: object, where: str) -> DataObject:
     allowed = _TABLE_KEYS if kind is ObjectKind.TABLE else _PASSAGE_KEYS
     extra = set(record) - allowed
     if extra:
-        raise ValidationError(
-            f"object {record.get('id')!r}: unexpected fields {sorted(extra)}"
-        )
+        raise ParseError(f"{where}: unexpected fields {sorted(extra)}")
     for key in ("id", "title"):
         if not isinstance(record.get(key), str):
             raise ParseError(f"{where}: missing or non-string {key!r}")

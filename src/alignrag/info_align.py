@@ -15,13 +15,7 @@ import numpy as np
 from . import prompts
 from .embedding import EmbeddingProvider, VectorStore, object_similarity, top_objects
 from .errors import AllBeamsDead, ValidationError
-from .lm import (
-    Beam,
-    SEP_TOKEN,
-    STOP_TOKEN,
-    TokenScorer,
-    constrained_ngram_decode,
-)
+from .lm import SEP_TOKEN, STOP_TOKEN, TokenScorer, constrained_ngram_decode
 from .ngram_index import Bm25Index, NGram, NGramTrie, bm25_search, normalize_tokens
 
 
@@ -102,7 +96,6 @@ class AlignedList:
 class KeywordAlignment:
     keyword: str
     lists: tuple[AlignedList, ...]
-    beams: tuple[Beam, ...] = ()
 
 
 def align_keyword(
@@ -140,7 +133,7 @@ def align_keyword(
                 scores=tuple(p[1] for p in pairs),
             )
         )
-    return KeywordAlignment(keyword=keyword, lists=tuple(lists), beams=tuple(beams))
+    return KeywordAlignment(keyword=keyword, lists=tuple(lists))
 
 
 def clamp01(value: float) -> float:

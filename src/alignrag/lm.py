@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Protocol, Sequence
 
@@ -29,6 +29,7 @@ OPEN_TOKEN = "("
 CLOSE_TOKEN = ")"
 SEP_TOKEN = ","
 STOP_TOKEN = "<>"
+_DELIMITERS = frozenset((OPEN_TOKEN, SEP_TOKEN, CLOSE_TOKEN))
 
 _PREFERRED_BASE = 1000.0
 
@@ -177,12 +178,16 @@ def ngram_score(logits: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class _Hypothesis:
+    """A partial segment: its tokens and logits, and the running sum and
+    count of its content logits.
+
+    Its N-grams are the runs between delimiters. Reading them off the
+    tokens is safe because no trie token is a delimiter: the trie holds
+    only tokens that are their own normalization.
+    """
+
     tokens: tuple[str, ...] = ()
     logits: tuple[float, ...] = ()
-    prefix_tokens: tuple[str, ...] = ()
-    prefix_logits: tuple[float, ...] = ()
-    ngrams: tuple[NGram, ...] = ()
-    ngram_scores: tuple[float, ...] = ()
     content_total: float = 0.0
     content_count: int = 0
 
@@ -205,35 +210,28 @@ class _Hypothesis:
     def child(self, token: str, logit: float) -> "_Hypothesis":
         tokens = self.tokens + (token,)
         logits = self.logits + (logit,)
-        if token == OPEN_TOKEN:
-            # delimiter only: opens the segment, carries no content
-            return replace(self, tokens=tokens, logits=logits)
-        if token == SEP_TOKEN or token == CLOSE_TOKEN:
-            return replace(
-                self,
-                tokens=tokens,
-                logits=logits,
-                prefix_tokens=(),
-                prefix_logits=(),
-                ngrams=self.ngrams + (NGram(tokens=self.prefix_tokens),),
-                ngram_scores=self.ngram_scores + (ngram_score(self.prefix_logits),),
-            )
-        return replace(
-            self,
-            tokens=tokens,
-            logits=logits,
-            prefix_tokens=self.prefix_tokens + (token,),
-            prefix_logits=self.prefix_logits + (logit,),
-            content_total=self.content_total + logit,
-            content_count=self.content_count + 1,
+        if token in _DELIMITERS:
+            # opens, separates or closes: carries no content
+            return _Hypothesis(tokens, logits, self.content_total, self.content_count)
+        return _Hypothesis(
+            tokens, logits, self.content_total + logit, self.content_count + 1
         )
 
     def freeze(self) -> Beam:
+        """The finished beam, with its N-grams cut out of the tokens."""
+        ngrams: list[NGram] = []
+        scores: list[float] = []
+        start = 1  # after the open delimiter
+        for end, tok in enumerate(self.tokens):
+            if tok == SEP_TOKEN or tok == CLOSE_TOKEN:
+                ngrams.append(NGram(tokens=self.tokens[start:end]))
+                scores.append(ngram_score(self.logits[start:end]))
+                start = end + 1
         return Beam(
             tokens=self.tokens,
             logits=self.logits,
-            ngrams=self.ngrams,
-            ngram_scores=self.ngram_scores,
+            ngrams=tuple(ngrams),
+            ngram_scores=tuple(scores),
             score=self.rank_score(),
         )
 
@@ -290,10 +288,12 @@ def constrained_ngram_decode(
         separators: list[int] = []  # flat index of each separator
         for p, (hyp, node) in enumerate(live):
             ordered = node.continuations()
-            closes = node.terminal and bool(hyp.prefix_tokens)
+            # only a complete N-gram may close: the root, the node after a
+            # delimiter, is never terminal, as every N-gram has a token
+            closes = node.terminal
             if closes:
                 extra = (CLOSE_TOKEN,)
-                if len(hyp.ngrams) + 1 < max_ngrams:
+                if hyp.tokens.count(SEP_TOKEN) + 1 < max_ngrams:
                     extra += (SEP_TOKEN,)
                 ordered = tuple(sorted(ordered + extra))
             if not ordered:

@@ -51,11 +51,11 @@ class NGram:
         return " ".join(self.tokens)
 
 
-def extract_ngrams(text: str, max_n: int = MAX_NGRAM) -> set[NGram]:
-    """All 1..max_n token windows over the normalized text."""
+def extract_ngrams(text: str) -> set[NGram]:
+    """All 1..MAX_NGRAM token windows over the normalized text."""
     tokens = normalize_tokens(text)
     grams: set[NGram] = set()
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_NGRAM + 1):
         for i in range(len(tokens) - n + 1):
             grams.add(NGram(tokens=tuple(tokens[i : i + n])))
     return grams
@@ -70,21 +70,9 @@ class _TrieNode:
         self._sorted: Optional[tuple[str, ...]] = None
 
     def continuations(self) -> tuple[str, ...]:
-        """Child tokens in sorted order, sorted and checked on first call.
-
-        Every child must be a normalized token, which also excludes the
-        decoder's reserved delimiters: a token the decoder could not emit
-        as itself (or would read as a delimiter) raises ValidationError.
-        """
+        """Child tokens in sorted order, sorted on first call."""
         if self._sorted is None:
-            tokens = tuple(sorted(self.children))
-            bad = [tok for tok in tokens if normalize_tokens(tok) != [tok]]
-            if bad:
-                raise ValidationError(
-                    f"indexed tokens {bad!r} are not normalized tokens and "
-                    "cannot be decoded"
-                )
-            self._sorted = tokens
+            self._sorted = tuple(sorted(self.children))
         return self._sorted
 
 
@@ -94,6 +82,8 @@ class NGramTrie:
     The constrained decoder walks it from ``root``: each node's
     ``continuations()`` and ``terminal`` are the masking surface, and a
     hypothesis keeps the node of its prefix rather than walking again.
+    Every stored token is its own normalization, so the decoder emits it
+    as itself and never reads it as one of its reserved delimiters.
     """
 
     def __init__(self) -> None:
@@ -103,10 +93,26 @@ class NGramTrie:
     def add(self, ngram: NGram) -> None:
         self._insert((ngram.tokens,))
 
-    def _insert(self, token_lists: Iterable[Sequence[str]]) -> None:
-        """Store each token sequence; callers have checked the tokens."""
+    def _insert(self, token_lists: Sequence[Sequence[str]]) -> None:
+        """Store each token sequence: the one way into the trie.
+
+        Each distinct token must be a string that is its own normalization,
+        and each sequence must hold 1 to ``MAX_NGRAM`` tokens. A bad token
+        raises ValidationError before anything is stored, and a sequence of
+        bad length before it is stored.
+        """
+        for tok in dict.fromkeys(chain.from_iterable(token_lists)):
+            if not isinstance(tok, str) or normalize_tokens(tok) != [tok]:
+                raise ValidationError(
+                    f"n-gram token {tok!r} is not a normalized token"
+                )
         root = self.root
         for tokens in token_lists:
+            if not 1 <= len(tokens) <= MAX_NGRAM:
+                raise ValidationError(
+                    f"n-gram {list(tokens)!r} is not a list of 1 to "
+                    f"{MAX_NGRAM} tokens"
+                )
             node = root
             for tok in tokens:
                 child = node.children.get(tok)
@@ -143,14 +149,14 @@ class NGramTrie:
 
 def build_trie(ngrams: Iterable[NGram]) -> NGramTrie:
     trie = NGramTrie()
-    trie._insert(gram.tokens for gram in ngrams)
+    trie._insert([gram.tokens for gram in ngrams])
     return trie
 
 
-def corpus_ngrams(chunks: Iterable[Chunk], max_n: int = MAX_NGRAM) -> set[NGram]:
+def corpus_ngrams(chunks: Iterable[Chunk]) -> set[NGram]:
     grams: set[NGram] = set()
     for chunk in chunks:
-        grams |= extract_ngrams(chunk.text, max_n=max_n)
+        grams |= extract_ngrams(chunk.text)
     return grams
 
 
@@ -189,15 +195,13 @@ def build_bm25(chunks: Iterable[Chunk], k1: float = 1.2, b: float = 0.75) -> Bm2
 
 
 def bm25_search(
-    index: Bm25Index, query_terms: Sequence[str], top_k: Optional[int] = None
+    index: Bm25Index, query_terms: Sequence[str]
 ) -> list[tuple[str, float]]:
     """Score chunks against the query terms; matching chunks only.
 
     Results are sorted by descending score, ties by chunk id. A query
     with no indexed term returns an empty list.
     """
-    if top_k is not None and top_k < 1:
-        raise ValidationError(f"top_k must be >= 1, got {top_k}")
     scores: dict[str, float] = {}
     for term in query_terms:
         posting = index.postings.get(term)
@@ -210,8 +214,7 @@ def bm25_search(
             scores[chunk_id] = scores.get(chunk_id, 0.0) + idf * freq * (
                 index.k1 + 1.0
             ) / norm
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ranked if top_k is None else ranked[:top_k]
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
 
 INDEX_FORMAT = "alignrag-index-v1"
@@ -271,9 +274,9 @@ def _check_counts(doc_len: dict, postings: dict, where: str) -> None:
 def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     """The trie, BM25 statistics and ``chunk_units`` saved by ``save_index``.
 
-    Each n-gram's length is checked, and each distinct token once, as is
-    every BM25 document length and posting; a malformed file raises
-    ParseError naming it.
+    The trie checks each n-gram's length and each distinct token once as it
+    inserts them; every BM25 document length and posting is checked too. A
+    malformed file raises ParseError naming it.
     """
     where = f"index file {path}"
     with open(path, "r", encoding="utf-8") as handle:
@@ -292,27 +295,16 @@ def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     b = _key(raw, "b", (int, float), f"{where} bm25")
     doc_len = _key(raw, "doc_len", dict, f"{where} bm25")
     postings = _key(raw, "postings", dict, f"{where} bm25")
-    if not all(
-        isinstance(toks, list) and 1 <= len(toks) <= MAX_NGRAM for toks in ngrams
-    ):
+    if not all(isinstance(toks, list) for toks in ngrams):
         raise ParseError(
             f"{where}: every n-gram must be a list of 1 to {MAX_NGRAM} tokens"
         )
-    try:
-        vocab = dict.fromkeys(chain.from_iterable(ngrams))  # first-seen order
-    except TypeError as exc:
-        raise ParseError(f"{where}: malformed entry: {exc}") from exc
-    for tok in vocab:
-        if not isinstance(tok, str) or normalize_tokens(tok) != [tok]:
-            raise ParseError(
-                f"{where}: malformed entry: n-gram token {tok!r} is not a "
-                "normalized token"
-            )
     trie = NGramTrie()
-    trie._insert(ngrams)
     try:
+        trie._insert(ngrams)
         _check_counts(doc_len, postings, where)
-    except TypeError as exc:  # a posting that is not an object
+    except (ValidationError, TypeError) as exc:
+        # TypeError: an unhashable token, or a posting that is not an object
         raise ParseError(f"{where}: malformed entry: {exc}") from exc
     bm25 = Bm25Index(k1=float(k1), b=float(b), doc_len=doc_len, postings=postings)
     if bm25.doc_len:

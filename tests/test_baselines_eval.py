@@ -355,11 +355,18 @@ class TestLoadQuestions:
             ({"gold_object_ids": [["t1"]]}, "list of ids"),
             ({"gold_object_ids": [None]}, "list of ids"),
             ({"gold_object_ids": [True]}, "list of ids"),
+            ({"question": None}, "question must be a string"),
+            ({"question": ["x"]}, "question must be a string"),
+            ({"question_id": {"x": 1}}, "question_id must be a string"),
+            ({"question_id": None}, "question_id must be a string"),
+            ({"question_id": True}, "question_id must be a string"),
+            ({"question_id": 1.5}, "question_id must be a string"),
         ],
     )
     def test_malformed_line_is_parse_error(self, tmp_path, record, message):
         if isinstance(record, dict):
-            record = dict({"question_id": "q", "question": "x"}, **record)
+            base = {"question_id": "q", "question": "x", "gold_object_ids": ["t"]}
+            record = dict(base, **record)
         path = self.write(tmp_path, [json.dumps(record)])
         with pytest.raises(ParseError, match=message) as info:
             load_questions(path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -194,7 +195,8 @@ class TestLoadSave:
         }
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ValidationError, match="rows"):
+        message = re.escape(f"corpus file {path} line 1: unexpected fields ['rows']")
+        with pytest.raises(ParseError, match=message):
             load_corpus(str(path))
 
     def test_missing_title(self, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -136,6 +137,20 @@ class TestTrie:
             ("b",),
         ]
 
+    @pytest.mark.parametrize("token", [",", ")", "x.", "a b"])
+    def test_tokens_the_decoder_cannot_emit_are_rejected(self, token):
+        # each is a valid NGram, but the decoder could not emit it as
+        # itself, or would read it as a delimiter
+        message = re.escape(f"token {token!r} is not a normalized token")
+        with pytest.raises(ValidationError, match=message):
+            build_trie([NGram(tokens=("ok",)), NGram(tokens=(token,))])
+        trie = build_trie([NGram(tokens=("ok",))])
+        with pytest.raises(ValidationError, match=message):
+            trie.add(NGram(tokens=("ok", token)))
+        # nothing of the rejected n-gram was stored
+        assert [g.tokens for g in trie.ngrams()] == [("ok",)]
+        assert trie.root.children["ok"].continuations() == ()
+
     def test_corpus_ngrams_union(self):
         chunks = [chunk("a#0", "x y"), chunk("b#0", "y z")]
         grams = {g.tokens for g in corpus_ngrams(chunks)}
@@ -191,11 +206,6 @@ class TestBm25:
 
     def test_unknown_terms_empty(self, index):
         assert bm25_search(index, ["zebra"]) == []
-
-    def test_top_k(self, index):
-        assert len(bm25_search(index, ["apple"], top_k=1)) == 1
-        with pytest.raises(ValidationError):
-            bm25_search(index, ["apple"], top_k=0)
 
     def test_repeated_query_term_scales_not_reorders(self, index):
         single = bm25_search(index, ["apple"])
