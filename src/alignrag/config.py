@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
-from .prompts import DEFAULT_TEMPLATES
+from .prompts import DEFAULT_TEMPLATES, check_template
 
 ENV_CONFIG = "ARM_CONFIG"
 
@@ -134,7 +134,12 @@ class Config:
             raise ConfigError(f"unknown template names {sorted(unknown_templates)}")
 
     def templates(self) -> dict[str, str]:
-        """Default templates overlaid with any configured template files."""
+        """Default templates overlaid with any configured template files.
+
+        Each file's template is checked once, here: it may use only its own
+        field names, with well-formed braces, and a verify template needs
+        whitespace or its start or end on each side of ``{selected}``.
+        """
         resolved = dict(DEFAULT_TEMPLATES)
         for name, path in sorted(self.template_files.items()):
             try:
@@ -142,6 +147,10 @@ class Config:
                     resolved[name] = handle.read().strip()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"template {name!r}: cannot read {path}: {exc}")
+            try:
+                check_template(name, resolved[name])
+            except ValueError as exc:
+                raise ConfigError(f"template {name!r} in {path}: {exc}") from None
         return resolved
 
 

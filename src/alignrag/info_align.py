@@ -15,7 +15,7 @@ import numpy as np
 from . import prompts
 from .embedding import EmbeddingProvider, VectorStore, object_similarity, top_objects
 from .errors import AllBeamsDead, ValidationError
-from .lm import SEP_TOKEN, STOP_TOKEN, TokenScorer, constrained_ngram_decode
+from .lm import SEP_TOKEN, STOP_TOKEN, Context, TokenScorer, constrained_ngram_decode
 from .ngram_index import Bm25Index, NGram, NGramTrie, bm25_search, normalize_tokens
 
 
@@ -37,8 +37,7 @@ def extract_keywords(
         return [fallback]
 
     rendered = (template or prompts.KEYWORD_TEMPLATE).format(user_question=question)
-    context = scorer.tokenize(rendered)
-    generated: list[str] = []
+    context = Context(scorer.tokenize(rendered))
     keywords: list[list[str]] = []
     current: list[str] = []
     current_end = -1
@@ -62,9 +61,9 @@ def extract_keywords(
                 candidates.append(STOP_TOKEN)
             if not candidates:
                 break
-        logits = scorer.score(context + generated, candidates)
+        logits = scorer.score(context, candidates)
         token, _ = min(zip(candidates, logits), key=lambda p: (-p[1], p[0]))
-        generated.append(token)
+        context.push(token)
         if token == STOP_TOKEN:
             break
         if token == SEP_TOKEN:

@@ -18,7 +18,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional, Protocol, Sequence
+from typing import Iterable, MutableMapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -39,7 +39,13 @@ class TokenScorer(Protocol):
 
     Implementations may compute logits over a full vocabulary internally;
     the contract only requires scoring a caller-supplied candidate set and
-    proposing an unconstrained next token.
+    proposing an unconstrained next token. ``tokenize`` splits on
+    whitespace, as ``normalize_tokens`` does: two texts joined by
+    whitespace tokenize to the tokens of each, one after the other, which
+    lets verification tokenize a prompt's fixed text once. ``score`` and
+    ``free_next`` read their context and never change it; the decoders
+    pass a ``Context``, which is a sequence of tokens and may grow after
+    the call, so a scorer copies any context it keeps.
     """
 
     def tokenize(self, text: str) -> list[str]: ...
@@ -49,6 +55,37 @@ class TokenScorer(Protocol):
     ) -> list[float]: ...
 
     def free_next(self, context: Sequence[str]) -> tuple[str, float]: ...
+
+
+class Context(list):
+    """Decoding context: its tokens, and how often each one occurs.
+
+    The decoders build one per prompt, tokenized once, and grow it with
+    ``plus`` (a new context) or ``push`` (in place, for a context the
+    caller owns), so a scorer that counts context tokens reads ``counts``
+    instead of counting the whole context on every call. Grow it only
+    through these two methods: list methods would leave ``counts`` stale.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self, tokens: Iterable[str] = ()) -> None:
+        super().__init__(tokens)
+        self.counts: Counter[str] = (
+            tokens.counts.copy() if isinstance(tokens, Context) else Counter(self)
+        )
+
+    def plus(self, tokens: Iterable[str]) -> "Context":
+        """A new context: this one followed by ``tokens``."""
+        extended = Context(self)
+        for tok in tokens:
+            extended.push(tok)
+        return extended
+
+    def push(self, tok: str) -> None:
+        """Append one token in place."""
+        self.append(tok)
+        self.counts[tok] += 1
 
 
 @dataclass(frozen=True)
@@ -107,10 +144,10 @@ class MockScorer:
 
     def _match(self, context: Sequence[str]) -> Optional[_Rule]:
         best: Optional[_Rule] = None
-        ctx = tuple(context)
+        size = len(context)
         for rule in self._rules:
             n = len(rule.suffix)
-            if n > len(ctx) or ctx[len(ctx) - n :] != rule.suffix:
+            if n > size or tuple(context[size - n :]) != rule.suffix:
                 continue
             if best is None or (n, rule.order) > (len(best.suffix), best.order):
                 best = rule
@@ -122,11 +159,20 @@ class MockScorer:
         # one table per call: bias + weight * count for every biased or
         # context token, then the matched rule's ranks over them; every
         # other candidate scores 0.0, the same expression with no bias and
-        # count 0 (weights are finite)
+        # count 0 (weights are finite). A Context brings its counts; any
+        # other sequence is counted here, to the same integers. Only
+        # candidates are read, so when they are fewer than the distinct
+        # context tokens, the table leaves out context tokens that are
+        # not candidates.
         table = dict(self.token_bias)
         if self.context_weight:
-            counts = Counter(context)
-            for tok in table.keys() | counts.keys():
+            counts = (
+                context.counts if isinstance(context, Context) else Counter(context)
+            )
+            counted = counts.keys()
+            if len(candidates) < len(counted):
+                counted = counted & candidates
+            for tok in table.keys() | counted:
                 value = table.get(tok, 0.0)
                 value += self.context_weight * counts.get(tok, 0)
                 table[tok] = value
@@ -270,7 +316,7 @@ def constrained_ngram_decode(
     if len(trie) == 0:
         raise ValidationError("cannot decode against an empty trie")
 
-    context = scorer.tokenize(seed_text)
+    context = Context(scorer.tokenize(seed_text))
     root = trie.root
     open_logit = scorer.score(context, [OPEN_TOKEN])[0]
     live = [(_Hypothesis().child(OPEN_TOKEN, open_logit), root)]
@@ -298,7 +344,7 @@ def constrained_ngram_decode(
                 ordered = tuple(sorted(ordered + extra))
             if not ordered:
                 continue  # dead end: beam dropped
-            scored = scorer.score(context + list(hyp.tokens), ordered)
+            scored = scorer.score(context.plus(hyp.tokens), ordered)
             if closes:
                 at = ordered.index(CLOSE_TOKEN)
                 done.append(hyp.child(CLOSE_TOKEN, scored[at]))
@@ -344,8 +390,12 @@ class _ChoiceNode:
         self.choice: Optional[str] = None
 
 
-def _choice_tokens(scorer: TokenScorer, choice: str) -> list[str]:
-    tokens = scorer.tokenize(choice)
+def _choice_tokens(
+    scorer: TokenScorer, choice: str, tokenized: MutableMapping[str, list[str]]
+) -> list[str]:
+    tokens = tokenized.get(choice)
+    if tokens is None:
+        tokens = tokenized[choice] = scorer.tokenize(choice)
     if not tokens:
         tokens = [choice.strip().lower() or choice]
     if STOP_TOKEN in tokens and tokens != [STOP_TOKEN]:
@@ -354,24 +404,35 @@ def _choice_tokens(scorer: TokenScorer, choice: str) -> list[str]:
 
 
 def constrained_choice_decode(
-    scorer: TokenScorer, choices: Sequence[str], prompt: str
+    scorer: TokenScorer,
+    choices: Sequence[str],
+    context: Context,
+    tokenized: Optional[MutableMapping[str, list[str]]] = None,
 ) -> tuple[str, list[float]]:
-    """Greedy-decode exactly one of `choices`, returning it with its logits.
+    """Greedy-decode exactly one of `choices` after `context`, returning
+    it with its logits.
 
     Decoding is masked to the union trie of the tokenized choices, so the
-    result is always a member of the choice set.
+    result is always a member of the choice set. ``tokenized`` memoizes
+    ``scorer.tokenize`` of each choice: pass one dict for every decode
+    with the same scorer so each choice is tokenized once. ``context`` is
+    left as it was: a step after the first scores a copy extended by the
+    tokens emitted so far.
     """
     if not choices:
         raise ValidationError("cannot decode from an empty choice set")
+    if not isinstance(context, Context):
+        raise ValidationError("the choice decoder takes a tokenized Context")
+    if tokenized is None:
+        tokenized = {}
     root = _ChoiceNode()
     for choice in sorted(choices):
         node = root
-        for tok in _choice_tokens(scorer, choice):
+        for tok in _choice_tokens(scorer, choice, tokenized):
             node = node.children.setdefault(tok, _ChoiceNode())
         if node.choice is None:
             node.choice = choice
 
-    context = scorer.tokenize(prompt)
     emitted: list[str] = []
     logits: list[float] = []
     node = root
@@ -381,7 +442,7 @@ def constrained_choice_decode(
         candidates = sorted(node.children)
         if node.choice is not None:
             candidates.append(STOP_TOKEN)
-        scored = scorer.score(context + emitted, candidates)
+        scored = scorer.score(context.plus(emitted) if emitted else context, candidates)
         token, logit = min(
             zip(candidates, scored), key=lambda pair: (-pair[1], pair[0])
         )

@@ -379,6 +379,7 @@ class RetrievalEngine:
 
         n_beams = max((len(al.lists) for al in alignments), default=0) or 1
         kept_units: dict[str, list[int]] = {}
+        choice_tokens: dict[str, list[str]] = {}
         for si, draft in enumerate(result.drafts):
             sdraft = serialize_draft(
                 draft,
@@ -402,6 +403,7 @@ class RetrievalEngine:
                         alignment_text=alignment_text,
                         branch=f"s{si}b{bi}",
                         template=self.templates["verify"],
+                        tokenized=choice_tokens,
                     )
                 )
         result.confidence = aggregate(result.selections, vote_lambda=cfg.vote_lambda)

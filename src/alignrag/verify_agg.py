@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import prompts
 from .corpus import Corpus, DataObject, FIELD_SEP, ObjectKind
 from .embedding import EmbeddingProvider, cosine
 from .errors import ValidationError
-from .lm import STOP_TOKEN, TokenScorer, constrained_choice_decode
+from .lm import STOP_TOKEN, Context, TokenScorer, constrained_choice_decode
 from .struct_align import CompatibilityCache, Connection, ConnectionKind, Draft
 
 
@@ -150,16 +150,43 @@ def verify_select(
     alignment_text: str = "",
     branch: str = "0",
     template: Optional[str] = None,
+    tokenized: Optional[MutableMapping[str, list[str]]] = None,
 ) -> BeamSelection:
     """Pick draft members one at a time until the stop symbol.
 
     Selection is masked to the remaining draft ids plus the stop symbol,
     so every vote names a draft member; at least one object is selected
     because the stop symbol only becomes available after the first pick.
+
+    The prompt of a pick is the template with ``{selected}`` set to the
+    ids picked so far, joined by spaces. Its text around ``{selected}``
+    is tokenized once (see ``prompts.split_selected``) and each pick
+    extends the context by the picked id's tokens, so the scorer sees
+    the tokens of the whole prompt without tokenizing it again.
+    ``tokenized`` memoizes each id's tokens: pass one dict for all
+    branches of one question.
     """
     if not sdraft.object_ids:
         raise ValidationError("draft has no objects to verify")
-    tmpl = template or prompts.VERIFY_TEMPLATE
+    try:
+        pieces = prompts.split_selected(template or prompts.VERIFY_TEMPLATE)
+    except ValueError as exc:
+        raise ValidationError(f"verify template: {exc}") from None
+    if tokenized is None:
+        tokenized = {}
+    fixed = [
+        scorer.tokenize(
+            piece.format(
+                user_question=question,
+                keywords=" | ".join(keywords),
+                alignment=alignment_text,
+                draft=sdraft.text,
+            )
+        )
+        for piece in pieces
+    ]
+    head = Context(fixed[0])  # the first piece, then the picked ids' tokens
+    picked: list[str] = []
     remaining = list(sdraft.object_ids)
     selected: list[str] = []
     weights: dict[str, float] = {}
@@ -167,19 +194,24 @@ def verify_select(
         choices = sorted(remaining)
         if selected:
             choices.append(STOP_TOKEN)
-        prompt = tmpl.format(
-            user_question=question,
-            keywords=" | ".join(keywords),
-            alignment=alignment_text,
-            draft=sdraft.text,
-            selected=" ".join(selected),
+        tail: list[str] = []
+        for j, piece_tokens in enumerate(fixed[1:]):
+            if j:
+                tail += picked
+            tail += piece_tokens
+        context = head.plus(tail) if tail else head
+        chosen, logits = constrained_choice_decode(
+            scorer, choices, context, tokenized=tokenized
         )
-        chosen, logits = constrained_choice_decode(scorer, choices, prompt)
         if chosen == STOP_TOKEN:
             break
         selected.append(chosen)
         weights[chosen] = sum(logits) / len(logits)
         remaining.remove(chosen)
+        if len(fixed) > 1:  # the prompt shows the picks
+            for tok in tokenized[chosen]:  # memoized by the decoder
+                head.push(tok)
+                picked.append(tok)
     return BeamSelection(branch=branch, selected=tuple(selected), weights=weights)
 
 

@@ -343,6 +343,92 @@ def beam_decode_reference(
 
 
 # ---------------------------------------------------------------------------
+# verification
+
+
+class CountingScorerReference:
+    """The mock scorer without rules, from its formula: a candidate scores
+    its bias, plus weight times its count in the context, plus, when
+    seeded, blake2b noise over the seed, the last four context tokens and
+    the candidate. The context is counted afresh on every call."""
+
+    def __init__(self, weight: float, bias: dict, seed=None) -> None:
+        self.weight, self.bias, self.seed = weight, dict(bias), seed
+
+    def tokenize(self, text: str) -> list[str]:
+        return tokenize(text)
+
+    def score(self, context, candidates) -> list[float]:
+        context = list(context)
+        out = []
+        for tok in candidates:
+            value = self.bias.get(tok, 0.0)
+            if self.weight:
+                value += self.weight * context.count(tok)
+            if self.seed is not None:
+                tail = "\x1f".join(context[-4:])
+                payload = f"{self.seed}\x1e{tail}\x1e{tok}".encode("utf-8")
+                digest = hashlib.blake2b(payload, digest_size=8).digest()
+                value += int.from_bytes(digest, "big") / 2.0**64
+            out.append(value)
+        return out
+
+
+def choice_decode_reference(scorer, choices, context, stop: str = "<>"):
+    """Greedy decoding of one choice's token path, read off the paths.
+
+    A choice's path is its tokens (its stripped lowercase text when it has
+    none); the first choice in sorted order keeps a shared path. At each
+    step the candidates are the sorted next tokens of the paths the
+    emitted tokens start, plus the stop token once they spell a whole
+    path; the best logit wins, ties to the smaller token.
+    """
+    paths: dict[tuple, str] = {}
+    for choice in sorted(choices):
+        path = tuple(scorer.tokenize(choice)) or (choice.strip().lower() or choice,)
+        paths.setdefault(path, choice)
+    emitted: tuple = ()
+    logits: list[float] = []
+    while True:
+        n = len(emitted)
+        nexts = sorted({p[n] for p in paths if len(p) > n and p[:n] == emitted})
+        whole = emitted in paths
+        if whole and not nexts:
+            return paths[emitted], logits
+        candidates = nexts + ([stop] if whole else [])
+        scored = scorer.score(list(context) + list(emitted), candidates)
+        best = min(range(len(candidates)), key=lambda i: (-scored[i], candidates[i]))
+        if candidates[best] == stop and stop not in nexts:
+            return paths[emitted], logits
+        emitted += (candidates[best],)
+        logits.append(scored[best])
+
+
+def verify_select_reference(
+    scorer, template: str, fields: dict, object_ids, stop: str = "<>"
+) -> tuple[tuple[str, ...], dict[str, float]]:
+    """Pick draft members until the stop token, formatting and tokenizing
+    the whole prompt, with ``{selected}`` set to the picks so far joined
+    by spaces, before every pick. Returns the picks and their weights,
+    each the mean logit of its decoded tokens."""
+    remaining = list(object_ids)
+    selected: list[str] = []
+    weights: dict[str, float] = {}
+    while remaining:
+        choices = sorted(remaining) + ([stop] if selected else [])
+        prompt = template.format(selected=" ".join(selected), **fields)
+        chosen, logits = choice_decode_reference(
+            scorer, choices, scorer.tokenize(prompt), stop
+        )
+        if chosen == stop:
+            break
+        selected.append(chosen)
+        weights[chosen] = sum(logits) / len(logits)
+        remaining.remove(chosen)
+    return tuple(selected), weights
+
+
+# ---------------------------------------------------------------------------
 # selection program
 
 

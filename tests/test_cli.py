@@ -169,6 +169,27 @@ class TestRetrieve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("keyword", "custom {foo} keywords:"),
+            ("verify", "question: {user_question} {draft} selected: {selected"),
+            ("verify", "question: {user_question} {draft} selected:{selected}"),
+        ],
+    )
+    def test_bad_template_reported_before_any_question(
+        self, workdir, capsys, name, text
+    ):
+        template = workdir["tmp"] / f"{name}.txt"
+        template.write_text(text)
+        config = workdir["tmp"] / "config.json"
+        config.write_text(json.dumps({"template_files": {name: str(template)}}))
+        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        code = main(["retrieve", "paris", *args, "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: template {name!r} in {template}")
+
     def test_solver_node_budget_reported(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr(struct_align, "_NODE_BUDGET", 1)
         args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]

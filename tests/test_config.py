@@ -8,7 +8,7 @@ import pytest
 
 from alignrag.config import Config, ENV_CONFIG, load_config, resolve_config
 from alignrag.errors import ConfigError
-from alignrag.prompts import DEFAULT_TEMPLATES
+from alignrag.prompts import DEFAULT_TEMPLATES, TEMPLATE_FIELDS, check_template
 
 
 class TestDefaults:
@@ -199,3 +199,56 @@ class TestTemplates:
         cfg.validate()
         with pytest.raises(ConfigError, match="keyword"):
             cfg.templates()
+
+    def test_defaults_pass_the_template_check(self):
+        assert set(TEMPLATE_FIELDS) == set(DEFAULT_TEMPLATES)
+        for name, template in DEFAULT_TEMPLATES.items():
+            check_template(name, template)
+
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("keyword", "custom {foo} keywords:", "unknown field {foo}"),
+            ("align", "{user_question} {keyword} {keywords}", "field {keywords}"),
+            ("verify", "{user_question} {draft} {keyword} {selected}", "{keyword}"),
+            ("decompose", "{user_question} {history}", "{history}"),
+            ("react", "{user_question} {history} {selected}", "{selected}"),
+            ("keyword", "positional {} here", "unknown field {}"),
+            ("keyword", "indexed {user_question[0]}", "{user_question[0]}"),
+            ("keyword", "attribute {user_question.upper}", "user_question.upper"),
+            ("keyword", "unmatched {user_question", "expected '}'"),
+            ("keyword", "stray } brace {user_question}", "Single '}'"),
+            ("verify", "open { {selected}", "'{'"),
+            ("keyword", "bad conversion {user_question!z}", "conversion"),
+            ("keyword", "bad spec {user_question:d}", "format code"),
+            ("align", "nested {user_question:{keyword}}", "nests a field"),
+            ("verify", "selected:{selected}", "whitespace"),
+            ("verify", "{draft}{selected}", "whitespace"),
+            ("verify", "{selected}.", "whitespace"),
+            ("verify", "{selected!s} picked", "conversion"),
+        ],
+    )
+    def test_malformed_template_file_rejected(self, tmp_path, name, text, message):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text + "\n")
+        cfg = Config(template_files={name: str(path)})
+        cfg.validate()
+        with pytest.raises(ConfigError) as info:
+            cfg.templates()
+        assert f"template {name!r} in {path}" in str(info.value)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "pick {selected} from {draft} for {user_question}",
+            "{selected}\n{draft}",
+            "{draft} {alignment} {keywords} {user_question}",  # no {selected}
+            "{{selected}} {draft} {selected}",  # escaped braces are literal text
+        ],
+    )
+    def test_verify_templates_that_split_are_accepted(self, tmp_path, text):
+        path = tmp_path / "verify.txt"
+        path.write_text(text)
+        resolved = Config(template_files={"verify": str(path)}).templates()
+        assert resolved["verify"] == text

@@ -14,6 +14,7 @@ from alignrag.errors import AllBeamsDead, ValidationError
 from alignrag.lm import (
     Beam,
     CLOSE_TOKEN,
+    Context,
     MockScorer,
     OPEN_TOKEN,
     SEP_TOKEN,
@@ -168,6 +169,44 @@ class TestScorerAgainstFormula:
             got = scorer.score(context, candidates)
             assert type(got) is list
             assert repr(got) == repr(want)  # also tells -0.0 from 0.0, 2 from 2.0
+            # a Context brings its own counts; the scorer reads, never writes
+            shared = Context(context[:1]).plus(context[1:])
+            assert repr(scorer.score(shared, candidates)) == repr(want)
+            assert shared == context
+            assert shared.counts == collections.Counter(context)
+
+
+class TestContext:
+    def test_counts_follow_plus_and_push(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            tokens = [rng.choice(SCORER_VOCAB) for _ in range(rng.randint(0, 12))]
+            cut = rng.randint(0, len(tokens))
+            base = Context(tokens[:cut])
+            extended = base.plus(tokens[cut:])
+            assert extended == tokens
+            assert extended.counts == collections.Counter(tokens)
+            assert base == tokens[:cut]  # plus leaves its source alone
+            assert base.counts == collections.Counter(tokens[:cut])
+            copy = Context(extended)
+            copy.push("extra")
+            assert copy.counts == collections.Counter(tokens + ["extra"])
+            assert extended.counts == collections.Counter(tokens)
+
+    def test_choice_decoder_leaves_its_context_alone(self):
+        scorer = MockScorer(seed=1, context_weight=1.0)
+        scorer.add_rule(("pick", "alpha"), ["alpha"])
+        context = Context(["pick", "alpha"])
+        chosen, logits = constrained_choice_decode(
+            scorer, ["alpha beta gamma", "delta"], context
+        )
+        assert chosen == "alpha beta gamma" and len(logits) == 3
+        assert context == ["pick", "alpha"]
+        assert context.counts == collections.Counter(["pick", "alpha"])
+
+    def test_choice_decoder_rejects_an_untokenized_prompt(self):
+        with pytest.raises(ValidationError, match="Context"):
+            constrained_choice_decode(MockScorer(), ["a"], "pick one")
 
 
 class TestNgramDecode:
@@ -387,18 +426,24 @@ class TestChoiceDecode:
         for seed in range(100):
             choices = rng.sample(pool, rng.randint(1, 6))
             scorer = MockScorer(seed=seed)
-            chosen, logits = constrained_choice_decode(scorer, choices, "pick one")
+            chosen, logits = constrained_choice_decode(
+                scorer, choices, Context(["pick", "one"])
+            )
             assert chosen in choices
             assert len(logits) == len(scorer.tokenize(chosen))
 
     def test_scripted_choice(self):
         scorer = MockScorer()
         scorer.script(("pick",), ["beta"])
-        chosen, _ = constrained_choice_decode(scorer, ["alpha", "beta"], "pick")
+        chosen, _ = constrained_choice_decode(
+            scorer, ["alpha", "beta"], Context(["pick"])
+        )
         assert chosen == "beta"
 
     def test_single_choice_short_circuits(self):
-        chosen, logits = constrained_choice_decode(MockScorer(), ["only"], "q")
+        chosen, logits = constrained_choice_decode(
+            MockScorer(), ["only"], Context(["q"])
+        )
         assert chosen == "only"
         assert len(logits) == 1
 
@@ -406,20 +451,20 @@ class TestChoiceDecode:
         stopper = MockScorer()
         stopper.add_rule(("alpha",), [STOP_TOKEN])
         chosen, _ = constrained_choice_decode(
-            stopper, ["alpha", "alpha beta"], "q"
+            stopper, ["alpha", "alpha beta"], Context(["q"])
         )
         assert chosen == "alpha"
 
         continuer = MockScorer()
         continuer.add_rule(("alpha",), ["beta"])
         chosen, _ = constrained_choice_decode(
-            continuer, ["alpha", "alpha beta"], "q"
+            continuer, ["alpha", "alpha beta"], Context(["q"])
         )
         assert chosen == "alpha beta"
 
     def test_stop_symbol_is_a_legal_choice(self):
         scorer = MockScorer(token_bias={STOP_TOKEN: 5.0})
-        chosen, _ = constrained_choice_decode(scorer, ["a", STOP_TOKEN], "q")
+        chosen, _ = constrained_choice_decode(scorer, ["a", STOP_TOKEN], Context(["q"]))
         assert chosen == STOP_TOKEN
 
     def test_stop_inside_choice_rejected(self):
@@ -428,11 +473,11 @@ class TestChoiceDecode:
                 return text.split()
 
         with pytest.raises(ValidationError, match="stop token"):
-            constrained_choice_decode(VerbatimScorer(), ["a <> b"], "q")
+            constrained_choice_decode(VerbatimScorer(), ["a <> b"], Context(["q"]))
 
     def test_empty_choices(self):
         with pytest.raises(ValidationError):
-            constrained_choice_decode(MockScorer(), [], "q")
+            constrained_choice_decode(MockScorer(), [], Context(["q"]))
 
 
 class TestFreeDecode:

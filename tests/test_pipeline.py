@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import jsonschema
@@ -212,6 +213,62 @@ class TestCompatibilityCost:
         question = bench.questions[0].question
         engine.run_arm(question, stage="ia")
         assert embedded == [question]
+
+
+class ForwardingScorer:
+    """Exposes only the scorer protocol, as the benchmark's counting
+    wrapper does, and counts score calls and candidates."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.calls = self.candidates = 0
+
+    def tokenize(self, text):
+        return self._inner.tokenize(text)
+
+    def score(self, context, candidates):
+        self.calls += 1
+        self.candidates += len(candidates)
+        return self._inner.score(context, candidates)
+
+    def free_next(self, context):
+        self.calls += 1
+        return self._inner.free_next(context)
+
+
+class CountedMockScorer(MockScorer):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.calls = self.candidates = 0
+
+    def score(self, context, candidates):
+        self.calls += 1
+        self.candidates += len(candidates)
+        return super().score(context, candidates)
+
+
+class TestScorerProtocol:
+    @pytest.mark.parametrize("scorer_kind", ["mock", "mock-random"])
+    def test_protocol_only_wrapper_changes_nothing(self, scorer_kind):
+        bench = build_planted()
+        config = dataclasses.replace(bench.config, scorer=scorer_kind)
+        built = build_scorer(config)
+        bare = CountedMockScorer(
+            seed=built.seed,
+            context_weight=built.context_weight,
+            token_bias=built.token_bias,
+        )
+        wrapped = ForwardingScorer(build_scorer(config))
+        results = []
+        for scorer in (bare, wrapped):
+            engine = RetrievalEngine(bench.corpus, config=config, scorer=scorer)
+            results.append(
+                [engine.run_arm(q.question, stage="full") for q in bench.questions]
+            )
+        assert results[0] == results[1]
+        assert all(r.selections for r in results[0])
+        assert (bare.calls, bare.candidates) == (wrapped.calls, wrapped.candidates)
+        assert bare.calls > 0
 
 
 class TestRunArm:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
 
+import oracles
+from alignrag import prompts
 from alignrag.corpus import build_corpus
 from alignrag.embedding import HashEmbeddingProvider
 from alignrag.errors import ValidationError
 from alignrag.lm import MockScorer, STOP_TOKEN
+from alignrag.pipeline import RetrievalEngine, render_alignment
 from alignrag.struct_align import (
     CompatibilityCache,
     Connection,
@@ -28,6 +32,7 @@ from alignrag.verify_agg import (
     verify_select,
 )
 from conftest import make_passage, make_table
+from planted import build_planted
 
 PROVIDER = HashEmbeddingProvider(dimension=64, seed=0)
 
@@ -248,6 +253,156 @@ class TestVerifySelect:
     def test_empty_draft_rejected(self):
         with pytest.raises(ValidationError):
             verify_select(MockScorer(), "q", [], toy_sdraft("text"))
+
+
+def synth_style_draft(rng: random.Random):
+    """A draft shaped like a synthetic-corpus one: chain and distractor ids,
+    object lines that start with their id and mention others, connection
+    lines that name two ids; ids recur, so their counts differ. Some ids
+    are two tokens that share their first, so a pick changes the counts
+    the next pick reads."""
+    size = rng.randint(1, 6)
+    ids = sorted(
+        {
+            rng.choice(("", "", "x7 ", "code "))
+            + f"{rng.choice('abpt')}{rng.randrange(40):04d}"
+            for _ in range(size)
+        }
+    )
+    words = ["code", "river", "x7", "population", "rank", "bridge", "|", "in"]
+    lines = [
+        " | ".join([oid] + [rng.choice(words + ids) for _ in range(rng.randint(2, 9))])
+        for oid in ids
+    ]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(ids), rng.choice(ids)
+        lines.append(f"column code in {a} connects with column code in {b}")
+    keywords = [" ".join(rng.sample(words, 2)) for _ in range(rng.randint(1, 3))]
+    return toy_sdraft("\n".join(lines), *ids), keywords
+
+
+SCORERS = [  # (context weight, stop bias, seed)
+    (1.0, 1.5, None),
+    (1.0, 1.5, 0),
+    (0.5, -0.0, 3),
+    (-1.0, 2.0, None),
+    (2.5, 0.0, 11),
+]
+
+
+def assert_matches_reference(
+    sel, reference, template, question, keywords, sdraft, alignment
+):
+    fields = {
+        "user_question": question,
+        "keywords": " | ".join(keywords),
+        "alignment": alignment,
+        "draft": sdraft.text,
+    }
+    want = oracles.verify_select_reference(
+        reference, template or prompts.VERIFY_TEMPLATE, fields, sdraft.object_ids
+    )
+    assert (sel.selected, repr(sel.weights)) == (want[0], repr(want[1]))
+
+
+def check_against_reference(
+    scorer_args, template, question, keywords, sdraft, alignment
+):
+    weight, stop_bias, seed = scorer_args
+    scorer = MockScorer(
+        seed=seed, context_weight=weight, token_bias={STOP_TOKEN: stop_bias}
+    )
+    reference = oracles.CountingScorerReference(weight, {STOP_TOKEN: stop_bias}, seed)
+    sel = verify_select(
+        scorer, question, keywords, sdraft, alignment_text=alignment, template=template
+    )
+    assert_matches_reference(
+        sel, reference, template, question, keywords, sdraft, alignment
+    )
+
+
+CUSTOM_TEMPLATES = {
+    "middle": "question: {user_question} selected: {selected} candidates: {draft} "
+    "keywords: {keywords} aligned: {alignment} pick:",
+    "absent": "question: {user_question} candidates: {draft} pick one:",
+    "twice": "{selected} question: {user_question} {draft} so far:\t{selected}\nnext",
+    "lines": "{draft}\n{selected}",
+}
+
+
+class TestVerifyAgainstReference:
+    """verify_select tokenizes the prompt's fixed text once and extends it
+    by each pick; the reference formats and tokenizes the whole prompt on
+    every pick and counts the context afresh on every score."""
+
+    @pytest.mark.parametrize("scorer_kind", ["mock", "mock-random"])
+    def test_planted_selections(self, scorer_kind):
+        bench = build_planted()
+        config = dataclasses.replace(bench.config, scorer=scorer_kind)
+        engine = RetrievalEngine(bench.corpus, config=config)
+        seed = config.seed if scorer_kind == "mock-random" else None
+        reference = oracles.CountingScorerReference(
+            config.mock_context_weight, {STOP_TOKEN: config.mock_stop_bias}, seed
+        )
+        checked = 0
+        for q in bench.questions:
+            result = engine.run_arm(q.question, stage="full")
+            for sel in result.selections:
+                si, bi = map(int, sel.branch[1:].split("b"))
+                alignment = render_alignment(result.alignments, bi)
+                assert_matches_reference(
+                    sel,
+                    reference,
+                    None,
+                    q.question,
+                    result.keywords,
+                    result.serialized[si],
+                    alignment,
+                )
+                checked += 1
+        assert checked >= 3 * len(bench.questions)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_synth_style_drafts(self, case):
+        rng = random.Random(case)
+        sdraft, keywords = synth_style_draft(rng)
+        alignment = f"{keywords[0]} ( river, x7 code )"
+        scorer_args = SCORERS[case % len(SCORERS)]
+        check_against_reference(
+            scorer_args, None, "which river code?", keywords, sdraft, alignment
+        )
+
+    @pytest.mark.parametrize("name", sorted(CUSTOM_TEMPLATES))
+    @pytest.mark.parametrize("scorer_args", SCORERS)
+    def test_custom_templates(self, name, scorer_args):
+        template = CUSTOM_TEMPLATES[name]
+        prompts.check_template("verify", template)  # the config accepts it
+        for case in range(8):
+            sdraft, keywords = synth_style_draft(random.Random(100 + case))
+            check_against_reference(
+                scorer_args, template, "which code?", keywords, sdraft, "aligned x7"
+            )
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "selected:{selected}",
+            "{selected}. done",
+            "pick {draft}{selected} now",
+            "pick {selected}{draft}",
+            "pick {selected!r}",
+            "pick {selected:>9}",
+        ],
+    )
+    def test_glued_selected_is_rejected(self, template):
+        with pytest.raises(ValidationError, match="selected"):
+            verify_select(
+                frequency_scorer(),
+                "q",
+                [],
+                toy_sdraft("a1 b2", "a1"),
+                template=template,
+            )
 
 
 class TestAggregate:
