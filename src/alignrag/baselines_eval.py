@@ -10,6 +10,7 @@ from . import prompts
 from .corpus import Corpus, serialize_object
 from .embedding import EmbeddingProvider, VectorStore, object_similarity, top_objects
 from .errors import EmptyGold, ParseError, UnknownGoldId, ValidationError
+from .jsonio import read_jsonl
 from .lm import SEP_TOKEN, TokenScorer, free_decode
 from .ngram_index import normalize_tokens
 from .pipeline import ArmResult, RetrievalEngine
@@ -297,35 +298,23 @@ class Question:
 
 def load_questions(path: str) -> list[Question]:
     questions = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"questions file {path} line {line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{where}: expected a JSON object")
-            try:
-                question_id = record["question_id"]
-                question = record["question"]
-                gold = record["gold_object_ids"]
-            except KeyError as exc:
-                raise ParseError(f"{where}: missing field {exc}") from exc
-            # ids are strings; an integer id reads as its decimal text
-            if type(question_id) not in (str, int):
-                raise ParseError(f"{where}: question_id must be a string or an integer")
-            if not isinstance(question, str):
-                raise ParseError(f"{where}: question must be a string")
-            if not isinstance(gold, list) or not all(
-                type(g) in (str, int) for g in gold
-            ):
-                raise ParseError(f"{where}: gold_object_ids must be a list of ids")
-            questions.append(
-                Question(str(question_id), question, tuple(str(g) for g in gold))
-            )
+    for record, where in read_jsonl(path, "questions file"):
+        try:
+            question_id = record["question_id"]
+            question = record["question"]
+            gold = record["gold_object_ids"]
+        except KeyError as exc:
+            raise ParseError(f"{where}: missing field {exc}") from exc
+        # ids are strings; an integer id reads as its decimal text
+        if type(question_id) not in (str, int):
+            raise ParseError(f"{where}: question_id must be a string or an integer")
+        if not isinstance(question, str):
+            raise ParseError(f"{where}: question must be a string")
+        if not isinstance(gold, list) or not all(type(g) in (str, int) for g in gold):
+            raise ParseError(f"{where}: gold_object_ids must be a list of ids")
+        questions.append(
+            Question(str(question_id), question, tuple(str(g) for g in gold))
+        )
     return questions
 
 

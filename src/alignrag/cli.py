@@ -29,18 +29,10 @@ from .ngram_index import (
 from .pipeline import RetrievalEngine
 
 
-def _load_corpus_checked(path: str, chunk_units: int):
-    if not os.path.exists(path):
-        raise AlignragError(f"corpus file not found: {path}")
-    return load_corpus(path, chunk_units=chunk_units)
-
-
 def cmd_index_build(args: argparse.Namespace) -> int:
     config = resolve_config(args.config)
-    if args.chunk_units is not None and args.chunk_units < 1:
-        raise ConfigError(f"--chunk-units must be >= 1, got {args.chunk_units}")
     chunk_units = config.chunk_units if args.chunk_units is None else args.chunk_units
-    corpus = _load_corpus_checked(args.corpus, chunk_units)
+    corpus = load_corpus(args.corpus, chunk_units=chunk_units)
     trie = build_trie(corpus_ngrams(corpus.chunks))
     bm25 = build_bm25(corpus.chunks, k1=config.bm25_k1, b=config.bm25_b)
     save_index(args.out, trie, bm25, chunk_units)
@@ -52,10 +44,8 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 
 def _build_engine(args: argparse.Namespace, config: Config) -> RetrievalEngine:
-    if not os.path.exists(args.index):
-        raise AlignragError(f"index file not found: {args.index}")
     trie, bm25, chunk_units = load_index(args.index)
-    corpus = _load_corpus_checked(args.corpus, chunk_units)
+    corpus = load_corpus(args.corpus, chunk_units=chunk_units)
     # an index built from another corpus would align to phrases the
     # collection does not hold; its BM25 chunk table gives it away
     expected = {c.chunk_id: len(normalize_tokens(c.text)) for c in corpus.chunks}
@@ -109,8 +99,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 def cmd_eval_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
     engine = _build_engine(args, config)
-    if not os.path.exists(args.questions):
-        raise AlignragError(f"questions file not found: {args.questions}")
     questions = load_questions(args.questions)
     methods = args.method or list(METHODS)
     results = run_eval(engine, questions, methods=methods, top_k=args.top_k)
@@ -195,8 +183,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # count flags are checked before any file is read
+        for flag in ("chunk_units", "top_k"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                name = "--" + flag.replace("_", "-")
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         return args.func(args)
-    except AlignragError as exc:
+    except (AlignragError, OSError) as exc:
+        # an input file that cannot be read raises AlignragError, so an
+        # OSError is an output path that cannot be written; it names the path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

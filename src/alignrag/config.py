@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
+from .jsonio import read_json
 from .prompts import DEFAULT_TEMPLATES, check_template
 
 ENV_CONFIG = "ARM_CONFIG"
@@ -156,13 +156,7 @@ class Config:
 
 def load_config(path: str) -> Config:
     """Read a JSON config; unknown keys are an error."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
+    raw = read_json(path, "config", ConfigError)
     known = {f.name for f in dataclasses.fields(Config)}
     unknown = set(raw) - known
     if unknown:

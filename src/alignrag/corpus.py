@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .errors import ParseError, ValidationError
+from .jsonio import read_jsonl
 
 FIELD_SEP = " | "
 
@@ -149,12 +150,10 @@ def _strings(values: object) -> bool:
     return isinstance(values, list) and all(isinstance(v, str) for v in values)
 
 
-def _object_from_record(record: object, where: str) -> DataObject:
+def _object_from_record(record: dict, where: str) -> DataObject:
     """The object a parsed JSONL line describes. Text fields must be
     strings and ``columns``, ``rows`` and ``sentences`` lists of them;
     a malformed record raises ParseError naming ``where``."""
-    if not isinstance(record, dict):
-        raise ParseError(f"{where}: expected a JSON object")
     kind_raw = record.get("kind")
     if kind_raw not in (ObjectKind.TABLE.value, ObjectKind.PASSAGE.value):
         raise ParseError(f"{where}: unknown kind {kind_raw!r}")
@@ -197,17 +196,10 @@ def _object_from_record(record: object, where: str) -> DataObject:
 
 def load_corpus(path: str, chunk_units: int = 20) -> Corpus:
     """Load a JSONL collection file, validate it, and chunk every object."""
-    objects: list[DataObject] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"corpus file {path} line {line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: {exc.msg}") from exc
-            objects.append(_object_from_record(record, where))
+    objects = [
+        _object_from_record(record, where)
+        for record, where in read_jsonl(path, "corpus file")
+    ]
     return build_corpus(objects, chunk_units=chunk_units)
 
 

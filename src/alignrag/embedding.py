@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
+from .jsonio import read_jsonl
 from .ngram_index import normalize_tokens
 
 
@@ -132,33 +132,22 @@ class FileVectorProvider:
     def __init__(self, path: str) -> None:
         self._vectors: dict[str, np.ndarray] = {}
         self.dimension = 0
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                where = f"vector file {path} line {line_no}"
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{where}: {exc.msg}") from exc
-                if not isinstance(record, dict):
-                    raise ParseError(f"{where}: expected a JSON object")
-                key = record.get("chunk_id")
-                vector = record.get("vector")
-                if not isinstance(key, str) or not isinstance(vector, list):
-                    raise ParseError(f"{where}: need chunk_id and vector")
-                if not all(type(x) in (int, float) for x in vector):
-                    raise ParseError(f"{where}: vector must be a flat list of numbers")
-                arr = np.asarray(vector, dtype=np.float64)
-                if self.dimension == 0:
-                    self.dimension = arr.shape[0]
-                elif arr.shape[0] != self.dimension:
-                    raise DimensionMismatch(
-                        f"{where}: vector of dim {arr.shape[0]}, "
-                        f"expected {self.dimension}"
-                    )
-                arr.setflags(write=False)
-                self._vectors[key] = arr
+        for record, where in read_jsonl(path, "vector file"):
+            key = record.get("chunk_id")
+            vector = record.get("vector")
+            if not isinstance(key, str) or not isinstance(vector, list):
+                raise ParseError(f"{where}: need chunk_id and vector")
+            if not all(type(x) in (int, float) for x in vector):
+                raise ParseError(f"{where}: vector must be a flat list of numbers")
+            arr = np.asarray(vector, dtype=np.float64)
+            if self.dimension == 0:
+                self.dimension = arr.shape[0]
+            elif arr.shape[0] != self.dimension:
+                raise DimensionMismatch(
+                    f"{where}: vector of dim {arr.shape[0]}, expected {self.dimension}"
+                )
+            arr.setflags(write=False)
+            self._vectors[key] = arr
         if not self._vectors:
             raise ProviderError(f"no vectors found in {path}")
 

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .corpus import Chunk
 from .errors import ParseError, ValidationError
+from .jsonio import read_json
 
 MAX_NGRAM = 3
 
@@ -279,13 +280,7 @@ def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     malformed file raises ParseError naming it.
     """
     where = f"index file {path}"
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            snapshot = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{where}: {exc.msg}") from exc
-    if not isinstance(snapshot, dict):
-        raise ParseError(f"{where}: expected a JSON object")
+    snapshot = read_json(path, "index file")
     if snapshot.get("format") != INDEX_FORMAT:
         raise ParseError(f"{where}: unsupported format {snapshot.get('format')!r}")
     chunk_units = _key(snapshot, "chunk_units", int, where)

@@ -90,6 +90,28 @@ class TestIndexBuild:
         assert "--chunk-units" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [None, b"\xff\n"], ids=["dir", "latin1"])
+    def test_unreadable_corpus_reported(self, tmp_path, capsys, content):
+        corpus = tmp_path / "c.jsonl"
+        if content is None:
+            corpus.mkdir()
+        else:
+            corpus.write_bytes(content)
+        out = tmp_path / "idx.json"
+        assert main(["index", "build", "--corpus", str(corpus), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corpus file {corpus}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unwritable_out_reported(self, tmp_path, capsys):
+        corpus = write_jsonl(tmp_path / "c.jsonl", CITY_RECORDS)
+        out = tmp_path / "nodir" / "idx.json"
+        assert main(["index", "build", "--corpus", corpus, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+
 
 class TestRetrieve:
     def test_arm_prints_confidence(self, workdir, capsys):
@@ -150,6 +172,41 @@ class TestRetrieve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "got 0" in captured.err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("method", ["arm", "dense", "eval"])
+    def test_top_k_below_one_rejected_before_any_work(
+        self, workdir, capsys, method, value
+    ):
+        # the index does not exist, so only a check made before any file
+        # is read can name the flag
+        index = str(workdir["tmp"] / "absent.json")
+        out = workdir["tmp"] / "out"
+        args = ["--corpus", workdir["corpus"], "--index", index, "--top-k", value]
+        if method == "eval":
+            argv = ["eval", "run", "--questions", workdir["questions"]]
+            argv += ["--out", str(out), *args]
+        else:
+            argv = ["retrieve", "q", "--method", method, *args]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --top-k must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("by_env", [False, True])
+    def test_missing_config_reported(self, workdir, capsys, monkeypatch, by_env):
+        config = str(workdir["tmp"] / "missing.json")
+        argv = ["retrieve", "q", "--corpus", workdir["corpus"]]
+        argv += ["--index", workdir["index"]]
+        if by_env:
+            monkeypatch.setenv("ARM_CONFIG", config)
+        else:
+            argv += ["--config", config]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config not found: {config}\n"
 
     @pytest.mark.parametrize(
         "payload",
@@ -219,6 +276,15 @@ class TestRetrieve:
         jsonschema.validate(instance=trace, schema=TRACE_SCHEMA)
         assert trace["question_id"] == "q0"
         assert "trace written to" in capsys.readouterr().err
+
+    def test_unwritable_trace_reported(self, workdir, capsys):
+        trace_path = str(workdir["tmp"] / "nodir" / "trace.json")
+        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        assert main(["retrieve", "paris population", *args, "--trace", trace_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()
+        assert captured.err.startswith("error: ") and trace_path in captured.err
+        assert "Traceback" not in captured.err
 
     def test_unknown_method_rejected_by_parser(self, workdir):
         with pytest.raises(SystemExit):
@@ -430,6 +496,22 @@ class TestEvalRun:
             trace = json.loads(line)
             jsonschema.validate(instance=trace, schema=TRACE_SCHEMA)
             assert trace["question_id"] == record["question_id"]
+
+    @pytest.mark.parametrize("target", ["trace", "out"])
+    def test_unwritable_output_reported(self, workdir, capsys, target):
+        out_dir = workdir["tmp"] / "out"
+        trace_path = workdir["tmp"] / "nodir" / "traces.jsonl"
+        if target == "out":
+            # --out names an existing file, not a directory
+            out_dir.write_text("")
+        argv = ["eval", "run", "--questions", workdir["questions"]]
+        argv += ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        argv += ["--out", str(out_dir), "--method", "arm", "--trace", str(trace_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        named = out_dir if target == "out" else trace_path
+        assert err.startswith("error: ") and str(named) in err
+        assert "Traceback" not in err
 
     def test_missing_questions(self, workdir, capsys):
         code = main(
