@@ -29,8 +29,21 @@ from .ngram_index import (
 from .pipeline import RetrievalEngine
 
 
+def _check_writable(path: Optional[str]) -> None:
+    """Raise the ``OSError`` naming ``path`` that writing it would raise,
+    before any work; a file this check creates is removed again."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_index_build(args: argparse.Namespace) -> int:
     config = resolve_config(args.config)
+    _check_writable(args.out)
     chunk_units = config.chunk_units if args.chunk_units is None else args.chunk_units
     corpus = load_corpus(args.corpus, chunk_units=chunk_units)
     trie = build_trie(corpus_ngrams(corpus.chunks))
@@ -71,6 +84,7 @@ def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
+    _check_writable(args.trace)
     engine = _build_engine(args, config)
     top_k = config.final_k if args.top_k is None else args.top_k
     if args.method == "arm":
@@ -98,11 +112,12 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 def cmd_eval_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
+    os.makedirs(args.out, exist_ok=True)
+    _check_writable(args.trace)
     engine = _build_engine(args, config)
     questions = load_questions(args.questions)
     methods = args.method or list(METHODS)
     results = run_eval(engine, questions, methods=methods, top_k=args.top_k)
-    os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "results.json")
     csv_path = os.path.join(args.out, "results.csv")
     with open(json_path, "w", encoding="utf-8") as handle:
@@ -192,7 +207,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (AlignragError, OSError) as exc:
         # an input file that cannot be read raises AlignragError, so an
-        # OSError is an output path that cannot be written; it names the path
+        # OSError is an output path that cannot be written; it names the
+        # path, and each command checks its output paths before any work
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

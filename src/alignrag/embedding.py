@@ -230,11 +230,12 @@ class VectorStore:
     """Every chunk vector, stored sparse by coordinate, each object's chunks
     contiguous.
 
-    Object ``object_ids[j]`` owns chunks ``offsets[j]:offsets[j + 1]``;
-    ``chunk_rows`` maps each chunk id to its chunk index and ``norms``
-    holds each chunk vector's Euclidean norm. Row ``d`` of
-    ``columns`` lists the chunks whose vector is non-zero at coordinate
-    ``d``, with the values there. A hashed chunk vector is non-zero on a
+    Object ``object_ids[j]`` owns chunks ``offsets[j]:offsets[j + 1]``,
+    and ``id_rank[j]`` is its place in ascending id order, the tie order
+    ``top_objects`` takes; ``chunk_rows`` maps each chunk id to its chunk
+    index and ``norms`` holds each chunk vector's Euclidean norm. Row
+    ``d`` of ``columns`` lists the chunks whose vector is non-zero at
+    coordinate ``d``, with the values there. A hashed chunk vector is non-zero on a
     few dozen of its thousands of coordinates, so the store holds a small
     fraction of a dense matrix and is built without one.
     """
@@ -243,6 +244,7 @@ class VectorStore:
     object_ids: tuple[str, ...]
     columns: SparseRows  # one row per coordinate: chunk indices and values
     offsets: np.ndarray  # (n_objects + 1,)
+    id_rank: np.ndarray  # (n_objects,)
     chunk_rows: Mapping[str, int]
     norms: np.ndarray  # (n_chunks,)
 
@@ -324,6 +326,7 @@ def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> Vector
         object_ids=tuple(grouped),
         columns=vectors.transpose(provider.dimension),
         offsets=offsets,
+        id_rank=id_rank(tuple(grouped)),
         chunk_rows={chunk.chunk_id: i for i, chunk in enumerate(rows)},
         norms=norms,
     )
@@ -369,16 +372,32 @@ def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarra
     return np.maximum.reduceat(cosines, store.offsets[:-1])
 
 
-def top_objects(scores: np.ndarray, ids: Sequence[str], k: int) -> list[int]:
-    """Positions of the ``k`` best ``scores``, best first, ties by id
-    (``-0.0`` ties ``0.0``). A partition finds the k-th best score and only
-    the entries at or above it are sorted, ties there in id order."""
+def id_rank(ids: Sequence[str]) -> np.ndarray:
+    """Each position's place when ``ids`` are sorted ascending."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def top_objects(scores: np.ndarray, rank: np.ndarray, k: int) -> list[int]:
+    """Positions of the ``k`` best ``scores``, best first, ties by ``rank``
+    (``id_rank`` of the ids; ``-0.0`` ties ``0.0``).
+
+    A partition finds the k-th best score. Every entry above it is kept,
+    and of the entries equal to it the ones of smallest rank that make up
+    ``k``; only those ``k`` are sorted.
+    """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    top = np.arange(len(ids))
-    if k < len(ids):
-        cut = len(ids) - k
-        top = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
-    positions = top.tolist()
-    keys = zip((-scores[top]).tolist(), [ids[j] for j in positions], positions)
-    return [j for _, _, j in sorted(keys)[:k]]
+    if k >= len(scores):
+        top = np.arange(len(scores))
+    else:
+        cut = len(scores) - k
+        kth = np.partition(scores, cut)[cut]
+        above = np.flatnonzero(scores > kth)
+        tied = np.flatnonzero(scores == kth)
+        need = k - above.size
+        if need < tied.size:
+            tied = tied[np.argpartition(rank[tied], need - 1)[:need]]
+        top = np.concatenate((above, tied))
+    return top[np.lexsort((rank[top], -scores[top]))].tolist()

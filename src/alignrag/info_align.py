@@ -202,5 +202,5 @@ def retrieve_base(
             bm25=float(bm25[j]),
             embed=float(embed[j]),
         )
-        for j in top_objects(fused, store.object_ids, base_size)
+        for j in top_objects(fused, store.id_rank, base_size)
     ]

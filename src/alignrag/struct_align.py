@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, DataObject, ObjectKind
-from .embedding import EmbeddingProvider, SparseRows, embed_rows, top_objects
+from .embedding import EmbeddingProvider, SparseRows, embed_rows, id_rank
 from .errors import Infeasible, TooLarge, ValidationError
 from .info_align import clamp01
 from .ngram_index import normalize_tokens
@@ -303,7 +303,8 @@ class CompatibilityCache:
     first lookup builds. Rows are computed a set at a time: ``nearest``
     ranks the rows of a round's members, ``strengths`` serves one search
     set's pairs, and ``score(a, b)`` reads the row of whichever of the two
-    already has one and otherwise computes ``a``'s. ``get`` returns the
+    already has one and otherwise computes ``a``'s. A row is ranked once,
+    by the first ``nearest`` call that needs it. ``get`` returns the
     connection behind a pair, memoized by the pair.
     """
 
@@ -318,11 +319,17 @@ class CompatibilityCache:
         self._ids = corpus.object_ids()
         self._position = {oid: j for j, oid in enumerate(self._ids)}
         self._rows: dict[str, np.ndarray] = {}
+        # positions of a row's positive entries but its own, best first
+        self._orders: dict[str, np.ndarray] = {}
         self._connections: dict[tuple[str, str], Optional[Connection]] = {}
 
     @cached_property
     def _index(self) -> _UnitIndex:
         return _UnitIndex(self._corpus, self._provider)
+
+    @cached_property
+    def _id_rank(self) -> np.ndarray:
+        return id_rank(self._ids)
 
     def _fill(self, oids: Sequence[str]) -> None:
         """Compute the rows ``oids`` lack, in one pass."""
@@ -357,14 +364,36 @@ class CompatibilityCache:
 
     def nearest(self, oids: Sequence[str], n: int) -> list[list[str]]:
         """For each of ``oids``, the ``n`` objects most compatible with it,
-        best first, ties by id, leaving it out."""
+        best first, ties by id, leaving it out: its ranked positive
+        entries, then, when they are fewer than ``n``, its zero entries in
+        id order."""
         self._fill(oids)
+        self._rank(oids)
         lists = []
         for oid in oids:
-            me = self._position[oid]
-            ranked = top_objects(self._rows[oid], self._ids, n + 1)
-            lists.append([self._ids[j] for j in ranked if j != me][:n])
+            order = self._orders[oid]
+            if order.size < n:
+                zeros = np.flatnonzero(self._rows[oid] == 0.0)
+                zeros = zeros[zeros != self._position[oid]]
+                order = np.concatenate((order, zeros[np.argsort(self._id_rank[zeros])]))
+            lists.append([self._ids[j] for j in order[:n].tolist()])
         return lists
+
+    def _rank(self, oids: Sequence[str]) -> None:
+        """Order, in one pass, the positive entries of each row of ``oids``
+        that has no order yet, by score descending, then by id."""
+        todo = [oid for oid in dict.fromkeys(oids) if oid not in self._orders]
+        if not todo:
+            return
+        block = np.stack([self._rows[oid] for oid in todo])
+        positive = block > 0.0
+        positive[np.arange(len(todo)), [self._position[oid] for oid in todo]] = False
+        owner, column = np.nonzero(positive)
+        ranked = column[
+            np.lexsort((self._id_rank[column], -block[owner, column], owner))
+        ]
+        ends = np.cumsum(positive.sum(axis=1))[:-1]
+        self._orders.update(zip(todo, np.split(ranked, ends)))
 
     def get(self, id_a: str, id_b: str) -> Optional[Connection]:
         if id_a == id_b:

@@ -8,7 +8,7 @@ import re
 import jsonschema
 import pytest
 
-from alignrag import struct_align
+from alignrag import cli, struct_align
 from alignrag.baselines_eval import METHODS
 from alignrag.cli import main
 from alignrag.pipeline import TRACE_SCHEMA, RetrievalEngine
@@ -45,6 +45,20 @@ QUESTION_RECORDS = [
 def write_jsonl(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     return str(path)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("the corpus was loaded before the output path was checked")
+
+
+def assert_output_path_reported(capsys, path):
+    """Exit 1 was reported on stderr by one ``error:`` line naming ``path``,
+    and nothing reached stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0]
 
 
 @pytest.fixture()
@@ -111,6 +125,15 @@ class TestIndexBuild:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
         assert "Traceback" not in err
+
+    def test_unwritable_out_reported_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "load_corpus", no_work)
+        corpus = write_jsonl(tmp_path / "c.jsonl", CITY_RECORDS)
+        out = tmp_path / "nodir" / "idx.json"
+        assert main(["index", "build", "--corpus", corpus, "--out", str(out)]) == 1
+        assert_output_path_reported(capsys, out)
 
 
 class TestRetrieve:
@@ -282,9 +305,19 @@ class TestRetrieve:
         args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
         assert main(["retrieve", "paris population", *args, "--trace", trace_path]) == 1
         captured = capsys.readouterr()
-        assert captured.out.splitlines()
+        assert captured.out == ""
         assert captured.err.startswith("error: ") and trace_path in captured.err
         assert "Traceback" not in captured.err
+
+    def test_unwritable_trace_reported_before_any_work(
+        self, workdir, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "load_corpus", no_work)
+        trace_path = workdir["tmp"] / "nodir" / "trace.json"
+        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        argv = ["retrieve", "paris population", *args, "--trace", str(trace_path)]
+        assert main(argv) == 1
+        assert_output_path_reported(capsys, trace_path)
 
     def test_unknown_method_rejected_by_parser(self, workdir):
         with pytest.raises(SystemExit):
@@ -512,6 +545,23 @@ class TestEvalRun:
         named = out_dir if target == "out" else trace_path
         assert err.startswith("error: ") and str(named) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["trace", "out"])
+    def test_unwritable_output_reported_before_any_work(
+        self, workdir, capsys, monkeypatch, target
+    ):
+        monkeypatch.setattr(cli, "load_corpus", no_work)
+        out_dir = workdir["tmp"] / "out"
+        trace_path = workdir["tmp"] / "nodir" / "traces.jsonl"
+        if target == "out":
+            out_dir.write_text("")
+        argv = ["eval", "run", "--questions", workdir["questions"]]
+        argv += ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        argv += ["--out", str(out_dir), "--trace", str(trace_path)]
+        assert main(argv) == 1
+        assert_output_path_reported(capsys, out_dir if target == "out" else trace_path)
+        assert not (out_dir / "results.json").exists()
+        assert not (out_dir / "results.csv").exists()
 
     def test_missing_questions(self, workdir, capsys):
         code = main(

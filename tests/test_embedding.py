@@ -16,6 +16,7 @@ from alignrag.embedding import (
     HashEmbeddingProvider,
     cosine,
     embed_corpus,
+    id_rank,
     object_similarity,
     top_objects,
 )
@@ -436,8 +437,43 @@ class TestTopObjects:
         ids = [f"o{j}" for j in rng.permutation(n)]  # id order is not position order
         want = sorted(range(n), key=lambda j: (-scores[j], ids[j]))
         for k in (1, 2, n // 2, n - 1, n, n + 5):
-            assert top_objects(scores, ids, k) == want[:k]
+            assert top_objects(scores, id_rank(ids), k) == want[:k]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sorted_order_at_baseline_size(self, seed):
+        # a hashed question leaves most of 1,000 objects at exactly 0
+        rng = np.random.default_rng(seed)
+        n = 1000
+        scores = rng.choice(np.array([0.0, -0.0]), size=n)
+        hits = rng.choice(n, size=40, replace=False)
+        scores[hits] = rng.choice(np.array([0.9, 0.5, 0.25, 0.125]), size=40)
+        ids = [f"o{j}" for j in rng.permutation(n)]
+        want = sorted(range(n), key=lambda j: (-scores[j], ids[j]))
+        rank = id_rank(ids)
+        for k in (1, 5, 30, 50, 999, 1000, 1005):
+            assert top_objects(scores, rank, k) == want[:k]
+
+    def test_positive_tie_set_larger_than_needed(self):
+        n = 1000
+        scores = np.zeros(n)
+        scores[::7] = 0.5  # 143 tied entries at the k-th score
+        scores[[3, 500, 998]] = 0.75
+        ids = [f"id{j:04d}" for j in reversed(range(n))]
+        want = sorted(range(n), key=lambda j: (-scores[j], ids[j]))
+        for k in (4, 10, 50, 145):
+            got = top_objects(scores, id_rank(ids), k)
+            assert got == want[:k]
+            assert scores[got[-1]] == 0.5
+
+    def test_id_rank_orders_positions_by_id(self):
+        ids = ["b", "a10", "a2", "c", "a1"]
+        assert id_rank(ids).tolist() == [3, 1, 2, 4, 0]
+        store = embed_corpus(
+            HashEmbeddingProvider(dimension=8),
+            [chunk("z#0", "x"), chunk("m#0", "y"), chunk("a#0", "z")],
+        )
+        assert store.id_rank.tolist() == [2, 1, 0]
 
     def test_k_validated(self):
         with pytest.raises(ValidationError):
-            top_objects(np.zeros(3), ["a", "b", "c"], 0)
+            top_objects(np.zeros(3), id_rank(["a", "b", "c"]), 0)

@@ -338,6 +338,29 @@ class TestCompatibilityCache:
             for n in range(1, len(ids) + 1):
                 assert cache.nearest([oid], n) == [want[:n]]
 
+    @pytest.mark.parametrize("kind", ["hash", "file"])
+    def test_nearest_batches_and_reuses_row_orders(self, kind, tmp_path):
+        corpus, provider, _ = mixed_corpus(kind, tmp_path)
+        ids = corpus.object_ids()
+        assert ids != sorted(ids)  # file order is not id order
+        cache, scores = (CompatibilityCache(corpus, provider) for _ in range(2))
+        want = []
+        for oid in ids:
+            others = [other for other in ids if other != oid]
+            others.sort(key=lambda other: (-scores.score(oid, other), other))
+            want.append(others)
+        # n rises (each row is ranked by the first call) and then falls
+        # (every call slices the stored orders)
+        sizes = list(range(1, len(ids) + 1))
+        for n in sizes:
+            assert cache.nearest(ids, n) == [others[:n] for others in want]
+        orders = dict(cache._orders)
+        assert orders.keys() == set(ids)
+        for n in sizes[::-1]:
+            assert cache.nearest(ids, n) == [others[:n] for others in want]
+        assert all(cache._orders[oid] is order for oid, order in orders.items())
+        assert want[ids.index("p9")] == sorted(oid for oid in ids if oid != "p9")
+
 
 class VectorTable:
     """A provider that reads each text's vector from a dict."""
