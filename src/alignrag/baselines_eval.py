@@ -52,11 +52,23 @@ def overlap_coefficient(a: set, b: set) -> float:
 
 
 class OverlapReranker:
-    """Token-overlap coefficient between question and object text."""
+    """Token-overlap coefficient between question and object text.
+
+    A ranking scores many objects against one question, so the question's
+    token set is kept from the last call and rebuilt only for a new
+    question.
+    """
+
+    def __init__(self) -> None:
+        self._question: Optional[str] = None
+        self._question_tokens: set[str] = set()
 
     def score(self, question: str, serialized_object: str) -> float:
+        if question != self._question:
+            self._question = question
+            self._question_tokens = set(normalize_tokens(question))
         return overlap_coefficient(
-            set(normalize_tokens(question)), set(normalize_tokens(serialized_object))
+            self._question_tokens, set(normalize_tokens(serialized_object))
         )
 
 

@@ -385,17 +385,20 @@ def top_objects(scores: np.ndarray, rank: np.ndarray, k: int) -> list[int]:
 
     A partition finds the k-th best score. Every entry above it is kept,
     and of the entries equal to it the ones of smallest rank that make up
-    ``k``; only those ``k`` are sorted.
+    ``k``; only those ``k`` are sorted. The partition runs on the negated
+    scores at ``k - 1``: with a few high scores over a flat rest, as
+    retrieval's cosines and the mock scorer's logits are, that is several
+    times faster than partitioning the scores at ``n - k``.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if k >= len(scores):
         top = np.arange(len(scores))
     else:
-        cut = len(scores) - k
-        kth = np.partition(scores, cut)[cut]
-        above = np.flatnonzero(scores > kth)
-        tied = np.flatnonzero(scores == kth)
+        worse = -scores
+        kth = np.partition(worse, k - 1)[k - 1]
+        above = np.flatnonzero(worse < kth)
+        tied = np.flatnonzero(worse == kth)
         need = k - above.size
         if need < tied.size:
             tied = tied[np.argpartition(rank[tied], need - 1)[:need]]

@@ -3,8 +3,11 @@
 Decoding is masked: at every step the caller computes the set of valid
 next tokens (from a trie or a choice set) and the scorer only ranks
 within that set, so emitted sequences are valid by construction. The
-N-gram beam search ranks all candidates of a step over arrays, with one
-``np.lexsort``, and only materializes the hypotheses that survive it.
+N-gram beam search keeps, of a wide trie node's candidates (more of
+them than the context has distinct tokens), only the ``beam_width`` best
+and its separator, ranks those survivors together, and only materializes
+the hypotheses that survive that ranking. A scorer with ``score_ids``
+scores a wide node's children as one id array.
 
 Reserved tokens open/close alignment segments, separate list items, and
 stop generation. Text normalization strips bare punctuation, so none of
@@ -18,16 +21,23 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, MutableMapping, Optional, Protocol, Sequence
+from typing import Collection, Iterable, MutableMapping, Optional, Protocol, Sequence
 
 import numpy as np
 
+from .embedding import top_objects
 from .errors import AllBeamsDead, ValidationError
-from .ngram_index import MAX_NGRAM, NGram, NGramTrie, normalize_tokens
+from .ngram_index import (
+    CLOSE_TOKEN,
+    MAX_NGRAM,
+    OPEN_TOKEN,
+    SEP_TOKEN,
+    NGram,
+    NGramTrie,
+    Vocabulary,
+    normalize_tokens,
+)
 
-OPEN_TOKEN = "("
-CLOSE_TOKEN = ")"
-SEP_TOKEN = ","
 STOP_TOKEN = "<>"
 _DELIMITERS = frozenset((OPEN_TOKEN, SEP_TOKEN, CLOSE_TOKEN))
 
@@ -46,6 +56,14 @@ class TokenScorer(Protocol):
     ``free_next`` read their context and never change it; the decoders
     pass a ``Context``, which is a sequence of tokens and may grow after
     the call, so a scorer copies any context it keeps.
+
+    A scorer may also offer ``score_ids(context, ids, vocab)``: the
+    logits ``score`` gives for the tokens ``vocab.tokens[i]`` of an
+    ascending int array of ids, as a float64 array. The N-gram decoder
+    then scores a trie node with more children than its context has
+    distinct tokens through it, one vector per context masked to the
+    node's children; the beams are the ones ``score`` alone gives. A
+    scorer with only the three methods below decodes through ``score``.
     """
 
     def tokenize(self, text: str) -> list[str]: ...
@@ -153,17 +171,17 @@ class MockScorer:
                 best = rule
         return best
 
-    def score(
-        self, context: Sequence[str], candidates: Sequence[str]
-    ) -> list[float]:
+    def _tables(
+        self, context: Sequence[str], candidates: Collection[str]
+    ) -> tuple[dict[str, float], dict[str, float]]:
         # one table per call: bias + weight * count for every biased or
-        # context token, then the matched rule's ranks over them; every
-        # other candidate scores 0.0, the same expression with no bias and
-        # count 0 (weights are finite). A Context brings its counts; any
-        # other sequence is counted here, to the same integers. Only
-        # candidates are read, so when they are fewer than the distinct
-        # context tokens, the table leaves out context tokens that are
-        # not candidates.
+        # context token, and the matched rule's ranks; every other
+        # candidate scores 0.0, the same expression with no bias and count
+        # 0 (weights are finite). A Context brings its counts; any other
+        # sequence is counted here, to the same integers. Only candidates
+        # are read, so when they are fewer than the distinct context
+        # tokens, the table leaves out context tokens that are not
+        # candidates.
         table = dict(self.token_bias)
         if self.context_weight:
             counts = (
@@ -182,6 +200,12 @@ class MockScorer:
             top = _PREFERRED_BASE + len(rule.ranked)
             for i, tok in enumerate(rule.ranked):
                 ruled.setdefault(tok, top - i)
+        return table, ruled
+
+    def _logits(
+        self, context: Sequence[str], candidates: Sequence[str]
+    ) -> list[float]:
+        table, ruled = self._tables(context, candidates)
         if self.seed is None:
             table.update(ruled)
             return list(map(table.get, candidates, repeat(0.0)))
@@ -192,6 +216,34 @@ class MockScorer:
             else table.get(tok, 0.0) + _stable_unit(prefix, tok)
             for tok in candidates
         ]
+
+    def score(
+        self, context: Sequence[str], candidates: Sequence[str]
+    ) -> list[float]:
+        return self._logits(context, candidates)
+
+    def score_ids(
+        self, context: Sequence[str], ids: np.ndarray, vocab: Vocabulary
+    ) -> np.ndarray:
+        """``score`` of the tokens ``ids`` of ``vocab``, as a float64 array.
+
+        Unseeded, this is a zero vector over the vocabulary with the
+        table's tokens scattered in, read at ``ids``: the same floats
+        ``score`` gives. A seeded scorer, whose noise is hashed per token,
+        scores the ids' tokens as ``score`` does.
+        """
+        if self.seed is not None:
+            candidates = [vocab.tokens[i] for i in ids.tolist()]
+            return np.array(self._logits(context, candidates), dtype=np.float64)
+        index = vocab.ids
+        table, ruled = self._tables(context, index)
+        table.update(ruled)
+        logits = np.zeros(len(vocab))
+        hits = [(index[tok], value) for tok, value in table.items() if tok in index]
+        if hits:
+            at, values = zip(*hits)
+            logits[list(at)] = values
+        return logits[ids]
 
     def free_next(self, context: Sequence[str]) -> tuple[str, float]:
         rule = self._match(context)
@@ -282,6 +334,28 @@ class _Hypothesis:
         )
 
 
+def _kept(
+    parent_total: float, scored: Sequence[float], skip: list[int], width: int
+) -> list[int]:
+    """Positions of a wide row's candidates that may survive its step,
+    ascending.
+
+    ``skip`` holds the row's close position, then its separator's, if any;
+    the separator may survive, the close never does. Of the content
+    candidates, the ``width`` best by ``parent_total + logit``, ties by
+    position, may. Every content candidate of one hypothesis has the same
+    count, so this is the step's order among them, and the step's
+    ``width`` best lie among the survivors of its rows.
+    """
+    positions = np.arange(len(scored))
+    totals = parent_total + np.asarray(scored, dtype=np.float64)
+    if skip:
+        positions = np.delete(positions, skip)
+        totals = totals[positions]
+    best = top_objects(totals, np.arange(len(totals)), width)
+    return sorted(positions[best].tolist() + skip[1:])
+
+
 def constrained_ngram_decode(
     scorer: TokenScorer,
     trie: NGramTrie,
@@ -299,15 +373,24 @@ def constrained_ngram_decode(
     when every beam dies the decode fails.
 
     Each live hypothesis keeps its trie node and is scored once per step
-    over its sorted candidates. The open candidates of all hypotheses
-    are then ranked together by one ``np.lexsort`` over (-mean, -total)
-    content logit, with ties kept in flat order: hypotheses are laid out
-    in token order and each one's candidates in token order, so, as live
-    hypotheses have equal length, the flat order is the order of the
-    candidates' token tuples and the ranking is exactly
-    ``_Hypothesis.sort_key``'s. Only the ``beam_width`` best, plus the
-    candidates that close the segment, become hypotheses. NumPy float64
-    ``+`` and ``/`` give the bits Python floats give.
+    over its candidates in token order. A row is wide when its node has
+    more children than the hypothesis's context has distinct tokens. With
+    a scorer that has ``score_ids`` and a trie with a ``vocab``, a wide
+    row is scored by id: the candidates are the node's child ids (the
+    delimiters merged in by id, which is token order) and one call
+    returns their logits as an array. Every other row, and every row of a
+    scorer without ``score_ids`` or a trie without ids, scores the node's
+    ``continuations()`` through ``score``; both give the same beams. Of a
+    wide row's content candidates only the ``beam_width`` best can
+    survive (``_kept``); a narrow row keeps them all. The survivors and
+    the separators are then ranked together by (-mean, -total) content
+    logit, ties in flat order: hypotheses are laid out in token order and
+    each one's candidates in token order, so, as live hypotheses have
+    equal length, the flat order is the order of the candidates' token
+    tuples and the ranking is exactly ``_Hypothesis.sort_key``'s. Only the
+    ``beam_width`` best, plus the candidates that close the segment,
+    become hypotheses. NumPy float64 ``+`` gives the bits Python floats
+    give.
     """
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
@@ -322,60 +405,73 @@ def constrained_ngram_decode(
     live = [(_Hypothesis().child(OPEN_TOKEN, open_logit), root)]
     done: list[_Hypothesis] = []
     max_steps = max_ngrams * (MAX_NGRAM + 1) + 2
+    vocab: Optional[Vocabulary] = getattr(trie, "vocab", None)
+    score_ids = getattr(scorer, "score_ids", None)
+    if vocab is not None and score_ids is not None:
+        # a terminal node's delimiters: the close alone, or with the separator
+        close_sep = np.array([vocab.ids[CLOSE_TOKEN], vocab.ids[SEP_TOKEN]])
+        delimiters = (close_sep[:1], close_sep)
+    else:
+        vocab = None  # score every row by its tokens
 
     for _ in range(max_steps):
         if not live:
             break
         live.sort(key=lambda entry: entry[0].tokens)
-        tokens: list[str] = []  # the step's open candidates, flat
-        logits: list[float] = []
-        parents: list[int] = []  # live index of each hypothesis scored
-        sizes: list[int] = []  # its number of open candidates
-        separators: list[int] = []  # flat index of each separator
+        # each survivor's rank key, hypothesis, token and logit, in flat order
+        step: list[tuple[tuple, int, str, float]] = []
         for p, (hyp, node) in enumerate(live):
-            ordered = node.continuations()
             # only a complete N-gram may close: the root, the node after a
             # delimiter, is never terminal, as every N-gram has a token
             closes = node.terminal
+            seps = closes and hyp.tokens.count(SEP_TOKEN) + 1 < max_ngrams
+            skip: list[int] = []  # positions of the close, then the separator
+            ordered = node.continuations()
+            row = context.plus(hyp.tokens)
+            # a wide row, with more children than distinct context tokens as
+            # the trie's root has, is scored by id where it can be and keeps
+            # only its beam_width best; a narrow row keeps every candidate
+            wide = len(ordered) > len(row.counts)
+            if wide and vocab is not None:
+                ids = node.child_ids(vocab)
+                if closes:
+                    ids = np.sort(np.concatenate((ids, delimiters[seps])))
+                    skip = ids.searchsorted(delimiters[seps]).tolist()
+                scored = score_ids(row, ids, vocab)
+                kept = _kept(hyp.content_total, scored, skip, beam_width)
+                names = [vocab.tokens[i] for i in ids[kept].tolist()]
+                logits = scored[kept + skip[:1]].tolist()
+            else:
+                if closes:
+                    extra = (CLOSE_TOKEN, SEP_TOKEN) if seps else (CLOSE_TOKEN,)
+                    ordered = tuple(sorted(ordered + extra))
+                    skip = [ordered.index(tok) for tok in extra]
+                if not ordered:
+                    continue  # dead end: beam dropped
+                scored = scorer.score(row, ordered)
+                if wide:
+                    kept = _kept(hyp.content_total, scored, skip, beam_width)
+                else:
+                    kept = [i for i in range(len(ordered)) if i not in skip[:1]]
+                names = [ordered[i] for i in kept]
+                logits = [scored[i] for i in kept + skip[:1]]
             if closes:
-                extra = (CLOSE_TOKEN,)
-                if hyp.tokens.count(SEP_TOKEN) + 1 < max_ngrams:
-                    extra += (SEP_TOKEN,)
-                ordered = tuple(sorted(ordered + extra))
-            if not ordered:
-                continue  # dead end: beam dropped
-            scored = scorer.score(context.plus(hyp.tokens), ordered)
-            if closes:
-                at = ordered.index(CLOSE_TOKEN)
-                done.append(hyp.child(CLOSE_TOKEN, scored[at]))
-                ordered = ordered[:at] + ordered[at + 1 :]
-                scored = scored[:at] + scored[at + 1 :]
-                if SEP_TOKEN in extra:
-                    separators.append(len(tokens) + ordered.index(SEP_TOKEN))
-            tokens.extend(ordered)
-            logits.extend(scored)
-            parents.append(p)
-            sizes.append(len(ordered))
+                done.append(hyp.child(CLOSE_TOKEN, logits.pop()))
+            for tok, logit in zip(names, logits):
+                total, count = hyp.content_total, hyp.content_count
+                if tok != SEP_TOKEN:  # a separator leaves sum and count unchanged
+                    total, count = total + logit, count + 1
+                step.append(((-(total / count), -total, len(step)), p, tok, logit))
         done.sort(key=_Hypothesis.sort_key)
         del done[beam_width:]
-
-        # a content candidate adds its logit to the parent's running sum,
-        # a separator leaves sum and count unchanged
-        totals = np.repeat([live[p][0].content_total for p in parents], sizes)
-        counts = np.repeat([live[p][0].content_count for p in parents], sizes)
-        content = np.ones(len(tokens), dtype=bool)
-        content[separators] = False
-        totals = np.where(content, totals + np.array(logits, dtype=np.float64), totals)
-        counts += content
-        best = np.lexsort((-totals, -totals / counts))[:beam_width]
-        owners = np.repeat(parents, sizes)[best]
-        survivors = []
-        for i, p in zip(best.tolist(), owners.tolist()):
-            hyp, node = live[p]
-            tok = tokens[i]
-            nxt = root if tok == SEP_TOKEN else node.children[tok]
-            survivors.append((hyp.child(tok, logits[i]), nxt))
-        live = survivors
+        step.sort()
+        live = [
+            (
+                live[p][0].child(tok, logit),
+                root if tok == SEP_TOKEN else live[p][1].children[tok],
+            )
+            for _, p, tok, logit in step[:beam_width]
+        ]
 
     if not done:
         raise AllBeamsDead(f"no alignment decoded for {label or seed_text!r}")

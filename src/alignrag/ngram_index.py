@@ -1,4 +1,5 @@
-"""Token normalization, N-gram extraction, prefix trie, and BM25 scoring.
+"""Token normalization, N-gram extraction, prefix trie and its token ids,
+and BM25 scoring.
 
 The same normalization backs the lexical index and the mock language
 model tokenizer, so constrained decoding over the trie and BM25 lookups
@@ -15,11 +16,20 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .corpus import Chunk
 from .errors import ParseError, ValidationError
 from .jsonio import read_json
 
 MAX_NGRAM = 3
+
+# The constrained decoder's segment delimiters. Normalization strips bare
+# punctuation, so no trie token equals one; the trie interns them with
+# its tokens, so a node's candidates and the delimiters share one id order.
+OPEN_TOKEN = "("
+CLOSE_TOKEN = ")"
+SEP_TOKEN = ","
 
 _STRIP_CHARS = string.punctuation + string.whitespace
 
@@ -62,19 +72,45 @@ def extract_ngrams(text: str) -> set[NGram]:
     return grams
 
 
+class Vocabulary:
+    """Int ids for a set of tokens, assigned in sorted token order, so id
+    order is token order: ``tokens[i]`` is the token of id ``i`` and
+    ``ids`` maps each token to its id."""
+
+    __slots__ = ("tokens", "ids")
+
+    def __init__(self, tokens: Iterable[str]) -> None:
+        self.tokens = tuple(sorted(tokens))
+        self.ids = dict(zip(self.tokens, range(len(self.tokens))))
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+
 class _TrieNode:
-    __slots__ = ("children", "terminal", "_sorted")
+    __slots__ = ("children", "terminal", "_sorted", "_ids")
 
     def __init__(self) -> None:
         self.children: dict[str, _TrieNode] = {}
         self.terminal = False
         self._sorted: Optional[tuple[str, ...]] = None
+        self._ids: Optional[tuple[Vocabulary, np.ndarray]] = None
 
     def continuations(self) -> tuple[str, ...]:
         """Child tokens in sorted order, sorted on first call."""
         if self._sorted is None:
             self._sorted = tuple(sorted(self.children))
         return self._sorted
+
+    def child_ids(self, vocab: Vocabulary) -> np.ndarray:
+        """Child token ids in ``vocab``, ascending, built on first call
+        with each vocabulary."""
+        cached = self._ids
+        if cached is None or cached[0] is not vocab:
+            index = vocab.ids
+            ids = np.array([index[tok] for tok in self.continuations()], np.intp)
+            cached = self._ids = (vocab, ids)
+        return cached[1]
 
 
 class NGramTrie:
@@ -85,11 +121,14 @@ class NGramTrie:
     hypothesis keeps the node of its prefix rather than walking again.
     Every stored token is its own normalization, so the decoder emits it
     as itself and never reads it as one of its reserved delimiters.
+    ``vocab`` interns every stored token and the three delimiters, and
+    ``_TrieNode.child_ids`` gives a node's children as ids in it.
     """
 
     def __init__(self) -> None:
         self.root = _TrieNode()
         self._size = 0
+        self.vocab = Vocabulary((OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN))
 
     def add(self, ngram: NGram) -> None:
         self._insert((ngram.tokens,))
@@ -100,13 +139,18 @@ class NGramTrie:
         Each distinct token must be a string that is its own normalization,
         and each sequence must hold 1 to ``MAX_NGRAM`` tokens. A bad token
         raises ValidationError before anything is stored, and a sequence of
-        bad length before it is stored.
+        bad length before it is stored. New tokens join ``vocab`` before
+        any sequence is stored, which renumbers every id in sorted order.
         """
-        for tok in dict.fromkeys(chain.from_iterable(token_lists)):
+        distinct = dict.fromkeys(chain.from_iterable(token_lists))
+        for tok in distinct:
             if not isinstance(tok, str) or normalize_tokens(tok) != [tok]:
                 raise ValidationError(
                     f"n-gram token {tok!r} is not a normalized token"
                 )
+        known = self.vocab.ids.keys()
+        if not distinct.keys() <= known:
+            self.vocab = Vocabulary(known | distinct.keys())
         root = self.root
         for tokens in token_lists:
             if not 1 <= len(tokens) <= MAX_NGRAM:
@@ -119,7 +163,7 @@ class NGramTrie:
                 child = node.children.get(tok)
                 if child is None:
                     child = node.children[tok] = _TrieNode()
-                    node._sorted = None
+                    node._sorted = node._ids = None
                 node = child
             if not node.terminal:
                 node.terminal = True

@@ -9,6 +9,7 @@ import re
 import pytest
 
 import oracles
+from alignrag import baselines_eval
 from alignrag.baselines_eval import (
     METHODS,
     OverlapReranker,
@@ -92,6 +93,32 @@ class TestRerank:
                 set(oracles.tokenize("city pop lyon")), set(oracles.tokenize(text))
             )
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_overlap_reranker_tokenizes_each_question_once(
+        self, city_corpus, monkeypatch
+    ):
+        tokenized = []
+        tokenize = baselines_eval.normalize_tokens
+
+        def counted(text):
+            tokenized.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(baselines_eval, "normalize_tokens", counted)
+        texts = [serialize_object(obj) for obj in city_corpus.objects]
+        reranker = OverlapReranker()
+        for question in ("city pop lyon", "paris", "city pop lyon"):
+            tokenized.clear()
+            got = [reranker.score(question, text) for text in texts]
+            assert tokenized.count(question) == 1
+            want = [OverlapReranker().score(question, text) for text in texts]
+            assert got == want
+            assert got == [
+                oracles.overlap(
+                    set(oracles.tokenize(question)), set(oracles.tokenize(text))
+                )
+                for text in texts
+            ]
 
     def test_reranker_reorders_dense_pool(self, city_corpus):
         provider, store = city_setup(city_corpus)

@@ -6,6 +6,7 @@ import collections
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -24,7 +25,13 @@ from alignrag.lm import (
     free_decode,
     ngram_score,
 )
-from alignrag.ngram_index import NGram, NGramTrie, build_trie, corpus_ngrams
+from alignrag.ngram_index import (
+    NGram,
+    NGramTrie,
+    Vocabulary,
+    build_trie,
+    corpus_ngrams,
+)
 from alignrag.corpus import Chunk
 
 
@@ -174,6 +181,30 @@ class TestScorerAgainstFormula:
             assert repr(scorer.score(shared, candidates)) == repr(want)
             assert shared == context
             assert shared.counts == collections.Counter(context)
+
+    @pytest.mark.parametrize("case", range(100))
+    def test_id_logits_equal_token_logits(self, case):
+        rng = random.Random(1000 + case)
+
+        def tokens(low, high):
+            return [rng.choice(SCORER_VOCAB) for _ in range(rng.randint(low, high))]
+
+        bias_values = (0.5, -0.25, 2.0, 0.0, -0.0, 1e-300, -3.75)
+        bias = {tok: rng.choice(bias_values) for tok in tokens(0, 4)}
+        weight = rng.choice((0.0, -0.0, 1.0, -1.0, 0.5, -2.5))
+        seed = rng.choice((None, case))
+        scorer = MockScorer(seed=seed, context_weight=weight, token_bias=bias)
+        for _ in range(rng.randint(0, 3)):
+            scorer.add_rule(tokens(0, 2), tokens(1, 4))
+        vocab = Vocabulary(SCORER_VOCAB)
+        for _ in range(5):
+            # contexts with fewer and more distinct tokens than the vocabulary
+            context = Context(tokens(0, 12))
+            ids = np.array(sorted(rng.sample(range(len(vocab)), rng.randint(1, 11))))
+            got = scorer.score_ids(context, ids, vocab)
+            want = scorer.score(context, [vocab.tokens[i] for i in ids])
+            assert got.dtype == np.float64
+            assert repr(got.tolist()) == repr(want)
 
 
 class TestContext:
@@ -409,6 +440,13 @@ class TestDecodeAgainstReference:
             return score(context, candidates)
 
         scorer.score = counting_score
+        score_ids = scorer.score_ids
+
+        def counting_score_ids(context, ids, vocab):
+            scored.append(len(ids))
+            return score_ids(context, ids, vocab)
+
+        scorer.score_ids = counting_score_ids
         for beam_width in (1, 3, 5):
             built.clear()
             scored.clear()
@@ -417,6 +455,102 @@ class TestDecodeAgainstReference:
             assert built[0] == 1  # the open delimiter
             assert max(built.values()) <= 2 * beam_width
             assert sum(scored) > 3 * sum(built.values())
+
+
+class TokensOnly:
+    """Exposes only the scorer protocol, so the decoder scores every row
+    through ``score``."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def tokenize(self, text):
+        return self._inner.tokenize(text)
+
+    def score(self, context, candidates):
+        return self._inner.score(context, candidates)
+
+    def free_next(self, context):
+        return self._inner.free_next(context)
+
+
+class IdCounting(MockScorer):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.id_calls = 0
+
+    def score_ids(self, context, ids, vocab):
+        self.id_calls += 1
+        return super().score_ids(context, ids, vocab)
+
+
+# "\x01" tokens sort before "(", ")" and ","; digits after them and before
+# the letters
+ID_VOCAB = ("\x01a", "\x01b", "0", "5x", "a", "b", "c", "d", "e", "f", "g")
+
+
+def decode_or_dead(scorer, trie, seed_text, beam_width, max_ngrams) -> list:
+    try:
+        return constrained_ngram_decode(
+            scorer, trie, seed_text, beam_width, max_ngrams
+        )
+    except AllBeamsDead:
+        return []
+
+
+class TestIdPathMatchesTokenPath:
+    @pytest.mark.parametrize("case", range(12))
+    def test_beams_equal(self, case):
+        rng = random.Random(500 + case)
+        grams = {
+            tuple(rng.choice(ID_VOCAB) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(5, 60))
+        }
+        # wide terminal nodes: complete grams with more continuations than
+        # any beam width tried, so the close and the separator join them
+        for head in rng.sample(ID_VOCAB, 2):
+            grams.add((head,))
+            grams |= {(head, tok) for tok in rng.sample(ID_VOCAB, 7)}
+        grams |= {("\x01a", "\x01b"), ("0",), ("0", "\x01a")}
+        vocab = sorted({tok for gram in grams for tok in gram})
+        trie = trie_of(*grams)
+        scripted = IdCounting(context_weight=1.0)
+        scripted.script((OPEN_TOKEN,), list(rng.choice(sorted(grams))) + [SEP_TOKEN])
+        scripted.add_rule((SEP_TOKEN,), [rng.choice(vocab), CLOSE_TOKEN, "zz"])
+        scorers = [
+            IdCounting(),  # every logit 0.0: ties everywhere
+            IdCounting(
+                context_weight=1.0,
+                token_bias={CLOSE_TOKEN: 0.5, SEP_TOKEN: 0.25, STOP_TOKEN: 1.5},
+            ),
+            scripted,
+            IdCounting(
+                context_weight=-0.5,
+                token_bias={vocab[0]: -0.0, SEP_TOKEN: 1.0, CLOSE_TOKEN: -0.5},
+            ),
+            IdCounting(seed=case, context_weight=1.0, token_bias={CLOSE_TOKEN: 0.5}),
+        ]
+        for scorer in scorers:
+            for _ in range(3):
+                # short contexts take the scatter, long ones score by token
+                words = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+                seed_text = " ".join(words)
+                for beam_width in range(1, 5):
+                    for max_ngrams in range(1, 4):
+                        by_id = decode_or_dead(
+                            scorer, trie, seed_text, beam_width, max_ngrams
+                        )
+                        by_token = decode_or_dead(
+                            TokensOnly(scorer), trie, seed_text, beam_width, max_ngrams
+                        )
+                        assert repr(by_id) == repr(by_token)
+                        # both paths select a wide row's best alike, so also
+                        # pin them to the search that keeps every candidate
+                        want = oracles.beam_decode_reference(
+                            scorer, grams, seed_text, beam_width, max_ngrams
+                        )
+                        assert repr([as_plain(b) for b in by_id]) == repr(want)
+            assert scorer.id_calls > 0
 
 
 class TestChoiceDecode:

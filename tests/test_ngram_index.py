@@ -151,6 +151,36 @@ class TestTrie:
         assert [g.tokens for g in trie.ngrams()] == [("ok",)]
         assert trie.root.children["ok"].continuations() == ()
 
+    def test_vocabulary_interns_tokens_and_delimiters_in_sorted_order(self):
+        # "\x01w" sorts before "(", ")" and ","; digits sort after them
+        grams = [("w1", "0"), ("\x01w",), ("9a", "w1", "\x01w")]
+        trie = build_trie(NGram(tokens=g) for g in grams)
+        tokens = {tok for g in grams for tok in g} | {"(", ")", ","}
+        vocab = trie.vocab
+        assert vocab.tokens == tuple(sorted(tokens))
+        assert vocab.tokens[0] == "\x01w"
+        assert len(vocab) == len(tokens)
+        assert all(vocab.ids[tok] == i for i, tok in enumerate(vocab.tokens))
+
+    def test_child_ids_follow_continuations_across_inserts(self):
+        rng = random.Random(3)
+        vocab = ["0", "m", "w1", "w2"]
+        trie = NGramTrie()
+        nodes = []
+        for i in range(40):
+            toks = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
+            trie.add(NGram(tokens=toks))
+            nodes.append(trie.root.children[toks[0]])
+            cached = nodes[-1].child_ids(trie.vocab).tolist()
+            # a token that sorts before every other renumbers every id
+            trie.add(NGram(tokens=(f"\x01{99 - i:02d}",)))
+            if cached:
+                assert nodes[-1].child_ids(trie.vocab).tolist() != cached
+        for node in [trie.root] + nodes:
+            ids = node.child_ids(trie.vocab).tolist()
+            assert ids == [trie.vocab.ids[t] for t in node.continuations()]
+            assert ids == sorted(ids)
+
     def test_corpus_ngrams_union(self):
         chunks = [chunk("a#0", "x y"), chunk("b#0", "y z")]
         grams = {g.tokens for g in corpus_ngrams(chunks)}

@@ -239,12 +239,18 @@ class ForwardingScorer:
 class CountedMockScorer(MockScorer):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.calls = self.candidates = 0
+        self.calls = self.candidates = self.id_calls = 0
 
     def score(self, context, candidates):
         self.calls += 1
         self.candidates += len(candidates)
         return super().score(context, candidates)
+
+    def score_ids(self, context, ids, vocab):
+        self.calls += 1
+        self.candidates += len(ids)
+        self.id_calls += 1
+        return super().score_ids(context, ids, vocab)
 
 
 class TestScorerProtocol:
@@ -269,6 +275,7 @@ class TestScorerProtocol:
         assert all(r.selections for r in results[0])
         assert (bare.calls, bare.candidates) == (wrapped.calls, wrapped.candidates)
         assert bare.calls > 0
+        assert bare.id_calls > 0  # the bare scorer decodes wide nodes by id
 
 
 class TestRunArm:
