@@ -363,6 +363,8 @@ MethodRunner = Callable[[Question], tuple[list[str], int, int]]
 
 
 def build_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRunner:
+    """The runner of one baseline; ``arm`` has none, as its callers keep
+    the whole ``engine.run_arm`` result."""
     cfg = engine.config
     common = (engine.store, engine.provider, engine.corpus)
     if method == "dense":
@@ -411,16 +413,7 @@ def build_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRunn
             return list(result.retrieved), result.llm_calls, result.objects_provided
 
         return run_react
-    if method == "arm":
-        def run_arm(q: Question) -> tuple[list[str], int, int]:
-            return _arm_answer(engine.run_arm(q.question, final_k=top_k))
-
-        return run_arm
     raise ValidationError(f"unknown method {method!r}")
-
-
-def _arm_answer(result: ArmResult) -> tuple[list[str], int, int]:
-    return list(result.final), result.llm_calls, len(result.final)
 
 
 def run_eval(
@@ -444,13 +437,14 @@ def run_eval(
     k = top_k if top_k is not None else engine.config.final_k
     results: dict[str, EvalResult] = {}
     for method in methods:
-        runner = build_runner(method, engine, k)
+        runner = None if method == "arm" else build_runner(method, engine, k)
 
         def score_one(q: Question) -> QuestionRow:
             arm_result = None
-            if method == "arm":
+            if runner is None:
                 arm_result = engine.run_arm(q.question, final_k=k)
-                retrieved, llm_calls, provided = _arm_answer(arm_result)
+                retrieved = list(arm_result.final)
+                llm_calls, provided = arm_result.llm_calls, len(retrieved)
             else:
                 retrieved, llm_calls, provided = runner(q)
             metrics = compute_metrics(retrieved, q.gold_ids)

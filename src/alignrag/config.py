@@ -102,21 +102,7 @@ class Config:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.bm25_k1 < 0.0:
             raise ConfigError(f"bm25_k1 must be >= 0, got {self.bm25_k1}")
-        for name in (
-            "embed_dim",
-            "base_size",
-            "mip_k",
-            "final_k",
-            "beam_width",
-            "max_ngrams",
-            "chunk_units",
-            "rerank_pool",
-            "per_sub",
-            "max_subquestions",
-            "max_iterations",
-            "per_search",
-            "unit_k",
-        ):
+        for name in COUNT_FIELDS:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
@@ -152,6 +138,12 @@ class Config:
             except ValueError as exc:
                 raise ConfigError(f"template {name!r} in {path}: {exc}") from None
         return resolved
+
+
+# every integer field but the seed is a count or size and must be >= 1
+COUNT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(Config) if f.type == "int" and f.name != "seed"
+)
 
 
 def load_config(path: str) -> Config:

@@ -3,7 +3,9 @@ and BM25 scoring.
 
 The same normalization backs the lexical index and the mock language
 model tokenizer, so constrained decoding over the trie and BM25 lookups
-agree on token identity.
+agree on token identity. An indexed N-gram is a tuple of tokens from
+extraction to the trie, which checks its tokens once as it is built and
+is fixed from then on; ``NGram`` is the type of a decoded N-gram.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +48,7 @@ def normalize_tokens(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class NGram:
-    """A run of 1..3 normalized tokens."""
+    """A decoded run of 1..3 normalized tokens."""
 
     tokens: tuple[str, ...]
 
@@ -62,14 +64,14 @@ class NGram:
         return " ".join(self.tokens)
 
 
-def extract_ngrams(text: str) -> set[NGram]:
+def extract_ngrams(text: str) -> set[tuple[str, ...]]:
     """All 1..MAX_NGRAM token windows over the normalized text."""
     tokens = normalize_tokens(text)
-    grams: set[NGram] = set()
-    for n in range(1, MAX_NGRAM + 1):
-        for i in range(len(tokens) - n + 1):
-            grams.add(NGram(tokens=tuple(tokens[i : i + n])))
-    return grams
+    return {
+        tuple(tokens[i : i + n])
+        for n in range(1, MAX_NGRAM + 1)
+        for i in range(len(tokens) - n + 1)
+    }
 
 
 class Vocabulary:
@@ -94,7 +96,7 @@ class _TrieNode:
         self.children: dict[str, _TrieNode] = {}
         self.terminal = False
         self._sorted: Optional[tuple[str, ...]] = None
-        self._ids: Optional[tuple[Vocabulary, np.ndarray]] = None
+        self._ids: Optional[np.ndarray] = None
 
     def continuations(self) -> tuple[str, ...]:
         """Child tokens in sorted order, sorted on first call."""
@@ -103,18 +105,16 @@ class _TrieNode:
         return self._sorted
 
     def child_ids(self, vocab: Vocabulary) -> np.ndarray:
-        """Child token ids in ``vocab``, ascending, built on first call
-        with each vocabulary."""
-        cached = self._ids
-        if cached is None or cached[0] is not vocab:
+        """Child token ids in the trie's ``vocab``, ascending, built on
+        first call."""
+        if self._ids is None:
             index = vocab.ids
-            ids = np.array([index[tok] for tok in self.continuations()], np.intp)
-            cached = self._ids = (vocab, ids)
-        return cached[1]
+            self._ids = np.array([index[tok] for tok in self.continuations()], np.intp)
+        return self._ids
 
 
 class NGramTrie:
-    """Prefix trie over N-gram token sequences.
+    """Prefix trie over N-gram token sequences, fixed once built.
 
     The constrained decoder walks it from ``root``: each node's
     ``continuations()`` and ``terminal`` are the masking surface, and a
@@ -125,33 +125,23 @@ class NGramTrie:
     ``_TrieNode.child_ids`` gives a node's children as ids in it.
     """
 
-    def __init__(self) -> None:
-        self.root = _TrieNode()
-        self._size = 0
-        self.vocab = Vocabulary((OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN))
-
-    def add(self, ngram: NGram) -> None:
-        self._insert((ngram.tokens,))
-
-    def _insert(self, token_lists: Sequence[Sequence[str]]) -> None:
-        """Store each token sequence: the one way into the trie.
+    def __init__(self, token_lists: Iterable[Sequence[str]] = ()) -> None:
+        """Store each token sequence.
 
         Each distinct token must be a string that is its own normalization,
-        and each sequence must hold 1 to ``MAX_NGRAM`` tokens. A bad token
-        raises ValidationError before anything is stored, and a sequence of
-        bad length before it is stored. New tokens join ``vocab`` before
-        any sequence is stored, which renumbers every id in sorted order.
+        and each sequence must hold 1 to ``MAX_NGRAM`` tokens; either fault
+        raises ValidationError.
         """
+        token_lists = list(token_lists)
         distinct = dict.fromkeys(chain.from_iterable(token_lists))
         for tok in distinct:
             if not isinstance(tok, str) or normalize_tokens(tok) != [tok]:
                 raise ValidationError(
                     f"n-gram token {tok!r} is not a normalized token"
                 )
-        known = self.vocab.ids.keys()
-        if not distinct.keys() <= known:
-            self.vocab = Vocabulary(known | distinct.keys())
-        root = self.root
+        self.vocab = Vocabulary(distinct.keys() | {OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN})
+        self.root = root = _TrieNode()
+        self._size = 0
         for tokens in token_lists:
             if not 1 <= len(tokens) <= MAX_NGRAM:
                 raise ValidationError(
@@ -163,7 +153,6 @@ class NGramTrie:
                 child = node.children.get(tok)
                 if child is None:
                     child = node.children[tok] = _TrieNode()
-                    node._sorted = node._ids = None
                 node = child
             if not node.terminal:
                 node.terminal = True
@@ -180,26 +169,24 @@ class NGramTrie:
                 return False
         return node.terminal
 
-    def ngrams(self) -> Iterator[NGram]:
+    def ngrams(self) -> Iterator[tuple[str, ...]]:
         """Enumerate stored N-grams in lexicographic token order."""
 
-        def walk(node: _TrieNode, path: tuple[str, ...]) -> Iterator[NGram]:
+        def walk(node: _TrieNode, path: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
             if node.terminal:
-                yield NGram(tokens=path)
-            for tok in sorted(node.children):
+                yield path
+            for tok in node.continuations():
                 yield from walk(node.children[tok], path + (tok,))
 
         yield from walk(self.root, ())
 
 
-def build_trie(ngrams: Iterable[NGram]) -> NGramTrie:
-    trie = NGramTrie()
-    trie._insert([gram.tokens for gram in ngrams])
-    return trie
+def build_trie(ngrams: Iterable[Sequence[str]]) -> NGramTrie:
+    return NGramTrie(ngrams)
 
 
-def corpus_ngrams(chunks: Iterable[Chunk]) -> set[NGram]:
-    grams: set[NGram] = set()
+def corpus_ngrams(chunks: Iterable[Chunk]) -> set[tuple[str, ...]]:
+    grams: set[tuple[str, ...]] = set()
     for chunk in chunks:
         grams |= extract_ngrams(chunk.text)
     return grams
@@ -272,7 +259,7 @@ def save_index(
     snapshot = {
         "format": INDEX_FORMAT,
         "chunk_units": chunk_units,
-        "ngrams": [list(g.tokens) for g in trie.ngrams()],
+        "ngrams": [list(g) for g in trie.ngrams()],
         "bm25": {
             "k1": bm25.k1,
             "b": bm25.b,
@@ -320,7 +307,7 @@ def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     """The trie, BM25 statistics and ``chunk_units`` saved by ``save_index``.
 
     The trie checks each n-gram's length and each distinct token once as it
-    inserts them; every BM25 document length and posting is checked too. A
+    is built; every BM25 document length and posting is checked too. A
     malformed file raises ParseError naming it.
     """
     where = f"index file {path}"
@@ -338,9 +325,8 @@ def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
         raise ParseError(
             f"{where}: every n-gram must be a list of 1 to {MAX_NGRAM} tokens"
         )
-    trie = NGramTrie()
     try:
-        trie._insert(ngrams)
+        trie = NGramTrie(ngrams)
         _check_counts(doc_len, postings, where)
     except (ValidationError, TypeError) as exc:
         # TypeError: an unhashable token, or a posting that is not an object

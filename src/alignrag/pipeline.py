@@ -258,13 +258,8 @@ TRACE_SCHEMA = {
 
 
 def build_scorer(config: Config) -> MockScorer:
-    if config.scorer == "mock-random":
-        return MockScorer(
-            seed=config.seed,
-            context_weight=config.mock_context_weight,
-            token_bias={"<>": config.mock_stop_bias},
-        )
     return MockScorer(
+        seed=config.seed if config.scorer == "mock-random" else None,
         context_weight=config.mock_context_weight,
         token_bias={"<>": config.mock_stop_bias},
     )

@@ -7,6 +7,7 @@ scorers can anchor preference rules on the final prompt tokens.
 
 from __future__ import annotations
 
+import functools
 import string
 from typing import Union
 
@@ -68,8 +69,10 @@ def _items(template: str) -> list[Union[str, tuple[str, str, str]]]:
     return items
 
 
+@functools.lru_cache(maxsize=16)
 def split_selected(template: str) -> tuple[str, ...]:
-    """The verify template cut at each ``{selected}``, as format strings.
+    """The verify template cut at each ``{selected}``, as format strings,
+    parsed once per template text.
 
     A prompt is the first piece, then for each later piece the selected
     ids and that piece. Whitespace, or the template's start or end, must

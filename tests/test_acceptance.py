@@ -181,7 +181,7 @@ def test_c03_constrained_outputs_stay_in_bounds(bench, engine):
         for beam in beams:
             assert beam.ngrams, "finished beam without any emitted ngram"
             for ngram in beam.ngrams:
-                assert ngram in allowed
+                assert ngram.tokens in allowed
                 ngrams_checked += 1
 
     all_ids = list(bench.corpus.object_ids())

@@ -463,6 +463,9 @@ class TestRunEval:
             build_runner("sparta", engine, 5)
         with pytest.raises(ValidationError):
             run_eval(engine, QUESTIONS, methods=("sparta",))
+        # run_eval and the CLI answer arm through engine.run_arm themselves
+        with pytest.raises(ValidationError, match="'arm'"):
+            build_runner("arm", engine, 5)
 
 
 class TestReports:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -11,7 +12,9 @@ import pytest
 from alignrag import cli, struct_align
 from alignrag.baselines_eval import METHODS
 from alignrag.cli import main
+from alignrag.corpus import save_corpus
 from alignrag.pipeline import TRACE_SCHEMA, RetrievalEngine
+from planted import build_planted
 
 CITY_RECORDS = [
     {
@@ -87,6 +90,18 @@ class TestIndexBuild:
         assert lines[3] == f"wrote {out}"
         with open(out, encoding="utf-8") as handle:
             json.load(handle)
+
+    def test_planted_index_bytes_are_pinned(self, tmp_path, capsys):
+        # the SHA-256 of the planted index, fixed so that any change to
+        # extraction, the trie or the file format shows here
+        corpus = str(tmp_path / "corpus.jsonl")
+        save_corpus(build_planted().corpus, corpus)
+        out = tmp_path / "index.json"
+        assert main(["index", "build", "--corpus", corpus, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "ngrams: 1678"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "051479dde24d5cba8a7f1d37c3b71e5ed393de9f7520905d57c7d29ae62e67ad"
+        )
 
     def test_missing_corpus(self, tmp_path, capsys):
         out = str(tmp_path / "idx.json")

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from alignrag.config import Config, ENV_CONFIG, load_config, resolve_config
+from alignrag.config import (
+    COUNT_FIELDS,
+    ENV_CONFIG,
+    Config,
+    load_config,
+    resolve_config,
+)
 from alignrag.errors import ConfigError
 from alignrag.prompts import DEFAULT_TEMPLATES, TEMPLATE_FIELDS, check_template
 
@@ -50,8 +56,11 @@ class TestValidation:
             Config(bm25_k1=-0.1).validate()
 
     def test_positive_integer_knobs(self):
-        for name in ("embed_dim", "base_size", "mip_k", "final_k"):
-            with pytest.raises(ConfigError, match=name):
+        assert COUNT_FIELDS[:4] == ("embed_dim", "base_size", "mip_k", "final_k")
+        assert len(COUNT_FIELDS) == 13 and "seed" not in COUNT_FIELDS
+        for name in COUNT_FIELDS:
+            message = f"{name} must be an integer >= 1, got 0"
+            with pytest.raises(ConfigError, match=message):
                 Config(**{name: 0}).validate()
         with pytest.raises(ConfigError, match="beam_width"):
             Config(beam_width=2.5).validate()  # non-integer rejected too

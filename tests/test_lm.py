@@ -26,7 +26,6 @@ from alignrag.lm import (
     ngram_score,
 )
 from alignrag.ngram_index import (
-    NGram,
     NGramTrie,
     Vocabulary,
     build_trie,
@@ -36,7 +35,7 @@ from alignrag.corpus import Chunk
 
 
 def trie_of(*token_tuples) -> NGramTrie:
-    return build_trie(NGram(tokens=t) for t in token_tuples)
+    return NGramTrie(token_tuples)
 
 
 CITY_TRIE = (
@@ -264,7 +263,7 @@ class TestNgramDecode:
         text = " ".join(rng.choice(vocab) for _ in range(60))
         chunks = [Chunk(object_id="c", index=0, text=text, span=(0, 1))]
         trie = build_trie(corpus_ngrams(chunks))
-        stored = {g.tokens for g in trie.ngrams()}
+        stored = set(trie.ngrams())
         for seed in range(100):
             scorer = MockScorer(seed=seed)
             beams = constrained_ngram_decode(scorer, trie, f"probe {seed}")

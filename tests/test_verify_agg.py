@@ -254,6 +254,14 @@ class TestVerifySelect:
         with pytest.raises(ValidationError):
             verify_select(MockScorer(), "q", [], toy_sdraft("text"))
 
+    def test_template_is_parsed_once(self):
+        template = "pick one: {selected} from {draft}"
+        assert prompts.split_selected(template) is prompts.split_selected(template)
+        # an error is not cached: a bad template raises on every call
+        for _ in range(2):
+            with pytest.raises(ValueError, match="whitespace"):
+                prompts.split_selected("pick:{selected}")
+
 
 def synth_style_draft(rng: random.Random):
     """A draft shaped like a synthetic-corpus one: chain and distractor ids,
