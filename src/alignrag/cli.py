@@ -116,7 +116,7 @@ def cmd_eval_run(args: argparse.Namespace) -> int:
     _check_writable(args.trace)
     engine = _build_engine(args, config)
     questions = load_questions(args.questions)
-    methods = args.method or list(METHODS)
+    methods = list(dict.fromkeys(args.method or METHODS))  # a repeated --method runs once
     results = run_eval(engine, questions, methods=methods, top_k=args.top_k)
     json_path = os.path.join(args.out, "results.json")
     csv_path = os.path.join(args.out, "results.csv")

@@ -3,11 +3,9 @@
 Decoding is masked: at every step the caller computes the set of valid
 next tokens (from a trie or a choice set) and the scorer only ranks
 within that set, so emitted sequences are valid by construction. The
-N-gram beam search keeps, of a wide trie node's candidates (more of
-them than the context has distinct tokens), only the ``beam_width`` best
-and its separator, ranks those survivors together, and only materializes
-the hypotheses that survive that ranking. A scorer with ``score_ids``
-scores a wide node's children as one id array.
+N-gram beam search scores a wide trie node's children (more than its
+context has distinct tokens) as one id array, keeps their ``beam_width``
+best and builds only the hypotheses that survive the step's ranking.
 
 Reserved tokens open/close alignment segments, separate list items, and
 stop generation. Text normalization strips bare punctuation, so none of
@@ -19,9 +17,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from collections.abc import Callable, Collection, Iterable, MutableMapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
-from typing import Collection, Iterable, MutableMapping, Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -60,10 +60,8 @@ class TokenScorer(Protocol):
     A scorer may also offer ``score_ids(context, ids, vocab)``: the
     logits ``score`` gives for the tokens ``vocab.tokens[i]`` of an
     ascending int array of ids, as a float64 array. The N-gram decoder
-    then scores a trie node with more children than its context has
-    distinct tokens through it, one vector per context masked to the
-    node's children; the beams are the ones ``score`` alone gives. A
-    scorer with only the three methods below decodes through ``score``.
+    scores a wide trie node's ids through it, or through ``score`` of
+    their tokens when a scorer has none.
     """
 
     def tokenize(self, text: str) -> list[str]: ...
@@ -111,6 +109,13 @@ class _Rule:
     suffix: tuple[str, ...]
     ranked: tuple[str, ...]
     order: int
+
+
+def _via_score(
+    score: Callable, context: Sequence[str], ids: np.ndarray, vocab: Vocabulary
+) -> np.ndarray:
+    """``score_ids`` via a ``score`` function: its logits of the ids' tokens."""
+    return np.array(score(context, [vocab.tokens[i] for i in ids.tolist()]), np.float64)
 
 
 def _noise_prefix(seed: int, context: Sequence[str]) -> bytes:
@@ -233,8 +238,7 @@ class MockScorer:
         scores the ids' tokens as ``score`` does.
         """
         if self.seed is not None:
-            candidates = [vocab.tokens[i] for i in ids.tolist()]
-            return np.array(self._logits(context, candidates), dtype=np.float64)
+            return _via_score(self._logits, context, ids, vocab)
         index = vocab.ids
         table, ruled = self._tables(context, index)
         table.update(ruled)
@@ -302,9 +306,6 @@ class _Hypothesis:
         mean = self.content_total / count if count else 0.0
         return (-mean, -self.content_total, self.tokens)
 
-    def rank_score(self) -> float:
-        return -self.sort_key()[0]
-
     def child(self, token: str, logit: float) -> "_Hypothesis":
         tokens = self.tokens + (token,)
         logits = self.logits + (logit,)
@@ -330,12 +331,12 @@ class _Hypothesis:
             logits=self.logits,
             ngrams=tuple(ngrams),
             ngram_scores=tuple(scores),
-            score=self.rank_score(),
+            score=-self.sort_key()[0],
         )
 
 
 def _kept(
-    parent_total: float, scored: Sequence[float], skip: list[int], width: int
+    parent_total: float, scored: np.ndarray, skip: list[int], width: int
 ) -> list[int]:
     """Positions of a wide row's candidates that may survive its step,
     ascending.
@@ -348,7 +349,7 @@ def _kept(
     ``width`` best lie among the survivors of its rows.
     """
     positions = np.arange(len(scored))
-    totals = parent_total + np.asarray(scored, dtype=np.float64)
+    totals = parent_total + scored
     if skip:
         positions = np.delete(positions, skip)
         totals = totals[positions]
@@ -373,24 +374,20 @@ def constrained_ngram_decode(
     when every beam dies the decode fails.
 
     Each live hypothesis keeps its trie node and is scored once per step
-    over its candidates in token order. A row is wide when its node has
-    more children than the hypothesis's context has distinct tokens. With
-    a scorer that has ``score_ids`` and a trie with a ``vocab``, a wide
-    row is scored by id: the candidates are the node's child ids (the
-    delimiters merged in by id, which is token order) and one call
-    returns their logits as an array. Every other row, and every row of a
-    scorer without ``score_ids`` or a trie without ids, scores the node's
-    ``continuations()`` through ``score``; both give the same beams. Of a
-    wide row's content candidates only the ``beam_width`` best can
-    survive (``_kept``); a narrow row keeps them all. The survivors and
-    the separators are then ranked together by (-mean, -total) content
-    logit, ties in flat order: hypotheses are laid out in token order and
-    each one's candidates in token order, so, as live hypotheses have
-    equal length, the flat order is the order of the candidates' token
-    tuples and the ranking is exactly ``_Hypothesis.sort_key``'s. Only the
-    ``beam_width`` best, plus the candidates that close the segment,
-    become hypotheses. NumPy float64 ``+`` gives the bits Python floats
-    give.
+    over its candidates in token order. A wide row, whose node has more
+    children than the hypothesis's context has distinct tokens, scores
+    the node's child ids, the delimiters merged in by id (token order),
+    with one ``score_ids`` call and keeps only the ``beam_width`` best of
+    its content candidates (``_kept``); a narrow row scores
+    ``continuations()`` through ``score`` and keeps them all. The
+    survivors and the separators are then ranked together by (-mean,
+    -total) content logit, ties in flat order: hypotheses are laid out in
+    token order and each one's candidates in token order, so, as live
+    hypotheses have equal length, the flat order is the order of the
+    candidates' token tuples and the ranking is exactly
+    ``_Hypothesis.sort_key``'s. Only the ``beam_width`` best, plus the
+    candidates that close the segment, become hypotheses. NumPy float64
+    ``+`` gives the bits Python floats give.
     """
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
@@ -405,14 +402,11 @@ def constrained_ngram_decode(
     live = [(_Hypothesis().child(OPEN_TOKEN, open_logit), root)]
     done: list[_Hypothesis] = []
     max_steps = max_ngrams * (MAX_NGRAM + 1) + 2
-    vocab: Optional[Vocabulary] = getattr(trie, "vocab", None)
-    score_ids = getattr(scorer, "score_ids", None)
-    if vocab is not None and score_ids is not None:
-        # a terminal node's delimiters: the close alone, or with the separator
-        close_sep = np.array([vocab.ids[CLOSE_TOKEN], vocab.ids[SEP_TOKEN]])
-        delimiters = (close_sep[:1], close_sep)
-    else:
-        vocab = None  # score every row by its tokens
+    vocab = trie.vocab
+    score_ids = getattr(scorer, "score_ids", None) or partial(_via_score, scorer.score)
+    # a terminal node's delimiters: the close alone, or with the separator
+    close_sep = np.array([vocab.ids[CLOSE_TOKEN], vocab.ids[SEP_TOKEN]])
+    delimiters = (close_sep[:1], close_sep)
 
     for _ in range(max_steps):
         if not live:
@@ -428,11 +422,7 @@ def constrained_ngram_decode(
             skip: list[int] = []  # positions of the close, then the separator
             ordered = node.continuations()
             row = context.plus(hyp.tokens)
-            # a wide row, with more children than distinct context tokens as
-            # the trie's root has, is scored by id where it can be and keeps
-            # only its beam_width best; a narrow row keeps every candidate
-            wide = len(ordered) > len(row.counts)
-            if wide and vocab is not None:
+            if len(ordered) > len(row.counts):  # wide, as the trie's root is
                 ids = node.child_ids(vocab)
                 if closes:
                     ids = np.sort(np.concatenate((ids, delimiters[seps])))
@@ -445,16 +435,13 @@ def constrained_ngram_decode(
                 if closes:
                     extra = (CLOSE_TOKEN, SEP_TOKEN) if seps else (CLOSE_TOKEN,)
                     ordered = tuple(sorted(ordered + extra))
-                    skip = [ordered.index(tok) for tok in extra]
+                    skip = [ordered.index(CLOSE_TOKEN)]  # the separator is kept
                 if not ordered:
                     continue  # dead end: beam dropped
                 scored = scorer.score(row, ordered)
-                if wide:
-                    kept = _kept(hyp.content_total, scored, skip, beam_width)
-                else:
-                    kept = [i for i in range(len(ordered)) if i not in skip[:1]]
+                kept = [i for i in range(len(ordered)) if i not in skip]
                 names = [ordered[i] for i in kept]
-                logits = [scored[i] for i in kept + skip[:1]]
+                logits = [scored[i] for i in kept + skip]
             if closes:
                 done.append(hyp.child(CLOSE_TOKEN, logits.pop()))
             for tok, logit in zip(names, logits):

@@ -285,29 +285,42 @@ def _key(record: dict, key: str, kind: type | tuple[type, ...], where: str):
     return value
 
 
-def _check_counts(doc_len: dict, postings: dict, where: str) -> None:
-    """Raise ParseError unless every BM25 document length and posting is a
-    non-negative integer (never a bool); the check runs over all of them
-    at once and names the first bad one."""
-    counts = list(chain(doc_len.values(), *map(dict.values, postings.values())))
-    if set(map(type, counts)) <= {int} and min(counts, default=0) >= 0:
-        return
-    named = [("doc_len of", doc_len)]
-    named += [(f"posting of {term!r} in", p) for term, p in postings.items()]
-    for what, figures in named:
-        for cid, value in figures.items():
-            if type(value) is not int or value < 0:
-                raise ParseError(
-                    f"{where}: bm25 {what} {cid!r} must be a non-negative "
-                    f"integer, got {value!r}"
-                )
+def _check_bm25(k1: float, b: float, doc_len: dict, postings: dict, where: str) -> None:
+    """Raise ParseError naming the first figure ``bm25_search`` cannot score:
+    ``k1`` must be finite and >= 0, ``b`` in [0, 1], each document length a
+    non-negative integer (never a bool), each posting 1 to its chunk's length."""
+    if not 0 <= k1 < math.inf:
+        raise ParseError(f"{where}: bm25 k1 must be finite and >= 0, got {k1!r}")
+    if not 0 <= b <= 1:
+        raise ParseError(f"{where}: bm25 b must be in [0, 1], got {b!r}")
+    for cid, length in doc_len.items():
+        if type(length) is not int or length < 0:
+            raise ParseError(
+                f"{where}: bm25 doc_len of {cid!r} must be a non-negative "
+                f"integer, got {length!r}"
+            )
+    for term, posting in postings.items():
+        if not isinstance(posting, dict):
+            raise ParseError(f"{where}: malformed entry: bm25 posting of {term!r}")
+        for cid, count in posting.items():
+            if type(count) is not int or count < 0:
+                fault = "must be a non-negative integer"
+            elif cid not in doc_len:
+                fault = "names a chunk missing from doc_len"
+            elif not 1 <= count <= doc_len[cid]:
+                fault = f"must be from 1 to the chunk's length {doc_len[cid]}"
+            else:
+                continue
+            raise ParseError(
+                f"{where}: bm25 posting of {term!r} in {cid!r} {fault}, got {count!r}"
+            )
 
 
 def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     """The trie, BM25 statistics and ``chunk_units`` saved by ``save_index``.
 
     The trie checks each n-gram's length and each distinct token once as it
-    is built; every BM25 document length and posting is checked too. A
+    is built; ``_check_bm25`` checks that BM25 can score the statistics. A
     malformed file raises ParseError naming it.
     """
     where = f"index file {path}"
@@ -327,10 +340,9 @@ def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
         )
     try:
         trie = NGramTrie(ngrams)
-        _check_counts(doc_len, postings, where)
-    except (ValidationError, TypeError) as exc:
-        # TypeError: an unhashable token, or a posting that is not an object
+    except (ValidationError, TypeError) as exc:  # TypeError: an unhashable token
         raise ParseError(f"{where}: malformed entry: {exc}") from exc
+    _check_bm25(k1, b, doc_len, postings, where)
     bm25 = Bm25Index(k1=float(k1), b=float(b), doc_len=doc_len, postings=postings)
     if bm25.doc_len:
         bm25.avgdl = sum(bm25.doc_len.values()) / len(bm25.doc_len)

@@ -9,7 +9,7 @@ import re
 import jsonschema
 import pytest
 
-from alignrag import cli, struct_align
+from alignrag import baselines_eval, cli, struct_align
 from alignrag.baselines_eval import METHODS
 from alignrag.cli import main
 from alignrag.corpus import save_corpus
@@ -408,6 +408,19 @@ class TestRetrieve:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert repr(token) in captured.err
 
+    def test_index_posting_of_unknown_chunk_rejected(self, workdir, capsys):
+        with open(workdir["index"], encoding="utf-8") as handle:
+            snapshot = json.load(handle)
+        snapshot["bm25"]["postings"]["paris"]["ghost#0"] = 1
+        with open(workdir["index"], "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle)
+        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        assert main(["retrieve", "paris population", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: index file {workdir['index']}: ")
+        assert "'ghost#0' names a chunk missing from doc_len" in captured.err
+
     def test_index_of_edited_corpus_rejected(self, workdir, capsys):
         edited = [dict(r) for r in CITY_RECORDS]
         edited[1]["title"] = "country areas and more"
@@ -512,6 +525,23 @@ class TestEvalRun:
         assert sorted(results["methods"]) == ["arm", "dense"]
         table = capsys.readouterr().out.splitlines()
         assert [ln.split()[0] for ln in table[1:3]] == ["arm", "dense"]
+
+    def test_repeated_method_runs_once(self, workdir, capsys, monkeypatch):
+        built = []
+        build_runner = baselines_eval.build_runner
+
+        def counting_build_runner(method, *args):
+            built.append(method)
+            return build_runner(method, *args)
+
+        monkeypatch.setattr(baselines_eval, "build_runner", counting_build_runner)
+        extra = ["--method", "dense", "--method", "arm", "--method", "dense"]
+        out_dir = self.run(workdir, "dup", extra=extra)
+        results = json.loads((out_dir / "results.json").read_text())
+        assert sorted(results["methods"]) == ["arm", "dense"]
+        table = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in table[1:-1]] == ["dense", "arm"]
+        assert built == ["dense"]
 
     def test_reruns_byte_identical(self, workdir, capsys):
         first = self.run(workdir, "a")

@@ -19,6 +19,7 @@ from alignrag.info_align import (
 from alignrag.lm import MockScorer, OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN, STOP_TOKEN
 from alignrag.ngram_index import (
     NGram,
+    NGramTrie,
     bm25_search,
     build_bm25,
     build_trie,
@@ -106,6 +107,7 @@ class TestAlignKeyword:
 
         class DeadTrie:
             root = DeadNode()
+            vocab = NGramTrie([("x",)]).vocab
 
             def __len__(self):
                 return 1

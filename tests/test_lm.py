@@ -313,6 +313,7 @@ class TestNgramDecode:
 
         class DeadTrie:
             root = DeadNode()
+            vocab = NGramTrie([("x",)]).vocab
 
             def __len__(self):
                 return 1
@@ -457,8 +458,8 @@ class TestDecodeAgainstReference:
 
 
 class TokensOnly:
-    """Exposes only the scorer protocol, so the decoder scores every row
-    through ``score``."""
+    """Exposes only the scorer protocol, so the decoder scores a wide row's
+    ids through ``score`` of their tokens."""
 
     def __init__(self, inner) -> None:
         self._inner = inner

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 
@@ -375,6 +376,51 @@ class TestPersistence:
         with pytest.raises(ParseError, match=message) as info:
             load_index(str(path))
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"k1": -1.0}, r"k1 must be finite and >= 0, got -1\.0"),
+            ({"k1": math.inf}, r"k1 must be finite and >= 0, got inf"),
+            ({"k1": math.nan}, r"k1 must be finite and >= 0, got nan"),
+            ({"b": 5.0}, r"b must be in \[0, 1\], got 5\.0"),
+            ({"b": -0.25}, r"b must be in \[0, 1\], got -0\.25"),
+            ({"b": math.nan}, r"b must be in \[0, 1\], got nan"),
+            ({"ghost#0": 1}, r"in 'ghost#0' names a chunk missing from doc_len"),
+            ({"d#2": 0}, r"in 'd#2' must be from 1 to the chunk's length 5, got 0"),
+            ({"d#2": 6}, r"in 'd#2' must be from 1 to the chunk's length 5, got 6"),
+        ],
+    )
+    def test_bm25_figures_search_cannot_score_are_parse_errors(
+        self, tmp_path, edit, message
+    ):
+        chunks = [chunk(cid, text) for cid, text in BM25_DOCS.items()]
+        path = tmp_path / "index.json"
+        save_index(str(path), build_trie(corpus_ngrams(chunks)), build_bm25(chunks), 20)
+        snapshot = json.loads(path.read_text())
+        raw = snapshot["bm25"]
+        if "k1" in edit or "b" in edit:
+            raw.update(edit)
+        else:
+            raw["postings"]["apple"].update(edit)
+        path.write_text(json.dumps(snapshot))
+        with pytest.raises(ParseError, match=message) as info:
+            load_index(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("k1, b", [(0, 0), (0.0, 1.0), (3, 1)])
+    def test_bm25_bounds_load_and_score(self, tmp_path, k1, b):
+        chunks = [chunk(cid, text) for cid, text in BM25_DOCS.items()]
+        path = tmp_path / "index.json"
+        save_index(str(path), build_trie(corpus_ngrams(chunks)), build_bm25(chunks), 20)
+        snapshot = json.loads(path.read_text())
+        snapshot["bm25"].update(k1=k1, b=b)
+        # a count equal to its chunk's length is the largest one accepted
+        snapshot["bm25"]["postings"]["date"]["d#1"] = 2
+        path.write_text(json.dumps(snapshot))
+        _, bm25, _ = load_index(str(path))
+        hits = bm25_search(bm25, ["apple", "date", "cherry"])
+        assert [cid for cid, _ in hits] and all(math.isfinite(s) for _, s in hits)
 
 def test_bm25_dataclass_defaults():
     index = Bm25Index()

@@ -217,7 +217,8 @@ class TestCompatibilityCost:
 
 class ForwardingScorer:
     """Exposes only the scorer protocol, as the benchmark's counting
-    wrapper does, and counts score calls and candidates."""
+    wrapper does, so a wide row's ids reach ``score`` as tokens; counts
+    score calls and candidates."""
 
     def __init__(self, inner) -> None:
         self._inner = inner
