@@ -24,7 +24,7 @@ def _dense_ranking(
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
     sims = object_similarity(store, provider.embed(question))
     ids = store.object_ids
-    return [(ids[j], float(sims[j])) for j in top_objects(sims, store.id_rank, top_k)]
+    return [(ids[j], float(sims[j])) for j in top_objects(sims, top_k)]
 
 
 def dense_retrieve(

@@ -83,6 +83,9 @@ def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
+    if args.trace is not None and args.method != "arm":
+        # the trace is ARM's staged record; a baseline has none to write
+        raise ConfigError(f"--trace needs --method arm, got --method {args.method}")
     config = _apply_overrides(resolve_config(args.config), args)
     _check_writable(args.trace)
     engine = _build_engine(args, config)

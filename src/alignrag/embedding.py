@@ -230,10 +230,10 @@ class VectorStore:
     """Every chunk vector, stored sparse by coordinate, each object's chunks
     contiguous.
 
-    Object ``object_ids[j]`` owns chunks ``offsets[j]:offsets[j + 1]``,
-    and ``id_rank[j]`` is its place in ascending id order, the tie order
-    ``top_objects`` takes; ``chunk_rows`` maps each chunk id to its chunk
-    index and ``norms`` holds each chunk vector's Euclidean norm. Row
+    Objects are laid out in ascending id order, so position order is the
+    tie order ``top_objects`` takes. Object ``object_ids[j]`` owns chunks
+    ``offsets[j]:offsets[j + 1]``; ``chunk_rows`` maps each chunk id to its
+    chunk index and ``norms`` holds each chunk vector's Euclidean norm. Row
     ``d`` of ``columns`` lists the chunks whose vector is non-zero at
     coordinate ``d``, with the values there. A hashed chunk vector is non-zero on a
     few dozen of its thousands of coordinates, so the store holds a small
@@ -244,7 +244,6 @@ class VectorStore:
     object_ids: tuple[str, ...]
     columns: SparseRows  # one row per coordinate: chunk indices and values
     offsets: np.ndarray  # (n_objects + 1,)
-    id_rank: np.ndarray  # (n_objects,)
     chunk_rows: Mapping[str, int]
     norms: np.ndarray  # (n_chunks,)
 
@@ -313,20 +312,21 @@ def _dense_norms(rows: SparseRows, dimension: int) -> np.ndarray:
 
 
 def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> VectorStore:
-    """Embed every chunk once into a store grouped by object."""
+    """Embed every chunk once into a store grouped by object, objects in
+    ascending id order and each one's chunks in input order."""
     grouped: dict[str, list[Chunk]] = {}
     for chunk in chunks:
         grouped.setdefault(chunk.object_id, []).append(chunk)
-    rows = [chunk for group in grouped.values() for chunk in group]
+    object_ids = tuple(sorted(grouped))
+    rows = [chunk for oid in object_ids for chunk in grouped[oid]]
     vectors, norms = embed_rows(provider, rows)
-    sizes = [len(group) for group in grouped.values()]
+    sizes = [len(grouped[oid]) for oid in object_ids]
     offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
     return VectorStore(
         dimension=provider.dimension,
-        object_ids=tuple(grouped),
+        object_ids=object_ids,
         columns=vectors.transpose(provider.dimension),
         offsets=offsets,
-        id_rank=id_rank(tuple(grouped)),
         chunk_rows={chunk.chunk_id: i for i, chunk in enumerate(rows)},
         norms=norms,
     )
@@ -352,8 +352,12 @@ def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarra
     Entry j belongs to ``store.object_ids[j]``. The dot products read
     only the question's non-zero coordinates: their columns are unpacked
     into a dense column-major block, the layout slicing those columns from
-    a dense matrix gives, so the matrix-vector product sums each dot in the
-    same order and the results match a dense store bit for bit.
+    a dense matrix gives, so the results hold the bits of a dense
+    matrix-vector product over the chunk rows in the store's own row
+    order, which is id order. A BLAS may sum a row's dot differently by
+    the row's place in the matrix (one build takes a remainder path for
+    the last ``len(store) % 4`` rows), so the bits follow the set of ids,
+    never the order of the corpus file.
     """
     q = np.asarray(question_vec, dtype=np.float64)
     if q.shape != (store.dimension,):
@@ -372,20 +376,13 @@ def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarra
     return np.maximum.reduceat(cosines, store.offsets[:-1])
 
 
-def id_rank(ids: Sequence[str]) -> np.ndarray:
-    """Each position's place when ``ids`` are sorted ascending."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
-
-
-def top_objects(scores: np.ndarray, rank: np.ndarray, k: int) -> list[int]:
-    """Positions of the ``k`` best ``scores``, best first, ties by ``rank``
-    (``id_rank`` of the ids; ``-0.0`` ties ``0.0``).
+def top_objects(scores: np.ndarray, k: int) -> list[int]:
+    """Positions of the ``k`` best ``scores``, best first, ties by
+    position (``-0.0`` ties ``0.0``).
 
     A partition finds the k-th best score. Every entry above it is kept,
-    and of the entries equal to it the ones of smallest rank that make up
-    ``k``; only those ``k`` are sorted. The partition runs on the negated
+    and of the entries equal to it the first ones that make up ``k``;
+    only those ``k`` are sorted. The partition runs on the negated
     scores at ``k - 1``: with a few high scores over a flat rest, as
     retrieval's cosines and the mock scorer's logits are, that is several
     times faster than partitioning the scores at ``n - k``.
@@ -398,9 +395,6 @@ def top_objects(scores: np.ndarray, rank: np.ndarray, k: int) -> list[int]:
         worse = -scores
         kth = np.partition(worse, k - 1)[k - 1]
         above = np.flatnonzero(worse < kth)
-        tied = np.flatnonzero(worse == kth)
-        need = k - above.size
-        if need < tied.size:
-            tied = tied[np.argpartition(rank[tied], need - 1)[:need]]
+        tied = np.flatnonzero(worse == kth)[: k - above.size]
         top = np.concatenate((above, tied))
-    return top[np.lexsort((rank[top], -scores[top]))].tolist()
+    return top[np.lexsort((top, -scores[top]))].tolist()

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import prompts
-from .embedding import EmbeddingProvider, VectorStore, object_similarity, top_objects
+from .embedding import VectorStore, object_similarity, top_objects
 from .errors import AllBeamsDead, ValidationError
 from .lm import SEP_TOKEN, STOP_TOKEN, Context, TokenScorer, constrained_ngram_decode
 from .ngram_index import Bm25Index, NGram, NGramTrie, bm25_search, normalize_tokens
@@ -139,6 +139,12 @@ def clamp01(value: float) -> float:
     return max(0.0, min(1.0, value))
 
 
+def clamp_relevance(similarity: np.ndarray) -> np.ndarray:
+    """``clamp01`` of each object similarity; ``+ 0.0`` turns ``-0.0``
+    into ``0.0``, as ``clamp01`` gives."""
+    return np.clip(similarity, 0.0, 1.0) + 0.0
+
+
 @dataclass(frozen=True)
 class BaseEntry:
     """One base-set candidate with its fused and component scores."""
@@ -150,19 +156,21 @@ class BaseEntry:
 
 
 def retrieve_base(
-    question: str,
+    question_vec: np.ndarray,
     alignments: Sequence[KeywordAlignment],
     bm25_index: Bm25Index,
     store: VectorStore,
-    provider: EmbeddingProvider,
     alpha: float = 0.5,
     base_size: int = 10,
-) -> list[BaseEntry]:
+) -> tuple[list[BaseEntry], np.ndarray]:
     """Fuse aligned-N-gram BM25 hits with embedding similarity.
 
     Every decoded N-gram list issues one BM25 query over its concatenated
     tokens. Chunk scores keep their best value across queries, are min-max
     normalized within this question, and objects inherit their best chunk.
+    Returns the base set, best first, and every object's clamped
+    similarity with the question vector, by store position: the relevance
+    the later stages weigh.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
@@ -191,16 +199,16 @@ def retrieve_base(
             if row is not None:
                 chunk_norm[row] = 1.0 if span == 0.0 else (score - low) / span
     bm25 = np.maximum.reduceat(chunk_norm, store.offsets[:-1])
-    embed = np.clip(object_similarity(store, provider.embed(question)), 0.0, 1.0)
-    embed += 0.0  # -0.0 becomes 0.0, as clamp01 gives
+    embed = clamp_relevance(object_similarity(store, question_vec))
     fused = alpha * bm25 + (1.0 - alpha) * embed
 
-    return [
+    base = [
         BaseEntry(
             object_id=store.object_ids[j],
             fused=float(fused[j]),
             bm25=float(bm25[j]),
             embed=float(embed[j]),
         )
-        for j in top_objects(fused, store.id_rank, base_size)
+        for j in top_objects(fused, base_size)
     ]
+    return base, embed

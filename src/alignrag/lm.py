@@ -115,7 +115,7 @@ def _via_score(
     score: Callable, context: Sequence[str], ids: np.ndarray, vocab: Vocabulary
 ) -> np.ndarray:
     """``score_ids`` via a ``score`` function: its logits of the ids' tokens."""
-    return np.array(score(context, [vocab.tokens[i] for i in ids.tolist()]), np.float64)
+    return np.array(score(context, vocab.array[ids].tolist()), np.float64)
 
 
 def _noise_prefix(seed: int, context: Sequence[str]) -> bytes:
@@ -353,7 +353,7 @@ def _kept(
     if skip:
         positions = np.delete(positions, skip)
         totals = totals[positions]
-    best = top_objects(totals, np.arange(len(totals)), width)
+    best = top_objects(totals, width)
     return sorted(positions[best].tolist() + skip[1:])
 
 
@@ -429,7 +429,7 @@ def constrained_ngram_decode(
                     skip = ids.searchsorted(delimiters[seps]).tolist()
                 scored = score_ids(row, ids, vocab)
                 kept = _kept(hyp.content_total, scored, skip, beam_width)
-                names = [vocab.tokens[i] for i in ids[kept].tolist()]
+                names = vocab.array[ids[kept]].tolist()
                 logits = scored[kept + skip[:1]].tolist()
             else:
                 if closes:

@@ -76,13 +76,15 @@ def extract_ngrams(text: str) -> set[tuple[str, ...]]:
 
 class Vocabulary:
     """Int ids for a set of tokens, assigned in sorted token order, so id
-    order is token order: ``tokens[i]`` is the token of id ``i`` and
-    ``ids`` maps each token to its id."""
+    order is token order: ``tokens[i]`` is the token of id ``i``,
+    ``array`` holds the same tokens as an object array, to be indexed by
+    an id array, and ``ids`` maps each token to its id."""
 
-    __slots__ = ("tokens", "ids")
+    __slots__ = ("tokens", "array", "ids")
 
     def __init__(self, tokens: Iterable[str]) -> None:
         self.tokens = tuple(sorted(tokens))
+        self.array = np.array(self.tokens, dtype=object)
         self.ids = dict(zip(self.tokens, range(len(self.tokens))))
 
     def __len__(self) -> int:

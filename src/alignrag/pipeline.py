@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .config import Config
 from .corpus import Corpus
 from .embedding import (
@@ -28,6 +26,7 @@ from .info_align import (
     BaseEntry,
     KeywordAlignment,
     align_keyword,
+    clamp_relevance,
     extract_keywords,
     retrieve_base,
 )
@@ -297,9 +296,9 @@ class RetrievalEngine:
         self.templates = self.config.templates()
 
     def relevance_map(self, question_vec) -> dict[str, float]:
-        """Clamped best-chunk similarity for every corpus object."""
-        # + 0.0 turns -0.0 into 0.0, as in retrieve_base
-        sims = np.clip(object_similarity(self.store, question_vec), 0.0, 1.0) + 0.0
+        """Clamped best-chunk similarity for every corpus object, the
+        relevance ``run_arm`` gets from ``retrieve_base``."""
+        sims = clamp_relevance(object_similarity(self.store, question_vec))
         return dict(zip(self.store.object_ids, sims.tolist()))
 
     def run_arm(
@@ -333,12 +332,12 @@ class RetrievalEngine:
             )
             for keyword in keywords
         ]
-        base = retrieve_base(
-            question,
+        question_vec = self.provider.embed(question)
+        base, embed = retrieve_base(
+            question_vec,
             alignments,
             self.bm25,
             self.store,
-            self.provider,
             alpha=cfg.alpha,
             base_size=cfg.base_size,
         )
@@ -353,8 +352,7 @@ class RetrievalEngine:
             result.final = [e.object_id for e in base[:k_final]]
             return result
 
-        question_vec = self.provider.embed(question)
-        relevance = self.relevance_map(question_vec)
+        relevance = dict(zip(self.store.object_ids, embed.tolist()))
         base_ids = [e.object_id for e in base]
         result.search_sets = expand_base(
             base_ids, self.cache.nearest, strategies=cfg.strategies

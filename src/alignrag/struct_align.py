@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, DataObject, ObjectKind
-from .embedding import EmbeddingProvider, SparseRows, embed_rows, id_rank
+from .embedding import EmbeddingProvider, SparseRows, embed_rows
 from .errors import Infeasible, TooLarge, ValidationError
 from .info_align import clamp01
 from .ngram_index import normalize_tokens
@@ -89,20 +89,23 @@ class _UnitIndex:
     stored as sparse rows of vector coordinates and of normalized-token
     ids, column slots as rows of their header's coordinates and of value
     ids, each with inverted lists, so that a pass walks only the buckets,
-    tokens and values its batch hits. Object ``j`` holds the unit texts
-    ``units.row(j)``, in unit order (``unit_sets.row(j)``: each once,
-    ascending), and the column slots ``columns.row(j)``, numbered object
-    by object; ``holders`` lists each unit text's objects.
+    tokens and values its batch hits. Object ``j``, the ``j``-th of the
+    objects it is built over, holds the unit texts ``units.row(j)``, in
+    unit order (``unit_sets.row(j)``: each once, ascending), and the
+    column slots ``columns.row(j)``, numbered object by object;
+    ``holders`` lists each unit text's objects.
     """
 
-    def __init__(self, corpus: Corpus, provider: EmbeddingProvider) -> None:
+    def __init__(
+        self, objects: Sequence[DataObject], provider: EmbeddingProvider
+    ) -> None:
         texts: dict[str, int] = {}
         token_lists: list[list[str]] = []  # by text id
         vocab: dict[str, int] = {}
         token_rows: list[list[int]] = []
         unit_ids: dict[str, int] = {}  # -1: no tokens
         unit_rows: list[list[int]] = []
-        for obj in corpus.objects:
+        for obj in objects:
             row = []
             for _, unit in _units(obj):
                 tid = unit_ids.get(unit)
@@ -122,7 +125,7 @@ class _UnitIndex:
         values: dict[str, int] = {}
         value_rows: list[list[int]] = []
         slot_text: list[int] = []
-        for obj in corpus.objects:
+        for obj in objects:
             for c, header in enumerate(obj.columns):
                 if header not in texts:
                     texts[header] = len(texts)
@@ -152,14 +155,12 @@ class _UnitIndex:
         self.units = SparseRows.from_rows(unit_rows)
         self.unit_sets = SparseRows.from_rows([sorted(set(row)) for row in unit_rows])
         self.holders = self.unit_sets.transpose(n_units)
-        n_columns = [len(obj.columns) for obj in corpus.objects]
+        n_columns = [len(obj.columns) for obj in objects]
         self.slot_owner = np.repeat(np.arange(len(n_columns)), n_columns)
         ptr = np.concatenate(([0], np.cumsum(n_columns, dtype=np.intp)))
         self.columns = SparseRows(ptr=ptr, indices=np.arange(ptr[-1]))
-        self.objects = corpus.objects
-        self.is_table = np.array(
-            [obj.kind is ObjectKind.TABLE for obj in corpus.objects]
-        )
+        self.objects = objects
+        self.is_table = np.array([obj.kind is ObjectKind.TABLE for obj in objects])
 
     def _pairs(
         self,
@@ -305,7 +306,9 @@ class CompatibilityCache:
     set's pairs, and ``score(a, b)`` reads the row of whichever of the two
     already has one and otherwise computes ``a``'s. A row is ranked once,
     by the first ``nearest`` call that needs it. ``get`` returns the
-    connection behind a pair, memoized by the pair.
+    connection behind a pair, memoized by the pair. Objects are held, and
+    rows laid out, in ascending id order, so ties by position are ties by
+    id.
     """
 
     def __init__(
@@ -313,10 +316,10 @@ class CompatibilityCache:
     ) -> None:
         if not 0.0 <= w <= 1.0:
             raise ValidationError(f"w must be in [0, 1], got {w}")
-        self._corpus = corpus
+        self._objects = tuple(sorted(corpus.objects, key=lambda obj: obj.id))
         self._provider = provider
         self._w = w
-        self._ids = corpus.object_ids()
+        self._ids = tuple(obj.id for obj in self._objects)
         self._position = {oid: j for j, oid in enumerate(self._ids)}
         self._rows: dict[str, np.ndarray] = {}
         # positions of a row's positive entries but its own, best first
@@ -325,11 +328,7 @@ class CompatibilityCache:
 
     @cached_property
     def _index(self) -> _UnitIndex:
-        return _UnitIndex(self._corpus, self._provider)
-
-    @cached_property
-    def _id_rank(self) -> np.ndarray:
-        return id_rank(self._ids)
+        return _UnitIndex(self._objects, self._provider)
 
     def _fill(self, oids: Sequence[str]) -> None:
         """Compute the rows ``oids`` lack, in one pass."""
@@ -375,13 +374,15 @@ class CompatibilityCache:
             if order.size < n:
                 zeros = np.flatnonzero(self._rows[oid] == 0.0)
                 zeros = zeros[zeros != self._position[oid]]
-                order = np.concatenate((order, zeros[np.argsort(self._id_rank[zeros])]))
+                order = np.concatenate((order, zeros))
             lists.append([self._ids[j] for j in order[:n].tolist()])
         return lists
 
     def _rank(self, oids: Sequence[str]) -> None:
         """Order, in one pass, the positive entries of each row of ``oids``
-        that has no order yet, by score descending, then by id."""
+        that has no order yet, by score descending, then by position:
+        ``np.nonzero`` lists each row's entries in position order and
+        ``np.lexsort`` is stable."""
         todo = [oid for oid in dict.fromkeys(oids) if oid not in self._orders]
         if not todo:
             return
@@ -389,9 +390,7 @@ class CompatibilityCache:
         positive = block > 0.0
         positive[np.arange(len(todo)), [self._position[oid] for oid in todo]] = False
         owner, column = np.nonzero(positive)
-        ranked = column[
-            np.lexsort((self._id_rank[column], -block[owner, column], owner))
-        ]
+        ranked = column[np.lexsort((-block[owner, column], owner))]
         ends = np.cumsum(positive.sum(axis=1))[:-1]
         self._orders.update(zip(todo, np.split(ranked, ends)))
 

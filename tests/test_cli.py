@@ -334,6 +334,24 @@ class TestRetrieve:
         assert main(argv) == 1
         assert_output_path_reported(capsys, trace_path)
 
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "arm"])
+    def test_trace_with_baseline_rejected_before_any_work(
+        self, workdir, capsys, method
+    ):
+        # the index does not exist, so only a check made before any file
+        # is read can name the flags
+        index = str(workdir["tmp"] / "absent.json")
+        trace_path = workdir["tmp"] / "trace.json"
+        args = ["--corpus", workdir["corpus"], "--index", index]
+        argv = ["retrieve", "q", *args, "--method", method, "--trace", str(trace_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --trace needs --method arm, got --method {method}\n"
+        )
+        assert not trace_path.exists()
+
     def test_unknown_method_rejected_by_parser(self, workdir):
         with pytest.raises(SystemExit):
             main(

@@ -16,7 +16,6 @@ from alignrag.embedding import (
     HashEmbeddingProvider,
     cosine,
     embed_corpus,
-    id_rank,
     object_similarity,
     top_objects,
 )
@@ -263,7 +262,10 @@ class TestStore:
         corpus = build_corpus(city_objects, chunk_units=1)
         provider = HashEmbeddingProvider(dimension=32, seed=1)
         store = embed_corpus(provider, corpus.chunks)
-        dense = np.array([provider.embed_chunk(c) for c in corpus.chunks])
+        # the store's row order: objects by id, each one's chunks in order
+        chunks = sorted(corpus.chunks, key=lambda c: c.object_id)
+        assert store.chunk_rows == {c.chunk_id: i for i, c in enumerate(chunks)}
+        dense = np.array([provider.embed_chunk(c) for c in chunks])
         norms = np.array([np.linalg.norm(row) for row in dense])
         for question in ["paris population", "lyon is smaller", "country area 643"]:
             q = provider.embed(question)
@@ -281,7 +283,7 @@ class TestStore:
         for question in ["paris population", "lyon", "country area of france"]:
             question_vec = provider.embed(question)
             got = dict(zip(store.object_ids, object_similarity(store, question_vec)))
-            assert list(got) == [obj.id for obj in corpus.objects]
+            assert list(got) == sorted(obj.id for obj in corpus.objects)
             for oid, chunks in corpus.chunks_by_object.items():
                 expected = max(
                     oracles.cosine_np(question_vec, oracles.hash_embed(c.text, 0, 64))
@@ -305,7 +307,8 @@ class TestStore:
             "twin-a",
             "twin-b",
         ]
-        base = retrieve_base(question, [], build_bm25(corpus.chunks), store, provider)
+        bm25 = build_bm25(corpus.chunks)
+        base, _ = retrieve_base(provider.embed(question), [], bm25, store)
         assert [e.object_id for e in base[:2]] == ["twin-a", "twin-b"]
         assert base[0].embed == base[1].embed
 
@@ -378,7 +381,7 @@ class TestBatchEmbedding:
         assert got.offsets.tolist() == want.offsets.tolist()
         assert got.chunk_rows == want.chunk_rows
 
-        got, want = _UnitIndex(corpus, fast), _UnitIndex(corpus, slow)
+        got, want = _UnitIndex(corpus.objects, fast), _UnitIndex(corpus.objects, slow)
         assert_rows_identical(got.vectors, want.vectors)
         assert_rows_identical(got.buckets, want.buckets)
         assert hex_list(got.norms) == hex_list(want.norms)
@@ -399,7 +402,7 @@ class TestBatchEmbedding:
                 return original(text)
 
             monkeypatch.setattr(module, "normalize_tokens", counted)
-        _UnitIndex(corpus, HashEmbeddingProvider(dimension=64, seed=0))
+        _UnitIndex(corpus.objects, HashEmbeddingProvider(dimension=64, seed=0))
         assert sorted(calls) == sorted(texts)
 
     @pytest.mark.parametrize("dimension", [8, 64])
@@ -434,10 +437,9 @@ class TestTopObjects:
         scores = rng.choice(np.array([0.5, 0.0, -0.0, 0.25]), size=n)
         zeros = scores[scores == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
-        ids = [f"o{j}" for j in rng.permutation(n)]  # id order is not position order
-        want = sorted(range(n), key=lambda j: (-scores[j], ids[j]))
+        want = sorted(range(n), key=lambda j: (-scores[j], j))
         for k in (1, 2, n // 2, n - 1, n, n + 5):
-            assert top_objects(scores, id_rank(ids), k) == want[:k]
+            assert top_objects(scores, k) == want[:k]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_sorted_order_at_baseline_size(self, seed):
@@ -447,33 +449,29 @@ class TestTopObjects:
         scores = rng.choice(np.array([0.0, -0.0]), size=n)
         hits = rng.choice(n, size=40, replace=False)
         scores[hits] = rng.choice(np.array([0.9, 0.5, 0.25, 0.125]), size=40)
-        ids = [f"o{j}" for j in rng.permutation(n)]
-        want = sorted(range(n), key=lambda j: (-scores[j], ids[j]))
-        rank = id_rank(ids)
+        want = sorted(range(n), key=lambda j: (-scores[j], j))
         for k in (1, 5, 30, 50, 999, 1000, 1005):
-            assert top_objects(scores, rank, k) == want[:k]
+            assert top_objects(scores, k) == want[:k]
 
     def test_positive_tie_set_larger_than_needed(self):
         n = 1000
         scores = np.zeros(n)
         scores[::7] = 0.5  # 143 tied entries at the k-th score
         scores[[3, 500, 998]] = 0.75
-        ids = [f"id{j:04d}" for j in reversed(range(n))]
-        want = sorted(range(n), key=lambda j: (-scores[j], ids[j]))
+        want = sorted(range(n), key=lambda j: (-scores[j], j))
         for k in (4, 10, 50, 145):
-            got = top_objects(scores, id_rank(ids), k)
+            got = top_objects(scores, k)
             assert got == want[:k]
             assert scores[got[-1]] == 0.5
 
-    def test_id_rank_orders_positions_by_id(self):
-        ids = ["b", "a10", "a2", "c", "a1"]
-        assert id_rank(ids).tolist() == [3, 1, 2, 4, 0]
+    def test_store_lays_objects_out_by_id(self):
+        # position order is the tie order of every ranking over the store
         store = embed_corpus(
             HashEmbeddingProvider(dimension=8),
             [chunk("z#0", "x"), chunk("m#0", "y"), chunk("a#0", "z")],
         )
-        assert store.id_rank.tolist() == [2, 1, 0]
+        assert store.object_ids == ("a", "m", "z")
 
     def test_k_validated(self):
         with pytest.raises(ValidationError):
-            top_objects(np.zeros(3), id_rank(["a", "b", "c"]), 0)
+            top_objects(np.zeros(3), 0)

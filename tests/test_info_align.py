@@ -131,6 +131,11 @@ def unigram_alignment(*tokens: str) -> KeywordAlignment:
     )
 
 
+def base_set(question, alignments, bm25, store, provider, **kwargs):
+    """The base set ``retrieve_base`` fuses for ``question``'s vector."""
+    return retrieve_base(provider.embed(question), alignments, bm25, store, **kwargs)[0]
+
+
 class TestRetrieveBase:
     # [frozen] recomputed below from the independent scoring oracle
     FUSED = {
@@ -141,7 +146,7 @@ class TestRetrieveBase:
 
     def test_fusion_matches_frozen_values(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
-        entries = retrieve_base(
+        entries = base_set(
             "paris population",
             [unigram_alignment("populations", "paris")],
             bm25,
@@ -157,7 +162,7 @@ class TestRetrieveBase:
 
     def test_fusion_matches_oracle_recomputation(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
-        entries = retrieve_base(
+        entries = base_set(
             "paris population",
             [unigram_alignment("populations", "paris")],
             bm25,
@@ -183,7 +188,7 @@ class TestRetrieveBase:
 
     def test_alpha_zero_is_pure_embedding(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
-        entries = retrieve_base(
+        entries = base_set(
             "paris population",
             [unigram_alignment("populations", "paris")],
             bm25,
@@ -197,7 +202,7 @@ class TestRetrieveBase:
 
     def test_alpha_one_is_pure_bm25(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
-        entries = retrieve_base(
+        entries = base_set(
             "paris population",
             [unigram_alignment("populations", "paris")],
             bm25,
@@ -209,7 +214,7 @@ class TestRetrieveBase:
 
     def test_single_hit_normalizes_to_one(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
-        entries = retrieve_base(
+        entries = base_set(
             "anything",
             [unigram_alignment("500k")],  # only t1 contains this term
             bm25,
@@ -222,13 +227,13 @@ class TestRetrieveBase:
 
     def test_no_alignments_falls_back_to_embedding(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
-        entries = retrieve_base("paris", [], bm25, store, provider)
+        entries = base_set("paris", [], bm25, store, provider)
         assert all(e.bm25 == 0.0 for e in entries)
         assert all(e.fused == pytest.approx(0.5 * e.embed) for e in entries)
 
     def test_base_size_caps_output(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
-        entries = retrieve_base(
+        entries = base_set(
             "paris",
             [unigram_alignment("paris")],
             bm25,
@@ -241,11 +246,11 @@ class TestRetrieveBase:
     def test_parameter_validation(self, city_corpus):
         provider, store, bm25 = city_setup(city_corpus)
         with pytest.raises(ValidationError):
-            retrieve_base("q", [], bm25, store, provider, alpha=1.0001)
+            base_set("q", [], bm25, store, provider, alpha=1.0001)
         with pytest.raises(ValidationError):
-            retrieve_base("q", [], bm25, store, provider, alpha=-0.1)
+            base_set("q", [], bm25, store, provider, alpha=-0.1)
         with pytest.raises(ValidationError):
-            retrieve_base("q", [], bm25, store, provider, base_size=0)
+            base_set("q", [], bm25, store, provider, base_size=0)
 
 
 class TestRetrieveBaseAgainstOracle:
@@ -264,8 +269,8 @@ class TestRetrieveBaseAgainstOracle:
     def check(self, corpus, bm25, question, alignments, alpha, base_size):
         provider = HashEmbeddingProvider(dimension=64, seed=0)
         store = embed_corpus(provider, corpus.chunks)
-        got = retrieve_base(
-            question, alignments, bm25, store, provider, alpha, base_size
+        got = base_set(
+            question, alignments, bm25, store, provider, alpha=alpha, base_size=base_size
         )
         query_hits = [
             bm25_search(bm25, [t for g in lst.ngrams for t in g.tokens])

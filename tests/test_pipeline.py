@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import jsonschema
 import numpy as np
 import pytest
 
-from alignrag import pipeline, struct_align
+from alignrag import info_align, pipeline, struct_align
+from alignrag.baselines_eval import build_runner
 from alignrag.config import Config
 from alignrag.corpus import build_corpus
-from alignrag.embedding import FileVectorProvider, HashEmbeddingProvider
+from alignrag.embedding import (
+    FileVectorProvider,
+    HashEmbeddingProvider,
+    object_similarity,
+)
 from alignrag.errors import ValidationError
 from alignrag.info_align import AlignedList, KeywordAlignment
 from alignrag.lm import MockScorer
@@ -99,7 +105,7 @@ class TestEngine:
         for question in ["paris population", "lyon", "country area of france", "zz"]:
             question_vec = provider.embed(question)
             relevance = engine.relevance_map(question_vec)
-            assert list(relevance) == [obj.id for obj in corpus.objects]
+            assert list(relevance) == sorted(obj.id for obj in corpus.objects)
             for oid, chunks in corpus.chunks_by_object.items():
                 best = max(
                     oracles.cosine_np(question_vec, oracles.hash_embed(c.text, 0, 64))
@@ -213,6 +219,37 @@ class TestCompatibilityCost:
         question = bench.questions[0].question
         engine.run_arm(question, stage="ia")
         assert embedded == [question]
+
+    @pytest.mark.parametrize("stage", ["sa", "full"])
+    def test_structure_stages_score_the_question_once(self, monkeypatch, stage):
+        # base fusion and the structure stage weigh one relevance array
+        bench = build_planted()
+        engine = RetrievalEngine(bench.corpus, config=bench.config)
+        embedded, scored, weighed = [], [], []
+        embed = engine.provider.embed
+        build = pipeline.build_mip_instance
+
+        def counted_embed(text):
+            embedded.append(text)
+            return embed(text)
+
+        def counted_similarity(store, question_vec):
+            scored.append(question_vec)
+            return object_similarity(store, question_vec)
+
+        def recording_build(ids, relevance, *args):
+            weighed.append(relevance)
+            return build(ids, relevance, *args)
+
+        monkeypatch.setattr(engine.provider, "embed", counted_embed)
+        for module in (info_align, pipeline):
+            monkeypatch.setattr(module, "object_similarity", counted_similarity)
+        monkeypatch.setattr(pipeline, "build_mip_instance", recording_build)
+        question = bench.questions[0].question
+        engine.run_arm(question, stage=stage)
+        assert embedded.count(question) == 1 and len(scored) == 1
+        want = engine.relevance_map(embed(question))
+        assert weighed and all(relevance == want for relevance in weighed)
 
 
 class ForwardingScorer:
@@ -375,6 +412,33 @@ class TestRunArm:
         trace = engine.run_arm(self.QUESTION).to_trace("q0")
         strategies = [tuple(d["strategy"]) for d in trace["drafts"]]
         assert strategies == list(engine.config.strategies)
+
+
+class TestCorpusOrder:
+    def test_answers_do_not_depend_on_object_order(self):
+        # ties rank by id and a cosine's bits depend on the chunk's store
+        # row, so the store must lay objects out the same way for any order
+        bench = build_planted()
+        objects = list(bench.corpus.objects)
+        shuffled = objects[:]
+        random.Random(20).shuffle(shuffled)
+        answers = []
+        for order in (objects, objects[::-1], shuffled):
+            engine = RetrievalEngine(build_corpus(order), config=bench.config)
+            runners = {m: build_runner(m, engine, 5) for m in ("dense", "rerank")}
+            answers.append(
+                {
+                    q.question_id: (
+                        json.dumps(engine.run_arm(q.question).to_trace(q.question_id)),
+                        {m: run(q)[0] for m, run in runners.items()},
+                    )
+                    for q in bench.questions
+                }
+            )
+        assert len(answers[0]) == 20
+        for other in answers[1:]:
+            for qid, answer in answers[0].items():
+                assert other[qid] == answer, qid
 
 
 class TestRenderAlignment:

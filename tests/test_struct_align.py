@@ -477,7 +477,7 @@ class TestRowBits:
 
     def index(self, name):
         corpus, provider, _ = ROW_CORPORA[name]
-        return corpus, struct_align._UnitIndex(corpus, provider)
+        return corpus, struct_align._UnitIndex(corpus.objects, provider)
 
     def test_batched_rows_match_rows_alone(self, name):
         corpus, index = self.index(name)
