@@ -139,7 +139,12 @@ class FileVectorProvider:
                 raise ParseError(f"{where}: need chunk_id and vector")
             if not all(type(x) in (int, float) for x in vector):
                 raise ParseError(f"{where}: vector must be a flat list of numbers")
-            arr = np.asarray(vector, dtype=np.float64)
+            try:
+                arr = np.asarray(vector, dtype=np.float64)
+            except OverflowError:  # an integer beyond float range is infinite
+                arr = np.full(1, np.inf)
+            if not np.isfinite(arr).all():
+                raise ParseError(f"{where}: vector must hold finite numbers")
             if self.dimension == 0:
                 self.dimension = arr.shape[0]
             elif arr.shape[0] != self.dimension:
@@ -350,14 +355,10 @@ def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarra
     """Every object's best chunk cosine with the question, clamped to [-1, 1].
 
     Entry j belongs to ``store.object_ids[j]``. The dot products read
-    only the question's non-zero coordinates: their columns are unpacked
-    into a dense column-major block, the layout slicing those columns from
-    a dense matrix gives, so the results hold the bits of a dense
-    matrix-vector product over the chunk rows in the store's own row
-    order, which is id order. A BLAS may sum a row's dot differently by
-    the row's place in the matrix (one build takes a remainder path for
-    the last ``len(store) % 4`` rows), so the bits follow the set of ids,
-    never the order of the corpus file.
+    only the question's non-zero coordinates, and each chunk's dot sums
+    its products in ascending coordinate order (``np.bincount`` adds in
+    input order), so an object's bits do not depend on which other
+    objects the store holds.
     """
     q = np.asarray(question_vec, dtype=np.float64)
     if q.shape != (store.dimension,):
@@ -366,12 +367,10 @@ def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarra
     if q_norm == 0.0:
         raise ZeroVector("cosine undefined for zero-norm vector")
     support = np.flatnonzero(q)
-    block = np.zeros((len(store), support.size), order="F")
     positions, lengths = store.columns.positions(support)
-    block[
-        store.columns.indices[positions], np.repeat(np.arange(support.size), lengths)
-    ] = store.columns.values[positions]
-    cosines = (block @ q[support]) / (q_norm * store.norms)
+    products = store.columns.values[positions] * np.repeat(q[support], lengths)
+    dots = np.bincount(store.columns.indices[positions], products, minlength=len(store))
+    cosines = dots / (q_norm * store.norms)
     np.clip(cosines, -1.0, 1.0, out=cosines)
     return np.maximum.reduceat(cosines, store.offsets[:-1])
 

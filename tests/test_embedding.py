@@ -32,6 +32,7 @@ from alignrag.struct_align import _UnitIndex
 
 import oracles
 from conftest import make_passage, make_table
+from planted import build_planted
 
 
 def chunk(cid: str, text: str) -> Chunk:
@@ -195,6 +196,10 @@ class TestFileProvider:
             ('{"chunk_id": "a", "vector": [[1.0, 2.0]]}', "flat list of numbers"),
             ('{"chunk_id": "a", "vector": [1.0, null]}', "flat list of numbers"),
             ('{"chunk_id": "a", "vector": [true, 1.0]}', "flat list of numbers"),
+            ('{"chunk_id": "a", "vector": [1.0, NaN]}', "finite numbers"),
+            ('{"chunk_id": "a", "vector": [Infinity]}', "finite numbers"),
+            ('{"chunk_id": "a", "vector": [-Infinity]}', "finite numbers"),
+            ('{"chunk_id": "a", "vector": [1e999, 1.0]}', "finite numbers"),
         ],
     )
     def test_malformed_line_is_parse_error(self, tmp_path, line, message):
@@ -205,6 +210,12 @@ class TestFileProvider:
         with pytest.raises(ParseError, match=message) as info:
             FileVectorProvider(str(path))
         assert f"{path} line 2" in str(info.value)
+
+    def test_integer_beyond_float_range_is_parse_error(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text('{"chunk_id": "a", "vector": [1.0, 1%s]}\n' % ("0" * 400))
+        with pytest.raises(ParseError, match="line 1: vector must hold finite"):
+            FileVectorProvider(str(path))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
@@ -257,23 +268,50 @@ class TestStore:
         with pytest.raises(DimensionMismatch, match="a#0"):
             embed_corpus(Short(dimension=4), [chunk("a#0", "x")])
 
-    def test_similarity_matches_dense_matrix_exactly(self, city_objects):
-        # the sparse store must reproduce the dense matrix product bit for bit
+    def test_similarity_matches_ordered_sum_exactly(self, city_objects):
+        # each chunk's dot sums its products in ascending coordinate order
         corpus = build_corpus(city_objects, chunk_units=1)
         provider = HashEmbeddingProvider(dimension=32, seed=1)
         store = embed_corpus(provider, corpus.chunks)
         # the store's row order: objects by id, each one's chunks in order
         chunks = sorted(corpus.chunks, key=lambda c: c.object_id)
         assert store.chunk_rows == {c.chunk_id: i for i, c in enumerate(chunks)}
-        dense = np.array([provider.embed_chunk(c) for c in chunks])
-        norms = np.array([np.linalg.norm(row) for row in dense])
+        dense = [provider.embed_chunk(c) for c in chunks]
         for question in ["paris population", "lyon is smaller", "country area 643"]:
             q = provider.embed(question)
-            support = np.flatnonzero(q)
-            cosines = (dense[:, support] @ q[support]) / (np.linalg.norm(q) * norms)
-            np.clip(cosines, -1.0, 1.0, out=cosines)
-            expected = np.maximum.reduceat(cosines, store.offsets[:-1])
-            np.testing.assert_array_equal(object_similarity(store, q), expected)
+            q_norm = float(np.linalg.norm(q))
+            best: dict[str, float] = {}
+            for c, row in zip(chunks, dense):
+                total = 0.0
+                for d in np.flatnonzero(q).tolist():
+                    total += float(row[d]) * float(q[d])
+                value = total / (q_norm * float(np.linalg.norm(row)))
+                value = max(-1.0, min(1.0, value))
+                best[c.object_id] = max(best.get(c.object_id, -1.0), value)
+            expected = [best[oid] for oid in store.object_ids]
+            assert object_similarity(store, q).tolist() == expected
+
+    def test_removing_objects_keeps_every_other_cosine(self):
+        # an object's cosine bits depend on it and the question alone: the
+        # store of each id prefix of the planted corpus agrees with the full one
+        bench = build_planted()
+        provider = HashEmbeddingProvider(
+            dimension=bench.config.embed_dim, seed=bench.config.seed
+        )
+        chunks = bench.corpus.chunks
+        full = embed_corpus(provider, chunks)
+        prefixes = []
+        for n in range(1, len(full.object_ids)):
+            kept = set(full.object_ids[:n])
+            prefixes.append(
+                embed_corpus(provider, [c for c in chunks if c.object_id in kept])
+            )
+        for question in bench.questions:
+            q = provider.embed(question.question)
+            want = [x.hex() for x in object_similarity(full, q).tolist()]
+            for store in prefixes:
+                got = [x.hex() for x in object_similarity(store, q).tolist()]
+                assert got == want[: len(got)], (question.question_id, len(got))
 
     def test_multi_chunk_objects_match_oracle(self, city_objects):
         corpus = build_corpus(city_objects, chunk_units=1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from alignrag import lm
+from alignrag import lm, prompts
 from alignrag.errors import AllBeamsDead, ValidationError
 from alignrag.lm import (
     Beam,
@@ -32,6 +32,8 @@ from alignrag.ngram_index import (
     corpus_ngrams,
 )
 from alignrag.corpus import Chunk
+from alignrag.pipeline import build_scorer
+from planted import build_planted
 
 
 def trie_of(*token_tuples) -> NGramTrie:
@@ -551,6 +553,28 @@ class TestIdPathMatchesTokenPath:
                         )
                         assert repr([as_plain(b) for b in by_id]) == repr(want)
             assert scorer.id_calls > 0
+
+    def test_planted_trie_beams_equal(self):
+        # the planted corpus's trie: its root is wide, with 520 children
+        bench = build_planted()
+        trie = build_trie(corpus_ngrams(bench.corpus.chunks))
+        assert len(trie.root.children) == 520
+        scorers = [
+            build_scorer(bench.config),
+            MockScorer(),
+            MockScorer(seed=7, context_weight=1.0),
+        ]
+        for question in bench.questions:
+            seed_text = prompts.ALIGN_TEMPLATE.format(
+                user_question=question.question, keyword=question.question
+            )
+            for scorer in scorers:
+                for beam_width in (1, 3):
+                    by_id = decode_or_dead(scorer, trie, seed_text, beam_width, 3)
+                    by_token = decode_or_dead(
+                        TokensOnly(scorer), trie, seed_text, beam_width, 3
+                    )
+                    assert repr(by_id) == repr(by_token)
 
 
 class TestChoiceDecode:
