@@ -19,11 +19,11 @@ from .config import Config, resolve_config
 from .corpus import load_corpus
 from .errors import AlignragError, ConfigError, ValidationError
 from .ngram_index import (
+    Bm25Index,
     build_bm25,
     build_trie,
     corpus_ngrams,
     load_index,
-    normalize_tokens,
     save_index,
 )
 from .pipeline import RetrievalEngine
@@ -56,17 +56,28 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chunk_counts(bm25: Bm25Index) -> dict[str, tuple[int, dict[str, int]]]:
+    """Each chunk's length and term counts, by chunk id."""
+    counts: dict[str, tuple[int, dict[str, int]]] = {
+        cid: (length, {}) for cid, length in bm25.doc_len.items()
+    }
+    for term, posting in bm25.postings.items():
+        for cid, count in posting.items():
+            counts[cid][1][term] = count
+    return counts
+
+
 def _build_engine(args: argparse.Namespace, config: Config) -> RetrievalEngine:
     trie, bm25, chunk_units = load_index(args.index)
     corpus = load_corpus(args.corpus, chunk_units=chunk_units)
     # an index built from another corpus would align to phrases the
-    # collection does not hold; its BM25 chunk table gives it away
-    expected = {c.chunk_id: len(normalize_tokens(c.text)) for c in corpus.chunks}
-    if bm25.doc_len != expected:
+    # collection does not hold; its BM25 chunk table and postings give it
+    # away
+    expected = build_bm25(corpus.chunks, k1=bm25.k1, b=bm25.b)
+    if (bm25.doc_len, bm25.postings) != (expected.doc_len, expected.postings):
+        want, got = _chunk_counts(expected), _chunk_counts(bm25)
         differing = min(
-            cid
-            for cid in expected.keys() | bm25.doc_len.keys()
-            if expected.get(cid) != bm25.doc_len.get(cid)
+            cid for cid in want.keys() | got.keys() if want.get(cid) != got.get(cid)
         )
         raise ValidationError(
             f"index {args.index} does not match corpus {args.corpus}: "

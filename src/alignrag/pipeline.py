@@ -355,7 +355,7 @@ class RetrievalEngine:
         relevance = dict(zip(self.store.object_ids, embed.tolist()))
         base_ids = [e.object_id for e in base]
         result.search_sets = expand_base(
-            base_ids, self.cache.nearest, strategies=cfg.strategies
+            base_ids, self.cache.nominate, strategies=cfg.strategies
         )
         for search_set in result.search_sets:
             k = min(cfg.mip_k, len(search_set.object_ids))

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, islice
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -63,20 +63,12 @@ class Connection:
     score: float
 
 
-def _units(obj: DataObject) -> Iterator[tuple[object, str]]:
-    """An object's cells, row by row, or its sentences, with locators."""
+def _units(obj: DataObject) -> Sequence[str]:
+    """An object's cells, row by row, or its sentences: unit ``p`` of a
+    table is the cell at (row, column) ``divmod(p, len(obj.columns))``."""
     if obj.kind is ObjectKind.TABLE:
-        for r, row in enumerate(obj.rows):
-            for c, cell in enumerate(row):
-                yield (r, c), cell
-    else:
-        yield from enumerate(obj.sentences)
-
-
-def _unit_locator(obj: DataObject, n: int) -> object:
-    """Locator of the ``n``-th unit of ``obj`` that carries tokens."""
-    carrying = (loc for loc, text in _units(obj) if normalize_tokens(text))
-    return next(islice(carrying, n, None))
+        return [cell for row in obj.rows for cell in row]
+    return obj.sentences
 
 
 class _UnitIndex:
@@ -91,7 +83,8 @@ class _UnitIndex:
     ids, each with inverted lists, so that a pass walks only the buckets,
     tokens and values its batch hits. Object ``j``, the ``j``-th of the
     objects it is built over, holds the unit texts ``units.row(j)``, in
-    unit order (``unit_sets.row(j)``: each once, ascending), and the
+    unit order with each unit's place in ``_units`` as its value
+    (``unit_sets.row(j)``: each text once, ascending), and the
     column slots ``columns.row(j)``, numbered object by object;
     ``holders`` lists each unit text's objects.
     """
@@ -105,9 +98,10 @@ class _UnitIndex:
         token_rows: list[list[int]] = []
         unit_ids: dict[str, int] = {}  # -1: no tokens
         unit_rows: list[list[int]] = []
+        places: list[int] = []  # each unit_rows entry's place in _units, in turn
         for obj in objects:
             row = []
-            for _, unit in _units(obj):
+            for place, unit in enumerate(_units(obj)):
                 tid = unit_ids.get(unit)
                 if tid is None:
                     tokens = normalize_tokens(unit)
@@ -119,6 +113,7 @@ class _UnitIndex:
                         token_rows.append(sorted(ids))
                 if tid >= 0:
                     row.append(tid)
+                    places.append(place)
             unit_rows.append(row)
         n_units = len(texts)
 
@@ -152,7 +147,8 @@ class _UnitIndex:
         self.value_columns = self.values.transpose(len(values))
         self.n_values = np.diff(self.values.ptr)
 
-        self.units = SparseRows.from_rows(unit_rows)
+        units = SparseRows.from_rows(unit_rows)
+        self.units = SparseRows(units.ptr, units.indices, np.array(places, np.intp))
         self.unit_sets = SparseRows.from_rows([sorted(set(row)) for row in unit_rows])
         self.holders = self.unit_sets.transpose(n_units)
         n_columns = [len(obj.columns) for obj in objects]
@@ -295,20 +291,21 @@ def compatibility(
     else:
         entity = obj_a.kind is ObjectKind.TABLE
         kind = ConnectionKind.ENTITY_LINK if entity else ConnectionKind.SENTENCE_LINK
-        loc_a, loc_b = _unit_locator(obj_a, i), _unit_locator(obj_b, k)
+        place_a = int(index.units.row(a)[1][i])
+        loc_a = divmod(place_a, len(obj_a.columns)) if entity else place_a
+        loc_b = int(index.units.row(b)[1][k])
     return Connection(kind, Endpoint(obj_a.id, loc_a), Endpoint(obj_b.id, loc_b), score)
 
 
 class CompatibilityCache:
     """Pairwise compatibility over one corpus, from a unit index that the
-    first lookup builds. Rows are computed a set at a time: ``nearest``
-    ranks the rows of a round's members, ``strengths`` serves one search
-    set's pairs, and ``score(a, b)`` reads the row of whichever of the two
-    already has one and otherwise computes ``a``'s. A row is ranked once,
-    by the first ``nearest`` call that needs it. ``get`` returns the
-    connection behind a pair, memoized by the pair. Objects are held, and
-    rows laid out, in ascending id order, so ties by position are ties by
-    id.
+    first lookup builds. Rows are computed a set at a time: ``nominate``
+    picks from the rows of a round's members, ``strengths`` serves one
+    search set's pairs, and ``score(a, b)`` reads the row of whichever of
+    the two already has one and otherwise computes ``a``'s. ``get``
+    returns the connection behind a pair, memoized by the pair. Objects
+    are held, and rows laid out, in ascending id order, so ties by
+    position are ties by id.
     """
 
     def __init__(
@@ -322,8 +319,6 @@ class CompatibilityCache:
         self._ids = tuple(obj.id for obj in self._objects)
         self._position = {oid: j for j, oid in enumerate(self._ids)}
         self._rows: dict[str, np.ndarray] = {}
-        # positions of a row's positive entries but its own, best first
-        self._orders: dict[str, np.ndarray] = {}
         self._connections: dict[tuple[str, str], Optional[Connection]] = {}
 
     @cached_property
@@ -361,38 +356,24 @@ class CompatibilityCache:
 
         return score
 
-    def nearest(self, oids: Sequence[str], n: int) -> list[list[str]]:
-        """For each of ``oids``, the ``n`` objects most compatible with it,
-        best first, ties by id, leaving it out: its ranked positive
-        entries, then, when they are fewer than ``n``, its zero entries in
-        id order."""
-        self._fill(oids)
-        self._rank(oids)
-        lists = []
-        for oid in oids:
-            order = self._orders[oid]
-            if order.size < n:
-                zeros = np.flatnonzero(self._rows[oid] == 0.0)
-                zeros = zeros[zeros != self._position[oid]]
-                order = np.concatenate((order, zeros))
-            lists.append([self._ids[j] for j in order[:n].tolist()])
-        return lists
-
-    def _rank(self, oids: Sequence[str]) -> None:
-        """Order, in one pass, the positive entries of each row of ``oids``
-        that has no order yet, by score descending, then by position:
-        ``np.nonzero`` lists each row's entries in position order and
-        ``np.lexsort`` is stable."""
-        todo = [oid for oid in dict.fromkeys(oids) if oid not in self._orders]
-        if not todo:
-            return
-        block = np.stack([self._rows[oid] for oid in todo])
-        positive = block > 0.0
-        positive[np.arange(len(todo)), [self._position[oid] for oid in todo]] = False
-        owner, column = np.nonzero(positive)
-        ranked = column[np.lexsort((-block[owner, column], owner))]
-        ends = np.cumsum(positive.sum(axis=1))[:-1]
-        self._orders.update(zip(todo, np.split(ranked, ends)))
+    def nominate(self, members: Sequence[str], k: int) -> list[list[str]]:
+        """For each of ``members``, the ``k`` objects outside ``members``
+        most compatible with it, best first, ties by id; fewer when fewer
+        lie outside. Every score is at least 0, so the members' own
+        columns, set to -1, rank below every other object; each pick is a
+        row-wise ``np.argmax``, which takes the first of equal maxima, and
+        position order is id order."""
+        self._fill(members)
+        block = np.stack([self._rows[oid] for oid in members])
+        inside = list({self._position[oid] for oid in members})
+        block[:, inside] = -1.0
+        every = np.arange(len(members))
+        count = min(k, block.shape[1] - len(inside))
+        picks = np.empty((len(members), count), dtype=np.intp)
+        for i in range(count):
+            picks[:, i] = block.argmax(axis=1)
+            block[every, picks[:, i]] = -1.0
+        return [[self._ids[j] for j in row] for row in picks.tolist()]
 
     def get(self, id_a: str, id_b: str) -> Optional[Connection]:
         if id_a == id_b:
@@ -418,35 +399,26 @@ class SearchSet:
 
 def expand_base(
     base_ids: Sequence[str],
-    nearest: Callable[[Sequence[str], int], Sequence[Sequence[str]]],
+    nominate: Callable[[Sequence[str], int], Sequence[Sequence[str]]],
     strategies: Sequence[tuple[int, int]],
 ) -> list[SearchSet]:
     """Grow the base set along most-compatible neighbors, per strategy.
 
     A strategy (k, l) runs l rounds; each round every current member
     nominates its k most compatible absent objects (ties by object id)
-    and nominations merge at the end of the round. ``nearest(members, n)``
-    is called once per round; for each member it lists the n objects most
-    compatible with it, best first, ties by id, leaving the member out.
+    and nominations merge at the end of the round. ``nominate(members,
+    k)`` is called once per round and lists those k objects for each
+    member.
     """
     sets = []
     for per_step, steps in strategies:
         if per_step < 1 or steps < 1:
             raise ValidationError(f"invalid strategy ({per_step}, {steps})")
-        members: list[str] = []
-        for oid in base_ids:
-            if oid not in members:
-                members.append(oid)
+        members = list(dict.fromkeys(base_ids))
         for _ in range(steps):
-            present = set(members)
             nominated: set[str] = set()
-            # Each member is present and left out of its own list, so at
-            # most len(present) - 1 of its neighbors are present: they hold
-            # the per_step best absent objects whenever the corpus has that
-            # many.
-            for neighbors in nearest(members, per_step + len(present)):
-                absent = (oid for oid in neighbors if oid not in present)
-                nominated.update(islice(absent, per_step))
+            for picks in nominate(members, per_step):
+                nominated.update(picks)
             members.extend(sorted(nominated))
         sets.append(
             SearchSet(strategy=(per_step, steps), object_ids=tuple(members))

@@ -390,26 +390,48 @@ class TestRetrieve:
         assert captured.out == ""
         assert captured.err.startswith(f"error: index file {index}: missing key")
 
-    @pytest.mark.parametrize("command", ["retrieve", "eval"])
-    def test_index_of_another_corpus_rejected(self, workdir, capsys, command):
-        other = [
-            dict(record, id=f"x{i}", title=f"renamed {i}")
-            for i, record in enumerate(CITY_RECORDS, start=7)
-        ]
-        corpus = write_jsonl(workdir["tmp"] / "other.jsonl", other)
-        args = ["--corpus", corpus, "--index", workdir["index"]]
-        if command == "retrieve":
-            argv = ["retrieve", "paris population", *args]
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            pytest.param("retrieve", "renamed", id="retrieve"),
+            pytest.param("eval", "renamed", id="eval"),
+            pytest.param("retrieve", "same-length", id="retrieve-same-length"),
+            pytest.param("eval", "same-length", id="eval-same-length"),
+        ],
+    )
+    def test_index_of_another_corpus_rejected(self, workdir, capsys, command, edit):
+        tmp = workdir["tmp"]
+        if edit == "renamed":
+            other = [
+                dict(record, id=f"x{i}", title=f"renamed {i}")
+                for i, record in enumerate(CITY_RECORDS, start=7)
+            ]
+            corpus = write_jsonl(tmp / "other.jsonl", other)
+            index, question, differing = workdir["index"], "paris population", "p1#0"
         else:
-            out = str(workdir["tmp"] / "out")
+            # an edit that keeps every chunk's token count
+            planted = tmp / "planted.jsonl"
+            save_corpus(build_planted().corpus, str(planted))
+            index = str(tmp / "planted-index.json")
+            assert main(["index", "build", "--corpus", str(planted), "--out", index]) == 0
+            text = planted.read_text()
+            planted.write_text(text.replace("pad0a pad0b", "zzzzz qqqqq"))
+            assert planted.read_text() != text
+            capsys.readouterr()
+            corpus, question, differing = str(planted), "pad0a", "d00#0"
+        args = ["--corpus", corpus, "--index", index]
+        if command == "retrieve":
+            argv = ["retrieve", question, *args]
+        else:
+            out = str(tmp / "out")
             argv = ["eval", "run", "--questions", workdir["questions"], "--out", out]
             argv += args
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (
-            f"error: index {workdir['index']} does not match corpus {corpus}: "
-            "chunk 'p1#0' differs" in captured.err
+            f"error: index {index} does not match corpus {corpus}: "
+            f"chunk {differing!r} differs" in captured.err
         )
 
     @pytest.mark.parametrize("token", [")", "(", ",", "<>", "x y", "paris,"])

@@ -190,6 +190,21 @@ class TestObjectCompat:
             if conn is not None:
                 assert conn.kind is ConnectionKind.SENTENCE_LINK
 
+    def test_locators_skip_tokenless_units(self):
+        # each witness unit follows tokenless cells or sentences, which the
+        # unit index leaves out, so a locator is not the unit's rank
+        table = make_table(
+            "t", "codes", ["code", "city"], [["???", "--"], ["c1", "paris big"]]
+        )
+        first = make_passage("p1", "a", ["???", "--", "paris c1 big."])
+        second = make_passage("p2", "b", ["?", "lyon.", "!!", "paris big."])
+        for obj_a, obj_b in ((table, first), (second, table), (first, second)):
+            cache = pair_cache(obj_a, obj_b)
+            score = cache.score(obj_a.id, obj_b.id)
+            want, ids, where = oracle_witness(obj_a, obj_b)
+            assert score == pytest.approx(want, abs=1e-12) and want > 0.0
+            assert_witness(cache.get(obj_a.id, obj_b.id), score, ids, where)
+
     def test_join_column_jaccard_only(self):
         ta = make_table("a", "left", ["code"], [[f"c{i}"] for i in range(5)])
         tb = make_table("b", "right", ["tag"], [[f"c{i}"] for i in range(6)])
@@ -330,36 +345,38 @@ class TestCompatibilityCache:
         corpus, provider, _ = mixed_corpus(kind, tmp_path)
         ids = corpus.object_ids()
         cache = CompatibilityCache(corpus, provider)
-        # p9's row is zero apart from its own entry: its list is all ties
+        # p9's row is zero apart from its own entry: its picks are all ties
         assert all(cache.score("p9", oid) == 0.0 for oid in ids if oid != "p9")
-        for oid in ids:
-            others = [other for other in ids if other != oid]
-            want = sorted(others, key=lambda other: (-cache.score(oid, other), other))
-            for n in range(1, len(ids) + 1):
-                assert cache.nearest([oid], n) == [want[:n]]
+        for size in range(1, len(ids) + 1):
+            for members in map(list, combinations(ids, size)):
+                outside = [oid for oid in ids if oid not in members]
+                want = [
+                    sorted(outside, key=lambda oid: (-cache.score(m, oid), oid))
+                    for m in members
+                ]
+                # the last k is larger than the number of objects outside
+                for k in range(1, len(outside) + 2):
+                    assert cache.nominate(members, k) == [w[:k] for w in want]
 
     @pytest.mark.parametrize("kind", ["hash", "file"])
-    def test_nearest_batches_and_reuses_row_orders(self, kind, tmp_path):
+    def test_nearest_batches_and_keeps_rows(self, kind, tmp_path):
         corpus, provider, _ = mixed_corpus(kind, tmp_path)
         ids = corpus.object_ids()
         assert ids != sorted(ids)  # file order is not id order
+        members = [*ids[:3], "p9"]
         cache, scores = (CompatibilityCache(corpus, provider) for _ in range(2))
-        want = []
-        for oid in ids:
-            others = [other for other in ids if other != oid]
-            others.sort(key=lambda other: (-scores.score(oid, other), other))
-            want.append(others)
-        # n rises (each row is ranked by the first call) and then falls
-        # (every call slices the stored orders)
-        sizes = list(range(1, len(ids) + 1))
-        for n in sizes:
-            assert cache.nearest(ids, n) == [others[:n] for others in want]
-        orders = dict(cache._orders)
-        assert orders.keys() == set(ids)
-        for n in sizes[::-1]:
-            assert cache.nearest(ids, n) == [others[:n] for others in want]
-        assert all(cache._orders[oid] is order for oid, order in orders.items())
-        assert want[ids.index("p9")] == sorted(oid for oid in ids if oid != "p9")
+        outside = [oid for oid in ids if oid not in members]
+        want = [
+            sorted(outside, key=lambda oid: (-scores.score(m, oid), oid))
+            for m in members
+        ]
+        # k rises past the number of objects outside, then falls: picking
+        # leaves the stored rows as they were
+        sizes = list(range(1, len(outside) + 2))
+        for k in sizes + sizes[::-1]:
+            assert cache.nominate(members, k) == [w[:k] for w in want]
+        assert cache._rows.keys() == set(members)
+        assert want[-1] == sorted(outside)
 
 
 class VectorTable:
@@ -520,18 +537,19 @@ class TestRowBits:
     def test_batched_nearest_returns_per_member_lists(self, name):
         corpus, provider, _ = ROW_CORPORA[name]
         ids = corpus.object_ids()
-        members = ids[::2] + ids[1::2]  # not in id order
+        members = ids[::3] + ids[1::3]  # not in id order
         # one cache computes each member's row alone, the other all at once
         alone, batched = (CompatibilityCache(corpus, provider) for _ in range(2))
-        for n in (1, 3, len(ids)):
-            one_by_one = [alone.nearest([oid], n)[0] for oid in members]
-            assert batched.nearest(members, n) == one_by_one
+        for oid in members:
+            alone.nominate([oid], 1)
+        for k in (1, 3, len(ids)):
+            assert batched.nominate(members, k) == alone.nominate(members, k)
 
 
 class TestStrengths:
     def test_first_call_fills_all_but_the_last_missing_row(self, city_corpus):
         cache = CompatibilityCache(city_corpus, PROVIDER)
-        cache.nearest(["t2"], 1)
+        cache.nominate(["t2"], 1)
         strength = cache.strengths(["t1", "p1", "t2", "t1"])
         assert set(cache._rows) == {"t2"}  # nothing before the first call
         assert strength("p1", "t1") == cache.score("t1", "p1")
@@ -565,22 +583,35 @@ def walk_fn(x, y):
     return WALK_COMPAT.get((x, y)) or WALK_COMPAT.get((y, x)) or 0.0
 
 
-def nearest_from(compat, ids):
-    """A ``nearest`` over ``ids`` that ranks, for each member, every other
-    id by ``compat``."""
+def nominate_from(compat, ids):
+    """A ``nominate`` over ``ids`` that ranks, for each member, every id
+    outside the members by ``compat``."""
 
-    def nearest(members, n):
-        lists = []
+    def nominate(members, k):
+        outside = [oid for oid in ids if oid not in members]
+        return [
+            sorted(outside, key=lambda oid: (-compat(member, oid), oid))[:k]
+            for member in members
+        ]
+
+    return nominate
+
+
+def plain_walk(base, compat, ids, per_step, steps):
+    """Expansion as its definition reads: every member re-ranks the absent
+    objects each round."""
+    members = list(dict.fromkeys(base))
+    for _ in range(steps):
+        nominated = set()
         for member in members:
-            others = [oid for oid in ids if oid != member]
-            others.sort(key=lambda oid: (-compat(member, oid), oid))
-            lists.append(others[:n])
-        return lists
+            absent = [o for o in ids if o not in members]
+            absent.sort(key=lambda o: (-compat(member, o), o))
+            nominated.update(absent[:per_step])
+        members += sorted(nominated)
+    return tuple(members)
 
-    return nearest
 
-
-WALK = nearest_from(walk_fn, ["a", "b", "c", "d", "e"])
+WALK = nominate_from(walk_fn, ["a", "b", "c", "d", "e"])
 
 
 class TestExpandBase:
@@ -598,18 +629,18 @@ class TestExpandBase:
         assert sets[0].object_ids == ("a", "b", "c", "d")
 
     def test_zero_compat_ties_break_by_id(self):
-        nearest = nearest_from(lambda a, b: 0.0, ["m", "z", "y", "x"])
-        sets = expand_base(["m"], nearest, strategies=[(1, 1)])
+        nominate = nominate_from(lambda a, b: 0.0, ["m", "z", "y", "x"])
+        sets = expand_base(["m"], nominate, strategies=[(1, 1)])
         assert sets[0].object_ids == ("m", "x")
 
     def test_base_duplicates_dropped(self):
-        nearest = nearest_from(walk_fn, ["a", "b"])
-        sets = expand_base(["a", "a"], nearest, strategies=[(1, 1)])
+        nominate = nominate_from(walk_fn, ["a", "b"])
+        sets = expand_base(["a", "a"], nominate, strategies=[(1, 1)])
         assert sets[0].object_ids == ("a", "b")
 
     def test_invalid_strategy(self):
         with pytest.raises(ValidationError):
-            expand_base(["a"], nearest_from(walk_fn, ["a", "b"]), strategies=[(0, 1)])
+            expand_base(["a"], nominate_from(walk_fn, ["a", "b"]), strategies=[(0, 1)])
 
     def test_matches_plain_walk(self):
         rng = random.Random(11)
@@ -623,19 +654,23 @@ class TestExpandBase:
             return table[(a, b) if a < b else (b, a)]
 
         strategies = [(1, 1), (2, 2), (3, 3), (1, 4)]
-        sets = expand_base(["o07", "o21", "o07"], nearest_from(compat, ids), strategies)
+        base = ["o07", "o21", "o07"]
+        sets = expand_base(base, nominate_from(compat, ids), strategies)
+        for search_set, strategy in zip(sets, strategies):
+            assert search_set.object_ids == plain_walk(base, compat, ids, *strategy)
 
-        # the plain walk: every member re-ranks the absent objects each round
-        for search_set, (per_step, steps) in zip(sets, strategies):
-            members = ["o07", "o21"]
-            for _ in range(steps):
-                nominated = set()
-                for member in members:
-                    absent = [o for o in ids if o not in members]
-                    absent.sort(key=lambda o: (-compat(member, o), o))
-                    nominated.update(absent[:per_step])
-                members += sorted(nominated)
-            assert search_set.object_ids == tuple(members)
+    @pytest.mark.parametrize("name", ["planted", "mixed"])
+    def test_cache_nominations_match_plain_walk(self, name):
+        corpus, provider, _ = ROW_CORPORA[name]
+        ids = sorted(corpus.object_ids())
+        cache, scores = (CompatibilityCache(corpus, provider) for _ in range(2))
+        # the last strategy nominates every object outside
+        strategies = [(1, 1), (2, 2), (3, 3), (1, 4), (len(ids), 1)]
+        base = ids[1::9] + ids[:1]
+        sets = expand_base(base, cache.nominate, strategies)
+        for search_set, strategy in zip(sets, strategies):
+            want = plain_walk(base, scores.score, ids, *strategy)
+            assert search_set.object_ids == want
 
 
 class TestInstance:
