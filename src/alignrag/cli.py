@@ -72,17 +72,19 @@ def _build_engine(args: argparse.Namespace, config: Config) -> RetrievalEngine:
     corpus = load_corpus(args.corpus, chunk_units=chunk_units)
     # an index built from another corpus would align to phrases the
     # collection does not hold; its BM25 chunk table and postings give it
-    # away
+    # away, and its n-grams do when a chunk only reorders its tokens
+    mismatch = f"index {args.index} does not match corpus {args.corpus}"
     expected = build_bm25(corpus.chunks, k1=bm25.k1, b=bm25.b)
     if (bm25.doc_len, bm25.postings) != (expected.doc_len, expected.postings):
         want, got = _chunk_counts(expected), _chunk_counts(bm25)
         differing = min(
             cid for cid in want.keys() | got.keys() if want.get(cid) != got.get(cid)
         )
-        raise ValidationError(
-            f"index {args.index} does not match corpus {args.corpus}: "
-            f"chunk {differing!r} differs"
-        )
+        raise ValidationError(f"{mismatch}: chunk {differing!r} differs")
+    stored, derived = set(trie.ngrams()), corpus_ngrams(corpus.chunks)
+    if stored != derived:
+        gram = " ".join(min(stored ^ derived))
+        raise ValidationError(f"{mismatch}: n-gram {gram!r} differs")
     return RetrievalEngine(corpus, config=config, trie=trie, bm25=bm25)
 
 

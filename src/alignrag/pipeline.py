@@ -360,7 +360,7 @@ class RetrievalEngine:
         for search_set in result.search_sets:
             k = min(cfg.mip_k, len(search_set.object_ids))
             ids = search_set.object_ids
-            instance = build_mip_instance(ids, relevance, self.cache.strengths(ids), k)
+            instance = build_mip_instance(ids, relevance, self.cache.score, k)
             result.drafts.append(solve_mip(instance))
         if stage == "sa":
             best = min(result.drafts, key=lambda d: (-d.objective, d.object_ids))

@@ -5,8 +5,8 @@ overlap, specialized per object-kind pair. One sparse index of the
 corpus's cells, sentences and columns holds it, and one scorer reads it:
 for a batch of unit texts or column slots, it walks only the inverted
 lists that their buckets, tokens and values hit, and scores those pairs
-alone. ``CompatibilityCache`` computes the missing rows of a whole set (a
-round of expansion, a search set) in one such pass, and
+alone. ``CompatibilityCache`` computes the missing rows of a round of
+expansion's members, and then of its picks, in one such pass each, and
 ``compatibility`` names the connection behind a pair's score from the
 same pair scores.
 
@@ -299,13 +299,12 @@ def compatibility(
 
 class CompatibilityCache:
     """Pairwise compatibility over one corpus, from a unit index that the
-    first lookup builds. Rows are computed a set at a time: ``nominate``
-    picks from the rows of a round's members, ``strengths`` serves one
-    search set's pairs, and ``score(a, b)`` reads the row of whichever of
-    the two already has one and otherwise computes ``a``'s. ``get``
-    returns the connection behind a pair, memoized by the pair. Objects
-    are held, and rows laid out, in ascending id order, so ties by
-    position are ties by id.
+    first lookup builds. ``nominate`` computes rows a set at a time, a
+    round's members' and then its picks', so every member of a search set
+    has one; ``score(a, b)`` reads ``a``'s (a pair's entry holds the same
+    bits in either row). ``get`` returns the connection behind a pair,
+    memoized by the pair. Objects are held, and rows laid out, in
+    ascending id order, so ties by position are ties by id.
     """
 
     def __init__(
@@ -336,25 +335,8 @@ class CompatibilityCache:
         if id_a == id_b:
             raise ValidationError(f"compatibility of {id_a!r} with itself")
         if id_a not in self._rows:
-            if id_b in self._rows:
-                id_a, id_b = id_b, id_a
-            else:
-                self._fill([id_a])
+            self._fill([id_a])
         return float(self._rows[id_a][self._position[id_b]])
-
-    def strengths(self, object_ids: Sequence[str]) -> Callable[[str, str], float]:
-        """``score`` over one set. Its first call computes, in one pass,
-        the rows of all but the last (by id) member without one: a pair
-        needs only one of its two rows."""
-        pending = sorted(oid for oid in set(object_ids) if oid not in self._rows)[:-1]
-
-        def score(id_a: str, id_b: str) -> float:
-            if pending:
-                self._fill(pending)
-                pending.clear()
-            return self.score(id_a, id_b)
-
-        return score
 
     def nominate(self, members: Sequence[str], k: int) -> list[list[str]]:
         """For each of ``members``, the ``k`` objects outside ``members``
@@ -362,7 +344,7 @@ class CompatibilityCache:
         lie outside. Every score is at least 0, so the members' own
         columns, set to -1, rank below every other object; each pick is a
         row-wise ``np.argmax``, which takes the first of equal maxima, and
-        position order is id order."""
+        position order is id order; the distinct picks' rows are then filled."""
         self._fill(members)
         block = np.stack([self._rows[oid] for oid in members])
         inside = list({self._position[oid] for oid in members})
@@ -373,6 +355,7 @@ class CompatibilityCache:
         for i in range(count):
             picks[:, i] = block.argmax(axis=1)
             block[every, picks[:, i]] = -1.0
+        self._fill([self._ids[j] for j in np.unique(picks)])
         return [[self._ids[j] for j in row] for row in picks.tolist()]
 
     def get(self, id_a: str, id_b: str) -> Optional[Connection]:
@@ -408,7 +391,8 @@ def expand_base(
     nominates its k most compatible absent objects (ties by object id)
     and nominations merge at the end of the round. ``nominate(members,
     k)`` is called once per round and lists those k objects for each
-    member.
+    member. A round that nominates nothing leaves the members as they
+    are, so every later round would too: the strategy stops there.
     """
     sets = []
     for per_step, steps in strategies:
@@ -419,6 +403,8 @@ def expand_base(
             nominated: set[str] = set()
             for picks in nominate(members, per_step):
                 nominated.update(picks)
+            if not nominated:
+                break
             members.extend(sorted(nominated))
         sets.append(
             SearchSet(strategy=(per_step, steps), object_ids=tuple(members))

@@ -230,7 +230,8 @@ def aggregate(
     """Blend normalized vote weight with softmax vote count per object.
 
     Only objects that received at least one vote appear. Ties in
-    confidence break by object id.
+    confidence break by object id. Vote counts whose softmax overflows a
+    float (710 votes, or 709 for three objects) raise ``ValidationError``.
     """
     if not 0.0 <= vote_lambda <= 1.0:
         raise ValidationError(f"vote_lambda must be in [0, 1], got {vote_lambda}")
@@ -247,8 +248,14 @@ def aggregate(
         oid: 1.0 if span == 0.0 else (value - low) / span
         for oid, value in avg.items()
     }
-    exp_counts = {oid: math.exp(len(ws)) for oid, ws in votes.items()}
+    try:
+        exp_counts = {oid: math.exp(len(ws)) for oid, ws in votes.items()}
+    except OverflowError:
+        exp_counts = {}  # the sum check below raises
     denom = sum(exp_counts.values())
+    if not 0.0 < denom < math.inf:
+        most = max(map(len, votes.values()))
+        raise ValidationError(f"softmax over vote counts overflows at {most} votes")
     entries = [
         ConfidenceEntry(
             object_id=oid,

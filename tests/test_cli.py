@@ -397,6 +397,8 @@ class TestRetrieve:
             pytest.param("eval", "renamed", id="eval"),
             pytest.param("retrieve", "same-length", id="retrieve-same-length"),
             pytest.param("eval", "same-length", id="eval-same-length"),
+            pytest.param("retrieve", "reordered", id="retrieve-reordered"),
+            pytest.param("eval", "reordered", id="eval-reordered"),
         ],
     )
     def test_index_of_another_corpus_rejected(self, workdir, capsys, command, edit):
@@ -409,16 +411,19 @@ class TestRetrieve:
             corpus = write_jsonl(tmp / "other.jsonl", other)
             index, question, differing = workdir["index"], "paris population", "p1#0"
         else:
-            # an edit that keeps every chunk's token count
+            # an edit that keeps every chunk's token count, or its tokens
             planted = tmp / "planted.jsonl"
             save_corpus(build_planted().corpus, str(planted))
             index = str(tmp / "planted-index.json")
             assert main(["index", "build", "--corpus", str(planted), "--out", index]) == 0
             text = planted.read_text()
-            planted.write_text(text.replace("pad0a pad0b", "zzzzz qqqqq"))
+            swap = "zzzzz qqqqq" if edit == "same-length" else "pad0b pad0a"
+            planted.write_text(text.replace("pad0a pad0b", swap))
             assert planted.read_text() != text
             capsys.readouterr()
-            corpus, question, differing = str(planted), "pad0a", "d00#0"
+            corpus, question = str(planted), "pad0a pad0b"
+            differing = "d00#0" if edit == "same-length" else "blurb0 pad0a"
+        what = "n-gram" if edit == "reordered" else "chunk"
         args = ["--corpus", corpus, "--index", index]
         if command == "retrieve":
             argv = ["retrieve", question, *args]
@@ -431,7 +436,7 @@ class TestRetrieve:
         assert captured.out == ""
         assert (
             f"error: index {index} does not match corpus {corpus}: "
-            f"chunk {differing!r} differs" in captured.err
+            f"{what} {differing!r} differs" in captured.err
         )
 
     @pytest.mark.parametrize("token", [")", "(", ",", "<>", "x y", "paris,"])

@@ -178,31 +178,46 @@ class TestCompatibilityCost:
         # stage "sa" stops after expand_base, build_mip_instance and solve_mip
         assert calls == []
 
-    def test_expansion_makes_no_score_call(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "stage_fn, owner, watched",
+        [
+            # expansion picks from rows, never pair by pair
+            pytest.param(
+                "expand_base",
+                struct_align.CompatibilityCache,
+                "score",
+                id="expansion-score",
+            ),
+            # expansion has filled the row of every search-set member
+            pytest.param(
+                "build_mip_instance", struct_align._UnitIndex, "rows", id="instance-rows"
+            ),
+        ],
+    )
+    def test_no_compatibility_call_inside(self, monkeypatch, stage_fn, owner, watched):
         bench = build_planted()
         engine = RetrievalEngine(bench.corpus, config=bench.config)
         inside = []
         calls = []
-        score = struct_align.CompatibilityCache.score
-        expand = pipeline.expand_base
+        inner, outer = getattr(owner, watched), getattr(pipeline, stage_fn)
 
-        def counted_score(cache, id_a, id_b):
+        def counted(*args):
             if inside:
-                calls.append((id_a, id_b))
-            return score(cache, id_a, id_b)
+                calls.append(args[1:])
+            return inner(*args)
 
-        def traced_expand(*args, **kwargs):
+        def traced(*args, **kwargs):
             inside.append(True)
             try:
-                return expand(*args, **kwargs)
+                return outer(*args, **kwargs)
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(struct_align.CompatibilityCache, "score", counted_score)
-        monkeypatch.setattr(pipeline, "expand_base", traced_expand)
+        monkeypatch.setattr(owner, watched, counted)
+        monkeypatch.setattr(pipeline, stage_fn, traced)
         for question in bench.questions:
             result = engine.run_arm(question.question, stage="sa")
-            assert result.search_sets
+            assert result.search_sets and result.drafts
         assert calls == []
 
     def test_alignment_stage_embeds_only_the_question(self, monkeypatch):

@@ -371,11 +371,15 @@ class TestCompatibilityCache:
             for m in members
         ]
         # k rises past the number of objects outside, then falls: picking
-        # leaves the stored rows as they were
+        # leaves the stored rows as they were, and adds the picks' rows
         sizes = list(range(1, len(outside) + 2))
+        picked = set()
         for k in sizes + sizes[::-1]:
-            assert cache.nominate(members, k) == [w[:k] for w in want]
-        assert cache._rows.keys() == set(members)
+            got = cache.nominate(members, k)
+            assert got == [w[:k] for w in want]
+            picked.update(*got)
+            assert cache._rows.keys() == set(members) | picked
+        assert picked == set(outside)
         assert want[-1] == sorted(outside)
 
 
@@ -547,15 +551,6 @@ class TestRowBits:
 
 
 class TestStrengths:
-    def test_first_call_fills_all_but_the_last_missing_row(self, city_corpus):
-        cache = CompatibilityCache(city_corpus, PROVIDER)
-        cache.nominate(["t2"], 1)
-        strength = cache.strengths(["t1", "p1", "t2", "t1"])
-        assert set(cache._rows) == {"t2"}  # nothing before the first call
-        assert strength("p1", "t1") == cache.score("t1", "p1")
-        # p1 and t1 lack rows; t1 is the last by id, and p1's row serves it
-        assert set(cache._rows) == {"t2", "p1"}
-
     def test_instance_matches_pairwise_scores(self):
         corpus, provider, _ = ROW_CORPORA["mixed"]
         ids = corpus.object_ids()
@@ -564,7 +559,10 @@ class TestStrengths:
         for _ in range(5):
             members = rng.sample(ids, 8)
             relevance = {oid: rng.random() for oid in members}
-            got = build_mip_instance(members, relevance, cache.strengths(members), 3)
+            # the instance reads rows that expansion filled, members' and
+            # picks' alike; the fresh cache fills each first id's row
+            cache.nominate(members, 1)
+            got = build_mip_instance(members, relevance, cache.score, 3)
             want = build_mip_instance(members, relevance, other.score, 3)
             assert got == want
             assert bits(list(got.compat.values())) == bits(list(want.compat.values()))
@@ -671,6 +669,26 @@ class TestExpandBase:
         for search_set, strategy in zip(sets, strategies):
             want = plain_walk(base, scores.score, ids, *strategy)
             assert search_set.object_ids == want
+
+    def test_rounds_stop_at_the_fixed_point(self):
+        corpus, provider, _ = ROW_CORPORA["planted"]
+        ids = sorted(corpus.object_ids())
+        cache = CompatibilityCache(corpus, provider)
+        calls = []
+
+        def nominate(members, k):
+            calls.append(len(members))
+            return cache.nominate(members, k)
+
+        base = ids[1::9]
+        [endless] = expand_base(base, nominate, [(1, 10_000)])
+        [bounded] = expand_base(base, cache.nominate, [(1, 100)])
+        assert endless.object_ids == bounded.object_ids
+        assert sorted(endless.object_ids) == ids
+        # each round but the last adds an object; the last is the first
+        # round with every object a member, and it nominates nothing
+        assert len(calls) <= len(ids) + 1
+        assert calls.index(len(ids)) == len(calls) - 1
 
 
 class TestInstance:

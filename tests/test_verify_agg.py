@@ -469,6 +469,28 @@ class TestAggregate:
         entries = aggregate(sels)
         assert entries[0].avg_weight == 3.0
 
+    @pytest.mark.parametrize(
+        "voters, most",
+        [
+            pytest.param(("a",), 710, id="exponential"),
+            pytest.param(("a", "b", "c"), 709, id="sum"),
+        ],
+    )
+    def test_vote_count_overflow_is_validation_error(self, voters, most):
+        sels = [
+            BeamSelection(
+                branch=str(i),
+                selected=voters,
+                weights=dict.fromkeys(voters, 1.0),
+            )
+            for i in range(most)
+        ]
+        with pytest.raises(ValidationError, match=f"overflows at {most} votes"):
+            aggregate(sels)
+        # one vote fewer each is below the limit
+        entries = aggregate(sels[1:])
+        assert [e.count_norm for e in entries] == [1.0 / len(voters)] * len(voters)
+
     def test_empty_and_validation(self):
         assert aggregate([]) == []
         with pytest.raises(ValidationError):
