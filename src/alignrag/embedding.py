@@ -145,6 +145,8 @@ class FileVectorProvider:
                 arr = np.full(1, np.inf)
             if not np.isfinite(arr).all():
                 raise ParseError(f"{where}: vector must hold finite numbers")
+            if arr.size == 0:
+                raise ParseError(f"{where}: vector is empty")
             if self.dimension == 0:
                 self.dimension = arr.shape[0]
             elif arr.shape[0] != self.dimension:
@@ -262,8 +264,8 @@ def embed_rows(
     tokens: Optional[Sequence[list[str]]] = None,
 ) -> tuple[SparseRows, np.ndarray]:
     """Every item's vector as a sparse row (its non-zero coordinates,
-    ascending, with their values) and the vector's 1-D norm, as cosine
-    takes it. Chunks are embedded with ``embed_chunk``, strings with
+    ascending, with their values) and the ``np.linalg.norm`` of the dense
+    vector. Chunks are embedded with ``embed_chunk``, strings with
     ``embed``.
 
     A ``HashEmbeddingProvider`` embeds them all in one batch, from
@@ -301,10 +303,13 @@ def _label(item: Union[Chunk, str]) -> str:
 
 
 def _dense_norms(rows: SparseRows, dimension: int) -> np.ndarray:
-    """``np.linalg.norm`` of each row's dense vector. BLAS sums the squares
-    in lanes set by coordinate position, so the sum over the row's values
-    alone can differ in the last bit; each row is scattered into one
-    reusable buffer instead."""
+    """``np.linalg.norm`` of each row's dense vector, the norm every
+    provider's vectors get. BLAS sums the squares in lanes set by
+    coordinate position, so the sum over the row's values alone can
+    differ in the last bit; each row is scattered into one reusable buffer
+    instead. Kept by decision: sparse norms change the last bit of 370 of
+    the 1,000 chunk norms of a seeded 1,000-object corpus and 3 of 600 of
+    its top-k lists, so ``eval run`` files would change."""
     buffer = np.zeros(dimension, dtype=np.float64)
     norms = np.empty(len(rows.ptr) - 1, dtype=np.float64)
     bounds = rows.ptr.tolist()
@@ -337,41 +342,39 @@ def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> Vector
     )
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against rounding overshoot."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"shapes {u.shape} and {v.shape} differ")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine undefined for zero-norm vector")
-    value = float(np.dot(u, v) / (nu * nv))
-    return max(-1.0, min(1.0, value))
+def sparse_cosines(
+    columns: SparseRows, norms: np.ndarray, question_vec: np.ndarray
+) -> np.ndarray:
+    """Every vector's cosine with the question, clamped to [-1, 1].
 
-
-def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarray:
-    """Every object's best chunk cosine with the question, clamped to [-1, 1].
-
-    Entry j belongs to ``store.object_ids[j]``. The dot products read
-    only the question's non-zero coordinates, and each chunk's dot sums
-    its products in ascending coordinate order (``np.bincount`` adds in
-    input order), so an object's bits do not depend on which other
-    objects the store holds.
+    The vectors are given by their inverted lists ``columns``, one row per
+    coordinate, and their Euclidean ``norms``. The dot products read only
+    the question's non-zero coordinates, and each vector's dot sums its
+    products in ascending coordinate order (``np.bincount`` adds in input
+    order), so a vector's bits do not depend on which other vectors are
+    given.
     """
+    dimension = len(columns.ptr) - 1
     q = np.asarray(question_vec, dtype=np.float64)
-    if q.shape != (store.dimension,):
-        raise DimensionMismatch(f"question {q.shape}, store dim {store.dimension}")
+    if q.shape != (dimension,):
+        raise DimensionMismatch(f"question {q.shape}, vectors of dim {dimension}")
     q_norm = np.linalg.norm(q)
     if q_norm == 0.0:
         raise ZeroVector("cosine undefined for zero-norm vector")
     support = np.flatnonzero(q)
-    positions, lengths = store.columns.positions(support)
-    products = store.columns.values[positions] * np.repeat(q[support], lengths)
-    dots = np.bincount(store.columns.indices[positions], products, minlength=len(store))
-    cosines = dots / (q_norm * store.norms)
+    positions, lengths = columns.positions(support)
+    products = columns.values[positions] * np.repeat(q[support], lengths)
+    dots = np.bincount(columns.indices[positions], products, minlength=len(norms))
+    cosines = dots / (q_norm * norms)
     np.clip(cosines, -1.0, 1.0, out=cosines)
+    return cosines
+
+
+def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarray:
+    """Every object's best chunk cosine with the question (``sparse_cosines``),
+    clamped to [-1, 1]; entry j belongs to ``store.object_ids[j]``, and its
+    bits do not depend on which other objects the store holds."""
+    cosines = sparse_cosines(store.columns, store.norms, question_vec)
     return np.maximum.reduceat(cosines, store.offsets[:-1])
 
 

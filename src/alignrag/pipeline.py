@@ -371,8 +371,9 @@ class RetrievalEngine:
             return result
 
         n_beams = max((len(al.lists) for al in alignments), default=0) or 1
+        alignment_texts = [render_alignment(alignments, bi) for bi in range(n_beams)]
         kept_units: dict[str, list[int]] = {}
-        choice_tokens: dict[str, list[str]] = {}
+        tokenized: dict[str, list[str]] = {}
         for si, draft in enumerate(result.drafts):
             sdraft = serialize_draft(
                 draft,
@@ -385,8 +386,7 @@ class RetrievalEngine:
                 kept_units=kept_units,
             )
             result.serialized.append(sdraft)
-            for bi in range(n_beams):
-                alignment_text = render_alignment(alignments, bi)
+            for bi, alignment_text in enumerate(alignment_texts):
                 result.selections.append(
                     verify_select(
                         self.scorer,
@@ -396,7 +396,7 @@ class RetrievalEngine:
                         alignment_text=alignment_text,
                         branch=f"s{si}b{bi}",
                         template=self.templates["verify"],
-                        tokenized=choice_tokens,
+                        tokenized=tokenized,
                     )
                 )
         result.confidence = aggregate(result.selections, vote_lambda=cfg.vote_lambda)

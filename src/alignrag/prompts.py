@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import string
-from typing import Union
+from typing import Optional
 
 KEYWORD_TEMPLATE = (
     "break the user question into contiguous substrings that carry its "
@@ -57,69 +57,51 @@ TEMPLATE_FIELDS = {
 }
 
 
-def _items(template: str) -> list[Union[str, tuple[str, str, str]]]:
-    """The template as literal texts and (field, spec, conversion) fields,
-    in order; raises ValueError on malformed braces."""
-    items: list[Union[str, tuple[str, str, str]]] = []
-    for literal, field, spec, conversion in string.Formatter().parse(template):
-        if literal:
-            items.append(literal)
-        if field is not None:
-            items.append((field, spec or "", conversion or ""))
-    return items
-
-
 @functools.lru_cache(maxsize=16)
-def split_selected(template: str) -> tuple[str, ...]:
-    """The verify template cut at each ``{selected}``, as format strings,
-    parsed once per template text.
+def split_selected(template: str) -> tuple[tuple[tuple[str, Optional[str]], ...], ...]:
+    """The verify template as (literal text, field name or None) pairs,
+    cut at each ``{selected}``, parsed once per template text.
 
     A prompt is the first piece, then for each later piece the selected
-    ids and that piece. Whitespace, or the template's start or end, must
-    sit on each side of ``{selected}``: whitespace ends a token, so the
-    prompt's tokens are then the tokens of its parts in order, and a
-    verifier can tokenize the pieces once and extend them by each pick's
-    tokens. Raises ValueError otherwise.
+    ids and that piece; a piece is each pair's literal followed by its
+    field's value. No field may take a conversion or format spec, and
+    whitespace, or the template's start or end, must sit on each side of
+    every field: whitespace ends a token, so the prompt's tokens are then
+    the tokens of its literals, values and picks in order, and a verifier
+    can tokenize each of them once. Raises ValueError otherwise.
     """
-    items = _items(template)
-    pieces = [""]
-    for i, item in enumerate(items):
-        if isinstance(item, str):
-            pieces[-1] += item.replace("{", "{{").replace("}", "}}")
-            continue
-        field, spec, conversion = item
-        if field != "selected":
-            conversion = f"!{conversion}" if conversion else ""
-            spec = f":{spec}" if spec else ""
-            pieces[-1] += "{" + field + conversion + spec + "}"
+    pieces: list[list[tuple[str, Optional[str]]]] = [[]]
+    literal, previous = "", None
+    for text, field, spec, conversion in string.Formatter().parse(template):
+        literal += text  # an escaped brace splits one literal in two
+        # whitespace must follow the previous field and precede this one
+        for name, edge in ((previous, text[:1]), (field, literal[-1:] or " ")):
+            if name is not None and not edge.isspace():
+                raise ValueError(
+                    f"{{{name}}} needs whitespace, or the start or end of the "
+                    "template, on each side"
+                )
+        previous = field
+        if field is None:
             continue
         if spec or conversion:
-            raise ValueError("{selected} takes no conversion or format spec")
-        before = items[i - 1] if i else " "
-        after = items[i + 1] if i + 1 < len(items) else " "
-        if not (
-            isinstance(before, str)
-            and before[-1].isspace()
-            and isinstance(after, str)
-            and after[0].isspace()
-        ):
-            raise ValueError(
-                "{selected} needs whitespace, or the start or end of the "
-                "template, on each side"
-            )
-        pieces.append("")
-    return tuple(pieces)
+            raise ValueError(f"{{{field}}} takes no conversion or format spec")
+        pieces[-1].append((literal, None if field == "selected" else field))
+        if field == "selected":
+            pieces.append([])
+        literal = ""
+    pieces[-1].append((literal, None))
+    return tuple(map(tuple, pieces))
 
 
 def check_template(name: str, template: str) -> None:
     """Raise ValueError unless the template formats with string values for
-    exactly its own field names, and a verify template splits at
-    ``{selected}``."""
+    exactly its own field names, and a verify template splits into
+    fields and literals (see ``split_selected``)."""
     names = TEMPLATE_FIELDS[name]
-    for item in _items(template):
-        if isinstance(item, str):
+    for _, field, spec, _ in string.Formatter().parse(template):
+        if field is None:
             continue
-        field, spec, _ = item
         if field not in names:
             raise ValueError(f"unknown field {{{field}}}; allowed: {sorted(names)}")
         if "{" in spec:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import prompts
 from .corpus import Corpus, DataObject, FIELD_SEP, ObjectKind
-from .embedding import EmbeddingProvider, cosine
+from .embedding import EmbeddingProvider, embed_rows, sparse_cosines, top_objects
 from .errors import ValidationError
 from .lm import STOP_TOKEN, Context, TokenScorer, constrained_choice_decode
 from .struct_align import CompatibilityCache, Connection, ConnectionKind, Draft
@@ -56,14 +56,14 @@ def _top_units(
     provider: EmbeddingProvider,
     unit_k: int,
 ) -> list[int]:
-    """Indices of the unit_k units most similar to the question."""
-    scored = []
-    for i in range(obj.units):
-        vec = provider.embed(_unit_text(obj, i))
-        scored.append((-cosine(question_vec, vec), i))
-    scored.sort()
-    kept = sorted(i for _, i in scored[:unit_k])
-    return kept
+    """Indices of the unit_k units most similar to the question, ascending,
+    ties by position; an object with at most unit_k units keeps them all
+    without embedding any."""
+    if obj.units <= unit_k:
+        return list(range(obj.units))
+    rows, norms = embed_rows(provider, [_unit_text(obj, i) for i in range(obj.units)])
+    sims = sparse_cosines(rows.transpose(provider.dimension), norms, question_vec)
+    return sorted(top_objects(sims, unit_k))
 
 
 def _object_line(obj: DataObject, unit_indices: Sequence[int]) -> str:
@@ -159,12 +159,13 @@ def verify_select(
     because the stop symbol only becomes available after the first pick.
 
     The prompt of a pick is the template with ``{selected}`` set to the
-    ids picked so far, joined by spaces. Its text around ``{selected}``
-    is tokenized once (see ``prompts.split_selected``) and each pick
-    extends the context by the picked id's tokens, so the scorer sees
-    the tokens of the whole prompt without tokenizing it again.
-    ``tokenized`` memoizes each id's tokens: pass one dict for all
-    branches of one question.
+    ids picked so far, joined by spaces. Every literal and field value
+    of the template is tokenized once through ``tokenized`` (see
+    ``prompts.split_selected``), and each pick extends the context by
+    the picked id's tokens, so the scorer sees the tokens of the whole
+    prompt without tokenizing it again. ``tokenized`` memoizes the
+    tokens of each text and id: pass one dict for all branches of one
+    question, so a draft's text is tokenized once for all its beams.
     """
     if not sdraft.object_ids:
         raise ValidationError("draft has no objects to verify")
@@ -174,17 +175,21 @@ def verify_select(
         raise ValidationError(f"verify template: {exc}") from None
     if tokenized is None:
         tokenized = {}
-    fixed = [
-        scorer.tokenize(
-            piece.format(
-                user_question=question,
-                keywords=" | ".join(keywords),
-                alignment=alignment_text,
-                draft=sdraft.text,
-            )
-        )
-        for piece in pieces
-    ]
+    values = {
+        "user_question": question,
+        "keywords": " | ".join(keywords),
+        "alignment": alignment_text,
+        "draft": sdraft.text,
+    }
+    fixed = []
+    for piece in pieces:
+        tokens: list[str] = []
+        for literal, field in piece:
+            for text in (literal,) if field is None else (literal, values[field]):
+                if text not in tokenized:
+                    tokenized[text] = scorer.tokenize(text)
+                tokens += tokenized[text]
+        fixed.append(tokens)
     head = Context(fixed[0])  # the first piece, then the picked ids' tokens
     picked: list[str] = []
     remaining = list(sdraft.object_ids)

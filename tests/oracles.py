@@ -1,7 +1,7 @@
 """Independent reference implementations used to check package output.
 
 Everything here is written directly from the defining formulas with
-stdlib / numpy / mpmath only, deliberately sharing no code with the
+stdlib / numpy only, deliberately sharing no code with the
 package so the two routes can disagree when one of them is wrong.
 """
 
@@ -13,7 +13,6 @@ import string
 from itertools import combinations
 
 import numpy as np
-from mpmath import mp, mpf
 
 _STRIP = string.punctuation + string.whitespace
 
@@ -93,21 +92,6 @@ def hash_embed(text: str, seed: int = 0, dim: int = 64) -> np.ndarray:
     for tok in tokens:
         vec[bucket(tok, seed, dim)] += 1.0
     return vec / np.linalg.norm(vec)
-
-
-def cosine_hp(u, v) -> float:
-    """High-precision cosine via mpmath, rounded back to float."""
-    mp.dps = 50
-    dot = mpf(0)
-    nu = mpf(0)
-    nv = mpf(0)
-    for a, c in zip(u, v):
-        a = mpf(float(a))
-        c = mpf(float(c))
-        dot += a * c
-        nu += a * a
-        nv += c * c
-    return float(dot / (nu.sqrt() * nv.sqrt()))
 
 
 def cosine_np(u, v) -> float:

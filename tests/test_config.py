@@ -235,6 +235,9 @@ class TestTemplates:
             ("verify", "{draft}{selected}", "whitespace"),
             ("verify", "{selected}.", "whitespace"),
             ("verify", "{selected!s} picked", "conversion"),
+            ("verify", "candidates:{draft} {selected}", "{draft} needs whitespace"),
+            ("verify", "{user_question} {keywords!r} {selected}", "{keywords} takes"),
+            ("verify", "{draft:>9} {selected}", "{draft} takes no conversion"),
         ],
     )
     def test_malformed_template_file_rejected(self, tmp_path, name, text, message):

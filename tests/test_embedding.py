@@ -1,4 +1,4 @@
-"""Hash embeddings, file-backed vectors, cosine, and the chunk store."""
+"""Hash embeddings, file-backed vectors, and the chunk store."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from alignrag.corpus import Chunk, build_corpus
 from alignrag.embedding import (
     FileVectorProvider,
     HashEmbeddingProvider,
-    cosine,
     embed_corpus,
     object_similarity,
     top_objects,
@@ -96,7 +95,7 @@ class TestHashProvider:
         ]
         for a in texts:
             for b in texts:
-                assert cosine(provider.embed(a), provider.embed(b)) >= 0.0
+                assert oracles.cosine_np(provider.embed(a), provider.embed(b)) >= 0.0
 
     def test_bad_dimension(self):
         with pytest.raises(ProviderError):
@@ -106,31 +105,6 @@ class TestHashProvider:
         provider = HashEmbeddingProvider(dimension=16, seed=0)
         c = chunk("a#0", "hello world")
         np.testing.assert_array_equal(provider.embed_chunk(c), provider.embed("hello world"))
-
-
-class TestCosine:
-    def test_matches_high_precision_oracle(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            u = rng.normal(size=10)
-            v = rng.normal(size=10)
-            assert cosine(u, v) == pytest.approx(oracles.cosine_hp(u, v), abs=1e-12)
-
-    def test_bounds_clamped(self):
-        v = np.ones(4)
-        assert cosine(v, v) == 1.0
-        assert cosine(v, -v) == -1.0
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine(np.ones(3), np.ones(4))
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            cosine(np.zeros(3), np.ones(3))
 
 
 class TestFileProvider:
@@ -249,6 +223,17 @@ class TestStore:
         provider = FileVectorProvider(str(path))
         with pytest.raises(ProviderError, match="b#0"):
             embed_corpus(provider, [chunk("a#0", "x"), chunk("b#0", "y")])
+
+    @pytest.mark.parametrize("second", [[1.0, 2.0], []])
+    def test_empty_vector_rejected(self, tmp_path, second):
+        # an empty first vector must not leave the next line to set the
+        # dimension, so every vector a provider holds has one length
+        path = tmp_path / "vectors.jsonl"
+        records = [{"chunk_id": "a", "vector": []}, {"chunk_id": "b", "vector": second}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ParseError, match="line 1: vector is empty") as info:
+            FileVectorProvider(str(path))
+        assert str(path) in str(info.value)
 
     def test_zero_vectors_rejected(self, tmp_path):
         path = tmp_path / "vectors.jsonl"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,7 @@ from alignrag.verify_agg import (
     verify_select,
 )
 from conftest import make_passage, make_table
-from planted import build_planted
+from planted import EMBED_DIM, HASH_SEED, build_planted
 
 PROVIDER = HashEmbeddingProvider(dimension=64, seed=0)
 
@@ -147,6 +148,9 @@ class TestSerializeDraft:
 
     def test_kept_units_rank_each_object_once(self, city_corpus):
         class CountingProvider:
+            name = "counting"
+            dimension = PROVIDER.dimension
+
             def __init__(self):
                 self.texts = []
 
@@ -176,10 +180,55 @@ class TestSerializeDraft:
                 kept_units=kept,
             )
             assert memo == plain
-        units = sum(city_corpus.by_id[oid].units for oid in ("p1", "t1", "t2"))
+        # t2's one row is kept without ranking
+        units = sum(city_corpus.by_id[oid].units for oid in ("p1", "t1"))
         assert len(kept_provider.texts) == units
         assert len(plain_provider.texts) > units
         assert set(kept) == {"p1", "t1", "t2"}
+
+    def test_objects_within_unit_k_embed_nothing(self, city_corpus):
+        class RefusingProvider:
+            name = "refusing"
+            dimension = PROVIDER.dimension
+
+            def embed(self, text):
+                raise AssertionError(f"embedded {text!r}")
+
+        provider = RefusingProvider()
+        question_vec = PROVIDER.embed("q")
+        sdraft = serialize_draft(
+            self.draft(), {}, city_corpus, provider, question_vec, unit_k=2
+        )
+        assert sdraft.object_lines == (
+            "p1 | paris overview | paris is the capital of france. | lyon is smaller.",
+            "t1 | city populations | city | pop | paris | 2m | lyon | 500k",
+            "t2 | country areas | country | area | france | 643",
+        )
+
+    @pytest.mark.parametrize("unit_k", [1, 2, 3])
+    def test_unit_ranking_matches_dense_oracle(self, unit_k):
+        # kept units are the unit_k of highest dense cosine with the
+        # question, ties by position; planted tokens sit in distinct
+        # buckets, so most cosines are exactly 0 and ties are common
+        bench = build_planted()
+        provider = HashEmbeddingProvider(dimension=EMBED_DIM, seed=HASH_SEED)
+        objects = [o for o in bench.corpus.objects if o.units > unit_k]
+        draft = Draft(tuple(o.id for o in objects), (), 0.0)
+        checked = 0
+        for q in bench.questions:
+            qv = provider.embed(q.question)
+            kept: dict = {}
+            serialize_draft(
+                draft, {}, bench.corpus, provider, qv, unit_k=unit_k, kept_units=kept
+            )
+            for obj in objects:
+                texts = [" | ".join(r) for r in obj.rows] or list(obj.sentences)
+                vecs = [oracles.hash_embed(t, HASH_SEED, EMBED_DIM) for t in texts]
+                sims = [min(1.0, oracles.cosine_np(qv, v)) for v in vecs]
+                ranked = sorted(range(len(texts)), key=lambda i: (-sims[i], i))
+                assert kept[obj.id] == sorted(ranked[:unit_k])
+                checked += 1
+        assert checked >= 20 * len(bench.questions)
 
     def test_table_description_rendered(self):
         corpus = build_corpus(
@@ -335,6 +384,7 @@ CUSTOM_TEMPLATES = {
     "absent": "question: {user_question} candidates: {draft} pick one:",
     "twice": "{selected} question: {user_question} {draft} so far:\t{selected}\nnext",
     "lines": "{draft}\n{selected}",
+    "braces": "x{{y}}z {draft} {{ {selected} }}w{{v",
 }
 
 
@@ -370,6 +420,26 @@ class TestVerifyAgainstReference:
                 checked += 1
         assert checked >= 3 * len(bench.questions)
 
+    def test_each_draft_text_is_tokenized_once_per_question(self):
+        bench = build_planted()
+        engine = RetrievalEngine(bench.corpus, config=bench.config)
+        calls: Counter = Counter()
+        tokenize = engine.scorer.tokenize
+
+        def counting(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        engine.scorer.tokenize = counting
+        most_beams = 0
+        for q in bench.questions:
+            calls.clear()
+            result = engine.run_arm(q.question, stage="full")
+            most_beams = max(most_beams, len(result.selections) // len(result.drafts))
+            for sdraft in result.serialized:
+                assert calls[sdraft.text] == 1
+        assert most_beams > 1  # so tokenizing per branch would count more
+
     @pytest.mark.parametrize("case", range(40))
     def test_synth_style_drafts(self, case):
         rng = random.Random(case)
@@ -392,18 +462,21 @@ class TestVerifyAgainstReference:
             )
 
     @pytest.mark.parametrize(
-        "template",
+        "template, field",
         [
-            "selected:{selected}",
-            "{selected}. done",
-            "pick {draft}{selected} now",
-            "pick {selected}{draft}",
-            "pick {selected!r}",
-            "pick {selected:>9}",
+            pytest.param(t, f, id=t)
+            for t, f in [
+                ("selected:{selected}", "selected"),
+                ("{selected}. done", "selected"),
+                ("pick {draft}{selected} now", "draft"),
+                ("pick {selected}{draft}", "selected"),
+                ("pick {selected!r}", "selected"),
+                ("pick {selected:>9}", "selected"),
+            ]
         ],
     )
-    def test_glued_selected_is_rejected(self, template):
-        with pytest.raises(ValidationError, match="selected"):
+    def test_glued_selected_is_rejected(self, template, field):
+        with pytest.raises(ValidationError, match=f"{{{field}}}"):
             verify_select(
                 frequency_scorer(),
                 "q",
