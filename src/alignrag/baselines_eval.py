@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Protocol, Sequence
 
 from . import prompts
@@ -356,6 +356,9 @@ class EvalResult:
     avg_objects: float
 
 
+# the per-method summary of results.json and results.csv, in CSV column order
+SUMMARY_COLUMNS = tuple(f.name for f in fields(EvalResult) if f.type == "float")
+
 METHODS = ("dense", "rerank", "dense-decomp", "rerank-decomp", "react", "arm")
 
 # retrieved ids, llm calls, objects provided
@@ -480,12 +483,7 @@ def eval_to_json(results: dict[str, EvalResult]) -> str:
         "version": 1,
         "methods": {
             name: {
-                "precision": res.precision,
-                "recall": res.recall,
-                "f1": res.f1,
-                "perfect_recall_pct": res.perfect_recall_pct,
-                "avg_llm_calls": res.avg_llm_calls,
-                "avg_objects": res.avg_objects,
+                **{column: getattr(res, column) for column in SUMMARY_COLUMNS},
                 "rows": [
                     {
                         "question_id": row.question_id,
@@ -507,11 +505,8 @@ def eval_to_json(results: dict[str, EvalResult]) -> str:
 
 
 def eval_to_csv(results: dict[str, EvalResult]) -> str:
-    lines = ["method,precision,recall,f1,perfect_recall_pct,avg_llm_calls,avg_objects"]
+    lines = [",".join(("method",) + SUMMARY_COLUMNS)]
     for name, res in sorted(results.items()):
-        lines.append(
-            f"{name},{res.precision:.6f},{res.recall:.6f},{res.f1:.6f},"
-            f"{res.perfect_recall_pct:.6f},{res.avg_llm_calls:.6f},"
-            f"{res.avg_objects:.6f}"
-        )
+        values = (f"{getattr(res, column):.6f}" for column in SUMMARY_COLUMNS)
+        lines.append(",".join((name, *values)))
     return "\n".join(lines) + "\n"

@@ -130,130 +130,66 @@ class ArmResult:
         }
 
 
-TRACE_SCHEMA = {
-    "type": "object",
-    "required": [
-        "version",
-        "question_id",
-        "question",
-        "stage",
-        "keywords",
-        "alignments",
-        "base",
-        "drafts",
-        "selections",
-        "confidence",
-        "final",
-        "llm_calls",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "version": {"const": 1},
-        "question_id": {"type": "string"},
-        "question": {"type": "string"},
-        "stage": {"enum": list(STAGES)},
-        "keywords": {"type": "array", "items": {"type": "string"}},
-        "alignments": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["keyword", "beams"],
-                "additionalProperties": False,
-                "properties": {
-                    "keyword": {"type": "string"},
-                    "beams": {
-                        "type": "array",
-                        "items": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "required": ["ngram", "score"],
-                                "additionalProperties": False,
-                                "properties": {
-                                    "ngram": {"type": "string"},
-                                    "score": {"type": "number"},
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "base": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["object_id", "fused", "bm25", "embed"],
-                "additionalProperties": False,
-                "properties": {
-                    "object_id": {"type": "string"},
-                    "fused": {"type": "number"},
-                    "bm25": {"type": "number"},
-                    "embed": {"type": "number"},
-                },
-            },
-        },
-        "drafts": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["strategy", "object_ids", "connections", "objective"],
-                "additionalProperties": False,
-                "properties": {
-                    "strategy": {
-                        "type": "array",
-                        "items": {"type": "integer"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                    "object_ids": {"type": "array", "items": {"type": "string"}},
-                    "connections": {
-                        "type": "array",
-                        "items": {
-                            "type": "array",
-                            "items": {"type": "string"},
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                    },
-                    "objective": {"type": "number"},
-                },
-            },
-        },
-        "selections": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["branch", "selected", "weights"],
-                "additionalProperties": False,
-                "properties": {
-                    "branch": {"type": "string"},
-                    "selected": {"type": "array", "items": {"type": "string"}},
-                    "weights": {
-                        "type": "object",
-                        "additionalProperties": {"type": "number"},
-                    },
-                },
-            },
-        },
-        "confidence": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["object_id", "avg_weight", "count_norm", "confidence"],
-                "additionalProperties": False,
-                "properties": {
-                    "object_id": {"type": "string"},
-                    "avg_weight": {"type": "number"},
-                    "count_norm": {"type": "number"},
-                    "confidence": {"type": "number"},
-                },
-            },
-        },
-        "final": {"type": "array", "items": {"type": "string"}},
-        "llm_calls": {"type": "integer"},
-    },
-}
+def _record(**fields: dict) -> dict:
+    """A closed object schema: every field is required and no other key
+    may appear."""
+    return {
+        "type": "object",
+        "required": list(fields),
+        "additionalProperties": False,
+        "properties": fields,
+    }
+
+
+def _array(items: dict, **bounds: int) -> dict:
+    return {"type": "array", "items": items, **bounds}
+
+
+_STRING = {"type": "string"}
+_NUMBER = {"type": "number"}
+_PAIR = {"minItems": 2, "maxItems": 2}
+
+TRACE_SCHEMA = _record(
+    version={"const": 1},
+    question_id=_STRING,
+    question=_STRING,
+    stage={"enum": list(STAGES)},
+    keywords=_array(_STRING),
+    alignments=_array(
+        _record(
+            keyword=_STRING,
+            beams=_array(_array(_record(ngram=_STRING, score=_NUMBER))),
+        )
+    ),
+    base=_array(
+        _record(object_id=_STRING, fused=_NUMBER, bm25=_NUMBER, embed=_NUMBER)
+    ),
+    drafts=_array(
+        _record(
+            strategy=_array({"type": "integer"}, **_PAIR),
+            object_ids=_array(_STRING),
+            connections=_array(_array(_STRING, **_PAIR)),
+            objective=_NUMBER,
+        )
+    ),
+    selections=_array(
+        _record(
+            branch=_STRING,
+            selected=_array(_STRING),
+            weights={"type": "object", "additionalProperties": _NUMBER},
+        )
+    ),
+    confidence=_array(
+        _record(
+            object_id=_STRING,
+            avg_weight=_NUMBER,
+            count_norm=_NUMBER,
+            confidence=_NUMBER,
+        )
+    ),
+    final=_array(_STRING),
+    llm_calls={"type": "integer"},
+)
 
 
 def build_scorer(config: Config) -> MockScorer:

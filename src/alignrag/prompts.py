@@ -57,6 +57,11 @@ TEMPLATE_FIELDS = {
 }
 
 
+def _check_name(field: str, names: frozenset[str]) -> None:
+    if field not in names:
+        raise ValueError(f"unknown field {{{field}}}; allowed: {sorted(names)}")
+
+
 @functools.lru_cache(maxsize=16)
 def split_selected(template: str) -> tuple[tuple[tuple[str, Optional[str]], ...], ...]:
     """The verify template as (literal text, field name or None) pairs,
@@ -64,15 +69,19 @@ def split_selected(template: str) -> tuple[tuple[tuple[str, Optional[str]], ...]
 
     A prompt is the first piece, then for each later piece the selected
     ids and that piece; a piece is each pair's literal followed by its
-    field's value. No field may take a conversion or format spec, and
-    whitespace, or the template's start or end, must sit on each side of
-    every field: whitespace ends a token, so the prompt's tokens are then
-    the tokens of its literals, values and picks in order, and a verifier
-    can tokenize each of them once. Raises ValueError otherwise.
+    field's value. Every field must be one of the verify fields, with no
+    conversion or format spec, and whitespace, or the template's start or
+    end, must sit on each side of it: whitespace ends a token, so the
+    prompt's tokens are then the tokens of its literals, values and picks
+    in order, and a verifier can tokenize each of them once. Raises
+    ValueError otherwise.
     """
+    names = TEMPLATE_FIELDS["verify"]
     pieces: list[list[tuple[str, Optional[str]]]] = [[]]
     literal, previous = "", None
     for text, field, spec, conversion in string.Formatter().parse(template):
+        if field is not None:
+            _check_name(field, names)
         literal += text  # an escaped brace splits one literal in two
         # whitespace must follow the previous field and precede this one
         for name, edge in ((previous, text[:1]), (field, literal[-1:] or " ")):
@@ -96,17 +105,17 @@ def split_selected(template: str) -> tuple[tuple[tuple[str, Optional[str]], ...]
 
 def check_template(name: str, template: str) -> None:
     """Raise ValueError unless the template formats with string values for
-    exactly its own field names, and a verify template splits into
-    fields and literals (see ``split_selected``)."""
+    exactly its own field names; a verify template must split into fields
+    and literals (see ``split_selected``)."""
+    if name == "verify":
+        split_selected(template)
+        return
     names = TEMPLATE_FIELDS[name]
     for _, field, spec, _ in string.Formatter().parse(template):
         if field is None:
             continue
-        if field not in names:
-            raise ValueError(f"unknown field {{{field}}}; allowed: {sorted(names)}")
+        _check_name(field, names)
         if "{" in spec:
             raise ValueError(f"field {{{field}}} nests a field in its format spec")
     # names and specs are now fixed, so formatting fails for every value or none
     template.format(**dict.fromkeys(names, ""))
-    if name == "verify":
-        split_selected(template)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import random
@@ -427,6 +428,52 @@ class TestRunArm:
         trace = engine.run_arm(self.QUESTION).to_trace("q0")
         strategies = [tuple(d["strategy"]) for d in trace["drafts"]]
         assert strategies == list(engine.config.strategies)
+
+
+# the path to the first of each kind of record in a full trace
+TRACE_RECORDS = {
+    "trace": (),
+    "alignment": ("alignments", 0),
+    "beam step": ("alignments", 0, "beams", 0, 0),
+    "base": ("base", 0),
+    "draft": ("drafts", 0),
+    "selection": ("selections", 0),
+    "confidence": ("confidence", 0),
+}
+
+
+class TestTraceSchema:
+    @pytest.fixture(scope="class")
+    def trace(self):
+        bench = build_planted()
+        engine = RetrievalEngine(bench.corpus, config=bench.config)
+        question = bench.questions[0]
+        trace = engine.run_arm(question.question).to_trace(question.question_id)
+        jsonschema.validate(instance=trace, schema=TRACE_SCHEMA)
+        return trace
+
+    @staticmethod
+    def record(trace: dict, path: tuple) -> dict:
+        for step in path:
+            trace = trace[step]
+        return trace
+
+    @pytest.mark.parametrize("path", TRACE_RECORDS.values(), ids=list(TRACE_RECORDS))
+    def test_every_record_field_is_required(self, trace, path):
+        fields = list(self.record(trace, path))
+        assert fields
+        for field in fields:
+            broken = copy.deepcopy(trace)
+            del self.record(broken, path)[field]
+            with pytest.raises(jsonschema.ValidationError, match=field):
+                jsonschema.validate(instance=broken, schema=TRACE_SCHEMA)
+
+    @pytest.mark.parametrize("path", TRACE_RECORDS.values(), ids=list(TRACE_RECORDS))
+    def test_no_record_takes_an_unknown_key(self, trace, path):
+        broken = copy.deepcopy(trace)
+        self.record(broken, path)["unknown"] = 0
+        with pytest.raises(jsonschema.ValidationError, match="unknown"):
+            jsonschema.validate(instance=broken, schema=TRACE_SCHEMA)
 
 
 class TestCorpusOrder:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -477,6 +478,26 @@ class TestVerifyAgainstReference:
     )
     def test_glued_selected_is_rejected(self, template, field):
         with pytest.raises(ValidationError, match=f"{{{field}}}"):
+            verify_select(
+                frequency_scorer(),
+                "q",
+                [],
+                toy_sdraft("a1 b2", "a1"),
+                template=template,
+            )
+
+    @pytest.mark.parametrize(
+        "template, field",
+        [
+            ("{foo} {selected}", "foo"),
+            ("{0} {selected}", "0"),
+            ("{draft[0]} {selected}", "draft[0]"),
+            ("{draft.x} {selected}", "draft.x"),
+        ],
+    )
+    def test_field_outside_the_verify_set_is_rejected(self, template, field):
+        message = re.escape(f"unknown field {{{field}}}")
+        with pytest.raises(ValidationError, match=message):
             verify_select(
                 frequency_scorer(),
                 "q",
