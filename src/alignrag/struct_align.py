@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -71,6 +71,28 @@ def _units(obj: DataObject) -> Sequence[str]:
     return obj.sentences
 
 
+def _first_seen(items: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``items`` in first-seen order, and each item's number
+    among them."""
+    number = dict(zip(dict.fromkeys(items), range(len(items))))
+    ids = np.fromiter(map(number.__getitem__, items), dtype=np.intp, count=len(items))
+    return list(number), ids
+
+
+def _distinct_rows(
+    rows: np.ndarray, ids: np.ndarray, n_rows: int, n_ids: int
+) -> SparseRows:
+    """Rows ``0..n_rows - 1``, each holding its distinct ``ids`` ascending,
+    from one sort of (row, id) keys; ``ids`` lie in ``0..n_ids - 1``."""
+    keys = np.sort(rows * max(n_ids, 1) + ids)
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    owners, ids = np.divmod(keys[new], max(n_ids, 1))
+    ptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owners, minlength=n_rows), out=ptr[1:])
+    return SparseRows(ptr=ptr, indices=ids)
+
+
 class _UnitIndex:
     """Every object's scoring units and columns, laid out so that one pass
     scores a batch of unit texts or column slots against the corpus.
@@ -87,71 +109,86 @@ class _UnitIndex:
     (``unit_sets.row(j)``: each text once, ascending), and the
     column slots ``columns.row(j)``, numbered object by object;
     ``holders`` lists each unit text's objects.
+
+    The build runs in array passes over the flat units, headers and cell
+    values: texts, tokens and values are numbered by first appearance
+    (unit texts with tokens first, then the other headers), and each
+    row's distinct ids come from one sort of (row, id) keys.
     """
 
     def __init__(
         self, objects: Sequence[DataObject], provider: EmbeddingProvider
     ) -> None:
-        texts: dict[str, int] = {}
-        token_lists: list[list[str]] = []  # by text id
-        vocab: dict[str, int] = {}
-        token_rows: list[list[int]] = []
-        unit_ids: dict[str, int] = {}  # -1: no tokens
-        unit_rows: list[list[int]] = []
-        places: list[int] = []  # each unit_rows entry's place in _units, in turn
-        for obj in objects:
-            row = []
-            for place, unit in enumerate(_units(obj)):
-                tid = unit_ids.get(unit)
-                if tid is None:
-                    tokens = normalize_tokens(unit)
-                    tid = unit_ids[unit] = len(texts) if tokens else -1
-                    if tokens:
-                        texts[unit] = tid
-                        token_lists.append(tokens)
-                        ids = {vocab.setdefault(t, len(vocab)) for t in tokens}
-                        token_rows.append(sorted(ids))
-                if tid >= 0:
-                    row.append(tid)
-                    places.append(place)
-            unit_rows.append(row)
-        n_units = len(texts)
+        n_objects = len(objects)
+        unit_lists = [_units(obj) for obj in objects]
+        per_object = np.fromiter(map(len, unit_lists), dtype=np.intp, count=n_objects)
+        flat = list(chain.from_iterable(unit_lists))
+        headers = list(chain.from_iterable(obj.columns for obj in objects))
+        # every distinct text, unit texts first, tokenized once
+        names, text_ids = _first_seen(flat + headers)
+        token_lists = [normalize_tokens(name) for name in names]
+        unit_of, header_of = text_ids[: len(flat)], text_ids[len(flat) :]
+        has_tokens = np.fromiter(map(bool, token_lists), dtype=bool, count=len(names))
+        # unit texts with tokens take ids 0.. in first-seen order, -1 the rest
+        n_seen = int(unit_of.max()) + 1 if flat else 0
+        with_tokens = np.flatnonzero(has_tokens[:n_seen])
+        n_units = len(with_tokens)
+        text_of = np.full(len(names), -1, dtype=np.intp)
+        text_of[with_tokens] = np.arange(n_units)
 
-        values: dict[str, int] = {}
-        value_rows: list[list[int]] = []
-        slot_text: list[int] = []
-        for obj in objects:
-            for c, header in enumerate(obj.columns):
-                if header not in texts:
-                    texts[header] = len(texts)
-                    # a header that is a unit text is one without tokens
-                    tokens = [] if header in unit_ids else normalize_tokens(header)
-                    token_lists.append(tokens)
-                slot_text.append(texts[header])
-                ids = {values.setdefault(row[c], len(values)) for row in obj.rows}
-                value_rows.append(sorted(ids))
+        tid = text_of[unit_of]
+        owner = np.repeat(np.arange(n_objects), per_object)
+        starts = np.cumsum(per_object) - per_object
+        place = np.arange(len(flat)) - np.repeat(starts, per_object)
+        kept = tid >= 0
+        owner, tid = owner[kept], tid[kept]
+        ptr = np.zeros(n_objects + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=n_objects), out=ptr[1:])
+        self.units = SparseRows(ptr, tid, place[kept])
+        self.unit_sets = _distinct_rows(owner, tid, n_objects, n_units)
+        self.holders = self.unit_sets.transpose(n_units)
 
+        # the other headers, tokenless unit texts among them, follow in
+        # first-seen order among the headers
+        seen, first = np.unique(header_of, return_index=True)
+        seen = seen[np.argsort(first)]
+        fresh = seen[text_of[seen] < 0]
+        text_of[fresh] = n_units + np.arange(len(fresh))
+        slot_text = text_of[header_of]
+
+        texts = np.concatenate((with_tokens, fresh)).tolist()
+        vectors, norms = embed_rows(
+            provider,
+            [names[t] for t in texts],
+            tokens=[token_lists[t] for t in texts],
+        )
         dim = provider.dimension
-        vectors, norms = embed_rows(provider, list(texts), tokens=token_lists)
         self.vectors = vectors.take(np.arange(n_units))
         self.norms = norms[:n_units]
         self.buckets = self.vectors.transpose(dim)
-        self.tokens = SparseRows.from_rows(token_rows)
+        unit_tokens = [token_lists[t] for t in with_tokens.tolist()]
+        vocab, token_ids = _first_seen(list(chain.from_iterable(unit_tokens)))
+        lengths = np.fromiter(map(len, unit_tokens), dtype=np.intp, count=n_units)
+        text_rows = np.repeat(np.arange(n_units), lengths)
+        self.tokens = _distinct_rows(text_rows, token_ids, n_units, len(vocab))
         self.token_texts = self.tokens.transpose(len(vocab))
         self.n_tokens = np.diff(self.tokens.ptr)
-        slots = np.array(slot_text, dtype=np.intp)
-        self.slot_vectors = vectors.take(slots)
-        self.slot_norms = norms[slots]
+        self.slot_vectors = vectors.take(slot_text)
+        self.slot_norms = norms[slot_text]
         self.slot_buckets = self.slot_vectors.transpose(dim)
-        self.values = SparseRows.from_rows(value_rows)
+
+        # each column's values, column by column, object by object
+        cells = chain.from_iterable(
+            chain.from_iterable(zip(*obj.rows)) for obj in objects
+        )
+        values, value_ids = _first_seen(list(cells))
+        n_columns = [len(obj.columns) for obj in objects]
+        n_rows = np.array([len(obj.rows) for obj in objects], dtype=np.intp)
+        slot_rows = np.repeat(np.arange(len(headers)), np.repeat(n_rows, n_columns))
+        self.values = _distinct_rows(slot_rows, value_ids, len(headers), len(values))
         self.value_columns = self.values.transpose(len(values))
         self.n_values = np.diff(self.values.ptr)
 
-        units = SparseRows.from_rows(unit_rows)
-        self.units = SparseRows(units.ptr, units.indices, np.array(places, np.intp))
-        self.unit_sets = SparseRows.from_rows([sorted(set(row)) for row in unit_rows])
-        self.holders = self.unit_sets.transpose(n_units)
-        n_columns = [len(obj.columns) for obj in objects]
         self.slot_owner = np.repeat(np.arange(len(n_columns)), n_columns)
         ptr = np.concatenate(([0], np.cumsum(n_columns, dtype=np.intp)))
         self.columns = SparseRows(ptr=ptr, indices=np.arange(ptr[-1]))
@@ -355,7 +392,7 @@ class CompatibilityCache:
         for i in range(count):
             picks[:, i] = block.argmax(axis=1)
             block[every, picks[:, i]] = -1.0
-        self._fill([self._ids[j] for j in np.unique(picks)])
+        self._fill([self._ids[j] for j in sorted(set(picks.ravel().tolist()))])
         return [[self._ids[j] for j in row] for row in picks.tolist()]
 
     def get(self, id_a: str, id_b: str) -> Optional[Connection]:

@@ -190,6 +190,115 @@ def witness_passage_passage(sentences_a, sentences_b, w: float, embed=hash_embed
 
 
 # ---------------------------------------------------------------------------
+# the compatibility unit index, built loop by loop
+
+
+def _csr(rows, values=None, dtype=np.float64):
+    """(ptr, indices, values) of rows given as lists; values None when
+    ``values`` is."""
+    ptr = [0]
+    for row in rows:
+        ptr.append(ptr[-1] + len(row))
+    indices = np.array([i for row in rows for i in row], dtype=np.intp)
+    if values is not None:
+        values = np.array([v for row in values for v in row], dtype=dtype)
+    return np.array(ptr, dtype=np.intp), indices, values
+
+
+def _inverted(rows, n_columns, values=None):
+    """(ptr, indices, values) with one row per column, listing the rows
+    that hold it, ascending, with their values there."""
+    holders = [[] for _ in range(n_columns)]
+    for r, row in enumerate(rows):
+        for k, column in enumerate(row):
+            holders[column].append((r, None if values is None else values[r][k]))
+    return _csr(
+        [[r for r, _ in h] for h in holders],
+        None if values is None else [[v for _, v in h] for h in holders],
+    )
+
+
+def unit_index_reference(objects, embed, dimension: int) -> dict:
+    """Every array of the compatibility unit index over ``objects``, by
+    attribute name, from the definition one unit and one column at a time;
+    sparse rows are (ptr, indices, values) triples.
+
+    Units are cells row by row, or sentences, with at least one token.
+    Texts are numbered by first appearance: unit texts with tokens, then
+    column headers not among them. Tokens of the unit texts, and cell values
+    column by column, are numbered by first appearance too. ``embed(text)``
+    is the text's dense vector; a stored vector keeps its non-zero
+    coordinates, and its norm is ``np.linalg.norm`` of the dense one.
+    """
+    texts: dict[str, int] = {}
+    token_lists = []
+    unit_rows, place_rows = [], []
+    for obj in objects:
+        ids, places = [], []
+        cells = [cell for row in obj.rows for cell in row]
+        for place, text in enumerate(list(obj.sentences) or cells):
+            tokens = tokenize(text)
+            if not tokens:
+                continue
+            if text not in texts:
+                texts[text] = len(texts)
+                token_lists.append(tokens)
+            ids.append(texts[text])
+            places.append(place)
+        unit_rows.append(ids)
+        place_rows.append(places)
+    n_units = len(texts)
+    slot_texts, value_rows, slot_owner = [], [], []
+    values: dict[str, int] = {}
+    for j, obj in enumerate(objects):
+        for c, header in enumerate(obj.columns):
+            texts.setdefault(header, len(texts))
+            slot_texts.append(texts[header])
+            for row in obj.rows:
+                values.setdefault(row[c], len(values))
+            value_rows.append(sorted({values[row[c]] for row in obj.rows}))
+            slot_owner.append(j)
+    vocab: dict[str, int] = {}
+    for tokens in token_lists:
+        for tok in tokens:
+            vocab.setdefault(tok, len(vocab))
+    token_rows = [sorted({vocab[tok] for tok in tokens}) for tokens in token_lists]
+
+    supports, weights, norms = [], [], []
+    for text in texts:
+        vec = np.asarray(embed(text), dtype=np.float64)
+        support = np.flatnonzero(vec)
+        supports.append(support.tolist())
+        weights.append(vec[support].tolist())
+        norms.append(np.linalg.norm(vec))
+    slot_supports = [supports[t] for t in slot_texts]
+    slot_weights = [weights[t] for t in slot_texts]
+    unit_sets = [sorted(set(row)) for row in unit_rows]
+    n_columns = [len(obj.columns) for obj in objects]
+    column_ptr = np.concatenate(([0], np.cumsum(n_columns))).astype(np.intp)
+    return {
+        "vectors": _csr(supports[:n_units], weights[:n_units]),
+        "norms": np.array(norms[:n_units], dtype=np.float64),
+        "buckets": _inverted(supports[:n_units], dimension, weights[:n_units]),
+        "tokens": _csr(token_rows),
+        "token_texts": _inverted(token_rows, len(vocab)),
+        "n_tokens": np.array([len(r) for r in token_rows], dtype=np.intp),
+        "slot_vectors": _csr(slot_supports, slot_weights),
+        "slot_norms": np.array([norms[t] for t in slot_texts], dtype=np.float64),
+        "slot_buckets": _inverted(slot_supports, dimension, slot_weights),
+        "values": _csr(value_rows),
+        "value_columns": _inverted(value_rows, len(values)),
+        "n_values": np.array([len(r) for r in value_rows], dtype=np.intp),
+        "units": _csr(unit_rows, place_rows, dtype=np.intp),
+        "unit_sets": _csr(unit_sets),
+        "holders": _inverted(unit_sets, n_units),
+        "slot_owner": np.array(slot_owner, dtype=np.intp),
+        "columns": (column_ptr, np.arange(column_ptr[-1], dtype=np.intp), None),
+        "is_table": np.array([obj.kind.value == "table" for obj in objects]),
+    }
+
+
+# ---------------------------------------------------------------------------
 # base-set fusion
 
 

@@ -14,6 +14,7 @@ from alignrag.corpus import Chunk, build_corpus
 from alignrag.embedding import (
     FileVectorProvider,
     HashEmbeddingProvider,
+    SparseRows,
     embed_corpus,
     object_similarity,
     top_objects,
@@ -427,6 +428,28 @@ class TestBatchEmbedding:
             monkeypatch.setattr(module, "normalize_tokens", counted)
         _UnitIndex(corpus.objects, HashEmbeddingProvider(dimension=64, seed=0))
         assert sorted(calls) == sorted(texts)
+
+    @pytest.mark.parametrize("dimension", [8, 64, 4096])
+    def test_dense_norms_match_linalg_norm_bits(self, dimension):
+        """Each row's norm holds the bits of ``np.linalg.norm`` of its
+        dense vector, also for the same values at other coordinates (BLAS
+        may sum the squares in lanes set by coordinate position)."""
+        rng = np.random.default_rng(dimension)
+        supports, weights = [], []
+        for _ in range(100):
+            size = int(rng.integers(1, min(dimension, 40) + 1))
+            values = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size)
+            for _ in range(3):
+                support = np.sort(rng.choice(dimension, size=size, replace=False))
+                supports.append(support)
+                weights.append(values)
+        got = embedding._dense_norms(SparseRows.from_rows(supports, weights), dimension)
+        want = []
+        for support, values in zip(supports, weights):
+            dense = np.zeros(dimension)
+            dense[support] = values
+            want.append(np.linalg.norm(dense))
+        assert hex_list(got) == hex_list(np.array(want))
 
     @pytest.mark.parametrize("dimension", [8, 64])
     def test_embed_matches_oracle_bits_before_and_after_batch(self, dimension):

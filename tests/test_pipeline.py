@@ -5,12 +5,17 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import alignrag
 from alignrag import info_align, pipeline, struct_align
 from alignrag.baselines_eval import build_runner
 from alignrag.config import Config
@@ -266,6 +271,45 @@ class TestCompatibilityCost:
         assert embedded.count(question) == 1 and len(scored) == 1
         want = engine.relevance_map(embed(question))
         assert weighed and all(relevance == want for relevance in weighed)
+
+
+# answers one full question and one alignment-only question with every
+# baseline on the planted engine, in a fresh interpreter
+QUESTION_PATH = """
+import sys
+from alignrag.baselines_eval import build_runner
+from alignrag.pipeline import RetrievalEngine
+from planted import build_planted
+
+bench = build_planted()
+engine = RetrievalEngine(bench.corpus, config=bench.config)
+question = bench.questions[0]
+full = engine.run_arm(question.question, stage="full")
+engine.run_arm(question.question, stage="ia")
+for method in ("dense", "rerank", "dense-decomp", "rerank-decomp", "react"):
+    build_runner(method, engine, engine.config.final_k)(question)
+print(len(full.search_sets), "numpy.ma" in sys.modules)
+"""
+
+
+class TestImports:
+    def test_questions_do_not_import_numpy_ma(self):
+        """NumPy 2.4's ``np.unique`` without a ``return_*`` flag imports
+        ``numpy.ma`` (and ``inspect``) on first use, 10–15 ms and 1.5 MB of
+        resident memory on a 2-CPU x86 host; no question path of a fresh
+        process may pay that."""
+        paths = [Path(alignrag.__file__).parent.parent, Path(__file__).parent]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+        done = subprocess.run(
+            [sys.executable, "-c", QUESTION_PATH],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        n_sets = len(build_planted().config.strategies)
+        assert done.stdout.split() == [str(n_sets), "False"]
 
 
 class ForwardingScorer:

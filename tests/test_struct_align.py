@@ -550,6 +550,91 @@ class TestRowBits:
             assert batched.nominate(members, k) == alone.nominate(members, k)
 
 
+def unit_index_edge_cases():
+    """(name, objects): each named layout the unit index numbers with care,
+    beside a table and a passage that share tokens with it."""
+    cases = {
+        "tokenless cells": [
+            make_table("t", "x", ["a", "b"], [["!!", "w1"], ["--", "!!"]])
+        ],
+        "header equal to a cell": [
+            make_table("t", "x", ["w1", "w2"], [["w1", "w3"]])
+        ],
+        "header that is a tokenless cell": [
+            make_table("t", "x", ["!!", "w2"], [["!!", "w2"], ["w1", "--"]])
+        ],
+        "rowless table": [make_table("t", "x", ["w1", "w5"], [])],
+        "repeated column values": [
+            make_table("t", "x", ["a", "b"], [["w1", "w1"], ["w1", "w2"]] * 2)
+        ],
+        "sentences shared across objects": [
+            make_passage("p1", "x", ["w1 w2.", "w3 w4."]),
+            make_passage("p2", "x", ["w3 w4.", "w1 w2.", "w1 w2."]),
+        ],
+    }
+    for name, objects in cases.items():
+        yield name, objects + [
+            make_table("u", "y", ["w2", "c"], [["w1 w2", "w4"], ["w4", "!!"]]),
+            make_passage("q", "y", ["w1 w2.", "!!", "w4"]),
+        ]
+
+
+def reference_corpora():
+    """(name, objects, provider, oracle embed) for the reference unit index."""
+    for name, (corpus, provider, embed) in ROW_CORPORA.items():
+        yield name, corpus.objects, provider, embed
+    for seed in range(4):
+        rng = random.Random(100 + seed)
+        vocab = [f"w{i}" for i in range(8)] + ["!!", "w1 w2", "w3."]
+        objects = [
+            random_table(rng, f"t{i}", vocab) if rng.random() < 0.5
+            else random_passage(rng, f"p{i}", vocab)
+            for i in range(30)
+        ]
+        yield f"random-{seed}", objects, PROVIDER, oracles.hash_embed
+    for name, objects in unit_index_edge_cases():
+        yield name, objects, PROVIDER, oracles.hash_embed
+
+
+REFERENCE_CORPORA = {name: rest for name, *rest in reference_corpora()}
+
+
+def assert_same_arrays(got, want, where):
+    assert (got is None) == (want is None), where
+    if got is not None:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
+
+
+def assert_matches_reference(index, objects, provider, embed):
+    want = oracles.unit_index_reference(objects, embed, provider.dimension)
+    assert set(vars(index)) == set(want) | {"objects"}
+    for name, arrays in want.items():
+        got = getattr(index, name)
+        if isinstance(arrays, tuple):
+            for part, array in zip(("ptr", "indices", "values"), arrays):
+                assert_same_arrays(getattr(got, part), array, f"{name}.{part}")
+        else:
+            assert_same_arrays(got, arrays, name)
+
+
+class TestUnitIndexReference:
+    """Every array of the unit index equals the loop-by-loop reference in
+    dtype, shape and bytes."""
+
+    @pytest.mark.parametrize("name", list(REFERENCE_CORPORA))
+    def test_matches_reference(self, name):
+        objects, provider, embed = REFERENCE_CORPORA[name]
+        index = struct_align._UnitIndex(objects, provider)
+        assert_matches_reference(index, objects, provider, embed)
+
+    @pytest.mark.parametrize("kind", ["hash", "file"])
+    def test_mixed_corpus_matches_reference(self, kind, tmp_path):
+        corpus, provider, embed = mixed_corpus(kind, tmp_path)
+        index = CompatibilityCache(corpus, provider)._index
+        assert_matches_reference(index, index.objects, provider, embed)
+
+
 class TestStrengths:
     def test_instance_matches_pairwise_scores(self):
         corpus, provider, _ = ROW_CORPORA["mixed"]
