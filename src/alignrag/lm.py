@@ -455,7 +455,7 @@ def constrained_ngram_decode(
         live = [
             (
                 live[p][0].child(tok, logit),
-                root if tok == SEP_TOKEN else live[p][1].children[tok],
+                root if tok == SEP_TOKEN else live[p][1].child(tok),
             )
             for _, p, tok, logit in step[:beam_width]
         ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import string
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -92,35 +93,78 @@ class Vocabulary:
 
 
 class _TrieNode:
-    __slots__ = ("children", "terminal", "_sorted", "_ids")
+    """A view of one node of an ``NGramTrie``, made when a walk reaches it.
 
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.terminal = False
-        self._sorted: Optional[tuple[str, ...]] = None
-        self._ids: Optional[np.ndarray] = None
+    ``terminal`` tells whether the node's prefix is a stored N-gram. Its
+    children are the trie's nodes ``_start`` to ``_stop``, in token order.
+    """
+
+    __slots__ = ("_trie", "_index", "_start", "_stop", "terminal")
+
+    def __init__(self, trie: NGramTrie, index: int) -> None:
+        self._trie = trie
+        self._index = index
+        self._start, self._stop = trie._ptr[index : index + 2].tolist()
+        self.terminal = bool(trie._terminal[index])
 
     def continuations(self) -> tuple[str, ...]:
-        """Child tokens in sorted order, sorted on first call."""
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.children))
-        return self._sorted
+        """Child tokens in sorted order, built on the node's first visit
+        and kept by the trie."""
+        cache = self._trie._continuations
+        tokens = cache.get(self._index)
+        if tokens is None:
+            ids = self._trie._tokens[self._start : self._stop]
+            tokens = cache[self._index] = tuple(self._trie.vocab.array[ids].tolist())
+        return tokens
 
     def child_ids(self, vocab: Vocabulary) -> np.ndarray:
-        """Child token ids in the trie's ``vocab``, ascending, built on
-        first call."""
-        if self._ids is None:
-            index = vocab.ids
-            self._ids = np.array([index[tok] for tok in self.continuations()], np.intp)
-        return self._ids
+        """Child token ids in ``vocab``, the trie's, ascending: a read-only
+        slice of the trie's token array."""
+        return self._trie._tokens[self._start : self._stop]
+
+    def child(self, token: str) -> Optional[_TrieNode]:
+        """The child that ``token`` reaches, or None if there is none."""
+        tokens = self.continuations()
+        at = bisect_left(tokens, token)
+        if at == len(tokens) or tokens[at] != token:
+            return None
+        return _TrieNode(self._trie, self._start + at)
+
+
+def _lexicographic(grams: np.ndarray, radix: int) -> np.ndarray:
+    """Column positions of ``grams``, whose entries are -1 or below
+    ``radix - 1``, in lexicographic order of the columns read top down.
+
+    While ``radix`` to the number of rows fits in int64, each column is
+    packed into one key of that base and sorted once; larger vocabularies
+    take ``np.lexsort``, one stable sort per row.
+    """
+    if radix ** len(grams) > np.iinfo(np.int64).max:
+        return np.lexsort(grams[::-1])
+    key = np.zeros(grams.shape[1], np.int64)
+    for row in grams:
+        key *= radix
+        key += row
+        key += 1
+    return key.argsort()
 
 
 class NGramTrie:
     """Prefix trie over N-gram token sequences, fixed once built.
 
-    The constrained decoder walks it from ``root``: each node's
+    The trie is a few arrays. Its nodes are numbered level by level: the
+    root is 0, then come the distinct prefixes of one, two and three
+    tokens, each level in token order. A node's children are then the
+    nodes ``_ptr[i]`` to ``_ptr[i + 1]``. ``_tokens`` holds each node's
+    token id in ``vocab`` (the root's is -1), and ``_terminal`` whether its
+    prefix is a stored N-gram. ``_grams`` holds the stored N-grams as
+    token ids in sorted order, one row per token position, -1 past an
+    N-gram's end.
+
+    The constrained decoder walks it from ``root`` through node views
+    (``_TrieNode``), made only for the nodes a walk visits: each view's
     ``continuations()`` and ``terminal`` are the masking surface, and a
-    hypothesis keeps the node of its prefix rather than walking again.
+    hypothesis keeps the view of its prefix rather than walking again.
     Every stored token is its own normalization, so the decoder emits it
     as itself and never reads it as one of its reserved delimiters.
     ``vocab`` interns every stored token and the three delimiters, and
@@ -132,7 +176,10 @@ class NGramTrie:
 
         Each distinct token must be a string that is its own normalization,
         and each sequence must hold 1 to ``MAX_NGRAM`` tokens; either fault
-        raises ValidationError.
+        raises ValidationError. The arrays are built in array passes: each
+        token is mapped to its id once, the N-grams are sorted and
+        deduplicated, and each level's distinct prefixes are found by
+        comparing neighbours.
         """
         token_lists = list(token_lists)
         distinct = dict.fromkeys(chain.from_iterable(token_lists))
@@ -141,46 +188,87 @@ class NGramTrie:
                 raise ValidationError(
                     f"n-gram token {tok!r} is not a normalized token"
                 )
-        self.vocab = Vocabulary(distinct.keys() | {OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN})
-        self.root = root = _TrieNode()
-        self._size = 0
-        for tokens in token_lists:
-            if not 1 <= len(tokens) <= MAX_NGRAM:
-                raise ValidationError(
-                    f"n-gram {list(tokens)!r} is not a list of 1 to "
-                    f"{MAX_NGRAM} tokens"
-                )
-            node = root
-            for tok in tokens:
-                child = node.children.get(tok)
-                if child is None:
-                    child = node.children[tok] = _TrieNode()
-                node = child
-            if not node.terminal:
-                node.terminal = True
-                self._size += 1
+        self.vocab = vocab = Vocabulary(
+            distinct.keys() | {OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN}
+        )
+        del distinct
+        lengths = np.fromiter(map(len, token_lists), np.intp, len(token_lists))
+        bad = np.flatnonzero((lengths < 1) | (lengths > MAX_NGRAM))
+        if bad.size:
+            raise ValidationError(
+                f"n-gram {list(token_lists[bad[0]])!r} is not a list of 1 to "
+                f"{MAX_NGRAM} tokens"
+            )
+        # token ids and node numbers, and -1, fit in int32 unless the input
+        # is too large for it
+        bound = max(len(vocab), MAX_NGRAM * len(token_lists) + 2)
+        dtype = np.int32 if bound < 2**31 else np.int64
+        flat = np.fromiter(
+            map(vocab.ids.__getitem__, chain.from_iterable(token_lists)),
+            dtype,
+            int(lengths.sum()),
+        )
+        grams = np.full((MAX_NGRAM, len(token_lists)), -1, dtype)
+        starts = np.cumsum(lengths) - lengths
+        for d in range(MAX_NGRAM):
+            longer = lengths > d
+            grams[d, longer] = flat[starts[longer] + d]
+        del token_lists, flat, starts, lengths
+        # id order is token order and -1 sorts first, so this is the
+        # N-grams' lexicographic order, a prefix before its extensions, and
+        # the N-grams that share a prefix are one run
+        grams = grams[:, _lexicographic(grams, len(vocab) + 1)]
+        lengths = (grams >= 0).sum(axis=0)
+        # changed: whether an N-gram's first d + 1 tokens differ from the
+        # N-gram's before it; node: the number of its level-d node
+        changed = np.zeros(grams.shape[1], bool)
+        changed[:1] = True
+        node = np.zeros(grams.shape[1], np.intp)
+        parents = []
+        tokens = [np.full(1, -1, dtype)]
+        terminal = [np.zeros(1, bool)]
+        size = 1
+        for d in range(MAX_NGRAM):
+            changed[1:] |= grams[d, 1:] != grams[d, :-1]
+            new = changed & (grams[d] >= 0)  # the first of each level-d+1 prefix
+            parents.append(node[new])
+            tokens.append(grams[d, new])
+            # a stored prefix sorts first among the N-grams that extend it
+            terminal.append(lengths[new] == d + 1)
+            node = size - 1 + np.cumsum(new)
+            size += len(tokens[-1])
+        self._grams = grams[:, changed]
+        # parents ascend, so a node's children are one run
+        first = np.searchsorted(np.concatenate(parents), np.arange(size + 1))
+        self._ptr = (first + 1).astype(dtype)
+        self._tokens = np.concatenate(tokens)
+        self._terminal = np.concatenate(terminal)
+        for array in (self._grams, self._ptr, self._tokens, self._terminal):
+            array.flags.writeable = False
+        self._continuations: dict[int, tuple[str, ...]] = {}
+
+    @property
+    def root(self) -> _TrieNode:
+        return _TrieNode(self, 0)
 
     def __len__(self) -> int:
-        return self._size
+        return self._grams.shape[1]
 
     def __contains__(self, ngram: NGram) -> bool:
-        node = self.root
+        node: Optional[_TrieNode] = self.root
         for tok in ngram.tokens:
-            node = node.children.get(tok)
+            node = node.child(tok)
             if node is None:
                 return False
         return node.terminal
 
     def ngrams(self) -> Iterator[tuple[str, ...]]:
         """Enumerate stored N-grams in lexicographic token order."""
-
-        def walk(node: _TrieNode, path: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-            if node.terminal:
-                yield path
-            for tok in node.continuations():
-                yield from walk(node.children[tok], path + (tok,))
-
-        yield from walk(self.root, ())
+        # a -1 past an N-gram's end reads the last token, which is cut off
+        columns = [self.vocab.array[row].tolist() for row in self._grams]
+        lengths = (self._grams >= 0).sum(axis=0).tolist()
+        for tokens, n in zip(zip(*columns), lengths):
+            yield tokens[:n]
 
 
 def build_trie(ngrams: Iterable[Sequence[str]]) -> NGramTrie:
@@ -321,8 +409,9 @@ def _check_bm25(k1: float, b: float, doc_len: dict, postings: dict, where: str) 
 def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     """The trie, BM25 statistics and ``chunk_units`` saved by ``save_index``.
 
-    The trie checks each n-gram's length and each distinct token once as it
-    is built; ``_check_bm25`` checks that BM25 can score the statistics. A
+    ``chunk_units`` must be at least 1, as ``load_corpus`` needs. The trie
+    checks each n-gram's length and each distinct token once as it is
+    built; ``_check_bm25`` checks that BM25 can score the statistics. A
     malformed file raises ParseError naming it.
     """
     where = f"index file {path}"
@@ -330,6 +419,8 @@ def load_index(path: str) -> tuple[NGramTrie, Bm25Index, int]:
     if snapshot.get("format") != INDEX_FORMAT:
         raise ParseError(f"{where}: unsupported format {snapshot.get('format')!r}")
     chunk_units = _key(snapshot, "chunk_units", int, where)
+    if chunk_units < 1:
+        raise ParseError(f"{where}: chunk_units must be >= 1, got {chunk_units!r}")
     ngrams = _key(snapshot, "ngrams", list, where)
     raw = _key(snapshot, "bm25", dict, where)
     k1 = _key(raw, "k1", (int, float), f"{where} bm25")

@@ -558,7 +558,7 @@ class TestIdPathMatchesTokenPath:
         # the planted corpus's trie: its root is wide, with 520 children
         bench = build_planted()
         trie = build_trie(corpus_ngrams(bench.corpus.chunks))
-        assert len(trie.root.children) == 520
+        assert len(trie.root.continuations()) == 520
         scorers = [
             build_scorer(bench.config),
             MockScorer(),

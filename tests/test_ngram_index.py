@@ -123,11 +123,13 @@ class TestTrie:
             prefix = tuple(rng.choice(vocab) for _ in range(depth))
             node = trie.root
             for tok in prefix:
-                node = node.children.get(tok) if node is not None else None
+                node = node.child(tok) if node is not None else None
             if node is None:
                 nexts, terminal = set(), False
             else:
-                assert list(node.continuations()) == sorted(node.children)
+                conts = node.continuations()
+                assert list(conts) == sorted(conts)
+                assert all(node.child(t) is not None for t in conts)
                 ids = node.child_ids(trie.vocab).tolist()
                 assert ids == [trie.vocab.ids[t] for t in node.continuations()]
                 assert ids == sorted(ids)
@@ -316,6 +318,8 @@ class TestPersistence:
             (lambda s: {"format": s["format"]}, "missing key 'chunk_units'"),
             (lambda s: dict(s, chunk_units="20"), "'chunk_units' has type str"),
             (lambda s: dict(s, chunk_units=True), "'chunk_units' has type bool"),
+            (lambda s: dict(s, chunk_units=0), "chunk_units must be >= 1, got 0"),
+            (lambda s: dict(s, chunk_units=-3), "chunk_units must be >= 1, got -3"),
             (lambda s: dict(s, ngrams="apple"), "'ngrams' has type str"),
             (lambda s: dict(s, ngrams=["apple"]), "every n-gram must be a list"),
             (lambda s: dict(s, ngrams=[[7]]), "malformed entry"),
