@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,43 +92,60 @@ class Vocabulary:
         return len(self.tokens)
 
 
+class _Layout(NamedTuple):
+    """An ``NGramTrie``'s node arrays, shared by its node views: ``ptr``,
+    each node's token id in ``tokens`` and its token in ``words``, and
+    ``terminal``. ``ptr`` and ``terminal`` are memoryviews, which read one
+    entry as a Python value faster than an array does."""
+
+    ptr: memoryview
+    tokens: np.ndarray
+    words: tuple[str, ...]
+    terminal: memoryview
+
+
 class _TrieNode:
-    """A view of one node of an ``NGramTrie``, made when a walk reaches it.
+    """A view of one node of an ``NGramTrie``, made on the first walk that
+    reaches it and kept by its parent's view.
 
     ``terminal`` tells whether the node's prefix is a stored N-gram. Its
-    children are the trie's nodes ``_start`` to ``_stop``, in token order.
+    children are the nodes ``_start`` to ``_stop``, in token order. A view
+    holds the trie's arrays, not the trie, so trie and views form no
+    reference cycle.
     """
 
-    __slots__ = ("_trie", "_index", "_start", "_stop", "terminal")
+    __slots__ = ("_layout", "_start", "_stop", "terminal", "_sorted", "_children")
 
-    def __init__(self, trie: NGramTrie, index: int) -> None:
-        self._trie = trie
-        self._index = index
-        self._start, self._stop = trie._ptr[index : index + 2].tolist()
-        self.terminal = bool(trie._terminal[index])
+    def __init__(self, layout: _Layout, index: int) -> None:
+        self._layout = layout
+        ptr = layout.ptr
+        self._start = ptr[index]
+        self._stop = ptr[index + 1]
+        self.terminal: bool = layout.terminal[index]
+        self._sorted: Optional[tuple[str, ...]] = None
+        self._children: dict[str, _TrieNode] = {}
 
     def continuations(self) -> tuple[str, ...]:
-        """Child tokens in sorted order, built on the node's first visit
-        and kept by the trie."""
-        cache = self._trie._continuations
-        tokens = cache.get(self._index)
-        if tokens is None:
-            ids = self._trie._tokens[self._start : self._stop]
-            tokens = cache[self._index] = tuple(self._trie.vocab.array[ids].tolist())
-        return tokens
+        """Child tokens in sorted order, built on first call."""
+        if self._sorted is None:
+            self._sorted = self._layout.words[self._start : self._stop]
+        return self._sorted
 
     def child_ids(self, vocab: Vocabulary) -> np.ndarray:
         """Child token ids in ``vocab``, the trie's, ascending: a read-only
-        slice of the trie's token array."""
-        return self._trie._tokens[self._start : self._stop]
+        slice of its token array."""
+        return self._layout.tokens[self._start : self._stop]
 
     def child(self, token: str) -> Optional[_TrieNode]:
         """The child that ``token`` reaches, or None if there is none."""
-        tokens = self.continuations()
-        at = bisect_left(tokens, token)
-        if at == len(tokens) or tokens[at] != token:
-            return None
-        return _TrieNode(self._trie, self._start + at)
+        node = self._children.get(token)
+        if node is None:
+            tokens = self.continuations()
+            at = bisect_left(tokens, token)
+            if at == len(tokens) or tokens[at] != token:
+                return None
+            node = self._children[token] = _TrieNode(self._layout, self._start + at)
+        return node
 
 
 def _lexicographic(grams: np.ndarray, radix: int) -> np.ndarray:
@@ -152,14 +169,14 @@ def _lexicographic(grams: np.ndarray, radix: int) -> np.ndarray:
 class NGramTrie:
     """Prefix trie over N-gram token sequences, fixed once built.
 
-    The trie is a few arrays. Its nodes are numbered level by level: the
-    root is 0, then come the distinct prefixes of one, two and three
-    tokens, each level in token order. A node's children are then the
-    nodes ``_ptr[i]`` to ``_ptr[i + 1]``. ``_tokens`` holds each node's
-    token id in ``vocab`` (the root's is -1), and ``_terminal`` whether its
-    prefix is a stored N-gram. ``_grams`` holds the stored N-grams as
-    token ids in sorted order, one row per token position, -1 past an
-    N-gram's end.
+    The trie is a few arrays (``_Layout``). Its nodes are numbered level
+    by level: the root is 0, then come the distinct prefixes of one, two
+    and three tokens, each level in token order. A node's children are
+    then the nodes ``ptr[i]`` to ``ptr[i + 1]``. ``tokens`` holds each
+    node's token id in ``vocab`` (the root's is -1), and ``terminal``
+    whether its prefix is a stored N-gram. ``_grams`` holds the stored
+    N-grams as token ids in sorted order, one row per token position, -1
+    past an N-gram's end.
 
     The constrained decoder walks it from ``root`` through node views
     (``_TrieNode``), made only for the nodes a walk visits: each view's
@@ -240,16 +257,18 @@ class NGramTrie:
         self._grams = grams[:, changed]
         # parents ascend, so a node's children are one run
         first = np.searchsorted(np.concatenate(parents), np.arange(size + 1))
-        self._ptr = (first + 1).astype(dtype)
-        self._tokens = np.concatenate(tokens)
-        self._terminal = np.concatenate(terminal)
-        for array in (self._grams, self._ptr, self._tokens, self._terminal):
+        tokens = np.concatenate(tokens).astype(np.intp)  # scorers index by it
+        ptr = (first + 1).astype(dtype)
+        terminal = np.concatenate(terminal)
+        for array in (self._grams, ptr, tokens, terminal):
             array.flags.writeable = False
-        self._continuations: dict[int, tuple[str, ...]] = {}
-
-    @property
-    def root(self) -> _TrieNode:
-        return _TrieNode(self, 0)
+        layout = _Layout(
+            memoryview(ptr),
+            tokens,
+            tuple(vocab.array[tokens].tolist()),  # the root's -1 reads any token
+            memoryview(terminal),
+        )
+        self.root = _TrieNode(layout, 0)
 
     def __len__(self) -> int:
         return self._grams.shape[1]

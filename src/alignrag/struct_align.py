@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -551,25 +551,6 @@ def _draft_from_indices(
         connections=conns,
         objective=_objective(instance, selected, pairs),
     )
-
-
-def brute_force_mip(instance: MipInstance, limit: int = 15) -> Draft:
-    """Exhaustive reference solver for small instances."""
-    if instance.size > limit:
-        raise TooLarge(f"instance has {instance.size} objects, limit {limit}")
-    if instance.k > instance.size:
-        raise Infeasible(f"k={instance.k} exceeds {instance.size} objects")
-    best_obj = float("-inf")
-    best_ids: Optional[tuple[str, ...]] = None
-    best: Optional[tuple[tuple[int, ...], list[tuple[int, int]]]] = None
-    for selected in combinations(range(instance.size), instance.k):
-        pairs = _best_pairs(instance, selected)
-        obj = _objective(instance, selected, pairs)
-        ids = tuple(sorted(instance.object_ids[i] for i in selected))
-        if obj > best_obj or (obj == best_obj and ids < best_ids):
-            best_obj, best_ids, best = obj, ids, (selected, pairs)
-    assert best is not None
-    return _draft_from_indices(instance, best[0], best[1])
 
 
 def solve_mip(instance: MipInstance) -> Draft:

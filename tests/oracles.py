@@ -11,6 +11,7 @@ import hashlib
 import math
 import string
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,19 @@ def ngram_set(text: str, max_n: int = 3) -> set[tuple[str, ...]]:
         for i in range(len(tokens) - n + 1):
             grams.add(tuple(tokens[i : i + n]))
     return grams
+
+
+def trie_reference(token_lists) -> tuple[dict, set[tuple[str, ...]]]:
+    """A dict-of-dicts prefix trie over the token sequences, and the set
+    of them: each node maps a child token to the child's node, and a node
+    is terminal when its path is in the set."""
+    stored = {tuple(tokens) for tokens in token_lists}
+    root: dict = {}
+    for gram in stored:
+        node = root
+        for tok in gram:
+            node = node.setdefault(tok, {})
+    return root, stored
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +572,46 @@ def mip_optimum(
             best_obj = obj
             best_sel = selected
     return best_obj, best_sel
+
+
+class ReferenceDraft(NamedTuple):
+    object_ids: tuple[str, ...]
+    connections: tuple[tuple[str, str], ...]
+    objective: float
+
+
+def brute_force_mip(instance, limit: int = 15) -> ReferenceDraft:
+    """Exhaustive optimum of the selection program over every k-subset.
+
+    A selection's best connections are its strictly positive pairs,
+    strongest first, ties by index pair, cut to 2(k-1). Its objective is
+    summed left to right: relevance in index order, then the kept
+    strengths in index-pair order. Ties in the objective go to the
+    smallest sorted id tuple. Raises ValueError past ``limit`` objects or
+    when k exceeds them.
+    """
+    ids, rel, compat, k = (
+        instance.object_ids, instance.relevance, instance.compat, instance.k
+    )
+    if len(ids) > limit:
+        raise ValueError(f"{len(ids)} objects exceed the limit {limit}")
+    if k > len(ids):
+        raise ValueError(f"k={k} exceeds {len(ids)} objects")
+    best = None
+    for chosen in combinations(range(len(ids)), k):
+        ranked = sorted(
+            (-compat[pair], pair)
+            for pair in combinations(chosen, 2)
+            if compat.get(pair, 0.0) > 0.0
+        )
+        kept = sorted(pair for _, pair in ranked[: 2 * (k - 1)])
+        total = _left_sum([rel[i] for i in chosen] + [compat[p] for p in kept])
+        names = tuple(sorted(ids[i] for i in chosen))
+        if best is None or total > best[0] or (total == best[0] and names < best[1]):
+            best = (total, names, kept)
+    total, names, kept = best
+    connections = sorted(tuple(sorted((ids[i], ids[j]))) for i, j in kept)
+    return ReferenceDraft(names, tuple(connections), total)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from alignrag.corpus import Chunk
@@ -15,6 +18,7 @@ from alignrag.ngram_index import (
     Bm25Index,
     NGram,
     NGramTrie,
+    _lexicographic,
     bm25_search,
     build_bm25,
     build_trie,
@@ -26,6 +30,7 @@ from alignrag.ngram_index import (
 )
 
 import oracles
+from planted import build_planted
 
 
 def chunk(cid: str, text: str) -> Chunk:
@@ -181,6 +186,130 @@ class TestTrie:
         chunks = [chunk("a#0", "x y"), chunk("b#0", "y z")]
         grams = corpus_ngrams(chunks)
         assert grams == {("x",), ("y",), ("z",), ("x", "y"), ("y", "z")}
+
+
+# tokens that are their own normalization and sort next to the delimiters:
+# "\x01..." before "(", "0..." after ","; inner delimiters are kept
+DELIMITER_NEIGHBOURS = ["\x01", "\x01w", "\x01(\x01", "0", "0,0", "0)0", "w"]
+
+
+def random_token_lists(seed: int) -> list[tuple[str, ...]]:
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(rng.randint(3, 40))]
+    return [
+        tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 150))
+    ]
+
+
+def unsorted_with_duplicates() -> list:
+    grams = random_token_lists(3)
+    rng = random.Random(4)
+    grams = grams + rng.sample(grams, len(grams) // 2) + [list(g) for g in grams[:5]]
+    rng.shuffle(grams)
+    return grams
+
+
+TRIE_CASES = {
+    "planted": lambda: set().union(
+        *(oracles.ngram_set(c.text) for c in build_planted().corpus.chunks)
+    ),
+    **{f"random-{seed}": (lambda seed=seed: random_token_lists(seed)) for seed in range(6)},
+    "unsorted-duplicates": unsorted_with_duplicates,
+    "unstored-prefixes": lambda: [("a", "b"), ("a", "b", "c"), ("b", "c", "d"), ("c",)],
+    "three-only": lambda: [("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z")],
+    "delimiter-neighbours": lambda: [
+        g
+        for n in (1, 2, 3)
+        for g in zip(*(DELIMITER_NEIGHBOURS[i:] for i in range(n)))
+    ] + [("0",), ("\x01", "0")],
+    "empty": lambda: [],
+}
+
+
+def absent_probes(children: list[str], vocab: list[str]) -> set[str]:
+    """Strings a node's ``child`` must miss unless they are children: the
+    delimiters, the vocabulary's neighbours of each child, and strings
+    next to each child that no vocabulary holds."""
+    probes = {"(", ")", ",", "", "\uffff", "zz-absent"}
+    at = {tok: i for i, tok in enumerate(vocab)}
+    for tok in children:
+        i = at[tok]
+        probes.update(vocab[max(i - 1, 0) : i + 2])
+        probes.update({tok + "\x00", tok[:-1], tok + "a"})
+    return probes
+
+
+class TestTrieReference:
+    """Every node the reference trie reaches, compared view by view."""
+
+    @pytest.mark.parametrize("case", sorted(TRIE_CASES))
+    def test_matches_reference(self, case):
+        token_lists = TRIE_CASES[case]()
+        trie = NGramTrie(token_lists)
+        root, stored = oracles.trie_reference(token_lists)
+        vocab = sorted({tok for gram in stored for tok in gram} | {"(", ")", ","})
+        assert trie.vocab.tokens == tuple(vocab)
+        assert len(trie) == len(stored)
+        assert list(trie.ngrams()) == sorted(stored)
+        stack = [((), root, trie.root)]
+        while stack:
+            prefix, ref, node = stack.pop()
+            children = sorted(ref)
+            assert node.terminal == (prefix in stored), prefix
+            assert node.continuations() == tuple(children), prefix
+            ids = node.child_ids(trie.vocab).tolist()
+            assert ids == [vocab.index(tok) for tok in children], prefix
+            if prefix:
+                assert (NGram(tokens=prefix) in trie) == (prefix in stored), prefix
+            for probe in absent_probes(children, vocab) - set(children):
+                assert node.child(probe) is None, (prefix, probe)
+                if len(prefix) < 3 and probe and probe == probe.lower():
+                    assert NGram(tokens=prefix + (probe,)) not in trie, (prefix, probe)
+            for tok in children:
+                stack.append((prefix + (tok,), ref[tok], node.child(tok)))
+
+    def test_empty_trie(self):
+        trie = NGramTrie()
+        assert len(trie) == 0 and list(trie.ngrams()) == []
+        assert trie.root.terminal is False and trie.root.continuations() == ()
+        assert trie.root.child("a") is None
+        assert NGram(tokens=("a",)) not in trie
+
+    @pytest.mark.parametrize("radix", [50, 2**21 - 1, 2**21, 2**40])
+    def test_sort_order_at_any_vocabulary_size(self, radix):
+        # below 2**21 the three ids pack into one int64 key; from 2**21 on
+        # that key would overflow, and the order comes from np.lexsort
+        rng = np.random.default_rng(radix)
+        grams = rng.integers(radix - 6, radix - 1, size=(3, 300))
+        grams[:, :10] = rng.integers(0, 3, size=(3, 10))
+        grams[rng.random((3, 300)) < 0.2] = -1
+        columns = grams[:, _lexicographic(grams, radix)].T.tolist()
+        assert columns == sorted(grams.T.tolist())
+
+    def test_keeps_fewer_than_80_bytes_per_ngram(self):
+        # about synth-1k's index: 20,000 n-grams over 3,500 tokens, each
+        # window of a token stream, so every prefix is stored too; the
+        # build's temporary arrays count as well, through its peak
+        rng = random.Random(29)
+        words = [f"w{i}" for i in range(3500)]
+        stream = [rng.choice(words) for _ in range(8200)]
+        grams = list(
+            {tuple(stream[i : i + n]) for n in (1, 2, 3) for i in range(len(stream) - n + 1)}
+        )
+        assert 19_000 < len(grams) < 21_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trie = NGramTrie(grams)
+            gc.collect()
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(trie) == len(grams)
+        assert kept / len(trie) < 80
+        assert peak / len(trie) < 160
 
 
 # Frozen from the manual Okapi evaluation of this fixture (k1=1.2, b=0.75):

@@ -21,7 +21,6 @@ from alignrag.struct_align import (
     ConnectionKind,
     Draft,
     MipInstance,
-    brute_force_mip,
     build_mip_instance,
     check_draft,
     expand_base,
@@ -845,7 +844,7 @@ class TestSolvers:
             compat={(0, 2): 0.9},
             k=2,
         )
-        for solve in (solve_mip, brute_force_mip):
+        for solve in (solve_mip, oracles.brute_force_mip):
             draft = solve(inst)
             assert draft.object_ids == ("x", "z")
             assert draft.connections == (("x", "z"),)
@@ -862,7 +861,7 @@ class TestSolvers:
         inst = MipInstance(
             object_ids=ids, relevance=(0.1,) * 5, compat=compat, k=5
         )
-        for solve in (solve_mip, brute_force_mip):
+        for solve in (solve_mip, oracles.brute_force_mip):
             draft = solve(inst)
             assert draft.object_ids == ids
             assert len(draft.connections) == 8
@@ -875,7 +874,7 @@ class TestSolvers:
         for _ in range(60):
             inst = random_instance(rng)
             a = solve_mip(inst)
-            b = brute_force_mip(inst)
+            b = oracles.brute_force_mip(inst)
             assert a.objective == b.objective  # exact, not approximate
             assert a.object_ids == b.object_ids
             assert a.connections == b.connections
@@ -894,7 +893,7 @@ class TestSolvers:
                 digits=1 if n % 2 else None,
             )
             a = solve_mip(inst)
-            b = brute_force_mip(inst)
+            b = oracles.brute_force_mip(inst)
             assert a.objective == b.objective
             assert a.object_ids == b.object_ids
             assert a.connections == b.connections
@@ -902,7 +901,7 @@ class TestSolvers:
     def test_dense_twenty_objects_match_brute_force(self):
         inst = dense_instance(random.Random(65), 20)
         a = solve_mip(inst)
-        b = brute_force_mip(inst, limit=20)
+        b = oracles.brute_force_mip(inst, limit=20)
         assert a.objective == b.objective
         assert a.object_ids == b.object_ids
         assert a.connections == b.connections
@@ -921,10 +920,32 @@ class TestSolvers:
                 list(inst.relevance), dict(inst.compat), inst.k
             )
             want_ids = tuple(inst.object_ids[i] for i in want_sel)
-            for solve in (solve_mip, brute_force_mip):
+            for solve in (solve_mip, oracles.brute_force_mip):
                 draft = solve(inst)
                 assert draft.objective == pytest.approx(want_obj, abs=1e-9)
                 assert draft.object_ids == want_ids
+
+    @pytest.mark.parametrize("density", [1.0, 0.7], ids=["complete", "dense"])
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_routes_agree_with_enumeration_oracle_where_cap_binds(self, k, density):
+        # a selection of k holds up to k(k-1)/2 positive pairs, more than
+        # the 2(k-1) cap from k = 4 on, so the cap binds on these graphs
+        rng = random.Random(66 + k)
+        for _ in range(4):
+            inst = random_instance(
+                rng, max_size=k + 1, min_k=k, max_k=k, density=density
+            )
+            want_obj, want_sel = oracles.mip_optimum(
+                list(inst.relevance), dict(inst.compat), inst.k
+            )
+            want_ids = tuple(inst.object_ids[i] for i in want_sel)
+            for solve in (solve_mip, oracles.brute_force_mip):
+                draft = solve(inst)
+                assert draft.objective == pytest.approx(want_obj, abs=1e-9)
+                assert draft.object_ids == want_ids
+                assert len(draft.connections) == min(
+                    2 * (k - 1), sum(a in want_sel and b in want_sel for a, b in inst.compat)
+                )
 
     def test_ties_resolve_to_smallest_ids(self):
         inst = MipInstance(
@@ -933,7 +954,7 @@ class TestSolvers:
             k=2,
         )
         assert solve_mip(inst).object_ids == ("a", "b")
-        assert brute_force_mip(inst).object_ids == ("a", "b")
+        assert oracles.brute_force_mip(inst).object_ids == ("a", "b")
 
     def test_ties_with_symmetric_connections(self):
         compat = {(0, 1): 0.4, (2, 3): 0.4}
@@ -943,7 +964,7 @@ class TestSolvers:
             compat=compat,
             k=2,
         )
-        for solve in (solve_mip, brute_force_mip):
+        for solve in (solve_mip, oracles.brute_force_mip):
             draft = solve(inst)
             assert draft.object_ids == ("a", "b")
             assert draft.connections == (("a", "b"),)
@@ -952,15 +973,15 @@ class TestSolvers:
         inst = MipInstance(object_ids=("a", "b"), relevance=(0.5, 0.5), k=3)
         with pytest.raises(Infeasible):
             solve_mip(inst)
-        with pytest.raises(Infeasible):
-            brute_force_mip(inst)
+        with pytest.raises(ValueError, match="exceeds 2 objects"):
+            oracles.brute_force_mip(inst)
 
     def test_brute_force_size_limit(self):
         ids = tuple(f"o{i:02d}" for i in range(16))
         inst = MipInstance(object_ids=ids, relevance=(0.5,) * 16, k=2)
-        with pytest.raises(TooLarge):
-            brute_force_mip(inst)
-        assert brute_force_mip(inst, limit=16).object_ids == ("o00", "o01")
+        with pytest.raises(ValueError, match="exceed the limit 15"):
+            oracles.brute_force_mip(inst)
+        assert oracles.brute_force_mip(inst, limit=16).object_ids == ("o00", "o01")
         assert solve_mip(inst).object_ids == ("o00", "o01")  # no size limit
 
     def test_draft_shape(self):
@@ -979,7 +1000,7 @@ class TestCheckDraft:
         for _ in range(40):
             inst = random_instance(rng)
             assert check_draft(inst, solve_mip(inst)) == []
-            assert check_draft(inst, brute_force_mip(inst)) == []
+            assert check_draft(inst, oracles.brute_force_mip(inst)) == []
 
     def test_detects_violations(self):
         inst = MipInstance(
