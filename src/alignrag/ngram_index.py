@@ -95,13 +95,12 @@ class Vocabulary:
 class _Layout(NamedTuple):
     """An ``NGramTrie``'s node arrays, shared by its node views: ``ptr``,
     each node's token id in ``tokens`` and its token in ``words``, and
-    ``terminal``. ``ptr`` and ``terminal`` are memoryviews, which read one
-    entry as a Python value faster than an array does."""
+    ``terminal``."""
 
-    ptr: memoryview
+    ptr: np.ndarray
     tokens: np.ndarray
     words: tuple[str, ...]
-    terminal: memoryview
+    terminal: np.ndarray
 
 
 class _TrieNode:
@@ -118,10 +117,9 @@ class _TrieNode:
 
     def __init__(self, layout: _Layout, index: int) -> None:
         self._layout = layout
-        ptr = layout.ptr
-        self._start = ptr[index]
-        self._stop = ptr[index + 1]
-        self.terminal: bool = layout.terminal[index]
+        self._start = layout.ptr.item(index)
+        self._stop = layout.ptr.item(index + 1)
+        self.terminal: bool = layout.terminal.item(index)
         self._sorted: Optional[tuple[str, ...]] = None
         self._children: dict[str, _TrieNode] = {}
 
@@ -258,16 +256,14 @@ class NGramTrie:
         # parents ascend, so a node's children are one run
         first = np.searchsorted(np.concatenate(parents), np.arange(size + 1))
         tokens = np.concatenate(tokens).astype(np.intp)  # scorers index by it
-        ptr = (first + 1).astype(dtype)
-        terminal = np.concatenate(terminal)
-        for array in (self._grams, ptr, tokens, terminal):
-            array.flags.writeable = False
         layout = _Layout(
-            memoryview(ptr),
+            (first + 1).astype(dtype),
             tokens,
             tuple(vocab.array[tokens].tolist()),  # the root's -1 reads any token
-            memoryview(terminal),
+            np.concatenate(terminal),
         )
+        for array in (self._grams, layout.ptr, tokens, layout.terminal):
+            array.flags.writeable = False
         self.root = _TrieNode(layout, 0)
 
     def __len__(self) -> int:

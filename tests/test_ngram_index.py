@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -275,6 +276,14 @@ class TestTrieReference:
         assert trie.root.terminal is False and trie.root.continuations() == ()
         assert trie.root.child("a") is None
         assert NGram(tokens=("a",)) not in trie
+
+    def test_pickle_round_trip(self):
+        # a visited view pickles with its arrays, as the object trie did
+        trie = NGramTrie(TRIE_CASES["random-0"]())
+        trie.root.child(trie.root.continuations()[0]).continuations()
+        copy = pickle.loads(pickle.dumps(trie))
+        assert list(copy.ngrams()) == list(trie.ngrams())
+        assert all(NGram(tokens=g) in copy for g in trie.ngrams())
 
     @pytest.mark.parametrize("radix", [50, 2**21 - 1, 2**21, 2**40])
     def test_sort_order_at_any_vocabulary_size(self, radix):
