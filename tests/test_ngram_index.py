@@ -287,8 +287,8 @@ class TestTrieReference:
 
     @pytest.mark.parametrize("radix", [50, 2**21 - 1, 2**21, 2**40])
     def test_sort_order_at_any_vocabulary_size(self, radix):
-        # below 2**21 the three ids pack into one int64 key; from 2**21 on
-        # that key would overflow, and the order comes from np.lexsort
+        # below a radix of 2**21 three ids pack into one int64 key; from
+        # 2**21 on that key would overflow, and np.lexsort gives the order
         rng = np.random.default_rng(radix)
         grams = rng.integers(radix - 6, radix - 1, size=(3, 300))
         grams[:, :10] = rng.integers(0, 3, size=(3, 10))
