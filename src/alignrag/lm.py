@@ -423,7 +423,7 @@ def constrained_ngram_decode(
             ordered = node.continuations()
             row = context.plus(hyp.tokens)
             if len(ordered) > len(row.counts):  # wide, as the trie's root is
-                ids = node.child_ids(vocab)
+                ids = node.child_ids()
                 if closes:
                     ids = np.sort(np.concatenate((ids, delimiters[seps])))
                     skip = ids.searchsorted(delimiters[seps]).tolist()

@@ -113,7 +113,9 @@ class _TrieNode:
     reference cycle.
     """
 
-    __slots__ = ("_layout", "_start", "_stop", "terminal", "_sorted", "_children")
+    __slots__ = (
+        "_layout", "_start", "_stop", "terminal", "_sorted", "_ids", "_children"
+    )
 
     def __init__(self, layout: _Layout, index: int) -> None:
         self._layout = layout
@@ -121,6 +123,7 @@ class _TrieNode:
         self._stop = layout.ptr.item(index + 1)
         self.terminal: bool = layout.terminal.item(index)
         self._sorted: Optional[tuple[str, ...]] = None
+        self._ids: Optional[np.ndarray] = None
         self._children: dict[str, _TrieNode] = {}
 
     def continuations(self) -> tuple[str, ...]:
@@ -129,10 +132,12 @@ class _TrieNode:
             self._sorted = self._layout.words[self._start : self._stop]
         return self._sorted
 
-    def child_ids(self, vocab: Vocabulary) -> np.ndarray:
-        """Child token ids in ``vocab``, the trie's, ascending: a read-only
-        slice of its token array."""
-        return self._layout.tokens[self._start : self._stop]
+    def child_ids(self) -> np.ndarray:
+        """Child token ids in the trie's ``vocab``, ascending: a read-only
+        slice of its token array, taken on first call."""
+        if self._ids is None:
+            self._ids = self._layout.tokens[self._start : self._stop]
+        return self._ids
 
     def child(self, token: str) -> Optional[_TrieNode]:
         """The child that ``token`` reaches, or None if there is none."""
@@ -144,24 +149,6 @@ class _TrieNode:
                 return None
             node = self._children[token] = _TrieNode(self._layout, self._start + at)
         return node
-
-
-def _lexicographic(grams: np.ndarray, radix: int) -> np.ndarray:
-    """Column positions of ``grams``, whose entries are -1 or below
-    ``radix - 1``, in lexicographic order of the columns read top down.
-
-    While ``radix`` to the number of rows fits in int64, each column is
-    packed into one key of that base and sorted once; larger vocabularies
-    take ``np.lexsort``, one stable sort per row.
-    """
-    if radix ** len(grams) > np.iinfo(np.int64).max:
-        return np.lexsort(grams[::-1])
-    key = np.zeros(grams.shape[1], np.int64)
-    for row in grams:
-        key *= radix
-        key += row
-        key += 1
-    return key.argsort()
 
 
 class NGramTrie:
@@ -232,7 +219,7 @@ class NGramTrie:
         # id order is token order and -1 sorts first, so this is the
         # N-grams' lexicographic order, a prefix before its extensions, and
         # the N-grams that share a prefix are one run
-        grams = grams[:, _lexicographic(grams, len(vocab) + 1)]
+        grams = grams[:, np.lexsort(grams[::-1])]
         lengths = (grams >= 0).sum(axis=0)
         # changed: whether an N-gram's first d + 1 tokens differ from the
         # N-gram's before it; node: the number of its level-d node

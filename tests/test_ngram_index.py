@@ -10,7 +10,6 @@ import random
 import re
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from alignrag.corpus import Chunk
@@ -19,7 +18,6 @@ from alignrag.ngram_index import (
     Bm25Index,
     NGram,
     NGramTrie,
-    _lexicographic,
     bm25_search,
     build_bm25,
     build_trie,
@@ -136,7 +134,7 @@ class TestTrie:
                 conts = node.continuations()
                 assert list(conts) == sorted(conts)
                 assert all(node.child(t) is not None for t in conts)
-                ids = node.child_ids(trie.vocab).tolist()
+                ids = node.child_ids().tolist()
                 assert ids == [trie.vocab.ids[t] for t in node.continuations()]
                 assert ids == sorted(ids)
                 nexts, terminal = set(node.continuations()), node.terminal
@@ -259,7 +257,7 @@ class TestTrieReference:
             children = sorted(ref)
             assert node.terminal == (prefix in stored), prefix
             assert node.continuations() == tuple(children), prefix
-            ids = node.child_ids(trie.vocab).tolist()
+            ids = node.child_ids().tolist()
             assert ids == [vocab.index(tok) for tok in children], prefix
             if prefix:
                 assert (NGram(tokens=prefix) in trie) == (prefix in stored), prefix
@@ -284,17 +282,6 @@ class TestTrieReference:
         copy = pickle.loads(pickle.dumps(trie))
         assert list(copy.ngrams()) == list(trie.ngrams())
         assert all(NGram(tokens=g) in copy for g in trie.ngrams())
-
-    @pytest.mark.parametrize("radix", [50, 2**21 - 1, 2**21, 2**40])
-    def test_sort_order_at_any_vocabulary_size(self, radix):
-        # below a radix of 2**21 three ids pack into one int64 key; from
-        # 2**21 on that key would overflow, and np.lexsort gives the order
-        rng = np.random.default_rng(radix)
-        grams = rng.integers(radix - 6, radix - 1, size=(3, 300))
-        grams[:, :10] = rng.integers(0, 3, size=(3, 10))
-        grams[rng.random((3, 300)) < 0.2] = -1
-        columns = grams[:, _lexicographic(grams, radix)].T.tolist()
-        assert columns == sorted(grams.T.tolist())
 
     def test_keeps_fewer_than_80_bytes_per_ngram(self):
         # about synth-1k's index: 20,000 n-grams over 3,500 tokens, each
