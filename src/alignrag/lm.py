@@ -373,13 +373,14 @@ def constrained_ngram_decode(
     N-gram may appear. Beams with no valid continuation are dropped;
     when every beam dies the decode fails.
 
-    Each live hypothesis keeps its trie node and is scored once per step
-    over its candidates in token order. A wide row, whose node has more
-    children than the hypothesis's context has distinct tokens, scores
-    the node's child ids, the delimiters merged in by id (token order),
-    with one ``score_ids`` call and keeps only the ``beam_width`` best of
-    its content candidates (``_kept``); a narrow row scores
-    ``continuations()`` through ``score`` and keeps them all. The
+    Each live hypothesis keeps its trie node number, the root 0 at the
+    start and after a separator, and is scored once per step over its
+    candidates in token order. A wide row, whose node has more children
+    than the hypothesis's context has distinct tokens, scores the node's
+    slice of ``trie.tokens``, the delimiters merged in by id (token
+    order), with one ``score_ids`` call and keeps only the ``beam_width``
+    best of its content candidates (``_kept``); a narrow row scores its
+    slice of ``trie.words`` through ``score`` and keeps them all. The
     survivors and the separators are then ranked together by (-mean,
     -total) content logit, ties in flat order: hypotheses are laid out in
     token order and each one's candidates in token order, so, as live
@@ -397,12 +398,11 @@ def constrained_ngram_decode(
         raise ValidationError("cannot decode against an empty trie")
 
     context = Context(scorer.tokenize(seed_text))
-    root = trie.root
     open_logit = scorer.score(context, [OPEN_TOKEN])[0]
-    live = [(_Hypothesis().child(OPEN_TOKEN, open_logit), root)]
+    live = [(_Hypothesis().child(OPEN_TOKEN, open_logit), 0)]
     done: list[_Hypothesis] = []
     max_steps = max_ngrams * (MAX_NGRAM + 1) + 2
-    vocab = trie.vocab
+    vocab, ptr, terminal = trie.vocab, trie.ptr, trie.terminal
     score_ids = getattr(scorer, "score_ids", None) or partial(_via_score, scorer.score)
     # a terminal node's delimiters: the close alone, or with the separator
     close_sep = np.array([vocab.ids[CLOSE_TOKEN], vocab.ids[SEP_TOKEN]])
@@ -417,13 +417,13 @@ def constrained_ngram_decode(
         for p, (hyp, node) in enumerate(live):
             # only a complete N-gram may close: the root, the node after a
             # delimiter, is never terminal, as every N-gram has a token
-            closes = node.terminal
+            closes = terminal.item(node)
             seps = closes and hyp.tokens.count(SEP_TOKEN) + 1 < max_ngrams
             skip: list[int] = []  # positions of the close, then the separator
-            ordered = node.continuations()
+            start, stop = ptr.item(node), ptr.item(node + 1)
             row = context.plus(hyp.tokens)
-            if len(ordered) > len(row.counts):  # wide, as the trie's root is
-                ids = node.child_ids()
+            if stop - start > len(row.counts):  # wide, as the trie's root is
+                ids = trie.tokens[start:stop]
                 if closes:
                     ids = np.sort(np.concatenate((ids, delimiters[seps])))
                     skip = ids.searchsorted(delimiters[seps]).tolist()
@@ -432,6 +432,7 @@ def constrained_ngram_decode(
                 names = vocab.array[ids[kept]].tolist()
                 logits = scored[kept + skip[:1]].tolist()
             else:
+                ordered = trie.words[start:stop]
                 if closes:
                     extra = (CLOSE_TOKEN, SEP_TOKEN) if seps else (CLOSE_TOKEN,)
                     ordered = tuple(sorted(ordered + extra))
@@ -455,7 +456,7 @@ def constrained_ngram_decode(
         live = [
             (
                 live[p][0].child(tok, logit),
-                root if tok == SEP_TOKEN else live[p][1].child(tok),
+                0 if tok == SEP_TOKEN else trie.child(live[p][1], tok),
             )
             for _, p, tok, logit in step[:beam_width]
         ]

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,85 +92,25 @@ class Vocabulary:
         return len(self.tokens)
 
 
-class _Layout(NamedTuple):
-    """An ``NGramTrie``'s node arrays, shared by its node views: ``ptr``,
-    each node's token id in ``tokens`` and its token in ``words``, and
-    ``terminal``."""
-
-    ptr: np.ndarray
-    tokens: np.ndarray
-    words: tuple[str, ...]
-    terminal: np.ndarray
-
-
-class _TrieNode:
-    """A view of one node of an ``NGramTrie``, made on the first walk that
-    reaches it and kept by its parent's view.
-
-    ``terminal`` tells whether the node's prefix is a stored N-gram. Its
-    children are the nodes ``_start`` to ``_stop``, in token order. A view
-    holds the trie's arrays, not the trie, so trie and views form no
-    reference cycle.
-    """
-
-    __slots__ = (
-        "_layout", "_start", "_stop", "terminal", "_sorted", "_ids", "_children"
-    )
-
-    def __init__(self, layout: _Layout, index: int) -> None:
-        self._layout = layout
-        self._start = layout.ptr.item(index)
-        self._stop = layout.ptr.item(index + 1)
-        self.terminal: bool = layout.terminal.item(index)
-        self._sorted: Optional[tuple[str, ...]] = None
-        self._ids: Optional[np.ndarray] = None
-        self._children: dict[str, _TrieNode] = {}
-
-    def continuations(self) -> tuple[str, ...]:
-        """Child tokens in sorted order, built on first call."""
-        if self._sorted is None:
-            self._sorted = self._layout.words[self._start : self._stop]
-        return self._sorted
-
-    def child_ids(self) -> np.ndarray:
-        """Child token ids in the trie's ``vocab``, ascending: a read-only
-        slice of its token array, taken on first call."""
-        if self._ids is None:
-            self._ids = self._layout.tokens[self._start : self._stop]
-        return self._ids
-
-    def child(self, token: str) -> Optional[_TrieNode]:
-        """The child that ``token`` reaches, or None if there is none."""
-        node = self._children.get(token)
-        if node is None:
-            tokens = self.continuations()
-            at = bisect_left(tokens, token)
-            if at == len(tokens) or tokens[at] != token:
-                return None
-            node = self._children[token] = _TrieNode(self._layout, self._start + at)
-        return node
-
-
 class NGramTrie:
     """Prefix trie over N-gram token sequences, fixed once built.
 
-    The trie is a few arrays (``_Layout``). Its nodes are numbered level
-    by level: the root is 0, then come the distinct prefixes of one, two
-    and three tokens, each level in token order. A node's children are
-    then the nodes ``ptr[i]`` to ``ptr[i + 1]``. ``tokens`` holds each
-    node's token id in ``vocab`` (the root's is -1), and ``terminal``
-    whether its prefix is a stored N-gram. ``_grams`` holds the stored
-    N-grams as token ids in sorted order, one row per token position, -1
-    past an N-gram's end.
+    The trie is a few read-only arrays. Its nodes are numbered level by
+    level: the root is 0, then come the distinct prefixes of one, two and
+    three tokens, each level in token order. Node ``n``'s children are
+    then the nodes ``ptr[n]`` to ``ptr[n + 1]``, in token order.
+    ``tokens`` holds each node's token id in ``vocab`` (the root's is -1),
+    ``words`` each node's token (the root's is arbitrary), and
+    ``terminal`` whether its prefix is a stored N-gram. ``_grams`` holds
+    the stored N-grams as token ids in sorted order, one row per token
+    position, -1 past an N-gram's end.
 
-    The constrained decoder walks it from ``root`` through node views
-    (``_TrieNode``), made only for the nodes a walk visits: each view's
-    ``continuations()`` and ``terminal`` are the masking surface, and a
-    hypothesis keeps the view of its prefix rather than walking again.
-    Every stored token is its own normalization, so the decoder emits it
-    as itself and never reads it as one of its reserved delimiters.
-    ``vocab`` interns every stored token and the three delimiters, and
-    ``_TrieNode.child_ids`` gives a node's children as ids in it.
+    The constrained decoder walks it by node number from 0: a node's
+    ``words`` or ``tokens`` slice and its ``terminal`` are the masking
+    surface, and ``child`` moves a hypothesis on by one token. Every
+    stored token is its own normalization, so the decoder emits it as
+    itself and never reads it as one of its reserved delimiters.
+    ``vocab`` interns every stored token and the three delimiters.
     """
 
     def __init__(self, token_lists: Iterable[Sequence[str]] = ()) -> None:
@@ -242,27 +182,32 @@ class NGramTrie:
         self._grams = grams[:, changed]
         # parents ascend, so a node's children are one run
         first = np.searchsorted(np.concatenate(parents), np.arange(size + 1))
+        # rebinding drops the per-level arrays before ``words`` is built,
+        # so they add nothing to the build's peak
         tokens = np.concatenate(tokens).astype(np.intp)  # scorers index by it
-        layout = _Layout(
-            (first + 1).astype(dtype),
-            tokens,
-            tuple(vocab.array[tokens].tolist()),  # the root's -1 reads any token
-            np.concatenate(terminal),
-        )
-        for array in (self._grams, layout.ptr, tokens, layout.terminal):
+        self.ptr, self.tokens = (first + 1).astype(dtype), tokens
+        self.words = tuple(vocab.array[tokens].tolist())
+        self.terminal = np.concatenate(terminal)
+        for array in (self._grams, self.ptr, self.tokens, self.terminal):
             array.flags.writeable = False
-        self.root = _TrieNode(layout, 0)
+
+    def child(self, node: int, token: str) -> int:
+        """The number of node ``node``'s child by ``token``, or -1 if it has
+        none."""
+        stop = self.ptr.item(node + 1)
+        at = bisect_left(self.words, token, self.ptr.item(node), stop)
+        return at if at < stop and self.words[at] == token else -1
 
     def __len__(self) -> int:
         return self._grams.shape[1]
 
     def __contains__(self, ngram: NGram) -> bool:
-        node: Optional[_TrieNode] = self.root
+        node = 0
         for tok in ngram.tokens:
-            node = node.child(tok)
-            if node is None:
+            node = self.child(node, tok)
+            if node < 0:
                 return False
-        return node.terminal
+        return self.terminal.item(node)
 
     def ngrams(self) -> Iterator[tuple[str, ...]]:
         """Enumerate stored N-grams in lexicographic token order."""

@@ -223,7 +223,9 @@ class RetrievalEngine:
         self.config = config or Config()
         self.provider = provider or build_provider(self.config)
         self.scorer = scorer or build_scorer(self.config)
-        self.trie = trie or build_trie(corpus_ngrams(corpus.chunks))
+        if trie is None:
+            trie = build_trie(corpus_ngrams(corpus.chunks))
+        self.trie = trie
         self.bm25 = bm25 or build_bm25(
             corpus.chunks, k1=self.config.bm25_k1, b=self.config.bm25_b
         )

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from alignrag.corpus import DataObject, ObjectKind, build_corpus
+from alignrag.ngram_index import CLOSE_TOKEN, OPEN_TOKEN, SEP_TOKEN, Vocabulary
 
 
 def make_table(oid, title, columns, rows, description=None):
@@ -49,3 +51,27 @@ def city_objects():
 @pytest.fixture
 def city_corpus(city_objects):
     return build_corpus(city_objects)
+
+
+class DeadTrie:
+    """A one-gram trie whose root has no children, so every beam dies at
+    the first step. No non-empty ``NGramTrie`` does this, as its root and
+    every non-terminal node have children; this fake is the only way to
+    reach the decoder's all-beams-dead branch."""
+
+    ptr = np.array([1, 1])
+    tokens = np.array([-1])
+    words = ("",)
+    terminal = np.array([False])
+    vocab = Vocabulary((OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN))
+
+    def __len__(self):
+        return 1
+
+    def child(self, node, token):
+        return -1
+
+
+@pytest.fixture
+def dead_trie():
+    return DeadTrie()

@@ -19,7 +19,6 @@ from alignrag.info_align import (
 from alignrag.lm import MockScorer, OPEN_TOKEN, CLOSE_TOKEN, SEP_TOKEN, STOP_TOKEN
 from alignrag.ngram_index import (
     NGram,
-    NGramTrie,
     bm25_search,
     build_bm25,
     build_trie,
@@ -98,21 +97,8 @@ class TestAlignKeyword:
         assert [g.text for g in top.ngrams] == ["city populations", "paris"]
         assert top.scores == (1002.0, 1001.0)
 
-    def test_dead_decode_yields_empty_alignment(self):
-        class DeadNode:
-            terminal = False
-
-            def continuations(self):
-                return ()
-
-        class DeadTrie:
-            root = DeadNode()
-            vocab = NGramTrie([("x",)]).vocab
-
-            def __len__(self):
-                return 1
-
-        alignment = align_keyword(MockScorer(), DeadTrie(), "kw")
+    def test_dead_decode_yields_empty_alignment(self, dead_trie):
+        alignment = align_keyword(MockScorer(), dead_trie, "kw")
         assert alignment.lists == ()
 
 

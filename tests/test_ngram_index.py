@@ -125,19 +125,20 @@ class TestTrie:
         for _ in range(100):
             depth = rng.randint(0, 2)
             prefix = tuple(rng.choice(vocab) for _ in range(depth))
-            node = trie.root
+            node = 0
             for tok in prefix:
-                node = node.child(tok) if node is not None else None
-            if node is None:
+                node = trie.child(node, tok) if node >= 0 else -1
+            if node < 0:
                 nexts, terminal = set(), False
             else:
-                conts = node.continuations()
+                start, stop = trie.ptr[node], trie.ptr[node + 1]
+                conts = trie.words[start:stop]
                 assert list(conts) == sorted(conts)
-                assert all(node.child(t) is not None for t in conts)
-                ids = node.child_ids().tolist()
-                assert ids == [trie.vocab.ids[t] for t in node.continuations()]
+                assert [trie.child(node, t) for t in conts] == list(range(start, stop))
+                ids = trie.tokens[start:stop].tolist()
+                assert ids == [trie.vocab.ids[t] for t in conts]
                 assert ids == sorted(ids)
-                nexts, terminal = set(node.continuations()), node.terminal
+                nexts, terminal = set(conts), trie.terminal[node]
             expect_nexts = {
                 g[depth]
                 for g in stored
@@ -240,7 +241,7 @@ def absent_probes(children: list[str], vocab: list[str]) -> set[str]:
 
 
 class TestTrieReference:
-    """Every node the reference trie reaches, compared view by view."""
+    """Every node the reference trie reaches, compared node by node."""
 
     @pytest.mark.parametrize("case", sorted(TRIE_CASES))
     def test_matches_reference(self, case):
@@ -251,34 +252,37 @@ class TestTrieReference:
         assert trie.vocab.tokens == tuple(vocab)
         assert len(trie) == len(stored)
         assert list(trie.ngrams()) == sorted(stored)
-        stack = [((), root, trie.root)]
+        stack = [((), root, 0)]
+        visited = []
         while stack:
             prefix, ref, node = stack.pop()
+            visited.append(node)
             children = sorted(ref)
-            assert node.terminal == (prefix in stored), prefix
-            assert node.continuations() == tuple(children), prefix
-            ids = node.child_ids().tolist()
+            start, stop = trie.ptr[node], trie.ptr[node + 1]
+            assert trie.terminal[node] == (prefix in stored), prefix
+            assert trie.words[start:stop] == tuple(children), prefix
+            ids = trie.tokens[start:stop].tolist()
             assert ids == [vocab.index(tok) for tok in children], prefix
             if prefix:
                 assert (NGram(tokens=prefix) in trie) == (prefix in stored), prefix
             for probe in absent_probes(children, vocab) - set(children):
-                assert node.child(probe) is None, (prefix, probe)
+                assert trie.child(node, probe) == -1, (prefix, probe)
                 if len(prefix) < 3 and probe and probe == probe.lower():
                     assert NGram(tokens=prefix + (probe,)) not in trie, (prefix, probe)
             for tok in children:
-                stack.append((prefix + (tok,), ref[tok], node.child(tok)))
+                stack.append((prefix + (tok,), ref[tok], trie.child(node, tok)))
+        # each node is reached once, by its own prefix
+        assert sorted(visited) == list(range(len(trie.words)))
 
     def test_empty_trie(self):
         trie = NGramTrie()
         assert len(trie) == 0 and list(trie.ngrams()) == []
-        assert trie.root.terminal is False and trie.root.continuations() == ()
-        assert trie.root.child("a") is None
+        assert trie.terminal.tolist() == [False] and trie.ptr.tolist() == [1, 1]
+        assert trie.child(0, "a") == -1
         assert NGram(tokens=("a",)) not in trie
 
     def test_pickle_round_trip(self):
-        # a visited view pickles with its arrays, as the object trie did
         trie = NGramTrie(TRIE_CASES["random-0"]())
-        trie.root.child(trie.root.continuations()[0]).continuations()
         copy = pickle.loads(pickle.dumps(trie))
         assert list(copy.ngrams()) == list(trie.ngrams())
         assert all(NGram(tokens=g) in copy for g in trie.ngrams())

@@ -28,7 +28,7 @@ from alignrag.embedding import (
 from alignrag.errors import ValidationError
 from alignrag.info_align import AlignedList, KeywordAlignment
 from alignrag.lm import MockScorer
-from alignrag.ngram_index import NGram
+from alignrag.ngram_index import NGram, NGramTrie
 from alignrag.pipeline import (
     RetrievalEngine,
     STAGES,
@@ -91,6 +91,14 @@ class TestEngine:
         assert engine.scorer is scorer
         assert engine.provider is provider
         assert engine.store.dimension == 16
+
+    def test_empty_trie_kept(self, city_corpus):
+        # an empty trie is falsy, and is not to be swapped for the corpus's
+        trie = NGramTrie()
+        engine = RetrievalEngine(city_corpus, trie=trie)
+        assert engine.trie is trie
+        with pytest.raises(ValidationError, match="empty trie"):
+            engine.run_arm("what is the population of paris")
 
     def test_relevance_map_is_clamped_best_chunk(self, city_corpus):
         engine = RetrievalEngine(city_corpus)
