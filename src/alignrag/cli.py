@@ -1,4 +1,9 @@
-"""Command line entry points: index building, retrieval, evaluation."""
+"""Command line entry points: retrieval and evaluation over a corpus file.
+
+Each command reads the corpus and derives its lexical index, the n-gram
+trie and the BM25 statistics, from the corpus's chunks, with the config's
+``chunk_units``, ``bm25_k1`` and ``bm25_b``; no index file is read.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,8 @@ from typing import Optional, Sequence
 
 from .baselines_eval import (
     METHODS,
+    Question,
+    build_runner,
     eval_to_csv,
     eval_to_json,
     load_questions,
@@ -17,15 +24,7 @@ from .baselines_eval import (
 )
 from .config import Config, resolve_config
 from .corpus import load_corpus
-from .errors import AlignragError, ConfigError, ValidationError
-from .ngram_index import (
-    Bm25Index,
-    build_bm25,
-    build_trie,
-    corpus_ngrams,
-    load_index,
-    save_index,
-)
+from .errors import AlignragError, ConfigError
 from .pipeline import RetrievalEngine
 
 
@@ -41,51 +40,10 @@ def _check_writable(path: Optional[str]) -> None:
         os.remove(path)
 
 
-def cmd_index_build(args: argparse.Namespace) -> int:
-    config = resolve_config(args.config)
-    _check_writable(args.out)
-    chunk_units = config.chunk_units if args.chunk_units is None else args.chunk_units
-    corpus = load_corpus(args.corpus, chunk_units=chunk_units)
-    trie = build_trie(corpus_ngrams(corpus.chunks))
-    bm25 = build_bm25(corpus.chunks, k1=config.bm25_k1, b=config.bm25_b)
-    save_index(args.out, trie, bm25, chunk_units)
-    print(f"indexed {len(corpus.objects)} objects")
-    print(f"chunks: {len(corpus.chunks)}")
-    print(f"ngrams: {len(trie)}")
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _chunk_counts(bm25: Bm25Index) -> dict[str, tuple[int, dict[str, int]]]:
-    """Each chunk's length and term counts, by chunk id."""
-    counts: dict[str, tuple[int, dict[str, int]]] = {
-        cid: (length, {}) for cid, length in bm25.doc_len.items()
-    }
-    for term, posting in bm25.postings.items():
-        for cid, count in posting.items():
-            counts[cid][1][term] = count
-    return counts
-
-
 def _build_engine(args: argparse.Namespace, config: Config) -> RetrievalEngine:
-    trie, bm25, chunk_units = load_index(args.index)
-    corpus = load_corpus(args.corpus, chunk_units=chunk_units)
-    # an index built from another corpus would align to phrases the
-    # collection does not hold; its BM25 chunk table and postings give it
-    # away, and its n-grams do when a chunk only reorders its tokens
-    mismatch = f"index {args.index} does not match corpus {args.corpus}"
-    expected = build_bm25(corpus.chunks, k1=bm25.k1, b=bm25.b)
-    if (bm25.doc_len, bm25.postings) != (expected.doc_len, expected.postings):
-        want, got = _chunk_counts(expected), _chunk_counts(bm25)
-        differing = min(
-            cid for cid in want.keys() | got.keys() if want.get(cid) != got.get(cid)
-        )
-        raise ValidationError(f"{mismatch}: chunk {differing!r} differs")
-    stored, derived = set(trie.ngrams()), corpus_ngrams(corpus.chunks)
-    if stored != derived:
-        gram = " ".join(min(stored ^ derived))
-        raise ValidationError(f"{mismatch}: n-gram {gram!r} differs")
-    return RetrievalEngine(corpus, config=config, trie=trie, bm25=bm25)
+    """The engine over ``--corpus``, its lexical index derived from it."""
+    corpus = load_corpus(args.corpus, chunk_units=config.chunk_units)
+    return RetrievalEngine(corpus, config=config)
 
 
 def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
@@ -115,8 +73,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 handle.write("\n")
             print(f"trace written to {args.trace}", file=sys.stderr)
     else:
-        from .baselines_eval import Question, build_runner
-
         runner = build_runner(args.method, engine, top_k)
         retrieved, _, _ = runner(
             Question(question_id="q0", question=args.question, gold_ids=("_",))
@@ -173,19 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    index = sub.add_parser("index", help="index management")
-    index_sub = index.add_subparsers(dest="index_command", required=True)
-    build = index_sub.add_parser("build", help="build the lexical index")
-    build.add_argument("--corpus", required=True)
-    build.add_argument("--out", required=True)
-    build.add_argument("--chunk-units", type=int, default=None)
-    build.add_argument("--config", default=None)
-    build.set_defaults(func=cmd_index_build)
-
     retrieve = sub.add_parser("retrieve", help="answer one question")
     retrieve.add_argument("question")
     retrieve.add_argument("--corpus", required=True)
-    retrieve.add_argument("--index", required=True)
     retrieve.add_argument("--method", choices=METHODS, default="arm")
     retrieve.add_argument("--top-k", type=int, default=None)
     retrieve.add_argument("--trace", default=None)
@@ -197,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev_sub = ev.add_subparsers(dest="eval_command", required=True)
     run = ev_sub.add_parser("run", help="run methods over a question set")
     run.add_argument("--corpus", required=True)
-    run.add_argument("--index", required=True)
     run.add_argument("--questions", required=True)
     run.add_argument("--out", required=True)
     run.add_argument("--method", action="append", choices=METHODS, default=None)
@@ -214,12 +159,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # count flags are checked before any file is read
-        for flag in ("chunk_units", "top_k"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                name = "--" + flag.replace("_", "-")
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        # --top-k is checked before any file is read
+        if args.top_k is not None and args.top_k < 1:
+            raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
         return args.func(args)
     except (AlignragError, OSError) as exc:
         # an input file that cannot be read raises AlignragError, so an

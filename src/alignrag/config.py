@@ -58,11 +58,11 @@ class Config:
     beam_width: int = 3
     # most N-grams one aligned list may hold (align_keyword)
     max_ngrams: int = 3
-    # BM25 term saturation (build_bm25); the CLI reads it at `index build` only
+    # BM25 term saturation (build_bm25, engine set-up)
     bm25_k1: float = 1.2
-    # BM25 length normalization (build_bm25); the CLI reads it at `index build` only
+    # BM25 length normalization (build_bm25, engine set-up)
     bm25_b: float = 0.75
-    # rows or sentences per chunk; read at `index build`, the index's value wins after
+    # rows or sentences per chunk; the CLI chunks its corpus with it (load_corpus)
     chunk_units: int = 20
     # expansion strategies (per_step, steps), one draft each (expand_base)
     strategies: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (1, 2))

@@ -36,8 +36,7 @@ class Infeasible(AlignragError):
 
 
 class TooLarge(AlignragError):
-    """Instance exceeds the brute-force solver's enumeration limit or the
-    exact solver's node budget."""
+    """A selection search exceeds the exact solver's node budget."""
 
 
 class AllBeamsDead(AlignragError):

@@ -188,8 +188,16 @@ class NGramTrie:
         self.ptr, self.tokens = (first + 1).astype(dtype), tokens
         self.words = tuple(vocab.array[tokens].tolist())
         self.terminal = np.concatenate(terminal)
+        self._freeze()
+
+    def _freeze(self) -> None:
         for array in (self._grams, self.ptr, self.tokens, self.terminal):
             array.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle restores each array writable
+        self.__dict__.update(state)
+        self._freeze()
 
     def child(self, node: int, token: str) -> int:
         """The number of node ``node``'s child by ``token``, or -1 if it has
@@ -253,11 +261,14 @@ def build_bm25(chunks: Iterable[Chunk], k1: float = 1.2, b: float = 0.75) -> Bm2
     index = Bm25Index(k1=k1, b=b)
     for chunk in chunks:
         tokens = normalize_tokens(chunk.text)
-        if chunk.chunk_id in index.doc_len:
-            raise ValidationError(f"duplicate chunk id {chunk.chunk_id!r}")
-        index.doc_len[chunk.chunk_id] = len(tokens)
+        # read once: the property builds a new string on every read, and
+        # the postings then share this one
+        cid = chunk.chunk_id
+        if cid in index.doc_len:
+            raise ValidationError(f"duplicate chunk id {cid!r}")
+        index.doc_len[cid] = len(tokens)
         for term, freq in Counter(tokens).items():
-            index.postings.setdefault(term, {})[chunk.chunk_id] = freq
+            index.postings.setdefault(term, {})[cid] = freq
     if index.doc_len:
         index.avgdl = sum(index.doc_len.values()) / len(index.doc_len)
     return index

@@ -17,8 +17,8 @@ selection indicators with a closed-form completion of the connection
 variables. It branches on objects in order of decreasing potential
 (relevance plus half the object's k-1 strongest connections) and bounds
 each node per object: a connection among the objects still to be chosen
-counts half at each end. A brute-force enumerator provides an
-independent route to the same optimum.
+counts half at each end. The tests check it against an exhaustive
+enumerator of their own (``tests/oracles.py``).
 """
 
 from __future__ import annotations

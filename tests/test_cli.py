@@ -1,8 +1,8 @@
-"""End-to-end command line checks: index, retrieve, eval."""
+"""End-to-end command line checks: retrieve, eval."""
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import json
 import re
 
@@ -12,8 +12,10 @@ import pytest
 from alignrag import baselines_eval, cli, struct_align
 from alignrag.baselines_eval import METHODS
 from alignrag.cli import main
-from alignrag.corpus import save_corpus
+from alignrag.corpus import load_corpus, save_corpus
 from alignrag.pipeline import TRACE_SCHEMA, RetrievalEngine
+
+import oracles
 from planted import build_planted
 
 CITY_RECORDS = [
@@ -68,87 +70,7 @@ def assert_output_path_reported(capsys, path):
 def workdir(tmp_path):
     corpus = write_jsonl(tmp_path / "corpus.jsonl", CITY_RECORDS)
     questions = write_jsonl(tmp_path / "questions.jsonl", QUESTION_RECORDS)
-    index = str(tmp_path / "index.json")
-    assert main(["index", "build", "--corpus", corpus, "--out", index]) == 0
-    return {
-        "corpus": corpus,
-        "questions": questions,
-        "index": index,
-        "tmp": tmp_path,
-    }
-
-
-class TestIndexBuild:
-    def test_reports_and_writes(self, tmp_path, capsys):
-        corpus = write_jsonl(tmp_path / "c.jsonl", CITY_RECORDS)
-        out = str(tmp_path / "idx.json")
-        assert main(["index", "build", "--corpus", corpus, "--out", out]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "indexed 3 objects"
-        assert re.fullmatch(r"chunks: \d+", lines[1])
-        assert re.fullmatch(r"ngrams: \d+", lines[2])
-        assert lines[3] == f"wrote {out}"
-        with open(out, encoding="utf-8") as handle:
-            json.load(handle)
-
-    def test_planted_index_bytes_are_pinned(self, tmp_path, capsys):
-        # the SHA-256 of the planted index, fixed so that any change to
-        # extraction, the trie or the file format shows here
-        corpus = str(tmp_path / "corpus.jsonl")
-        save_corpus(build_planted().corpus, corpus)
-        out = tmp_path / "index.json"
-        assert main(["index", "build", "--corpus", corpus, "--out", str(out)]) == 0
-        assert capsys.readouterr().out.splitlines()[2] == "ngrams: 1678"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "051479dde24d5cba8a7f1d37c3b71e5ed393de9f7520905d57c7d29ae62e67ad"
-        )
-
-    def test_missing_corpus(self, tmp_path, capsys):
-        out = str(tmp_path / "idx.json")
-        code = main(["index", "build", "--corpus", "nope.jsonl", "--out", out])
-        assert code == 1
-        assert "error: corpus file not found: nope.jsonl" in capsys.readouterr().err
-
-    def test_zero_chunk_units_rejected(self, tmp_path, capsys):
-        corpus = write_jsonl(tmp_path / "c.jsonl", CITY_RECORDS)
-        out = tmp_path / "idx.json"
-        args = ["--corpus", corpus, "--out", str(out), "--chunk-units", "0"]
-        assert main(["index", "build"] + args) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "got 0" in err
-        assert "--chunk-units" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("content", [None, b"\xff\n"], ids=["dir", "latin1"])
-    def test_unreadable_corpus_reported(self, tmp_path, capsys, content):
-        corpus = tmp_path / "c.jsonl"
-        if content is None:
-            corpus.mkdir()
-        else:
-            corpus.write_bytes(content)
-        out = tmp_path / "idx.json"
-        assert main(["index", "build", "--corpus", str(corpus), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: corpus file {corpus}")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    def test_unwritable_out_reported(self, tmp_path, capsys):
-        corpus = write_jsonl(tmp_path / "c.jsonl", CITY_RECORDS)
-        out = tmp_path / "nodir" / "idx.json"
-        assert main(["index", "build", "--corpus", corpus, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out) in err
-        assert "Traceback" not in err
-
-    def test_unwritable_out_reported_before_any_work(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setattr(cli, "load_corpus", no_work)
-        corpus = write_jsonl(tmp_path / "c.jsonl", CITY_RECORDS)
-        out = tmp_path / "nodir" / "idx.json"
-        assert main(["index", "build", "--corpus", corpus, "--out", str(out)]) == 1
-        assert_output_path_reported(capsys, out)
+    return {"corpus": corpus, "questions": questions, "tmp": tmp_path}
 
 
 class TestRetrieve:
@@ -159,8 +81,6 @@ class TestRetrieve:
                 "paris population",
                 "--corpus",
                 workdir["corpus"],
-                "--index",
-                workdir["index"],
             ]
         )
         assert code == 0
@@ -176,8 +96,6 @@ class TestRetrieve:
                 "paris population",
                 "--corpus",
                 workdir["corpus"],
-                "--index",
-                workdir["index"],
                 "--method",
                 "dense",
                 "--top-k",
@@ -198,8 +116,6 @@ class TestRetrieve:
                 "paris population",
                 "--corpus",
                 workdir["corpus"],
-                "--index",
-                workdir["index"],
                 "--method",
                 method,
                 "--top-k",
@@ -216,11 +132,11 @@ class TestRetrieve:
     def test_top_k_below_one_rejected_before_any_work(
         self, workdir, capsys, method, value
     ):
-        # the index does not exist, so only a check made before any file
+        # the corpus does not exist, so only a check made before any file
         # is read can name the flag
-        index = str(workdir["tmp"] / "absent.json")
+        corpus = str(workdir["tmp"] / "absent.jsonl")
         out = workdir["tmp"] / "out"
-        args = ["--corpus", workdir["corpus"], "--index", index, "--top-k", value]
+        args = ["--corpus", corpus, "--top-k", value]
         if method == "eval":
             argv = ["eval", "run", "--questions", workdir["questions"]]
             argv += ["--out", str(out), *args]
@@ -236,7 +152,6 @@ class TestRetrieve:
     def test_missing_config_reported(self, workdir, capsys, monkeypatch, by_env):
         config = str(workdir["tmp"] / "missing.json")
         argv = ["retrieve", "q", "--corpus", workdir["corpus"]]
-        argv += ["--index", workdir["index"]]
         if by_env:
             monkeypatch.setenv("ARM_CONFIG", config)
         else:
@@ -258,7 +173,7 @@ class TestRetrieve:
     def test_bad_config_reported(self, workdir, capsys, payload):
         config = workdir["tmp"] / "config.json"
         config.write_text(json.dumps(payload))
-        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        args = ["--corpus", workdir["corpus"]]
         code = main(["retrieve", "paris", *args, "--config", str(config)])
         assert code == 1
         err = capsys.readouterr().err
@@ -279,7 +194,7 @@ class TestRetrieve:
         template.write_text(text)
         config = workdir["tmp"] / "config.json"
         config.write_text(json.dumps({"template_files": {name: str(template)}}))
-        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        args = ["--corpus", workdir["corpus"]]
         code = main(["retrieve", "paris", *args, "--config", str(config)])
         assert code == 1
         err = capsys.readouterr().err
@@ -287,7 +202,7 @@ class TestRetrieve:
 
     def test_solver_node_budget_reported(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr(struct_align, "_NODE_BUDGET", 1)
-        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        args = ["--corpus", workdir["corpus"]]
         assert main(["retrieve", "paris population", *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -301,8 +216,6 @@ class TestRetrieve:
                 "paris population",
                 "--corpus",
                 workdir["corpus"],
-                "--index",
-                workdir["index"],
                 "--trace",
                 str(trace_path),
             ]
@@ -317,7 +230,7 @@ class TestRetrieve:
 
     def test_unwritable_trace_reported(self, workdir, capsys):
         trace_path = str(workdir["tmp"] / "nodir" / "trace.json")
-        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        args = ["--corpus", workdir["corpus"]]
         assert main(["retrieve", "paris population", *args, "--trace", trace_path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -329,7 +242,7 @@ class TestRetrieve:
     ):
         monkeypatch.setattr(cli, "load_corpus", no_work)
         trace_path = workdir["tmp"] / "nodir" / "trace.json"
-        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        args = ["--corpus", workdir["corpus"]]
         argv = ["retrieve", "paris population", *args, "--trace", str(trace_path)]
         assert main(argv) == 1
         assert_output_path_reported(capsys, trace_path)
@@ -338,12 +251,12 @@ class TestRetrieve:
     def test_trace_with_baseline_rejected_before_any_work(
         self, workdir, capsys, method
     ):
-        # the index does not exist, so only a check made before any file
+        # the corpus does not exist, so only a check made before any file
         # is read can name the flags
-        index = str(workdir["tmp"] / "absent.json")
+        corpus = str(workdir["tmp"] / "absent.jsonl")
         trace_path = workdir["tmp"] / "trace.json"
-        args = ["--corpus", workdir["corpus"], "--index", index]
-        argv = ["retrieve", "q", *args, "--method", method, "--trace", str(trace_path)]
+        argv = ["retrieve", "q", "--corpus", corpus]
+        argv += ["--method", method, "--trace", str(trace_path)]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -360,119 +273,59 @@ class TestRetrieve:
                     "q",
                     "--corpus",
                     workdir["corpus"],
-                    "--index",
-                    workdir["index"],
                     "--method",
                     "sparta",
                 ]
             )
 
-    def test_missing_index(self, workdir, capsys):
-        code = main(
-            [
-                "retrieve",
-                "q",
-                "--corpus",
-                workdir["corpus"],
-                "--index",
-                str(workdir["tmp"] / "absent.json"),
-            ]
-        )
-        assert code == 1
-        assert "error: index file not found" in capsys.readouterr().err
+    def test_missing_corpus(self, capsys):
+        assert main(["retrieve", "q", "--corpus", "nope.jsonl"]) == 1
+        assert "error: corpus file not found: nope.jsonl" in capsys.readouterr().err
 
-    def test_malformed_index_reported(self, workdir, capsys):
-        index = workdir["tmp"] / "partial.json"
-        index.write_text(json.dumps({"format": "alignrag-index-v1"}))
-        argv = ["retrieve", "q", "--corpus", workdir["corpus"], "--index", str(index)]
-        assert main(argv) == 1
+    @pytest.mark.parametrize("content", [None, b"\xff\n"], ids=["dir", "latin1"])
+    def test_unreadable_corpus_reported(self, tmp_path, capsys, content):
+        corpus = tmp_path / "c.jsonl"
+        if content is None:
+            corpus.mkdir()
+        else:
+            corpus.write_bytes(content)
+        assert main(["retrieve", "q", "--corpus", str(corpus)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: index file {index}: missing key")
+        assert captured.err.startswith(f"error: corpus file {corpus}")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "command, edit",
-        [
-            pytest.param("retrieve", "renamed", id="retrieve"),
-            pytest.param("eval", "renamed", id="eval"),
-            pytest.param("retrieve", "same-length", id="retrieve-same-length"),
-            pytest.param("eval", "same-length", id="eval-same-length"),
-            pytest.param("retrieve", "reordered", id="retrieve-reordered"),
-            pytest.param("eval", "reordered", id="eval-reordered"),
-        ],
+        "swap", ["zzzzz qqqqq", "pad0b pad0a"], ids=["new-tokens", "reordered"]
     )
-    def test_index_of_another_corpus_rejected(self, workdir, capsys, command, edit):
-        tmp = workdir["tmp"]
-        if edit == "renamed":
-            other = [
-                dict(record, id=f"x{i}", title=f"renamed {i}")
-                for i, record in enumerate(CITY_RECORDS, start=7)
-            ]
-            corpus = write_jsonl(tmp / "other.jsonl", other)
-            index, question, differing = workdir["index"], "paris population", "p1#0"
-        else:
-            # an edit that keeps every chunk's token count, or its tokens
-            planted = tmp / "planted.jsonl"
-            save_corpus(build_planted().corpus, str(planted))
-            index = str(tmp / "planted-index.json")
-            assert main(["index", "build", "--corpus", str(planted), "--out", index]) == 0
-            text = planted.read_text()
-            swap = "zzzzz qqqqq" if edit == "same-length" else "pad0b pad0a"
-            planted.write_text(text.replace("pad0a pad0b", swap))
-            assert planted.read_text() != text
-            capsys.readouterr()
-            corpus, question = str(planted), "pad0a pad0b"
-            differing = "d00#0" if edit == "same-length" else "blurb0 pad0a"
-        what = "n-gram" if edit == "reordered" else "chunk"
-        args = ["--corpus", corpus, "--index", index]
-        if command == "retrieve":
-            argv = ["retrieve", question, *args]
-        else:
-            out = str(tmp / "out")
-            argv = ["eval", "run", "--questions", workdir["questions"], "--out", out]
-            argv += args
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert (
-            f"error: index {index} does not match corpus {corpus}: "
-            f"{what} {differing!r} differs" in captured.err
-        )
-
-    @pytest.mark.parametrize("token", [")", "(", ",", "<>", "x y", "paris,"])
-    def test_index_token_decoder_cannot_emit_rejected(self, workdir, capsys, token):
-        with open(workdir["index"], encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-        snapshot["ngrams"].append([token])
-        with open(workdir["index"], "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle)
-        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
-        assert main(["retrieve", "paris population", *args]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-        assert repr(token) in captured.err
-
-    def test_index_posting_of_unknown_chunk_rejected(self, workdir, capsys):
-        with open(workdir["index"], encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-        snapshot["bm25"]["postings"]["paris"]["ghost#0"] = 1
-        with open(workdir["index"], "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle)
-        args = ["--corpus", workdir["corpus"], "--index", workdir["index"]]
-        assert main(["retrieve", "paris population", *args]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: index file {workdir['index']}: ")
-        assert "'ghost#0' names a chunk missing from doc_len" in captured.err
-
-    def test_index_of_edited_corpus_rejected(self, workdir, capsys):
-        edited = [dict(r) for r in CITY_RECORDS]
-        edited[1]["title"] = "country areas and more"
-        corpus = write_jsonl(workdir["tmp"] / "edited.jsonl", edited)
-        argv = ["retrieve", "q", "--corpus", corpus, "--index", workdir["index"]]
-        assert main(argv) == 1
-        assert "chunk 't2#0' differs" in capsys.readouterr().err
+    def test_edited_corpus_answered_from_its_own_text(self, tmp_path, capsys, swap):
+        # the edits keep each chunk's token count, or its tokens, so only
+        # the edited text itself tells the old phrase from the new
+        planted = build_planted()
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(planted.corpus, str(corpus))
+        text = corpus.read_text()
+        corpus.write_text(text.replace("pad0a pad0b", swap))
+        assert corpus.read_text() != text
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dataclasses.asdict(planted.config)))
+        trace_path = tmp_path / "trace.json"
+        argv = ["retrieve", "pad0a pad0b", "--corpus", str(corpus)]
+        argv += ["--config", str(config), "--trace", str(trace_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        chunks = load_corpus(str(corpus), planted.config.chunk_units).chunks
+        phrases = set().union(*(oracles.ngram_set(c.text) for c in chunks))
+        trace = json.loads(trace_path.read_text())
+        aligned = {
+            tuple(entry["ngram"].split())
+            for alignment in trace["alignments"]
+            for beam in alignment["beams"]
+            for entry in beam
+        }
+        assert aligned and aligned <= phrases
+        if swap == "zzzzz qqqqq":
+            assert any("zzzzz" in gram for gram in aligned), aligned
 
     def test_env_config_picked_up(self, workdir, capsys, monkeypatch):
         cfg = workdir["tmp"] / "cfg.json"
@@ -483,8 +336,6 @@ class TestRetrieve:
             "paris population",
             "--corpus",
             workdir["corpus"],
-            "--index",
-            workdir["index"],
         ]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
@@ -500,8 +351,6 @@ class TestRetrieve:
             "paris population",
             "--corpus",
             workdir["corpus"],
-            "--index",
-            workdir["index"],
             "--config",
             str(cli_cfg),
         ]
@@ -516,8 +365,6 @@ class TestRetrieve:
             "paris population",
             "--corpus",
             workdir["corpus"],
-            "--index",
-            workdir["index"],
             "--config",
             str(cfg),
             "--seed",
@@ -537,8 +384,6 @@ class TestEvalRun:
             "run",
             "--corpus",
             workdir["corpus"],
-            "--index",
-            workdir["index"],
             "--questions",
             workdir["questions"],
             "--out",
@@ -628,7 +473,7 @@ class TestEvalRun:
             # --out names an existing file, not a directory
             out_dir.write_text("")
         argv = ["eval", "run", "--questions", workdir["questions"]]
-        argv += ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        argv += ["--corpus", workdir["corpus"]]
         argv += ["--out", str(out_dir), "--method", "arm", "--trace", str(trace_path)]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -646,7 +491,7 @@ class TestEvalRun:
         if target == "out":
             out_dir.write_text("")
         argv = ["eval", "run", "--questions", workdir["questions"]]
-        argv += ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        argv += ["--corpus", workdir["corpus"]]
         argv += ["--out", str(out_dir), "--trace", str(trace_path)]
         assert main(argv) == 1
         assert_output_path_reported(capsys, out_dir if target == "out" else trace_path)
@@ -660,8 +505,6 @@ class TestEvalRun:
                 "run",
                 "--corpus",
                 workdir["corpus"],
-                "--index",
-                workdir["index"],
                 "--questions",
                 str(workdir["tmp"] / "absent.jsonl"),
                 "--out",
@@ -675,7 +518,7 @@ class TestEvalRun:
         questions = workdir["tmp"] / "bad.jsonl"
         questions.write_text("[1]\n")
         argv = ["eval", "run", "--questions", str(questions)]
-        argv += ["--corpus", workdir["corpus"], "--index", workdir["index"]]
+        argv += ["--corpus", workdir["corpus"]]
         argv += ["--out", str(workdir["tmp"] / "out")]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -693,8 +536,6 @@ class TestEvalRun:
                 "run",
                 "--corpus",
                 workdir["corpus"],
-                "--index",
-                workdir["index"],
                 "--questions",
                 bad,
                 "--out",

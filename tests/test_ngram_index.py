@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import pickle
@@ -286,6 +287,8 @@ class TestTrieReference:
         copy = pickle.loads(pickle.dumps(trie))
         assert list(copy.ngrams()) == list(trie.ngrams())
         assert all(NGram(tokens=g) in copy for g in trie.ngrams())
+        for name in ("ptr", "tokens", "terminal", "_grams"):
+            assert not getattr(copy, name).flags.writeable, name
 
     def test_keeps_fewer_than_80_bytes_per_ngram(self):
         # about synth-1k's index: 20,000 n-grams over 3,500 tokens, each
@@ -420,13 +423,29 @@ class TestPersistence:
         )
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        chunks = [chunk(cid, text) for cid, text in BM25_DOCS.items()]
+        # each chunk list is saved twice as given and once reversed, as a
+        # corpus file read from its last line up lists its chunks
+        fixture = [chunk(cid, text) for cid, text in BM25_DOCS.items()]
+        for chunks in (fixture, list(build_planted().corpus.chunks)):
+            saved = []
+            for order in (chunks, chunks, chunks[::-1]):
+                path = tmp_path / f"{len(saved)}.json"
+                trie = build_trie(corpus_ngrams(order))
+                save_index(str(path), trie, build_bm25(order), chunk_units=20)
+                saved.append(path.read_bytes())
+            assert saved[0] == saved[1] == saved[2]
+
+    def test_planted_index_bytes_are_pinned(self, tmp_path):
+        # the SHA-256 of the planted index, fixed so that any change to
+        # extraction, the trie or the file format shows here
+        chunks = build_planted().corpus.chunks
         trie = build_trie(corpus_ngrams(chunks))
-        bm25 = build_bm25(chunks)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_index(str(a), trie, bm25, chunk_units=20)
-        save_index(str(b), trie, bm25, chunk_units=20)
-        assert a.read_bytes() == b.read_bytes()
+        assert len(trie) == 1678
+        path = tmp_path / "index.json"
+        save_index(str(path), trie, build_bm25(chunks), chunk_units=20)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "051479dde24d5cba8a7f1d37c3b71e5ed393de9f7520905d57c7d29ae62e67ad"
+        )
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "index.json"
@@ -457,6 +476,10 @@ class TestPersistence:
             (lambda s: dict(s, ngrams=[["Apple"]]), "'Apple' is not a normalized"),
             (lambda s: dict(s, ngrams=[["x."]]), "'x.' is not a normalized"),
             (lambda s: dict(s, ngrams=[["a b"]]), "'a b' is not a normalized"),
+            (lambda s: dict(s, ngrams=[["("]]), "'[(]' is not a normalized"),
+            (lambda s: dict(s, ngrams=[[")"]]), "'[)]' is not a normalized"),
+            (lambda s: dict(s, ngrams=[[","]]), "',' is not a normalized"),
+            (lambda s: dict(s, ngrams=[["<>"]]), "'<>' is not a normalized"),
             (lambda s: dict(s, ngrams=[["apple", ""]]), "'' is not a normalized"),
             (lambda s: dict(s, ngrams=[[["apple"]]]), "malformed entry: unhashable"),
             (lambda s: dict(s, bm25=[]), "'bm25' has type list"),
