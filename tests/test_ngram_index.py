@@ -476,10 +476,6 @@ class TestPersistence:
             (lambda s: dict(s, ngrams=[["Apple"]]), "'Apple' is not a normalized"),
             (lambda s: dict(s, ngrams=[["x."]]), "'x.' is not a normalized"),
             (lambda s: dict(s, ngrams=[["a b"]]), "'a b' is not a normalized"),
-            (lambda s: dict(s, ngrams=[["("]]), "'[(]' is not a normalized"),
-            (lambda s: dict(s, ngrams=[[")"]]), "'[)]' is not a normalized"),
-            (lambda s: dict(s, ngrams=[[","]]), "',' is not a normalized"),
-            (lambda s: dict(s, ngrams=[["<>"]]), "'<>' is not a normalized"),
             (lambda s: dict(s, ngrams=[["apple", ""]]), "'' is not a normalized"),
             (lambda s: dict(s, ngrams=[[["apple"]]]), "malformed entry: unhashable"),
             (lambda s: dict(s, bm25=[]), "'bm25' has type list"),
@@ -498,6 +494,20 @@ class TestPersistence:
         save_index(str(path), build_trie(corpus_ngrams(chunks)), build_bm25(chunks), 20)
         snapshot = json.loads(path.read_text())
         path.write_text(json.dumps(edit(snapshot)))
+        with pytest.raises(ParseError, match=message) as info:
+            load_index(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("token", [")", "(", ",", "<>", "x y", "paris,"])
+    def test_index_token_decoder_cannot_emit_rejected(self, tmp_path, token):
+        # a saved index with one n-gram the decoder could not emit as itself
+        chunks = [chunk(cid, text) for cid, text in BM25_DOCS.items()]
+        path = tmp_path / "index.json"
+        save_index(str(path), build_trie(corpus_ngrams(chunks)), build_bm25(chunks), 20)
+        snapshot = json.loads(path.read_text())
+        snapshot["ngrams"].append([token])
+        path.write_text(json.dumps(snapshot))
+        message = re.escape(f"token {token!r} is not a normalized token")
         with pytest.raises(ParseError, match=message) as info:
             load_index(str(path))
         assert str(path) in str(info.value)
