@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import random
 import re
 
 import jsonschema
@@ -12,7 +14,7 @@ import pytest
 from alignrag import baselines_eval, cli, struct_align
 from alignrag.baselines_eval import METHODS
 from alignrag.cli import main
-from alignrag.corpus import load_corpus, save_corpus
+from alignrag.corpus import build_corpus, load_corpus, save_corpus
 from alignrag.pipeline import TRACE_SCHEMA, RetrievalEngine
 
 import oracles
@@ -439,6 +441,50 @@ class TestEvalRun:
         capsys.readouterr()
         for name in ("results.json", "results.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_planted_outputs_are_pinned(self, tmp_path, capsys):
+        # the SHA-256 of every file an all-method traced run writes on the
+        # planted benchmark, its questions in seed-1 order, so that a change
+        # to any output shows here
+        planted = build_planted()
+        config = planted.config
+        questions = list(planted.questions)
+        random.Random(1).shuffle(questions)
+        corpus = tmp_path / "corpus.jsonl"
+        objects = planted.corpus.objects
+        save_corpus(build_corpus(objects, config.chunk_units), str(corpus))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(dataclasses.asdict(config)))
+        records = [
+            {
+                "question_id": q.question_id,
+                "question": q.question,
+                "gold_object_ids": list(q.gold_ids),
+            }
+            for q in questions
+        ]
+        questions_path = write_jsonl(tmp_path / "questions.jsonl", records)
+        out_dir = tmp_path / "out"
+        argv = ["eval", "run", "--corpus", str(corpus), "--questions", questions_path]
+        argv += ["--config", str(config_path), "--out", str(out_dir)]
+        argv += ["--trace", str(out_dir / "trace.jsonl")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("results.json", "results.csv", "trace.jsonl")
+        }
+        assert digests == {
+            "results.json": (
+                "436c98ad01fa7f45993e4246ea97ee7467533b9ebc5b54e79c75845529f657ad"
+            ),
+            "results.csv": (
+                "ae811e38a83aecc59c972e855bb58734fe0f6b0323cc253fb36e48283079fbef"
+            ),
+            "trace.jsonl": (
+                "e4bea1ed3892cc0895c2efaab363c23c1c538835efda90e5baaada8b1b280e10"
+            ),
+        }
 
     def test_trace_lines_per_question(self, workdir, capsys, monkeypatch):
         answered = []
