@@ -69,8 +69,8 @@ class HashEmbeddingProvider:
         Tokens of the batch-embedded texts read their bucket from the
         table; any other token is hashed on each call and not stored, so
         the table stays bounded by the corpus. Counts are integers, so the
-        norm taken over the distinct buckets alone is exact. Uncached:
-        callers that reuse a vector keep their own copy.
+        norm over the distinct buckets is exact, the bits ``_norms`` gives.
+        Uncached: callers that reuse a vector keep their own copy.
         """
         vec = np.zeros(self.dimension, dtype=np.float64)
         tokens = normalize_tokens(text)
@@ -95,7 +95,7 @@ class HashEmbeddingProvider:
         tokens, as one sparse row, built from one ``np.unique`` over (row,
         bucket) keys; new tokens enter the table.
 
-        Counts are integers, so their sum of squares, its square root and
+        Counts are integers, so the exact norm (as ``_norms`` takes it) and
         each ``count / norm`` are the bits ``embed`` computes.
         """
         table = self._buckets
@@ -145,6 +145,12 @@ class FileVectorProvider:
                 arr = np.full(1, np.inf)
             if not np.isfinite(arr).all():
                 raise ParseError(f"{where}: vector must hold finite numbers")
+            try:  # the squares and their sum as ``_norms`` takes them
+                overflows = math.fsum(x * x for x in arr.tolist()) == math.inf
+            except OverflowError:  # finite squares whose sum is past float range
+                overflows = True
+            if overflows:
+                raise ParseError(f"{where}: vector's sum of squares overflows")
             if arr.size == 0:
                 raise ParseError(f"{where}: vector is empty")
             if self.dimension == 0:
@@ -264,9 +270,8 @@ def embed_rows(
     tokens: Optional[Sequence[list[str]]] = None,
 ) -> tuple[SparseRows, np.ndarray]:
     """Every item's vector as a sparse row (its non-zero coordinates,
-    ascending, with their values) and the ``np.linalg.norm`` of the dense
-    vector. Chunks are embedded with ``embed_chunk``, strings with
-    ``embed``.
+    ascending, with their values) and its Euclidean norm (``_norms``).
+    Chunks are embedded with ``embed_chunk``, strings with ``embed``.
 
     A ``HashEmbeddingProvider`` embeds them all in one batch, from
     ``tokens``, each item's ``normalize_tokens`` list, when the caller has
@@ -278,10 +283,9 @@ def embed_rows(
             texts = (i.text if isinstance(i, Chunk) else i for i in items)
             tokens = [normalize_tokens(text) for text in texts]
         rows = provider._rows(tokens)
-        return rows, _dense_norms(rows, provider.dimension)
-    norms = np.empty(len(items), dtype=np.float64)
+        return rows, _norms(rows.values, rows.ptr.tolist())
     supports, weights = [], []
-    for i, item in enumerate(items):
+    for item in items:
         chunk = isinstance(item, Chunk)
         vec = provider.embed_chunk(item) if chunk else provider.embed(item)
         vec = np.asarray(vec, dtype=np.float64)
@@ -289,38 +293,32 @@ def embed_rows(
             raise DimensionMismatch(
                 f"{_label(item)}: vector {vec.shape}, provider dim {provider.dimension}"
             )
-        norms[i] = np.linalg.norm(vec)
-        if norms[i] == 0.0:
-            raise ZeroVector(f"{_label(item)} has a zero-norm vector")
         support = np.flatnonzero(vec != 0.0)
         supports.append(support)
         weights.append(vec[support])
-    return SparseRows.from_rows(supports, weights), norms
+    rows = SparseRows.from_rows(supports, weights)
+    norms = _norms(rows.values, rows.ptr.tolist())
+    # tiny values may square to zero, so the norm, not the support, decides
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroVector(f"{_label(items[zero[0]])} has a zero-norm vector")
+    return rows, norms
 
 
 def _label(item: Union[Chunk, str]) -> str:
     return f"chunk {item.chunk_id!r}" if isinstance(item, Chunk) else f"text {item!r}"
 
 
-def _dense_norms(rows: SparseRows, dimension: int) -> np.ndarray:
-    """``np.linalg.norm`` of each row's dense vector, the norm every
-    provider's vectors get. BLAS sums the squares in lanes set by
-    coordinate position, so the sum over the row's values alone can
-    differ in the last bit; each row is scattered into one reusable buffer
-    instead. Kept by decision: sparse norms change the last bit of 370 of
-    the 1,000 chunk norms of a seeded 1,000-object corpus and 3 of 600 of
-    its top-k lists, so ``eval run`` files would change. For a 1-D float64
-    vector ``np.linalg.norm`` is the square root of ``x.dot(x)``, so that
-    dot and ``math.sqrt`` give its bits without its per-call checks."""
-    buffer = np.zeros(dimension, dtype=np.float64)
-    norms = np.empty(len(rows.ptr) - 1, dtype=np.float64)
-    bounds = rows.ptr.tolist()
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        support = rows.indices[lo:hi]
-        buffer[support] = rows.values[lo:hi]
-        norms[i] = math.sqrt(buffer.dot(buffer))
-        buffer[support] = 0.0
-    return norms
+def _norms(values: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """The Euclidean norm of each run ``values[lo:hi]`` between consecutive
+    ``bounds``, as ``math.sqrt(math.fsum(squares))``: each square and the
+    root are correctly rounded and ``math.fsum`` adds the squares exactly,
+    so a norm's bits depend on its values alone, not on their coordinates,
+    their order or the host's BLAS."""
+    squares = (values * values).tolist()
+    return np.array(
+        [math.sqrt(math.fsum(squares[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    )
 
 
 def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> VectorStore:
@@ -351,19 +349,19 @@ def sparse_cosines(
 
     The vectors are given by their inverted lists ``columns``, one row per
     coordinate, and their Euclidean ``norms``. The dot products read only
-    the question's non-zero coordinates, and each vector's dot sums its
-    products in ascending coordinate order (``np.bincount`` adds in input
-    order), so a vector's bits do not depend on which other vectors are
-    given.
+    the question's non-zero coordinates, as its norm (``_norms``) does, and
+    each vector's dot sums its products in ascending coordinate order
+    (``np.bincount`` adds in input order), so a vector's bits depend on
+    neither the other vectors given nor the host's BLAS.
     """
     dimension = len(columns.ptr) - 1
     q = np.asarray(question_vec, dtype=np.float64)
     if q.shape != (dimension,):
         raise DimensionMismatch(f"question {q.shape}, vectors of dim {dimension}")
-    q_norm = np.linalg.norm(q)
+    support = np.flatnonzero(q)
+    q_norm = _norms(q[support], (0, support.size))[0]
     if q_norm == 0.0:
         raise ZeroVector("cosine undefined for zero-norm vector")
-    support = np.flatnonzero(q)
     positions, lengths = columns.positions(support)
     products = columns.values[positions] * np.repeat(q[support], lengths)
     dots = np.bincount(columns.indices[positions], products, minlength=len(norms))

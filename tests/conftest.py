@@ -30,6 +30,21 @@ def make_passage(oid, title, sentences, description=None):
     )
 
 
+class VectorTable:
+    """A provider that reads each text's vector from a dict."""
+
+    name = "table"
+
+    def __init__(self, vectors, dimension):
+        self.vectors, self.dimension = vectors, dimension
+
+    def embed(self, text):
+        return self.vectors[text]
+
+    def embed_chunk(self, chunk):
+        return self.vectors[chunk.text]
+
+
 @pytest.fixture
 def city_objects():
     return [

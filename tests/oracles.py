@@ -97,6 +97,12 @@ def bucket(token: str, seed: int, dim: int) -> int:
     return int.from_bytes(digest, "big") % dim
 
 
+def euclidean_norm(vec) -> float:
+    """The Euclidean norm: every square rounded once, their sum exact
+    (``math.fsum``), and its square root rounded once."""
+    return math.sqrt(math.fsum(x * x for x in np.asarray(vec, dtype=float).tolist()))
+
+
 def hash_embed(text: str, seed: int = 0, dim: int = 64) -> np.ndarray:
     vec = np.zeros(dim, dtype=np.float64)
     tokens = tokenize(text)
@@ -105,13 +111,13 @@ def hash_embed(text: str, seed: int = 0, dim: int = 64) -> np.ndarray:
         return vec
     for tok in tokens:
         vec[bucket(tok, seed, dim)] += 1.0
-    return vec / np.linalg.norm(vec)
+    return vec / euclidean_norm(vec)
 
 
 def cosine_np(u, v) -> float:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    return float(np.dot(u, v) / (euclidean_norm(u) * euclidean_norm(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +248,7 @@ def unit_index_reference(objects, embed, dimension: int) -> dict:
     column headers not among them. Tokens of the unit texts, and cell values
     column by column, are numbered by first appearance too. ``embed(text)``
     is the text's dense vector; a stored vector keeps its non-zero
-    coordinates, and its norm is ``np.linalg.norm`` of the dense one.
+    coordinates, and its norm is ``euclidean_norm`` of the dense one.
     """
     texts: dict[str, int] = {}
     token_lists = []
@@ -284,7 +290,7 @@ def unit_index_reference(objects, embed, dimension: int) -> dict:
         support = np.flatnonzero(vec)
         supports.append(support.tolist())
         weights.append(vec[support].tolist())
-        norms.append(np.linalg.norm(vec))
+        norms.append(euclidean_norm(vec))
     slot_supports = [supports[t] for t in slot_texts]
     slot_weights = [weights[t] for t in slot_texts]
     unit_sets = [sorted(set(row)) for row in unit_rows]

@@ -482,7 +482,7 @@ class TestEvalRun:
                 "ae811e38a83aecc59c972e855bb58734fe0f6b0323cc253fb36e48283079fbef"
             ),
             "trace.jsonl": (
-                "e4bea1ed3892cc0895c2efaab363c23c1c538835efda90e5baaada8b1b280e10"
+                "ef9b08e54990bc6aa9a02bf0201a4f44b9e8bb3c5756070a25d1574912c47a62"
             ),
         }
 

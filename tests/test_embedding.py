@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from alignrag.ngram_index import build_bm25
 from alignrag.struct_align import _UnitIndex
 
 import oracles
-from conftest import make_passage, make_table
+from conftest import VectorTable, make_passage, make_table
 from planted import build_planted
 
 
@@ -186,6 +188,22 @@ class TestFileProvider:
             FileVectorProvider(str(path))
         assert f"{path} line 2" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "vector",
+        [[1e200, 1e200, 0.0], [1e154, 1e154, 1e154], [10**200, 1, 0]],
+        ids=["square", "sum", "integer"],
+    )
+    def test_overflowing_sum_of_squares_is_parse_error(self, tmp_path, vector):
+        # every value is finite, but a norm past float range would make the
+        # vector's every cosine NaN
+        path = tmp_path / "vectors.jsonl"
+        records = [{"chunk_id": "b", "vector": [1.0, 0.0, 0.0]}]
+        records.append({"chunk_id": "a", "vector": vector})
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ParseError, match="sum of squares overflows") as info:
+            FileVectorProvider(str(path))
+        assert f"{path} line 2" in str(info.value)
+
     def test_integer_beyond_float_range_is_parse_error(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"chunk_id": "a", "vector": [1.0, 1%s]}\n' % ("0" * 400))
@@ -237,13 +255,17 @@ class TestStore:
         assert str(path) in str(info.value)
 
     def test_zero_vectors_rejected(self, tmp_path):
+        # a value whose square underflows gives a zero norm on a non-empty
+        # support, so the norm decides, not the support
         path = tmp_path / "vectors.jsonl"
-        path.write_text(json.dumps({"chunk_id": "a#0", "vector": [0.0, 0.0]}) + "\n")
-        with pytest.raises(ZeroVector, match="a#0"):
-            embed_corpus(FileVectorProvider(str(path)), [chunk("a#0", "x")])
+        for vector in ([0.0, 0.0], [1e-200, 0.0]):
+            path.write_text(json.dumps({"chunk_id": "a#0", "vector": vector}) + "\n")
+            with pytest.raises(ZeroVector, match="a#0"):
+                embed_corpus(FileVectorProvider(str(path)), [chunk("a#0", "x")])
         store = embed_corpus(HashEmbeddingProvider(dimension=2), [chunk("a#0", "x")])
-        with pytest.raises(ZeroVector):
-            object_similarity(store, np.zeros(2))
+        for question in ([0.0, 0.0], [0.0, 1e-200]):
+            with pytest.raises(ZeroVector):
+                object_similarity(store, np.array(question))
         with pytest.raises(DimensionMismatch):
             object_similarity(store, np.ones(3))
 
@@ -265,13 +287,13 @@ class TestStore:
         dense = [provider.embed_chunk(c) for c in chunks]
         for question in ["paris population", "lyon is smaller", "country area 643"]:
             q = provider.embed(question)
-            q_norm = float(np.linalg.norm(q))
+            q_norm = oracles.euclidean_norm(q)
             best: dict[str, float] = {}
             for c, row in zip(chunks, dense):
                 total = 0.0
                 for d in np.flatnonzero(q).tolist():
                     total += float(row[d]) * float(q[d])
-                value = total / (q_norm * float(np.linalg.norm(row)))
+                value = total / (q_norm * oracles.euclidean_norm(row))
                 value = max(-1.0, min(1.0, value))
                 best[c.object_id] = max(best.get(c.object_id, -1.0), value)
             expected = [best[oid] for oid in store.object_ids]
@@ -430,26 +452,24 @@ class TestBatchEmbedding:
         assert sorted(calls) == sorted(texts)
 
     @pytest.mark.parametrize("dimension", [8, 64, 4096])
-    def test_dense_norms_match_linalg_norm_bits(self, dimension):
-        """Each row's norm holds the bits of ``np.linalg.norm`` of its
-        dense vector, also for the same values at other coordinates (BLAS
-        may sum the squares in lanes set by coordinate position)."""
+    def test_norms_are_exact_wherever_the_values_sit(self, dimension):
+        """Each vector's norm holds the bits of the exact norm of its
+        values, also for the same values in another order at other
+        coordinates (a BLAS sum of squares adds in lanes set by position)."""
         rng = np.random.default_rng(dimension)
-        supports, weights = [], []
-        for _ in range(100):
+        vectors, want = {}, []
+        for i in range(100):
             size = int(rng.integers(1, min(dimension, 40) + 1))
             values = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size)
-            for _ in range(3):
-                support = np.sort(rng.choice(dimension, size=size, replace=False))
-                supports.append(support)
-                weights.append(values)
-        got = embedding._dense_norms(SparseRows.from_rows(supports, weights), dimension)
-        want = []
-        for support, values in zip(supports, weights):
-            dense = np.zeros(dimension)
-            dense[support] = values
-            want.append(np.linalg.norm(dense))
-        assert hex_list(got) == hex_list(np.array(want))
+            for j in range(3):
+                vector = np.zeros(dimension)
+                support = rng.choice(dimension, size=size, replace=False)
+                vector[support] = rng.permutation(values)
+                vectors[f"v{i}.{j}"] = vector
+                want.append(oracles.euclidean_norm(values))
+        provider = VectorTable(vectors, dimension)
+        _, norms = embedding.embed_rows(provider, list(vectors))
+        assert hex_list(norms) == hex_list(np.array(want))
 
     @pytest.mark.parametrize("dimension", [8, 64])
     def test_embed_matches_oracle_bits_before_and_after_batch(self, dimension):
@@ -521,3 +541,26 @@ class TestTopObjects:
     def test_k_validated(self):
         with pytest.raises(ValidationError):
             top_objects(np.zeros(3), 0)
+
+
+def test_package_makes_no_blas_call():
+    """No package module multiplies matrices or reaches a BLAS routine, by
+    operator, attribute or import, so no output depends on the kernel the
+    host's BLAS picks; ``ast`` tells the ``@`` operator from a decorator."""
+    blas = {"linalg", "dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+    paths = sorted(Path(embedding.__file__).parent.glob("*.py"))
+    assert len(paths) > 10
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                named = isinstance(node.op, ast.MatMult)
+            elif isinstance(node, ast.Attribute):
+                named = node.attr in blas
+            elif isinstance(node, ast.alias):
+                named = not blas.isdisjoint(node.name.split("."))
+            else:
+                continue
+            if named:
+                found.append(f"{path.name} line {node.lineno}")
+    assert found == []

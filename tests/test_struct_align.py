@@ -26,7 +26,7 @@ from alignrag.struct_align import (
     expand_base,
     solve_mip,
 )
-from conftest import make_passage, make_table
+from conftest import VectorTable, make_passage, make_table
 from planted import build_planted
 
 PROVIDER = HashEmbeddingProvider(dimension=64, seed=0)
@@ -382,21 +382,6 @@ class TestCompatibilityCache:
         assert want[-1] == sorted(outside)
 
 
-class VectorTable:
-    """A provider that reads each text's vector from a dict."""
-
-    name = "table"
-
-    def __init__(self, vectors, dimension):
-        self.vectors, self.dimension = vectors, dimension
-
-    def embed(self, text):
-        return self.vectors[text]
-
-    def embed_chunk(self, chunk):
-        return self.vectors[chunk.text]
-
-
 def row_corpora():
     """(name, corpus, provider, oracle embed): the planted benchmark, and
     seeded random corpora with repeated headers, cells and tokens,
@@ -451,12 +436,12 @@ ROW_CORPORA = {name: rest for name, *rest in row_corpora()}
 def ascending_score(text_a, text_b, part, w, embed):
     """``w`` times the clamped cosine plus ``1 - w`` times ``part``, the dot
     product summed in ascending coordinate order over the coordinates both
-    vectors hold, and each norm taken over the dense vector."""
+    vectors hold, and each norm ``oracles.euclidean_norm`` of the dense vector."""
     u, v = embed(text_a), embed(text_b)
     dot = 0.0
     for d in sorted(set(np.flatnonzero(u)) & set(np.flatnonzero(v))):
         dot += float(u[d]) * float(v[d])
-    norms = float(np.linalg.norm(u)) * float(np.linalg.norm(v))
+    norms = oracles.euclidean_norm(u) * oracles.euclidean_norm(v)
     return w * min(max(dot / norms, 0.0), 1.0) + (1.0 - w) * part
 
 
