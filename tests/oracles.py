@@ -100,7 +100,9 @@ def bucket(token: str, seed: int, dim: int) -> int:
 def euclidean_norm(vec) -> float:
     """The Euclidean norm: every square rounded once, their sum exact
     (``math.fsum``), and its square root rounded once."""
-    return math.sqrt(math.fsum(x * x for x in np.asarray(vec, dtype=float).tolist()))
+    vec = np.asarray(vec, dtype=np.float64)
+    vec = vec[vec != 0.0]  # zero squares leave an exact sum as it is
+    return math.sqrt(math.fsum((vec * vec).tolist()))
 
 
 def hash_embed(text: str, seed: int = 0, dim: int = 64) -> np.ndarray:

@@ -16,7 +16,6 @@ from alignrag.corpus import Chunk, build_corpus
 from alignrag.embedding import (
     FileVectorProvider,
     HashEmbeddingProvider,
-    SparseRows,
     embed_corpus,
     object_similarity,
     top_objects,
@@ -200,7 +199,7 @@ class TestFileProvider:
         records = [{"chunk_id": "b", "vector": [1.0, 0.0, 0.0]}]
         records.append({"chunk_id": "a", "vector": vector})
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        with pytest.raises(ParseError, match="sum of squares overflows") as info:
+        with pytest.raises(ParseError, match="with a finite norm") as info:
             FileVectorProvider(str(path))
         assert f"{path} line 2" in str(info.value)
 

@@ -436,7 +436,7 @@ ROW_CORPORA = {name: rest for name, *rest in row_corpora()}
 def ascending_score(text_a, text_b, part, w, embed):
     """``w`` times the clamped cosine plus ``1 - w`` times ``part``, the dot
     product summed in ascending coordinate order over the coordinates both
-    vectors hold, and each norm ``oracles.euclidean_norm`` of the dense vector."""
+    vectors hold, and each norm ``oracles.euclidean_norm``."""
     u, v = embed(text_a), embed(text_b)
     dot = 0.0
     for d in sorted(set(np.flatnonzero(u)) & set(np.flatnonzero(v))):
