@@ -141,14 +141,12 @@ class FileVectorProvider:
                 raise ParseError(f"{where}: vector must be a flat list of numbers")
             try:
                 arr = np.asarray(vector, dtype=np.float64)
-                # squared and summed as ``_norms`` does, so finite iff the norm is
-                finite = math.isfinite(math.fsum(x * x for x in arr.tolist()))
-            except OverflowError:  # an integer or a sum of squares past float range
-                finite = False
-            if not finite:
+                _norm(arr, where)
+            # an integer past float range, or a vector ``_norm`` rejects
+            except (OverflowError, ProviderError):
                 raise ParseError(
                     f"{where}: vector must hold finite numbers with a finite norm"
-                )
+                ) from None
             if arr.size == 0:
                 raise ParseError(f"{where}: vector is empty")
             if self.dimension == 0:
@@ -274,7 +272,8 @@ def embed_rows(
     A ``HashEmbeddingProvider`` embeds them all in one batch, from
     ``tokens``, each item's ``normalize_tokens`` list, when the caller has
     them; a subclass may override either method, so it goes through them
-    one vector at a time like every other provider, which reads no tokens.
+    one vector at a time like every other provider, which reads no tokens,
+    and each such vector's norm is checked (``_norm``).
     """
     if type(provider) is HashEmbeddingProvider:
         if tokens is None:
@@ -282,7 +281,7 @@ def embed_rows(
             tokens = [normalize_tokens(text) for text in texts]
         rows = provider._rows(tokens)
         return rows, _norms(rows.values, rows.ptr.tolist())
-    supports, weights = [], []
+    supports, weights, norms = [], [], []
     for item in items:
         chunk = isinstance(item, Chunk)
         vec = provider.embed_chunk(item) if chunk else provider.embed(item)
@@ -294,8 +293,9 @@ def embed_rows(
         support = np.flatnonzero(vec != 0.0)
         supports.append(support)
         weights.append(vec[support])
+        norms.append(_norm(weights[-1], f"{provider.name} provider, {_label(item)}"))
     rows = SparseRows.from_rows(supports, weights)
-    norms = _norms(rows.values, rows.ptr.tolist())
+    norms = np.array(norms)
     # tiny values may square to zero, so the norm, not the support, decides
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -318,6 +318,26 @@ def _norms(values: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     # one run's squares at a time as Python floats: a list of all of them
     # raised the benchmark's peak RSS by 0.7 MB on a 1,000-object corpus
     return np.array([math.sqrt(math.fsum(squares[lo:hi].tolist())) for lo, hi in runs])
+
+
+def _norm(values: np.ndarray, what: str) -> float:
+    """The norm ``_norms`` takes of one vector from outside the hash
+    provider, given by its ``values`` (its non-zero ones suffice), which
+    must be finite numbers with a finite sum of squares. A NaN or
+    infinite value, a square past float range or squares whose exact sum
+    passes it (where ``math.fsum`` raises ``OverflowError``) would make
+    every cosine with the vector NaN or 0, so each raises
+    ``ProviderError`` naming ``what``."""
+    try:
+        with np.errstate(over="ignore"):
+            norm = _norms(values, (0, values.size))[0]
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise ProviderError(
+            f"{what}: vector must hold finite numbers with a finite norm"
+        )
+    return norm
 
 
 def embed_corpus(provider: EmbeddingProvider, chunks: Iterable[Chunk]) -> VectorStore:
@@ -348,17 +368,17 @@ def sparse_cosines(
 
     The vectors are given by their inverted lists ``columns``, one row per
     coordinate, and their Euclidean ``norms``. The dot products read only
-    the question's non-zero coordinates, as its norm (``_norms``) does, and
-    each vector's dot sums its products in ascending coordinate order
-    (``np.bincount`` adds in input order), so a vector's bits depend on
-    neither the other vectors given nor the host's BLAS.
+    the question's non-zero coordinates, as its checked norm (``_norm``)
+    does, and each vector's dot sums its products in ascending coordinate
+    order (``np.bincount`` adds in input order), so a vector's bits depend
+    on neither the other vectors given nor the host's BLAS.
     """
     dimension = len(columns.ptr) - 1
     q = np.asarray(question_vec, dtype=np.float64)
     if q.shape != (dimension,):
         raise DimensionMismatch(f"question {q.shape}, vectors of dim {dimension}")
     support = np.flatnonzero(q)
-    q_norm = _norms(q[support], (0, support.size))[0]
+    q_norm = _norm(q[support], "question")
     if q_norm == 0.0:
         raise ZeroVector("cosine undefined for zero-norm vector")
     positions, lengths = columns.positions(support)

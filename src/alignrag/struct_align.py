@@ -23,6 +23,8 @@ enumerator of their own (``tests/oracles.py``).
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -270,9 +272,11 @@ class _UnitIndex:
         )
         owner = np.repeat(batch, per_object)[query]
         holders, per_pair = self.holders.positions(other)
+        # each scatter indexes the flat block, which np.maximum.at walks
+        # several times faster than a pair of index arrays
         np.maximum.at(
-            out,
-            (np.repeat(owner, per_pair), self.holders.indices[holders]),
+            out.ravel(),
+            np.repeat(owner * n, per_pair) + self.holders.indices[holders],
             np.repeat(score, per_pair),
         )
         tables = self.is_table[objects]
@@ -281,8 +285,8 @@ class _UnitIndex:
             query, other, score = self._pairs(slots, w, columns=True)
             owner = np.repeat(batch, per_object)[query]
             best = np.zeros((len(objects), n))
-            np.maximum.at(best, (owner, self.slot_owner[other]), score)
-            out = np.where(tables[:, None] & self.is_table, best, out)
+            np.maximum.at(best.ravel(), owner * n + self.slot_owner[other], score)
+            np.copyto(out, best, where=tables[:, None] & self.is_table)
         return out
 
     def witness(self, a: int, b: int, w: float) -> Optional[tuple[int, int, float]]:
@@ -342,6 +346,13 @@ class CompatibilityCache:
     bits in either row). ``get`` returns the connection behind a pair,
     memoized by the pair. Objects are held, and rows laid out, in
     ascending id order, so ties by position are ties by id.
+
+    A row holds its positive entries alone, the rest being 0: their
+    positions ascending (``array("i")``, int32) and their values
+    (``array("d")``) with the bits of the scorer's block, 12 bytes an
+    entry, so the rows an engine keeps grow with the connections of the
+    objects it has touched, not with the corpus. ``score`` bisects the
+    positions.
     """
 
     def __init__(
@@ -354,7 +365,7 @@ class CompatibilityCache:
         self._w = w
         self._ids = tuple(obj.id for obj in self._objects)
         self._position = {oid: j for j, oid in enumerate(self._ids)}
-        self._rows: dict[str, np.ndarray] = {}
+        self._rows: dict[str, tuple[array, array]] = {}
         self._connections: dict[tuple[str, str], Optional[Connection]] = {}
 
     @cached_property
@@ -362,38 +373,84 @@ class CompatibilityCache:
         return _UnitIndex(self._objects, self._provider)
 
     def _fill(self, oids: Sequence[str]) -> None:
-        """Compute the rows ``oids`` lack, in one pass."""
+        """Compute the rows ``oids`` lack, in one pass, and keep each as
+        its non-zero (so positive) entries."""
         missing = [oid for oid in oids if oid not in self._rows]
         if missing:
-            positions = np.array([self._position[oid] for oid in missing])
-            self._rows.update(zip(missing, self._index.rows(positions, self._w)))
+            objects = np.array([self._position[oid] for oid in missing])
+            block = self._index.rows(objects, self._w)
+            n = block.shape[1]
+            # flat positions of the positive entries, row by row, ascending
+            flat = np.flatnonzero(block > 0.0)
+            positions = array("i", (flat % n).astype(np.intc).tobytes())
+            values = array("d", block.ravel()[flat].tobytes())
+            ends = np.searchsorted(flat, np.arange(1, len(missing) + 1) * n).tolist()
+            for oid, lo, hi in zip(missing, [0] + ends, ends):
+                self._rows[oid] = (positions[lo:hi], values[lo:hi])
 
     def score(self, id_a: str, id_b: str) -> float:
         if id_a == id_b:
             raise ValidationError(f"compatibility of {id_a!r} with itself")
-        if id_a not in self._rows:
+        try:
+            positions, values = self._rows[id_a]
+        except KeyError:
             self._fill([id_a])
-        return float(self._rows[id_a][self._position[id_b]])
+            positions, values = self._rows[id_a]
+        j = self._position[id_b]
+        i = bisect_left(positions, j)
+        return values[i] if i < len(positions) and positions[i] == j else 0.0
 
     def nominate(self, members: Sequence[str], k: int) -> list[list[str]]:
         """For each of ``members``, the ``k`` objects outside ``members``
         most compatible with it, best first, ties by id; fewer when fewer
-        lie outside. Every score is at least 0, so the members' own
-        columns, set to -1, rank below every other object; each pick is a
-        row-wise ``np.argmax``, which takes the first of equal maxima, and
-        position order is id order; the distinct picks' rows are then filled."""
+        lie outside. Each member's positive entries fill one row of a
+        block as wide as the longest row, with those at members' own
+        positions, and the padding, set to 0; each pick is a row-wise
+        ``np.argmax``, which takes the first of equal maxima, and entries
+        lie in position order, which is id order. A member whose positive
+        entries run out takes the lowest free positions, its zeros in id
+        order. The distinct picks' rows are then filled."""
         self._fill(members)
-        block = np.stack([self._rows[oid] for oid in members])
-        inside = list({self._position[oid] for oid in members})
-        block[:, inside] = -1.0
-        every = np.arange(len(members))
-        count = min(k, block.shape[1] - len(inside))
-        picks = np.empty((len(members), count), dtype=np.intp)
+        rows = [self._rows[oid] for oid in members]
+        lengths = np.array([len(p) for p, _ in rows], dtype=np.intp)
+        positions = np.frombuffer(b"".join(p for p, _ in rows), dtype=np.intc)
+        inside = np.zeros(len(self._ids), dtype=bool)
+        inside[[self._position[oid] for oid in members]] = True
+        count = min(k, inside.size - int(np.count_nonzero(inside)))
+        # at least one column, so that every row has an argmax
+        shape = (len(rows), max(1, int(lengths.max(initial=0))))
+        filled = np.arange(shape[1]) < lengths[:, None]
+        block, at = np.zeros(shape), np.full(shape, -1, dtype=np.intp)
+        block[filled] = np.where(
+            inside[positions], 0.0, np.frombuffer(b"".join(v for _, v in rows))
+        )
+        at[filled] = positions
+        every = np.arange(len(rows))
+        best = np.empty((count, len(rows)), dtype=np.intp)
         for i in range(count):
-            picks[:, i] = block.argmax(axis=1)
-            block[every, picks[:, i]] = -1.0
-        self._fill([self._ids[j] for j in sorted(set(picks.ravel().tolist()))])
-        return [[self._ids[j] for j in row] for row in picks.tolist()]
+            entry = block.argmax(axis=1)
+            best[i] = np.where(block[every, entry] > 0.0, at[every, entry], -1)
+            block[every, entry] = 0.0
+        picks = []
+        for m, row in enumerate(best.T.tolist()):
+            if row and row[-1] < 0:  # positive entries ran out
+                row = row[: row.index(-1)]
+                row += self._zeros(rows[m][0], inside, count - len(row))
+            picks.append(row)
+        self._fill([self._ids[j] for j in sorted(set(chain.from_iterable(picks)))])
+        return [[self._ids[j] for j in row] for row in picks]
+
+    @staticmethod
+    def _zeros(positions: array, inside: np.ndarray, need: int) -> list[int]:
+        """The ``need`` lowest positions neither ``inside`` nor among a
+        row's ``positions``, the row's zeros outside the members in id
+        order. They lie below ``need`` plus the positions excluded."""
+        excluded = int(np.count_nonzero(inside)) + len(positions)
+        limit = min(inside.size, need + excluded)
+        free = ~inside[:limit]
+        held = np.frombuffer(positions, dtype=np.intc)
+        free[held[held < limit]] = False
+        return np.flatnonzero(free)[:need].tolist()
 
     def get(self, id_a: str, id_b: str) -> Optional[Connection]:
         if id_a == id_b:
@@ -490,11 +547,11 @@ def build_mip_instance(
     ids = tuple(sorted(set(object_ids)))
     rel = tuple(clamp01(relevance.get(oid, 0.0)) for oid in ids)
     compat: dict[tuple[int, int], float] = {}
-    for i in range(len(ids)):
+    for i, a in enumerate(ids):
         for j in range(i + 1, len(ids)):
-            c = compat_fn(ids[i], ids[j])
+            c = compat_fn(a, ids[j])
             if c > 0.0:
-                compat[(i, j)] = clamp01(c)
+                compat[i, j] = c if c < 1.0 else 1.0  # clamp01 of a positive c
     return MipInstance(object_ids=ids, relevance=rel, compat=compat, k=k)
 
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check package output.
 
 Everything here is written directly from the defining formulas with
-stdlib / numpy only, deliberately sharing no code with the
-package so the two routes can disagree when one of them is wrong.
+stdlib / numpy only (and scipy's HiGHS for the selection program's
+optimum), deliberately sharing no code with the package so the two
+routes can disagree when one of them is wrong.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array
 
 _STRIP = string.punctuation + string.whitespace
 
@@ -580,6 +583,53 @@ def mip_optimum(
             best_obj = obj
             best_sel = selected
     return best_obj, best_sel
+
+
+def milp_optimum(instance) -> float:
+    """The optimum objective of the selection program, from HiGHS
+    (``scipy.optimize.milp``, solved to a zero relative gap).
+
+    The program is written out from its definition: a binary ``x_i`` per
+    object and ``y_ij`` per positive pair, ``y_ij <= x_i``, ``y_ij <= x_j``,
+    ``sum x = k`` and ``sum y <= 2(k-1)``, maximizing ``sum r_i x_i + sum
+    c_ij y_ij``. The objective is summed exactly (``math.fsum``) over the
+    rounded solution, which must satisfy every constraint; it shares no
+    code with the solvers.
+    """
+    m, k = len(instance.relevance), instance.k
+    pairs = [(pair, c) for pair, c in sorted(instance.compat.items()) if c > 0.0]
+    n = m + len(pairs)
+    rows, cols, data = [], [], []
+    for p, ((i, j), _) in enumerate(pairs):
+        for r, end in ((2 * p, i), (2 * p + 1, j)):  # y_ij - x_end <= 0
+            rows += [r, r]
+            cols += [m + p, end]
+            data += [1.0, -1.0]
+    last = 2 * len(pairs)
+    rows += [last] * m + [last + 1] * len(pairs)
+    cols += list(range(n))
+    data += [1.0] * n
+    lower = [-np.inf] * last + [k, -np.inf]
+    upper = [0.0] * last + [k, 2 * (k - 1)]
+    matrix = coo_array((data, (rows, cols)), shape=(last + 2, n)).tocsr()
+    weights = list(instance.relevance) + [c for _, c in pairs]
+    result = milp(
+        c=-np.array(weights),
+        integrality=np.ones(n),
+        bounds=Bounds(0.0, 1.0),
+        constraints=LinearConstraint(matrix, lower, upper),
+        options={"mip_rel_gap": 0.0},
+    )
+    if not result.success:
+        raise ValueError(f"HiGHS found no optimum: {result.message}")
+    x = np.round(result.x).astype(int).tolist()
+    chosen, kept = x[:m], x[m:]
+    feasible = sum(chosen) == k and sum(kept) <= 2 * (k - 1)
+    for ((i, j), _), y in zip(pairs, kept):
+        feasible = feasible and y <= chosen[i] and y <= chosen[j]
+    if not feasible:
+        raise ValueError("HiGHS returned an infeasible selection")
+    return math.fsum(w for w, v in zip(weights, x) if v)
 
 
 class ReferenceDraft(NamedTuple):

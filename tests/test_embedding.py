@@ -275,6 +275,24 @@ class TestStore:
         with pytest.raises(DimensionMismatch, match="a#0"):
             embed_corpus(Short(dimension=4), [chunk("a#0", "x")])
 
+    @pytest.mark.parametrize(
+        "vector",
+        [[1e154, 1e154, 1e154], [1e200, 0.0, 0.0], [float("nan"), 1.0, 0.0]],
+        ids=["sum-overflows", "square-overflows", "nan"],
+    )
+    def test_library_provider_vector_needs_a_finite_norm(self, vector):
+        # a provider passed in through the library is checked as a vector
+        # file is: the chunk, the unit text and the question alike
+        good = [0.0, 1.0, 0.0]
+        table = VectorTable({"x": good, "y": vector, "q": vector}, 3)
+        with pytest.raises(ProviderError, match="table provider, chunk 'b#0'"):
+            embed_corpus(table, [chunk("a#0", "x"), chunk("b#0", "y")])
+        with pytest.raises(ProviderError, match="table provider, text 'y'"):
+            embedding.embed_rows(table, ["x", "y"])
+        store = embed_corpus(table, [chunk("a#0", "x")])
+        with pytest.raises(ProviderError, match="question"):
+            object_similarity(store, np.array(table.embed("q")))
+
     def test_similarity_matches_ordered_sum_exactly(self, city_objects):
         # each chunk's dot sums its products in ascending coordinate order
         corpus = build_corpus(city_objects, chunk_units=1)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import json
 import random
+import sys
+from array import array
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +17,7 @@ from alignrag import struct_align
 from alignrag.corpus import ObjectKind, build_corpus
 from alignrag.embedding import FileVectorProvider, HashEmbeddingProvider
 from alignrag.errors import Infeasible, TooLarge, ValidationError
-from alignrag.pipeline import build_provider
+from alignrag.pipeline import RetrievalEngine, build_provider
 from alignrag.struct_align import (
     CompatibilityCache,
     ConnectionKind,
@@ -473,6 +475,42 @@ def ascending_entry(obj_a, obj_b, w, embed):
 
 def bits(array):
     return [x.hex() for x in np.asarray(array, dtype=np.float64).ravel().tolist()]
+
+
+def test_held_rows_are_the_positive_entries():
+    """After the planted questions, every row the engine's cache holds is
+    the non-zero entries of the oracle's dense row, positions ascending
+    and values bit-equal, at 12 bytes an entry plus a fixed row cost."""
+    bench = build_planted()
+    engine = RetrievalEngine(bench.corpus, config=bench.config)
+    for question in bench.questions:
+        engine.run_arm(question.question)
+    _, _, embed = ROW_CORPORA["planted"]
+    embed = functools.lru_cache(maxsize=None)(embed)
+    objects = sorted(bench.corpus.objects, key=lambda obj: obj.id)
+    pairs = {}
+
+    def entry(a, b):
+        if (a, b) not in pairs:
+            pairs[a, b] = pairs[b, a] = ascending_entry(
+                objects[a], objects[b], bench.config.compat_w, embed
+            )
+        return pairs[a, b]
+
+    held = engine.cache._rows
+    assert len(held) > len(objects) // 2
+    position = {obj.id: j for j, obj in enumerate(objects)}
+    entries = 0
+    for oid, (positions, values) in held.items():
+        dense = [entry(position[oid], b) for b in range(len(objects))]
+        want = [b for b, value in enumerate(dense) if value != 0.0]
+        assert list(positions) == want, oid
+        assert bits(values) == bits([dense[b] for b in want]), oid
+        entries += len(positions)
+    fixed = sys.getsizeof(array("i")) + sys.getsizeof(array("d"))
+    size = sum(sys.getsizeof(p) + sys.getsizeof(v) for p, v in held.values())
+    assert (positions.itemsize, values.itemsize) == (4, 8)
+    assert size == 12 * entries + fixed * len(held)
 
 
 @pytest.mark.parametrize("name", list(ROW_CORPORA))
