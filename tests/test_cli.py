@@ -58,6 +58,44 @@ def no_work(*args, **kwargs):
     raise AssertionError("the corpus was loaded before the output path was checked")
 
 
+def planted_eval_argv(tmp_path, scorer):
+    """``eval run`` argv for an all-method traced run on the planted
+    benchmark, its questions in seed-1 order, under ``scorer``; the files
+    go to ``tmp_path / "out"``."""
+    planted = build_planted()
+    config = dataclasses.replace(planted.config, scorer=scorer)
+    questions = list(planted.questions)
+    random.Random(1).shuffle(questions)
+    corpus = tmp_path / "corpus.jsonl"
+    objects = planted.corpus.objects
+    save_corpus(build_corpus(objects, config.chunk_units), str(corpus))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dataclasses.asdict(config)))
+    records = [
+        {
+            "question_id": q.question_id,
+            "question": q.question,
+            "gold_object_ids": list(q.gold_ids),
+        }
+        for q in questions
+    ]
+    questions_path = write_jsonl(tmp_path / "questions.jsonl", records)
+    out_dir = tmp_path / "out"
+    argv = ["eval", "run", "--corpus", str(corpus), "--questions", questions_path]
+    argv += ["--config", str(config_path), "--out", str(out_dir)]
+    return argv + ["--trace", str(out_dir / "trace.jsonl")]
+
+
+def planted_digests(tmp_path, scorer):
+    """The SHA-256 of every file ``planted_eval_argv``'s run writes, so
+    that a change to any output shows."""
+    assert main(planted_eval_argv(tmp_path, scorer)) == 0
+    return {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ("results.json", "results.csv", "trace.jsonl")
+    }
+
+
 def assert_output_path_reported(capsys, path):
     """Exit 1 was reported on stderr by one ``error:`` line naming ``path``,
     and nothing reached stdout."""
@@ -443,38 +481,7 @@ class TestEvalRun:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_planted_outputs_are_pinned(self, tmp_path, capsys):
-        # the SHA-256 of every file an all-method traced run writes on the
-        # planted benchmark, its questions in seed-1 order, so that a change
-        # to any output shows here
-        planted = build_planted()
-        config = planted.config
-        questions = list(planted.questions)
-        random.Random(1).shuffle(questions)
-        corpus = tmp_path / "corpus.jsonl"
-        objects = planted.corpus.objects
-        save_corpus(build_corpus(objects, config.chunk_units), str(corpus))
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(dataclasses.asdict(config)))
-        records = [
-            {
-                "question_id": q.question_id,
-                "question": q.question,
-                "gold_object_ids": list(q.gold_ids),
-            }
-            for q in questions
-        ]
-        questions_path = write_jsonl(tmp_path / "questions.jsonl", records)
-        out_dir = tmp_path / "out"
-        argv = ["eval", "run", "--corpus", str(corpus), "--questions", questions_path]
-        argv += ["--config", str(config_path), "--out", str(out_dir)]
-        argv += ["--trace", str(out_dir / "trace.jsonl")]
-        assert main(argv) == 0
-        capsys.readouterr()
-        digests = {
-            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-            for name in ("results.json", "results.csv", "trace.jsonl")
-        }
-        assert digests == {
+        assert planted_digests(tmp_path, "mock") == {
             "results.json": (
                 "436c98ad01fa7f45993e4246ea97ee7467533b9ebc5b54e79c75845529f657ad"
             ),
@@ -485,6 +492,22 @@ class TestEvalRun:
                 "ef9b08e54990bc6aa9a02bf0201a4f44b9e8bb3c5756070a25d1574912c47a62"
             ),
         }
+        capsys.readouterr()
+
+    def test_planted_seeded_scorer_outputs_are_pinned(self, tmp_path, capsys):
+        # the seeded scorer's noise is the only consumer of its hash
+        assert planted_digests(tmp_path, "mock-random") == {
+            "results.json": (
+                "7da708e8b7d19320b0e268f6f5626a79e70b7349c0da69bf1ad53c01f599f162"
+            ),
+            "results.csv": (
+                "960a63ba3eb7540624fe08baed8bb5a76f8bbaf7d34954a74e42b268f12150fa"
+            ),
+            "trace.jsonl": (
+                "eb477746230fb9fa585a822b3d2412c2be4b50dd6701e6bcfa733242de06f22e"
+            ),
+        }
+        capsys.readouterr()
 
     def test_trace_lines_per_question(self, workdir, capsys, monkeypatch):
         answered = []
