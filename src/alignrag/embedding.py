@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
+from _blake2 import blake2b
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -34,11 +34,19 @@ class EmbeddingProvider(Protocol):
     def embed_chunk(self, chunk: Chunk) -> np.ndarray: ...
 
 
+def hash64(data: bytes, key: bytes = b"") -> int:
+    """The 8-byte BLAKE2b digest of ``data`` under ``key``, as a big-endian
+    integer.
+
+    ``blake2b`` is CPython's own ``_blake2.blake2b``, the very function
+    ``hashlib.blake2b`` names, so the digests are hashlib's; importing it
+    directly keeps ``hashlib``, and with it OpenSSL, out of the process.
+    """
+    return int.from_bytes(blake2b(data, digest_size=8, key=key).digest(), "big")
+
+
 def _bucket(token: str, seed: int, dimension: int) -> int:
-    digest = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, key=str(seed).encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest, "big") % dimension
+    return hash64(token.encode("utf-8"), str(seed).encode("utf-8")) % dimension
 
 
 class HashEmbeddingProvider:

@@ -15,7 +15,6 @@ token that is not its own normalization.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from collections.abc import Callable, Collection, Iterable, MutableMapping, Sequence
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .embedding import top_objects
+from .embedding import hash64, top_objects
 from .errors import AllBeamsDead, ValidationError
 from .ngram_index import (
     CLOSE_TOKEN,
@@ -124,8 +123,7 @@ def _noise_prefix(seed: int, context: Sequence[str]) -> bytes:
 
 
 def _stable_unit(prefix: bytes, token: str) -> float:
-    digest = hashlib.blake2b(prefix + token.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0**64
+    return hash64(prefix + token.encode("utf-8")) / 2.0**64
 
 
 class MockScorer:

@@ -5,12 +5,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import alignrag
 from alignrag import baselines_eval, cli, struct_align
 from alignrag.baselines_eval import METHODS
 from alignrag.cli import main
@@ -508,6 +513,29 @@ class TestEvalRun:
             ),
         }
         capsys.readouterr()
+
+    def test_run_loads_no_openssl(self, tmp_path):
+        """A fresh interpreter's all-method traced run under the seeded
+        scorer, which hashes both buckets and noise, never loads
+        ``_hashlib`` or ``ssl``; pytest's own process may have."""
+        script = (
+            "import sys\n"
+            "from alignrag.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(*(m in sys.modules for m in ('_blake2', '_hashlib', 'ssl')))\n"
+        )
+        argv = planted_eval_argv(tmp_path, "mock-random")
+        src = Path(alignrag.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == ["True", "False", "False"]
 
     def test_trace_lines_per_question(self, workdir, capsys, monkeypatch):
         answered = []

@@ -581,3 +581,35 @@ def test_package_makes_no_blas_call():
             if named:
                 found.append(f"{path.name} line {node.lineno}")
     assert found == []
+
+
+def test_package_imports_no_hashlib():
+    """No package module imports ``hashlib``, whose import loads OpenSSL
+    (``_hashlib`` and libcrypto, 3.4 MB resident) for two BLAKE2b digests
+    that ``_blake2`` gives alone."""
+    paths = sorted(Path(embedding.__file__).parent.glob("*.py"))
+    assert len(paths) > 10
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("hashlib", "_hashlib") for name in names):
+                found.append(f"{path.name} line {node.lineno}")
+    assert found == []
+
+
+def test_blake2b_is_hashlibs():
+    """``hashlib.blake2b`` is ``_blake2.blake2b`` itself, so buckets and
+    scorer noise keep hashlib's bits; a CPython that splits the two fails
+    here, not in a changed output."""
+    import _blake2
+    import hashlib
+
+    assert hashlib.blake2b is _blake2.blake2b
+    assert embedding.blake2b is _blake2.blake2b
+
