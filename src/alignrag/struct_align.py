@@ -487,22 +487,28 @@ def expand_base(
     k)`` is called once per round and lists those k objects for each
     member. A round that nominates nothing leaves the members as they
     are, so every later round would too: the strategy stops there.
+
+    Strategies with the same k walk the same rounds, so each round's
+    members are kept per k and each round is nominated once per call:
+    the defaults (1, 1) and (1, 2) share their opening round.
     """
+    walks: dict[int, list[tuple[str, ...]]] = {}  # per k, members by round
+    stopped: set[int] = set()  # each k whose last round nominated nothing
     sets = []
     for per_step, steps in strategies:
         if per_step < 1 or steps < 1:
             raise ValidationError(f"invalid strategy ({per_step}, {steps})")
-        members = list(dict.fromkeys(base_ids))
-        for _ in range(steps):
+        rounds = walks.setdefault(per_step, [tuple(dict.fromkeys(base_ids))])
+        while len(rounds) <= steps and per_step not in stopped:
             nominated: set[str] = set()
-            for picks in nominate(members, per_step):
+            for picks in nominate(rounds[-1], per_step):
                 nominated.update(picks)
-            if not nominated:
-                break
-            members.extend(sorted(nominated))
-        sets.append(
-            SearchSet(strategy=(per_step, steps), object_ids=tuple(members))
-        )
+            if nominated:
+                rounds.append(rounds[-1] + tuple(sorted(nominated)))
+            else:
+                stopped.add(per_step)
+        members = rounds[min(steps, len(rounds) - 1)]
+        sets.append(SearchSet(strategy=(per_step, steps), object_ids=members))
     return sets
 
 

@@ -777,6 +777,36 @@ class TestExpandBase:
             want = plain_walk(base, scores.score, ids, *strategy)
             assert search_set.object_ids == want
 
+    def test_each_round_is_nominated_once(self):
+        """Strategies with the same k share their rounds: under the default
+        strategies, (1, 2) reuses (1, 1)'s opening round, and the sets are
+        the ones each strategy gives alone."""
+        corpus, provider, _ = ROW_CORPORA["planted"]
+        ids = sorted(corpus.object_ids())
+        cache = CompatibilityCache(corpus, provider)
+        calls = []
+
+        def nominate(members, k):
+            calls.append((tuple(members), k))
+            return cache.nominate(members, k)
+
+        base = ids[1::9]
+        strategies = build_planted().config.strategies
+        assert strategies == ((1, 1), (2, 1), (1, 2))
+        sets = expand_base(base, nominate, strategies)
+        assert len(calls) == len(set(calls)) == 3
+        for search_set, strategy in zip(sets, strategies):
+            [alone] = expand_base(base, cache.nominate, [strategy])
+            assert search_set == alone
+        # any order, repeats, and a walk that stops at its fixed point
+        calls.clear()
+        strategies = [(1, 3), (2, 1), (1, 1), (1, 3), (len(ids), 2), (len(ids), 1)]
+        sets = expand_base(base, nominate, strategies)
+        assert len(calls) == len(set(calls)) == 3 + 1 + 2
+        for search_set, strategy in zip(sets, strategies):
+            [alone] = expand_base(base, cache.nominate, [strategy])
+            assert search_set == alone
+
     def test_rounds_stop_at_the_fixed_point(self):
         corpus, provider, _ = ROW_CORPORA["planted"]
         ids = sorted(corpus.object_ids())
