@@ -39,6 +39,10 @@ class TooLarge(AlignragError):
     """A selection search exceeds the exact solver's node budget."""
 
 
+class ScorerError(AlignragError):
+    """A token scorer returned an output outside its contract."""
+
+
 class AllBeamsDead(AlignragError):
     """Every decoding beam reached a state with no valid continuation."""
 

@@ -15,7 +15,14 @@ import numpy as np
 from . import prompts
 from .embedding import VectorStore, object_similarity, top_objects
 from .errors import AllBeamsDead, ValidationError
-from .lm import SEP_TOKEN, STOP_TOKEN, Context, TokenScorer, constrained_ngram_decode
+from .lm import (
+    SEP_TOKEN,
+    STOP_TOKEN,
+    Context,
+    TokenScorer,
+    checked_score,
+    constrained_ngram_decode,
+)
 from .ngram_index import Bm25Index, NGram, NGramTrie, bm25_search, normalize_tokens
 
 
@@ -61,7 +68,7 @@ def extract_keywords(
                 candidates.append(STOP_TOKEN)
             if not candidates:
                 break
-        logits = scorer.score(context, candidates)
+        logits = checked_score(scorer, context, candidates)
         token, _ = min(zip(candidates, logits), key=lambda p: (-p[1], p[0]))
         context.push(token)
         if token == STOP_TOKEN:

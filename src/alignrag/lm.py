@@ -15,6 +15,7 @@ token that is not its own normalization.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Callable, Collection, Iterable, MutableMapping, Sequence
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from .embedding import hash64, top_objects
-from .errors import AllBeamsDead, ValidationError
+from .errors import AllBeamsDead, ScorerError, ValidationError
 from .ngram_index import (
     CLOSE_TOKEN,
     MAX_NGRAM,
@@ -61,6 +62,12 @@ class TokenScorer(Protocol):
     ascending int array of ids, as a float64 array. The N-gram decoder
     scores a wide trie node's ids through it, or through ``score`` of
     their tokens when a scorer has none.
+
+    Every logit is finite: ``score`` and ``score_ids`` give one finite
+    float per candidate, ``free_next`` a string token and a finite float.
+    ``-inf`` is not a mask value, since the decoders mask by the
+    candidates they pass. The decoders check each output and raise
+    ``ScorerError`` on any other.
     """
 
     def tokenize(self, text: str) -> list[str]: ...
@@ -115,6 +122,30 @@ def _via_score(
 ) -> np.ndarray:
     """``score_ids`` via a ``score`` function: its logits of the ids' tokens."""
     return np.array(score(context, vocab.array[ids].tolist()), np.float64)
+
+
+def _check_logits(scorer: object, call: str, logits, count: int) -> None:
+    """Raise ``ScorerError`` unless ``logits``, the output of ``scorer``'s
+    ``call``, holds ``count`` finite floats."""
+    try:
+        finite = np.isfinite(logits)
+    except (TypeError, ValueError):
+        finite = None
+    if finite is None or finite.shape != (count,) or not finite.all():
+        raise ScorerError(
+            f"{type(scorer).__name__}.{call} must return one finite float per"
+            f" candidate ({count})"
+        )
+
+
+def checked_score(
+    scorer: TokenScorer, context: Sequence[str], candidates: Sequence[str]
+) -> list[float]:
+    """``scorer.score(context, candidates)``, checked as the decoders
+    check it."""
+    logits = scorer.score(context, candidates)
+    _check_logits(scorer, "score", logits, len(candidates))
+    return logits
 
 
 def _noise_prefix(seed: int, context: Sequence[str]) -> bytes:
@@ -396,12 +427,14 @@ def constrained_ngram_decode(
         raise ValidationError("cannot decode against an empty trie")
 
     context = Context(scorer.tokenize(seed_text))
-    open_logit = scorer.score(context, [OPEN_TOKEN])[0]
+    open_logit = checked_score(scorer, context, [OPEN_TOKEN])[0]
     live = [(_Hypothesis().child(OPEN_TOKEN, open_logit), 0)]
     done: list[_Hypothesis] = []
     max_steps = max_ngrams * (MAX_NGRAM + 1) + 2
     vocab, ptr, terminal = trie.vocab, trie.ptr, trie.terminal
-    score_ids = getattr(scorer, "score_ids", None) or partial(_via_score, scorer.score)
+    score_ids = getattr(scorer, "score_ids", None)
+    ids_call = "score" if score_ids is None else "score_ids"
+    score_ids = score_ids or partial(_via_score, scorer.score)
     # a terminal node's delimiters: the close alone, or with the separator
     close_sep = np.array([vocab.ids[CLOSE_TOKEN], vocab.ids[SEP_TOKEN]])
     delimiters = (close_sep[:1], close_sep)
@@ -426,6 +459,7 @@ def constrained_ngram_decode(
                     ids = np.sort(np.concatenate((ids, delimiters[seps])))
                     skip = ids.searchsorted(delimiters[seps]).tolist()
                 scored = score_ids(row, ids, vocab)
+                _check_logits(scorer, ids_call, scored, len(ids))
                 kept = _kept(hyp.content_total, scored, skip, beam_width)
                 names = vocab.array[ids[kept]].tolist()
                 logits = scored[kept + skip[:1]].tolist()
@@ -437,7 +471,7 @@ def constrained_ngram_decode(
                     skip = [ordered.index(CLOSE_TOKEN)]  # the separator is kept
                 if not ordered:
                     continue  # dead end: beam dropped
-                scored = scorer.score(row, ordered)
+                scored = checked_score(scorer, row, ordered)
                 kept = [i for i in range(len(ordered)) if i not in skip]
                 names = [ordered[i] for i in kept]
                 logits = [scored[i] for i in kept + skip]
@@ -524,7 +558,9 @@ def constrained_choice_decode(
         candidates = sorted(node.children)
         if node.choice is not None:
             candidates.append(STOP_TOKEN)
-        scored = scorer.score(context.plus(emitted) if emitted else context, candidates)
+        scored = checked_score(
+            scorer, context.plus(emitted) if emitted else context, candidates
+        )
         token, logit = min(
             zip(candidates, scored), key=lambda pair: (-pair[1], pair[0])
         )
@@ -545,6 +581,15 @@ def free_decode(
     logits: list[float] = []
     for _ in range(max_tokens):
         token, logit = scorer.free_next(context + tokens)
+        try:
+            valid = isinstance(token, str) and math.isfinite(logit)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ScorerError(
+                f"{type(scorer).__name__}.free_next must return a string token"
+                " and a finite float"
+            )
         if token == STOP_TOKEN:
             break
         tokens.append(token)

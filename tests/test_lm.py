@@ -11,7 +11,8 @@ import pytest
 
 import oracles
 from alignrag import lm, prompts
-from alignrag.errors import AllBeamsDead, ValidationError
+from alignrag.errors import AllBeamsDead, ScorerError, ValidationError
+from alignrag.info_align import extract_keywords
 from alignrag.lm import (
     Beam,
     CLOSE_TOKEN,
@@ -32,7 +33,7 @@ from alignrag.ngram_index import (
     corpus_ngrams,
 )
 from alignrag.corpus import Chunk
-from alignrag.pipeline import build_scorer
+from alignrag.pipeline import RetrievalEngine, build_scorer
 from planted import build_planted
 
 
@@ -639,6 +640,77 @@ class TestFreeDecode:
         scorer.add_rule(("loop",), ["loop"])  # self-sustaining rule
         tokens, _ = free_decode(scorer, "loop", max_tokens=7)
         assert tokens == ["loop"] * 7
+
+
+class Spoiling(MockScorer):
+    """A seeded mock scorer whose ``call`` spoils its output: ``bad`` in
+    place of the last logit, ``"short"`` one logit too few, ``"token"`` a
+    token that is not a string."""
+
+    def __init__(self, call, bad) -> None:
+        super().__init__(seed=3)
+        self.call, self.bad = call, bad
+
+    def _spoiled(self, call, logits):
+        if call != self.call:
+            return logits
+        if self.bad == "short":
+            return logits[:-1]
+        logits = logits.copy()
+        logits[-1] = self.bad
+        return logits
+
+    def score(self, context, candidates):
+        return self._spoiled("score", super().score(context, candidates))
+
+    def score_ids(self, context, ids, vocab):
+        return self._spoiled("score_ids", super().score_ids(context, ids, vocab))
+
+    def free_next(self, context):
+        token, logit = super().free_next(context)
+        if self.call != "free_next":
+            return token, logit
+        return (None, logit) if self.bad == "token" else (token, self.bad)
+
+
+DECODERS = {
+    # the open delimiter's logit, then the root's children as one wide row
+    "ngram": lambda scorer: constrained_ngram_decode(scorer, trie_of(*CITY_TRIE), "x"),
+    "choice": lambda scorer: constrained_choice_decode(
+        scorer, ["paris", "lyon"], Context(["q"])
+    ),
+    "keywords": lambda scorer: extract_keywords(scorer, "paris population"),
+    "free": lambda scorer: free_decode(scorer, "go"),
+}
+BAD = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
+
+
+class TestScorerOutputsChecked:
+    @pytest.mark.parametrize(
+        "call, decoder, bad",
+        [("score", d, b) for d in ("ngram", "choice", "keywords") for b in BAD]
+        + [("score", d, "short") for d in ("ngram", "choice", "keywords")]
+        + [("score_ids", "ngram", b) for b in [*BAD, "short"]]
+        + [("free_next", "free", b) for b in [*BAD, "token"]],
+    )
+    def test_bad_output_is_a_scorer_error(self, call, decoder, bad):
+        scorer = Spoiling(call, BAD.get(bad, bad))
+        with pytest.raises(ScorerError, match=rf"^Spoiling\.{call} must return"):
+            DECODERS[decoder](scorer)
+
+    def test_finite_outputs_decode_as_the_plain_scorer(self):
+        for decoder in DECODERS.values():
+            assert decoder(Spoiling(None, None)) == decoder(MockScorer(seed=3))
+
+    @pytest.mark.parametrize("bad", list(BAD))
+    def test_planted_question_is_a_scorer_error(self, bad):
+        """A scorer whose logits are not finite changed every planted
+        final list, with no error."""
+        bench = build_planted()
+        scorer = Spoiling("score", BAD[bad])
+        engine = RetrievalEngine(bench.corpus, config=bench.config, scorer=scorer)
+        with pytest.raises(ScorerError):
+            engine.run_arm(bench.questions[0].question)
 
 
 class TestBeamTypes:
