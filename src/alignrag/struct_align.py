@@ -488,27 +488,34 @@ def expand_base(
     member. A round that nominates nothing leaves the members as they
     are, so every later round would too: the strategy stops there.
 
-    Strategies with the same k walk the same rounds, so each round's
-    members are kept per k and each round is nominated once per call:
-    the defaults (1, 1) and (1, 2) share their opening round.
+    Strategies with the same k walk the same rounds, so each k's walk is
+    kept and each round is nominated once per call: the defaults (1, 1)
+    and (1, 2) share their opening round. A round only appends members,
+    so a walk is its members and their count after each round.
     """
-    walks: dict[int, list[tuple[str, ...]]] = {}  # per k, members by round
+    walks: dict[int, tuple[list[str], list[int]]] = {}
     stopped: set[int] = set()  # each k whose last round nominated nothing
     sets = []
     for per_step, steps in strategies:
         if per_step < 1 or steps < 1:
             raise ValidationError(f"invalid strategy ({per_step}, {steps})")
-        rounds = walks.setdefault(per_step, [tuple(dict.fromkeys(base_ids))])
-        while len(rounds) <= steps and per_step not in stopped:
+        if per_step not in walks:
+            base = list(dict.fromkeys(base_ids))
+            walks[per_step] = (base, [len(base)])
+        members, sizes = walks[per_step]
+        while len(sizes) <= steps and per_step not in stopped:
             nominated: set[str] = set()
-            for picks in nominate(rounds[-1], per_step):
+            for picks in nominate(members, per_step):
                 nominated.update(picks)
             if nominated:
-                rounds.append(rounds[-1] + tuple(sorted(nominated)))
+                members.extend(sorted(nominated))
+                sizes.append(len(members))
             else:
                 stopped.add(per_step)
-        members = rounds[min(steps, len(rounds) - 1)]
-        sets.append(SearchSet(strategy=(per_step, steps), object_ids=members))
+        size = sizes[min(steps, len(sizes) - 1)]
+        sets.append(
+            SearchSet(strategy=(per_step, steps), object_ids=tuple(members[:size]))
+        )
     return sets
 
 

@@ -698,10 +698,6 @@ class TestScorerOutputsChecked:
         with pytest.raises(ScorerError, match=rf"^Spoiling\.{call} must return"):
             DECODERS[decoder](scorer)
 
-    def test_finite_outputs_decode_as_the_plain_scorer(self):
-        for decoder in DECODERS.values():
-            assert decoder(Spoiling(None, None)) == decoder(MockScorer(seed=3))
-
     @pytest.mark.parametrize("bad", list(BAD))
     def test_planted_question_is_a_scorer_error(self, bad):
         """A scorer whose logits are not finite changed every planted
