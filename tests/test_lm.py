@@ -698,6 +698,12 @@ class TestScorerOutputsChecked:
         with pytest.raises(ScorerError, match=rf"^Spoiling\.{call} must return"):
             DECODERS[decoder](scorer)
 
+    def test_finite_logits_whose_sum_overflows_pass(self):
+        huge = {"paris": 1.5e308, "lyon": 1.7e308, "population": 1.6e308}
+        for decoder in ("choice", "keywords"):
+            DECODERS[decoder](MockScorer(token_bias=huge))
+        assert DECODERS["choice"](MockScorer(token_bias=huge))[0] == "lyon"
+
     @pytest.mark.parametrize("bad", list(BAD))
     def test_planted_question_is_a_scorer_error(self, bad):
         """A scorer whose logits are not finite changed every planted
