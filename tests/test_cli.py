@@ -500,7 +500,7 @@ class TestEvalRun:
         capsys.readouterr()
 
     def test_planted_seeded_scorer_outputs_are_pinned(self, tmp_path, capsys):
-        # the seeded scorer's noise is the only consumer of its hash
+        # only the seeded scorer hashes noise into its logits
         assert planted_digests(tmp_path, "mock-random") == {
             "results.json": (
                 "7da708e8b7d19320b0e268f6f5626a79e70b7349c0da69bf1ad53c01f599f162"
