@@ -11,7 +11,7 @@ from .corpus import Corpus, serialize_object
 from .embedding import EmbeddingProvider, VectorStore, object_similarity, top_objects
 from .errors import EmptyGold, ParseError, UnknownGoldId, ValidationError
 from .jsonio import read_jsonl
-from .lm import SEP_TOKEN, TokenScorer, free_decode
+from .lm import SEP_TOKEN, TokenScorer, free_decode, left_sum
 from .ngram_index import normalize_tokens
 from .pipeline import ArmResult, RetrievalEngine
 
@@ -31,7 +31,6 @@ def dense_retrieve(
     question: str,
     store: VectorStore,
     provider: EmbeddingProvider,
-    corpus: Corpus,
     top_k: int = 5,
 ) -> list[str]:
     """Rank objects by best-chunk cosine against the question."""
@@ -84,7 +83,7 @@ def rerank_retrieve(
     """Rescore the dense top pool with the reranker."""
     if pool < top_k:
         raise ValidationError(f"pool {pool} smaller than top_k {top_k}")
-    candidates = dense_retrieve(question, store, provider, corpus, top_k=pool)
+    candidates = dense_retrieve(question, store, provider, top_k=pool)
     scored = [
         (-reranker.score(question, serialize_object(corpus.by_id[oid])), oid)
         for oid in candidates
@@ -184,7 +183,6 @@ def agentic_retrieve(
     question: str,
     store: VectorStore,
     provider: EmbeddingProvider,
-    corpus: Corpus,
     max_iterations: int = 8,
     per_search: int = 5,
     template: Optional[str] = None,
@@ -238,9 +236,7 @@ def agentic_retrieve(
             )
             termination = "finish"
             break
-        ids = dense_retrieve(
-            argument or question, store, provider, corpus, top_k=per_search
-        )
+        ids = dense_retrieve(argument or question, store, provider, top_k=per_search)
         provided += len(ids)
         for oid in ids:
             if oid not in seen:
@@ -369,10 +365,11 @@ def build_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRunn
     """The runner of one baseline; ``arm`` has none, as its callers keep
     the whole ``engine.run_arm`` result."""
     cfg = engine.config
-    common = (engine.store, engine.provider, engine.corpus)
+    dense = (engine.store, engine.provider)
+    common = (*dense, engine.corpus)
     if method == "dense":
         def run_dense(q: Question) -> tuple[list[str], int, int]:
-            ids = dense_retrieve(q.question, *common, top_k=top_k)
+            ids = dense_retrieve(q.question, *dense, top_k=top_k)
             return ids, 0, len(ids)
 
         return run_dense
@@ -408,7 +405,7 @@ def build_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRunn
             result = agentic_retrieve(
                 engine.scorer,
                 q.question,
-                *common,
+                *dense,
                 max_iterations=cfg.max_iterations,
                 per_search=cfg.per_search,
                 template=engine.templates["react"],
@@ -468,9 +465,9 @@ def run_eval(
         results[method] = EvalResult(
             method=method,
             rows=rows,
-            precision=sum(r.precision for r in rows) / n,
-            recall=sum(r.recall for r in rows) / n,
-            f1=sum(r.f1 for r in rows) / n,
+            precision=left_sum(r.precision for r in rows) / n,
+            recall=left_sum(r.recall for r in rows) / n,
+            f1=left_sum(r.f1 for r in rows) / n,
             perfect_recall_pct=100.0 * sum(r.perfect_recall for r in rows) / n,
             avg_llm_calls=sum(r.llm_calls for r in rows) / n,
             avg_objects=sum(r.objects_provided for r in rows) / n,

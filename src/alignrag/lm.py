@@ -313,11 +313,21 @@ class Beam:
             raise ValidationError("beam tokens and logits length mismatch")
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, as ``sum`` added floats
+    before CPython 3.12 (whose ``sum`` compensates rounding). Scores that
+    reach an output add through this, so their bits match on every version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def ngram_score(logits: Sequence[float]) -> float:
     """Score of one N-gram: the mean logit of its tokens."""
     if not logits:
         raise ValidationError("ngram_score of empty logit list")
-    return sum(logits) / len(logits)
+    return left_sum(logits) / len(logits)
 
 
 @dataclass(frozen=True)
@@ -340,9 +350,9 @@ class _Hypothesis:
 
         The total breaks ties so a beam is never outranked by its own
         early-closed prefix. ``content_total`` is a running sum of the
-        content logits taken left to right, which on CPython 3.11 is bit
-        for bit what ``sum`` of the logit list gives, so the order is the
-        one a full re-sum gives.
+        content logits taken left to right, bit for bit what ``left_sum``
+        of the logit list gives on every CPython, so the order is the one
+        a full re-sum gives.
         """
         count = self.content_count
         mean = self.content_total / count if count else 0.0

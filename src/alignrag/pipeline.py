@@ -221,6 +221,7 @@ class RetrievalEngine:
     ) -> None:
         self.corpus = corpus
         self.config = config or Config()
+        self.config.validate()
         self.provider = provider or build_provider(self.config)
         self.scorer = scorer or build_scorer(self.config)
         if trie is None:
@@ -254,6 +255,8 @@ class RetrievalEngine:
             raise ValidationError(f"unknown stage {stage!r}")
         cfg = self.config
         k_final = final_k if final_k is not None else cfg.final_k
+        if k_final < 1:
+            raise ValidationError(f"final_k must be >= 1, got {k_final}")
 
         keywords = extract_keywords(
             self.scorer, question, template=self.templates["keyword"]

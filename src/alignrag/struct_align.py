@@ -37,6 +37,7 @@ from .corpus import Corpus, DataObject, ObjectKind
 from .embedding import EmbeddingProvider, SparseRows, embed_rows
 from .errors import Infeasible, TooLarge, ValidationError
 from .info_align import clamp01
+from .lm import left_sum
 from .ngram_index import normalize_tokens
 
 _BOUND_SLACK = 1e-12
@@ -577,49 +578,31 @@ class Draft:
     objective: float
 
 
-def _best_pairs(instance: MipInstance, selected: Sequence[int]) -> list[tuple[int, int]]:
-    """Optimal connection completion: largest strictly-positive strengths,
-    at most 2(k-1) of them, among pairs inside the selection."""
-    cap = 2 * (instance.k - 1)
-    if cap <= 0:
-        return []
+def _leaf_draft(
+    instance: MipInstance, selected: Sequence[int], floor: float
+) -> Optional[Draft]:
+    """A complete selection's draft, or None when its objective is below
+    ``floor``. Its connections are the optimal completion: the largest
+    positive strengths inside the selection, at most 2(k-1), ties by index
+    pair. The objective adds the relevances, then those strengths, each
+    in index order."""
     sel = sorted(selected)
-    scored = []
-    for a in range(len(sel)):
-        for b in range(a + 1, len(sel)):
-            key = (sel[a], sel[b])
-            c = instance.compat.get(key, 0.0)
-            if c > 0.0:
-                scored.append((key, c))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return [key for key, _ in scored[:cap]]
-
-
-def _objective(
-    instance: MipInstance, selected: Sequence[int], pairs: Sequence[tuple[int, int]]
-) -> float:
-    total = 0.0
-    for i in sorted(selected):
-        total += instance.relevance[i]
-    for key in sorted(pairs):
-        total += instance.compat[key]
-    return total
-
-
-def _draft_from_indices(
-    instance: MipInstance, selected: Sequence[int], pairs: Sequence[tuple[int, int]]
-) -> Draft:
-    ids = tuple(sorted(instance.object_ids[i] for i in selected))
-    conns = tuple(
-        sorted(
-            tuple(sorted((instance.object_ids[i], instance.object_ids[j])))
-            for i, j in pairs
-        )
+    compat = instance.compat
+    scored = sorted(
+        (-c, i, j)
+        for a, i in enumerate(sel)
+        for j in sel[a + 1 :]
+        if (c := compat.get((i, j), 0.0)) > 0.0
     )
+    pairs = sorted((i, j) for _, i, j in scored[: 2 * (instance.k - 1)])
+    total = left_sum([instance.relevance[i] for i in sel] + [compat[p] for p in pairs])
+    if total < floor:
+        return None
+    ids = instance.object_ids
     return Draft(
-        object_ids=ids,
-        connections=conns,
-        objective=_objective(instance, selected, pairs),
+        object_ids=tuple(sorted(ids[i] for i in sel)),
+        connections=tuple(sorted(tuple(sorted((ids[i], ids[j]))) for i, j in pairs)),
+        objective=total,
     )
 
 
@@ -635,7 +618,8 @@ def solve_mip(instance: MipInstance) -> Draft:
     ``r_t + Σ_{i∈I} c(t, i) + ½·(t's need-1 strongest connections within
     U)``, which counts every connection among the objects still to be
     chosen half at each end. The bound ignores the 2(k-1) connection cap;
-    the leaves apply it.
+    the leaves apply it. Each complete selection is scored once, into its
+    draft when it can match the incumbent, and the best draft is kept.
 
     Ties in the optimum resolve to the lexicographically smallest id set.
     Raises ``TooLarge`` once the search visits more than ``_NODE_BUDGET``
@@ -667,8 +651,7 @@ def solve_mip(instance: MipInstance) -> Draft:
     nodes = 0
 
     best_obj = float("-inf")
-    best_ids: Optional[tuple[str, ...]] = None
-    best: Optional[tuple[list[int], list[tuple[int, int]]]] = None
+    best: Optional[Draft] = None
 
     def potential_bound(pos: int, base: float, need: int) -> float:
         values = []
@@ -687,18 +670,18 @@ def solve_mip(instance: MipInstance) -> Draft:
 
     # base: relevance of the included objects plus the strengths among them
     def visit(pos: int, base: float) -> None:
-        nonlocal best_obj, best_ids, best, nodes
+        nonlocal best_obj, best, nodes
         nodes += 1
         if nodes > _NODE_BUDGET:
             raise TooLarge(
                 f"solver exceeded {_NODE_BUDGET} nodes on {m} objects with k={k}"
             )
         if len(chosen) == k:
-            pairs = _best_pairs(instance, chosen)
-            obj = _objective(instance, chosen, pairs)
-            ids = tuple(sorted(instance.object_ids[i] for i in chosen))
-            if obj > best_obj or (obj == best_obj and ids < best_ids):
-                best_obj, best_ids, best = obj, ids, (list(chosen), pairs)
+            draft = _leaf_draft(instance, chosen, best_obj)
+            if draft is not None and (
+                draft.objective > best_obj or draft.object_ids < best.object_ids
+            ):
+                best, best_obj = draft, draft.objective
             return
         need = k - len(chosen)
         if need > m - pos:
@@ -717,7 +700,7 @@ def solve_mip(instance: MipInstance) -> Draft:
 
     visit(0, 0.0)
     assert best is not None
-    return _draft_from_indices(instance, best[0], best[1])
+    return best
 
 
 def check_draft(instance: MipInstance, draft: Draft) -> list[str]:

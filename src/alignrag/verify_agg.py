@@ -18,7 +18,7 @@ from . import prompts
 from .corpus import Corpus, DataObject, FIELD_SEP, ObjectKind
 from .embedding import EmbeddingProvider, embed_rows, sparse_cosines, top_objects
 from .errors import ValidationError
-from .lm import STOP_TOKEN, Context, TokenScorer, constrained_choice_decode
+from .lm import STOP_TOKEN, Context, TokenScorer, constrained_choice_decode, left_sum
 from .struct_align import CompatibilityCache, Connection, ConnectionKind, Draft
 
 
@@ -211,7 +211,7 @@ def verify_select(
         if chosen == STOP_TOKEN:
             break
         selected.append(chosen)
-        weights[chosen] = sum(logits) / len(logits)
+        weights[chosen] = left_sum(logits) / len(logits)
         remaining.remove(chosen)
         if len(fixed) > 1:  # the prompt shows the picks
             for tok in tokenized[chosen]:  # memoized by the decoder
@@ -246,7 +246,7 @@ def aggregate(
             votes.setdefault(oid, []).append(sel.weights[oid])
     if not votes:
         return []
-    avg = {oid: sum(ws) / len(ws) for oid, ws in votes.items()}
+    avg = {oid: left_sum(ws) / len(ws) for oid, ws in votes.items()}
     low = min(avg.values())
     span = max(avg.values()) - low
     weight_norm = {
@@ -257,7 +257,7 @@ def aggregate(
         exp_counts = {oid: math.exp(len(ws)) for oid, ws in votes.items()}
     except OverflowError:
         exp_counts = {}  # the sum check below raises
-    denom = sum(exp_counts.values())
+    denom = left_sum(exp_counts.values())
     if not 0.0 < denom < math.inf:
         most = max(map(len, votes.values()))
         raise ValidationError(f"softmax over vote counts overflows at {most} votes")

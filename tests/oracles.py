@@ -374,6 +374,32 @@ def _left_sum(values: list[float]) -> float:
     return total
 
 
+def neumaier_sum(values, start=0):
+    """``sum`` as CPython 3.12 and later compute it: from the first float
+    on, floats add with Neumaier's compensation, which joins the total at
+    the end (when finite) or before any other type is added; ints add as
+    they are. Installed as ``builtins.sum`` on an older CPython, it shows
+    which outputs depend on the version's ``sum``."""
+    total, compensation = start, 0.0
+    for value in values:
+        if type(total) is float and type(value) is float:
+            step = total + value
+            if abs(total) >= abs(value):
+                compensation += (total - step) + value
+            else:
+                compensation += (value - step) + total
+            total = step
+        elif type(total) is float and type(value) in (int, bool):
+            total += value
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            total, compensation = total + value, 0.0
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
 def beam_decode_reference(
     scorer, ngrams, seed_text: str, beam_width: int, max_ngrams: int
 ) -> list[tuple]:

@@ -309,7 +309,7 @@ def test_c06_llm_call_accounting(bench, arm_runs):
     store = embed_corpus(provider, corpus.chunks)
 
     def agent(scorer):
-        return agentic_retrieve(scorer, "paris", store, provider, corpus)
+        return agentic_retrieve(scorer, "paris", store, provider)
 
     finisher = MockScorer()
     finisher.script(("next",), ["finish", "<>"])

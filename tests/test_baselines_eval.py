@@ -61,14 +61,14 @@ class TestDense:
     def test_matches_oracle_ordering(self, city_corpus):
         provider, store = city_setup(city_corpus)
         for question in ["paris", "france 643", "lyon is", "city populations"]:
-            got = dense_retrieve(question, store, provider, city_corpus, top_k=3)
+            got = dense_retrieve(question, store, provider, top_k=3)
             assert got == oracle_dense(city_corpus, question, 3)
 
     def test_top_k(self, city_corpus):
         provider, store = city_setup(city_corpus)
-        assert len(dense_retrieve("paris", store, provider, city_corpus, top_k=1)) == 1
+        assert len(dense_retrieve("paris", store, provider, top_k=1)) == 1
         with pytest.raises(ValidationError):
-            dense_retrieve("paris", store, provider, city_corpus, top_k=0)
+            dense_retrieve("paris", store, provider, top_k=0)
 
 
 class CountryReranker:
@@ -122,7 +122,7 @@ class TestRerank:
 
     def test_reranker_reorders_dense_pool(self, city_corpus):
         provider, store = city_setup(city_corpus)
-        dense = dense_retrieve("paris", store, provider, city_corpus, top_k=3)
+        dense = dense_retrieve("paris", store, provider, top_k=3)
         assert dense[0] != "t2"
         reranked = rerank_retrieve(
             "paris", store, provider, city_corpus, CountryReranker(),
@@ -138,7 +138,7 @@ class TestRerank:
             pool=1, top_k=1,
         )
         # t2 would win the rerank but never enters the size-1 pool
-        assert got == dense_retrieve("paris", store, provider, city_corpus, top_k=1)
+        assert got == dense_retrieve("paris", store, provider, top_k=1)
 
     def test_pool_must_cover_top_k(self, city_corpus):
         provider, store = city_setup(city_corpus)
@@ -228,7 +228,7 @@ class TestAgentic:
         provider, store = city_setup(city_corpus)
         scorer = MockScorer()
         scorer.script(("next",), ["finish", STOP_TOKEN])
-        result = agentic_retrieve(scorer, "q", store, provider, city_corpus)
+        result = agentic_retrieve(scorer, "q", store, provider)
         assert result.termination == "finish"
         assert result.iterations == 1
         assert result.llm_calls == 0
@@ -240,7 +240,7 @@ class TestAgentic:
         provider, store = city_setup(city_corpus)
         scorer = MockScorer()
         scorer.script(("next",), ["search", "paris", STOP_TOKEN])
-        result = agentic_retrieve(scorer, "q", store, provider, city_corpus)
+        result = agentic_retrieve(scorer, "q", store, provider)
         assert result.termination == "max_iterations"
         assert result.iterations == 8
         assert result.llm_calls == 7
@@ -257,7 +257,7 @@ class TestAgentic:
         scorer.script(("next",), ["search", "paris", STOP_TOKEN])
         # fires only once history ends with the first observation
         scorer.add_rule(("t2", "next"), ["finish"])
-        result = agentic_retrieve(scorer, "q", store, provider, city_corpus)
+        result = agentic_retrieve(scorer, "q", store, provider)
         assert result.termination == "finish"
         assert result.iterations == 2
         assert result.llm_calls == 1
@@ -268,7 +268,7 @@ class TestAgentic:
         provider, store = city_setup(city_corpus)
         scorer = MockScorer()
         scorer.script(("next",), ["gibberish", STOP_TOKEN])
-        result = agentic_retrieve(scorer, "q", store, provider, city_corpus)
+        result = agentic_retrieve(scorer, "q", store, provider)
         assert result.termination == "malformed"
         assert result.iterations == 1
         assert result.llm_calls == 0
@@ -277,15 +277,13 @@ class TestAgentic:
 
     def test_empty_generation_is_malformed(self, city_corpus):
         provider, store = city_setup(city_corpus)
-        result = agentic_retrieve(MockScorer(), "q", store, provider, city_corpus)
+        result = agentic_retrieve(MockScorer(), "q", store, provider)
         assert result.termination == "malformed"
 
     def test_validation(self, city_corpus):
         provider, store = city_setup(city_corpus)
         with pytest.raises(ValidationError):
-            agentic_retrieve(
-                MockScorer(), "q", store, provider, city_corpus, max_iterations=0
-            )
+            agentic_retrieve(MockScorer(), "q", store, provider, max_iterations=0)
 
 
 class TestMetrics:

@@ -91,14 +91,46 @@ def planted_eval_argv(tmp_path, scorer):
     return argv + ["--trace", str(out_dir / "trace.jsonl")]
 
 
-def planted_digests(tmp_path, scorer):
+# the SHA-256 of every file an all-method traced planted run writes, by scorer
+PLANTED_PINS = {
+    "mock": {
+        "results.json": (
+            "436c98ad01fa7f45993e4246ea97ee7467533b9ebc5b54e79c75845529f657ad"
+        ),
+        "results.csv": (
+            "ae811e38a83aecc59c972e855bb58734fe0f6b0323cc253fb36e48283079fbef"
+        ),
+        "trace.jsonl": (
+            "ef9b08e54990bc6aa9a02bf0201a4f44b9e8bb3c5756070a25d1574912c47a62"
+        ),
+    },
+    # only the seeded scorer hashes noise into its logits
+    "mock-random": {
+        "results.json": (
+            "7da708e8b7d19320b0e268f6f5626a79e70b7349c0da69bf1ad53c01f599f162"
+        ),
+        "results.csv": (
+            "960a63ba3eb7540624fe08baed8bb5a76f8bbaf7d34954a74e42b268f12150fa"
+        ),
+        "trace.jsonl": (
+            "eb477746230fb9fa585a822b3d2412c2be4b50dd6701e6bcfa733242de06f22e"
+        ),
+    },
+}
+
+
+def output_digests(out_dir):
     """The SHA-256 of every file ``planted_eval_argv``'s run writes, so
     that a change to any output shows."""
-    assert main(planted_eval_argv(tmp_path, scorer)) == 0
     return {
-        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-        for name in ("results.json", "results.csv", "trace.jsonl")
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in PLANTED_PINS["mock"]
     }
+
+
+def planted_digests(tmp_path, scorer):
+    assert main(planted_eval_argv(tmp_path, scorer)) == 0
+    return output_digests(tmp_path / "out")
 
 
 def assert_output_path_reported(capsys, path):
@@ -486,33 +518,36 @@ class TestEvalRun:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_planted_outputs_are_pinned(self, tmp_path, capsys):
-        assert planted_digests(tmp_path, "mock") == {
-            "results.json": (
-                "436c98ad01fa7f45993e4246ea97ee7467533b9ebc5b54e79c75845529f657ad"
-            ),
-            "results.csv": (
-                "ae811e38a83aecc59c972e855bb58734fe0f6b0323cc253fb36e48283079fbef"
-            ),
-            "trace.jsonl": (
-                "ef9b08e54990bc6aa9a02bf0201a4f44b9e8bb3c5756070a25d1574912c47a62"
-            ),
-        }
+        assert planted_digests(tmp_path, "mock") == PLANTED_PINS["mock"]
         capsys.readouterr()
 
     def test_planted_seeded_scorer_outputs_are_pinned(self, tmp_path, capsys):
-        # only the seeded scorer hashes noise into its logits
-        assert planted_digests(tmp_path, "mock-random") == {
-            "results.json": (
-                "7da708e8b7d19320b0e268f6f5626a79e70b7349c0da69bf1ad53c01f599f162"
-            ),
-            "results.csv": (
-                "960a63ba3eb7540624fe08baed8bb5a76f8bbaf7d34954a74e42b268f12150fa"
-            ),
-            "trace.jsonl": (
-                "eb477746230fb9fa585a822b3d2412c2be4b50dd6701e6bcfa733242de06f22e"
-            ),
-        }
+        assert planted_digests(tmp_path, "mock-random") == PLANTED_PINS["mock-random"]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("scorer", sorted(PLANTED_PINS))
+    def test_planted_pins_hold_under_compensated_sum(self, tmp_path, scorer):
+        """From CPython 3.12 on, ``sum`` compensates float rounding. A fresh
+        interpreter whose ``builtins.sum`` does so (``oracles.neumaier_sum``)
+        writes the pinned files all the same."""
+        script = (
+            "import builtins, sys\n"
+            "import oracles\n"
+            "builtins.sum = oracles.neumaier_sum\n"
+            "from alignrag.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+        )
+        src = Path(alignrag.__file__).parent.parent
+        path = os.pathsep.join((str(src), str(Path(__file__).parent)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *planted_eval_argv(tmp_path, scorer)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert output_digests(tmp_path / "out") == PLANTED_PINS[scorer]
 
     def test_run_loads_no_openssl(self, tmp_path):
         """A fresh interpreter's all-method traced run under the seeded

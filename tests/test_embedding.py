@@ -366,7 +366,7 @@ class TestStore:
         provider = HashEmbeddingProvider(dimension=64, seed=0)
         store = embed_corpus(provider, corpus.chunks)
         question = "capital of france"
-        assert dense_retrieve(question, store, provider, corpus, top_k=2) == [
+        assert dense_retrieve(question, store, provider, top_k=2) == [
             "twin-a",
             "twin-b",
         ]

@@ -25,7 +25,7 @@ from alignrag.embedding import (
     HashEmbeddingProvider,
     object_similarity,
 )
-from alignrag.errors import ValidationError
+from alignrag.errors import ConfigError, ValidationError
 from alignrag.info_align import AlignedList, KeywordAlignment
 from alignrag.lm import MockScorer
 from alignrag.ngram_index import NGram, NGramTrie
@@ -91,6 +91,26 @@ class TestEngine:
         assert engine.scorer is scorer
         assert engine.provider is provider
         assert engine.store.dimension == 16
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"provider": "bogus"},
+            {"scorer": "bogus"},
+            {"template_files": None},
+            {"final_k": 0},
+            {"final_k": -2},
+        ],
+        ids=["provider", "scorer", "template-name", "final_k-0", "final_k-negative"],
+    )
+    def test_rejects_an_invalid_config(self, city_corpus, tmp_path, overrides):
+        if "template_files" in overrides:
+            # a readable file under a name no template has
+            path = tmp_path / "template.txt"
+            path.write_text("{user_question}")
+            overrides = {"template_files": {"bogus": str(path)}}
+        with pytest.raises(ConfigError):
+            RetrievalEngine(city_corpus, config=Config(**overrides))
 
     def test_empty_trie_kept(self, city_corpus):
         # an empty trie is falsy, and is not to be swapped for the corpus's
@@ -451,6 +471,17 @@ class TestRunArm:
         for search_set, draft in zip(result.search_sets, result.drafts):
             expect_k = min(5, len(search_set.object_ids))
             assert len(draft.object_ids) == expect_k
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("final_k", [0, -3])
+    def test_final_k_below_one_rejected_up_front(self, monkeypatch, stage, final_k):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_arm went on past a bad final_k")
+
+        engine = self.engine()
+        monkeypatch.setattr(pipeline, "extract_keywords", unreachable)
+        with pytest.raises(ValidationError, match="final_k must be >= 1"):
+            engine.run_arm(self.QUESTION, stage=stage, final_k=final_k)
 
     def test_final_k_override(self):
         result = self.engine().run_arm(self.QUESTION, final_k=1)
