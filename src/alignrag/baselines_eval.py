@@ -420,7 +420,6 @@ def run_eval(
     engine: RetrievalEngine,
     questions: Sequence[Question],
     methods: Sequence[str] = METHODS,
-    top_k: Optional[int] = None,
 ) -> dict[str, EvalResult]:
     """Score each method over the question set; macro-averaged summary."""
     if not questions:
@@ -434,7 +433,7 @@ def run_eval(
             raise UnknownGoldId(
                 f"question {q.question_id!r}: unknown gold ids {missing}"
             )
-    k = top_k if top_k is not None else engine.config.final_k
+    k = engine.config.final_k
     results: dict[str, EvalResult] = {}
     for method in methods:
         runner = None if method == "arm" else build_runner(method, engine, k)
@@ -442,7 +441,7 @@ def run_eval(
         def score_one(q: Question) -> QuestionRow:
             arm_result = None
             if runner is None:
-                arm_result = engine.run_arm(q.question, final_k=k)
+                arm_result = engine.run_arm(q.question)
                 retrieved = list(arm_result.final)
                 llm_calls, provided = arm_result.llm_calls, len(retrieved)
             else:

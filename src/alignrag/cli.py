@@ -8,6 +8,7 @@ trie and the BM25 statistics, from the corpus's chunks, with the config's
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -46,10 +47,11 @@ def _build_engine(args: argparse.Namespace, config: Config) -> RetrievalEngine:
     return RetrievalEngine(corpus, config=config)
 
 
-def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    config.validate()
+def _resolve_config(args: argparse.Namespace) -> Config:
+    """The ``--config`` or ``ARM_CONFIG`` config, ``--top-k`` its ``final_k``."""
+    config = resolve_config(args.config)
+    if args.top_k is not None:
+        config = dataclasses.replace(config, final_k=args.top_k)
     return config
 
 
@@ -57,12 +59,11 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     if args.trace is not None and args.method != "arm":
         # the trace is ARM's staged record; a baseline has none to write
         raise ConfigError(f"--trace needs --method arm, got --method {args.method}")
-    config = _apply_overrides(resolve_config(args.config), args)
+    config = _resolve_config(args)
     _check_writable(args.trace)
     engine = _build_engine(args, config)
-    top_k = config.final_k if args.top_k is None else args.top_k
     if args.method == "arm":
-        result = engine.run_arm(args.question, final_k=top_k)
+        result = engine.run_arm(args.question)
         retrieved = result.final
         confidence = {e.object_id: e.confidence for e in result.confidence}
         for oid in retrieved:
@@ -73,7 +74,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 handle.write("\n")
             print(f"trace written to {args.trace}", file=sys.stderr)
     else:
-        runner = build_runner(args.method, engine, top_k)
+        runner = build_runner(args.method, engine, config.final_k)
         retrieved, _, _ = runner(
             Question(question_id="q0", question=args.question, gold_ids=("_",))
         )
@@ -83,13 +84,13 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_run(args: argparse.Namespace) -> int:
-    config = _apply_overrides(resolve_config(args.config), args)
+    config = _resolve_config(args)
     os.makedirs(args.out, exist_ok=True)
     _check_writable(args.trace)
     engine = _build_engine(args, config)
     questions = load_questions(args.questions)
     methods = list(dict.fromkeys(args.method or METHODS))  # a repeated --method runs once
-    results = run_eval(engine, questions, methods=methods, top_k=args.top_k)
+    results = run_eval(engine, questions, methods=methods)
     json_path = os.path.join(args.out, "results.json")
     csv_path = os.path.join(args.out, "results.csv")
     with open(json_path, "w", encoding="utf-8") as handle:
@@ -100,8 +101,7 @@ def cmd_eval_run(args: argparse.Namespace) -> int:
         if "arm" in results:
             answers = [row.arm_result for row in results["arm"].rows]
         else:
-            k = config.final_k if args.top_k is None else args.top_k
-            answers = [engine.run_arm(q.question, final_k=k) for q in questions]
+            answers = [engine.run_arm(q.question) for q in questions]
         with open(args.trace, "w", encoding="utf-8") as handle:
             for q, result in zip(questions, answers):
                 handle.write(json.dumps(result.to_trace(q.question_id), sort_keys=True))
@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     retrieve.add_argument("--top-k", type=int, default=None)
     retrieve.add_argument("--trace", default=None)
     retrieve.add_argument("--config", default=None)
-    retrieve.add_argument("--seed", type=int, default=None)
     retrieve.set_defaults(func=cmd_retrieve)
 
     ev = sub.add_parser("eval", help="evaluation harness")
@@ -149,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--top-k", type=int, default=None)
     run.add_argument("--trace", default=None)
     run.add_argument("--config", default=None)
-    run.add_argument("--seed", type=int, default=None)
     run.set_defaults(func=cmd_eval_run)
 
     return parser

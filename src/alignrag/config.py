@@ -25,16 +25,18 @@ _TYPES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    """Every run knob. Comments name what a field controls and which stage
-    reads it; engine set-up reads a field once per engine."""
+    """Every run knob, checked when made (``ConfigError``) and frozen after:
+    ``dataclasses.replace`` makes a changed copy, checked alike. Comments
+    name what a field controls and which stage reads it; engine set-up
+    reads a field once per engine."""
 
     # embedding provider, "hash" or "file" (engine set-up)
     provider: str = "hash"
     # JSONL of precomputed vectors for the "file" provider (engine set-up)
     vector_file: Optional[str] = None
-    # hash-embedding dimension; the "file" provider ignores it (engine set-up)
+    # hash-embedding dimension, 1 to 2**20; "file" ignores it (engine set-up)
     embed_dim: int = 64
     # "mock" counts context tokens, "mock-random" adds seeded noise (engine set-up)
     scorer: str = "mock"
@@ -52,7 +54,7 @@ class Config:
     base_size: int = 10
     # objects each draft selects (solve_mip)
     mip_k: int = 5
-    # ids a run returns, ARM and baselines, unless --top-k is given (finalize)
+    # ids a run returns, ARM and baselines; the CLI's --top-k sets it (finalize)
     final_k: int = 5
     # beams kept per step when aligning a keyword (align_keyword)
     beam_width: int = 3
@@ -83,6 +85,12 @@ class Config:
     # prompt name -> file overriding that default template (engine set-up)
     template_files: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if type(self.strategies) in (tuple, list):
+            pairs = tuple(tuple(s) if type(s) is list else s for s in self.strategies)
+            object.__setattr__(self, "strategies", pairs)
+        self.validate()
+
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
@@ -106,10 +114,10 @@ class Config:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if type(self.strategies) not in (tuple, list) or not self.strategies:
+        if type(self.strategies) is not tuple or not self.strategies:
             raise ConfigError("strategies must be a non-empty list of pairs")
         for strategy in self.strategies:
-            pair = strategy if type(strategy) in (tuple, list) else ()
+            pair = strategy if type(strategy) is tuple else ()
             if len(pair) != 2 or not all(type(n) is int and n >= 1 for n in pair):
                 raise ConfigError(f"invalid strategy {strategy!r}")
         paths = self.template_files
@@ -153,21 +161,11 @@ def load_config(path: str) -> Config:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-    if type(raw.get("strategies")) is list:
-        raw["strategies"] = tuple(
-            tuple(s) if type(s) is list else s for s in raw["strategies"]
-        )
-    config = Config(**raw)
-    config.validate()
-    return config
+    return Config(**raw)
 
 
 def resolve_config(path: Optional[str]) -> Config:
     """Explicit path, else the environment fallback, else defaults."""
     if path is None:
         path = os.environ.get(ENV_CONFIG) or None
-    if path is None:
-        config = Config()
-        config.validate()
-        return config
-    return load_config(path)
+    return Config() if path is None else load_config(path)

@@ -45,6 +45,10 @@ def hash64(data: bytes, key: bytes = b"") -> int:
     return int.from_bytes(blake2b(data, digest_size=8, key=key).digest(), "big")
 
 
+# the usual feature-hashing width; stores size inverted lists to dimension + 1
+MAX_HASH_DIMENSION = 2**20
+
+
 def _bucket(token: str, seed: int, dimension: int) -> int:
     return hash64(token.encode("utf-8"), str(seed).encode("utf-8")) % dimension
 
@@ -63,8 +67,9 @@ class HashEmbeddingProvider:
     name = "hash"
 
     def __init__(self, dimension: int = 64, seed: int = 0) -> None:
-        if dimension < 1:
-            raise ProviderError(f"dimension must be >= 1, got {dimension}")
+        if not 1 <= dimension <= MAX_HASH_DIMENSION:
+            limits = f"[1, {MAX_HASH_DIMENSION}]"
+            raise ProviderError(f"dimension must be in {limits}, got {dimension}")
         self.dimension = dimension
         self.seed = seed
         self._buckets: dict[str, int] = {}

@@ -221,7 +221,6 @@ class RetrievalEngine:
     ) -> None:
         self.corpus = corpus
         self.config = config or Config()
-        self.config.validate()
         self.provider = provider or build_provider(self.config)
         self.scorer = scorer or build_scorer(self.config)
         if trie is None:

@@ -210,7 +210,7 @@ def test_c04_planted_bridge_benchmark(bench):
     started = time.monotonic()
     engine = RetrievalEngine(bench.corpus, config=bench.config)
     questions = list(bench.questions)
-    results = run_eval(engine, questions, methods=["dense", "arm"], top_k=5)
+    results = run_eval(engine, questions, methods=["dense", "arm"])
     arm_pr = results["arm"].perfect_recall_pct
     dense_pr = results["dense"].perfect_recall_pct
 

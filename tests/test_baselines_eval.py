@@ -26,6 +26,7 @@ from alignrag.baselines_eval import (
     rerank_retrieve,
     run_eval,
 )
+from alignrag.config import Config
 from alignrag.corpus import serialize_object
 from alignrag.embedding import HashEmbeddingProvider, embed_corpus
 from alignrag.errors import (
@@ -442,8 +443,8 @@ class TestRunEval:
         assert results["arm"].avg_llm_calls == 1.0
 
     def test_top_k_override(self, city_corpus):
-        engine = RetrievalEngine(city_corpus)
-        results = run_eval(engine, QUESTIONS, methods=("dense",), top_k=1)
+        engine = RetrievalEngine(city_corpus, config=Config(final_k=1))
+        results = run_eval(engine, QUESTIONS, methods=("dense",))
         assert all(len(r.retrieved) == 1 for r in results["dense"].rows)
 
     def test_gold_validation(self, city_corpus):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -91,6 +92,9 @@ def planted_eval_argv(tmp_path, scorer):
     return argv + ["--trace", str(out_dir / "trace.jsonl")]
 
 
+# the files a traced eval run writes
+EVAL_FILES = ("results.json", "results.csv", "trace.jsonl")
+
 # the SHA-256 of every file an all-method traced planted run writes, by scorer
 PLANTED_PINS = {
     "mock": {
@@ -119,18 +123,42 @@ PLANTED_PINS = {
 }
 
 
+# README's SHA-256 of the 60-question synth-1k seed-7 trace, by base size
+SYNTH_TRACE_PINS = {
+    5: "f2c907128cb1e7aa2c02deee56fde76ef768107cdebf6cae722bf1e4651b4c2f",
+    10: "a286af9c9ae18f596ab2e1b6a67ab7e3d7ded9c0a773aa4bdbf8759e10d6ad5c",
+}
+BENCH_DIR = str(Path(__file__).resolve().parents[1] / "bench")
+
+
 def output_digests(out_dir):
     """The SHA-256 of every file ``planted_eval_argv``'s run writes, so
     that a change to any output shows."""
     return {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        for name in PLANTED_PINS["mock"]
+        for name in EVAL_FILES
     }
 
 
+def reverse_lines(path):
+    """Rewrite the file at ``path`` with its lines in reverse order."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(reversed(lines)))
+
+
 def planted_digests(tmp_path, scorer):
-    assert main(planted_eval_argv(tmp_path, scorer)) == 0
-    return output_digests(tmp_path / "out")
+    """The digests of ``planted_eval_argv``'s run, by the corpus file's
+    line order: as saved, and reversed."""
+    digests = {}
+    for order in ("saved", "reversed"):
+        workdir = tmp_path / order
+        workdir.mkdir()
+        argv = planted_eval_argv(workdir, scorer)
+        if order == "reversed":
+            reverse_lines(workdir / "corpus.jsonl")
+        assert main(argv) == 0
+        digests[order] = output_digests(workdir / "out")
+    return digests
 
 
 def assert_output_path_reported(capsys, path):
@@ -436,7 +464,7 @@ class TestRetrieve:
 
     def test_seeded_runs_repeat(self, workdir, capsys):
         cfg = workdir["tmp"] / "rand.json"
-        cfg.write_text(json.dumps({"scorer": "mock-random"}))
+        cfg.write_text(json.dumps({"scorer": "mock-random", "seed": 3}))
         argv = [
             "retrieve",
             "paris population",
@@ -444,13 +472,106 @@ class TestRetrieve:
             workdir["corpus"],
             "--config",
             str(cfg),
-            "--seed",
-            "3",
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("command", ["retrieve", "eval"])
+    def test_seed_flag_is_gone(self, workdir, capsys, command):
+        # the seed is set one way, as the config's seed field
+        argv = ["--corpus", workdir["corpus"], "--seed", "3"]
+        if command == "eval":
+            argv = ["eval", "run", "--questions", workdir["questions"], *argv]
+            argv += ["--out", str(workdir["tmp"] / "out")]
+        else:
+            argv = ["retrieve", "paris population", *argv]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed 3" in captured.err
+
+    @pytest.mark.parametrize("method", ["arm", "dense"])
+    def test_top_k_sets_final_k(self, workdir, capsys, method):
+        # --top-k 1 answers as a config with final_k 1 does
+        cfg = workdir["tmp"] / "k1.json"
+        cfg.write_text(json.dumps({"final_k": 1}))
+        argv = ["retrieve", "paris population", "--corpus", workdir["corpus"]]
+        argv += ["--method", method]
+        assert main([*argv, "--config", str(cfg)]) == 0
+        by_config = capsys.readouterr().out
+        assert main([*argv, "--top-k", "1"]) == 0
+        assert capsys.readouterr().out == by_config
+        assert len(by_config.splitlines()) == 1
+
+    def test_oversized_embedding_dimension_reported(self, workdir, capsys):
+        # the provider rejects the width before any vector is allocated
+        cfg = workdir["tmp"] / "wide.json"
+        cfg.write_text(json.dumps({"embed_dim": 2**20 + 1}))
+        argv = ["retrieve", "paris population", "--corpus", workdir["corpus"]]
+        assert main([*argv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: dimension must be in [1, {2**20}], got {2**20 + 1}\n"
+        )
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    """The files ``bench/prepare.py synth-1k 7`` writes, with the first 60
+    questions in ``q60.jsonl``, the config at ``base_size`` 10 in
+    ``config10.json`` and the corpus file's lines reversed in
+    ``reversed.jsonl``."""
+    if BENCH_DIR not in sys.path:
+        sys.path.append(BENCH_DIR)
+    workdir = tmp_path_factory.mktemp("synth")
+    importlib.import_module("harness").prepare("synth-1k", 7, workdir)
+    lines = (workdir / "questions.jsonl").read_text().splitlines(keepends=True)
+    (workdir / "q60.jsonl").write_text("".join(lines[:60]))
+    config = json.loads((workdir / "config.json").read_text())
+    (workdir / "config10.json").write_text(json.dumps({**config, "base_size": 10}))
+    (workdir / "reversed.jsonl").write_text((workdir / "corpus.jsonl").read_text())
+    reverse_lines(workdir / "reversed.jsonl")
+    return workdir
+
+
+def synth_eval(workdir, corpus, config, out, methods=()):
+    """Run ``eval run`` with a trace over the 60 synthetic questions; the
+    files go to ``workdir / out``."""
+    out_dir = workdir / out
+    argv = ["eval", "run", "--corpus", str(workdir / corpus)]
+    argv += ["--questions", str(workdir / "q60.jsonl")]
+    argv += ["--config", str(workdir / config), "--out", str(out_dir)]
+    argv += ["--trace", str(out_dir / "trace.jsonl")]
+    for method in methods:
+        argv += ["--method", method]
+    assert main(argv) == 0
+    return out_dir
+
+
+class TestSynthDigests:
+    """README's digests of the 60-question ``synth-1k`` trace, as CI's
+    prepared files give them; CI also checks them under forced OpenBLAS
+    kernels and an emulation of CPython 3.12's ``sum``."""
+
+    def test_base_5_digest_for_either_corpus_line_order(self, synth_dir, capsys):
+        in_order = synth_eval(synth_dir, "corpus.jsonl", "config.json", "out5")
+        trace = (in_order / "trace.jsonl").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == SYNTH_TRACE_PINS[5]
+        flipped = synth_eval(synth_dir, "reversed.jsonl", "config.json", "rev5")
+        capsys.readouterr()
+        for name in EVAL_FILES:
+            assert (flipped / name).read_bytes() == (in_order / name).read_bytes()
+
+    def test_base_10_digest(self, synth_dir, capsys):
+        out = synth_eval(synth_dir, "corpus.jsonl", "config10.json", "out10", ["arm"])
+        capsys.readouterr()
+        trace = (out / "trace.jsonl").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == SYNTH_TRACE_PINS[10]
 
 
 class TestEvalRun:
@@ -517,12 +638,35 @@ class TestEvalRun:
         for name in ("results.json", "results.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_top_k_sets_final_k(self, workdir, capsys):
+        # --top-k 1 writes what a config with final_k 1 writes
+        cfg = workdir["tmp"] / "k1.json"
+        cfg.write_text(json.dumps({"final_k": 1}))
+        outputs = []
+        for extra in (["--config", str(cfg)], ["--top-k", "1"]):
+            out_dir = workdir["tmp"] / f"out{len(outputs)}"
+            trace = out_dir / "trace.jsonl"
+            self.run(workdir, out_dir.name, extra=[*extra, "--trace", str(trace)])
+            outputs.append(
+                [(out_dir / name).read_bytes() for name in EVAL_FILES]
+            )
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        results = json.loads(outputs[1][0])
+        # the agent baseline returns what its searches found, at any top-k
+        ranked = [m for name, m in results["methods"].items() if name != "react"]
+        rows = [row for m in ranked for row in m["rows"]]
+        assert len(ranked) == 5 and all(len(row["retrieved"]) == 1 for row in rows)
+
     def test_planted_outputs_are_pinned(self, tmp_path, capsys):
-        assert planted_digests(tmp_path, "mock") == PLANTED_PINS["mock"]
+        pins = PLANTED_PINS["mock"]
+        assert planted_digests(tmp_path, "mock") == {"saved": pins, "reversed": pins}
         capsys.readouterr()
 
     def test_planted_seeded_scorer_outputs_are_pinned(self, tmp_path, capsys):
-        assert planted_digests(tmp_path, "mock-random") == PLANTED_PINS["mock-random"]
+        pins = PLANTED_PINS["mock-random"]
+        digests = planted_digests(tmp_path, "mock-random")
+        assert digests == {"saved": pins, "reversed": pins}
         capsys.readouterr()
 
     @pytest.mark.parametrize("scorer", sorted(PLANTED_PINS))

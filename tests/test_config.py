@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -33,27 +34,30 @@ class TestDefaults:
 
 
 class TestValidation:
+    """Each invalid config raises ``ConfigError`` when it is made."""
+
     def test_unknown_provider(self):
-        with pytest.raises(ConfigError, match="provider"):
-            Config(provider="dense-api").validate()
+        with pytest.raises(ConfigError, match="unknown provider 'dense-api'"):
+            Config(provider="dense-api")
 
     def test_file_provider_needs_vectors(self, tmp_path):
-        with pytest.raises(ConfigError, match="vector_file"):
-            Config(provider="file").validate()
-        Config(provider="file", vector_file=str(tmp_path / "v.jsonl")).validate()
+        with pytest.raises(ConfigError, match="provider 'file' requires vector_file"):
+            Config(provider="file")
+        Config(provider="file", vector_file=str(tmp_path / "v.jsonl"))
 
     def test_unknown_scorer(self):
-        with pytest.raises(ConfigError, match="scorer"):
-            Config(scorer="gpt").validate()
+        with pytest.raises(ConfigError, match="unknown scorer 'gpt'"):
+            Config(scorer="gpt")
 
     def test_unit_interval_knobs(self):
         for name in ("alpha", "compat_w", "vote_lambda", "bm25_b"):
-            with pytest.raises(ConfigError, match=name):
-                Config(**{name: 1.5}).validate()
+            message = rf"{name} must be in \[0, 1\], got 1.5"
+            with pytest.raises(ConfigError, match=message):
+                Config(**{name: 1.5})
 
     def test_negative_k1(self):
-        with pytest.raises(ConfigError, match="bm25_k1"):
-            Config(bm25_k1=-0.1).validate()
+        with pytest.raises(ConfigError, match="bm25_k1 must be >= 0, got -0.1"):
+            Config(bm25_k1=-0.1)
 
     def test_positive_integer_knobs(self):
         assert COUNT_FIELDS[:4] == ("embed_dim", "base_size", "mip_k", "final_k")
@@ -61,21 +65,36 @@ class TestValidation:
         for name in COUNT_FIELDS:
             message = f"{name} must be an integer >= 1, got 0"
             with pytest.raises(ConfigError, match=message):
-                Config(**{name: 0}).validate()
-        with pytest.raises(ConfigError, match="beam_width"):
-            Config(beam_width=2.5).validate()  # non-integer rejected too
+                Config(**{name: 0})
+        # non-integer rejected too
+        with pytest.raises(ConfigError, match="beam_width must be of type int"):
+            Config(beam_width=2.5)
 
     def test_strategies(self):
-        with pytest.raises(ConfigError, match="strategies"):
-            Config(strategies=()).validate()
-        with pytest.raises(ConfigError, match="strategy"):
-            Config(strategies=((0, 1),)).validate()
-        with pytest.raises(ConfigError, match="strategy"):
-            Config(strategies=((1, 2, 3),)).validate()
+        with pytest.raises(ConfigError, match="strategies must be a non-empty list"):
+            Config(strategies=())
+        with pytest.raises(ConfigError, match=r"invalid strategy \(0, 1\)"):
+            Config(strategies=((0, 1),))
+        with pytest.raises(ConfigError, match=r"invalid strategy \(1, 2, 3\)"):
+            Config(strategies=((1, 2, 3),))
+
+    def test_strategies_stored_as_tuple_pairs(self):
+        assert Config(strategies=[[1, 1]]).strategies == ((1, 1),)
+        assert Config(strategies=([2, 1], (1, 2))).strategies == ((2, 1), (1, 2))
 
     def test_unknown_template_name(self):
-        with pytest.raises(ConfigError, match="template"):
-            Config(template_files={"mystery": "x.txt"}).validate()
+        with pytest.raises(ConfigError, match=r"unknown template names \['mystery'\]"):
+            Config(template_files={"mystery": "x.txt"})
+
+    def test_fields_cannot_be_set(self):
+        cfg = Config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.final_k = 0
+        assert cfg.final_k == 5
+        # a changed copy is checked as it is made
+        assert dataclasses.replace(cfg, final_k=2).final_k == 2
+        with pytest.raises(ConfigError, match="final_k must be an integer >= 1, got 0"):
+            dataclasses.replace(cfg, final_k=0)
 
 
 class TestLoadConfig:

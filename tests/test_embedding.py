@@ -100,8 +100,13 @@ class TestHashProvider:
                 assert oracles.cosine_np(provider.embed(a), provider.embed(b)) >= 0.0
 
     def test_bad_dimension(self):
-        with pytest.raises(ProviderError):
+        with pytest.raises(ProviderError, match=r"must be in \[1, 1048576\], got 0"):
             HashEmbeddingProvider(dimension=0)
+        # the widest accepted dimension; nothing is allocated until embedding
+        assert HashEmbeddingProvider(dimension=2**20).dimension == 2**20
+        message = rf"dimension must be in \[1, {2**20}\], got {2**20 + 1}"
+        with pytest.raises(ProviderError, match=message):
+            HashEmbeddingProvider(dimension=2**20 + 1)
 
     def test_embed_chunk_uses_text(self):
         provider = HashEmbeddingProvider(dimension=16, seed=0)

@@ -112,6 +112,22 @@ class TestEngine:
         with pytest.raises(ConfigError):
             RetrievalEngine(city_corpus, config=Config(**overrides))
 
+    def test_config_cannot_change_under_an_engine(self):
+        # setting strategies to () once made run_arm's "sa" stage raise a
+        # bare ValueError and its full run return no ids
+        planted = build_planted()
+        question = planted.questions[0].question
+        engine = RetrievalEngine(planted.corpus, config=planted.config)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            engine.config.strategies = ()
+        assert engine.config.strategies == ((1, 1), (2, 1), (1, 2))
+        fresh = RetrievalEngine(planted.corpus, config=planted.config)
+        for stage in ("sa", "full"):
+            result = engine.run_arm(question, stage=stage)
+            assert result.final
+            expected = fresh.run_arm(question, stage=stage)
+            assert result.to_trace("q") == expected.to_trace("q")
+
     def test_empty_trie_kept(self, city_corpus):
         # an empty trie is falsy, and is not to be swapped for the corpus's
         trie = NGramTrie()
