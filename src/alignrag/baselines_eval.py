@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Protocol, Sequence
+from typing import AbstractSet, Callable, Optional, Protocol, Sequence
 
 from . import prompts
 from .corpus import Corpus, serialize_object
@@ -43,7 +43,7 @@ class Reranker(Protocol):
     def score(self, question: str, serialized_object: str) -> float: ...
 
 
-def overlap_coefficient(a: set, b: set) -> float:
+def overlap_coefficient(a: AbstractSet[str], b: AbstractSet[str]) -> float:
     """Intersection over the smaller set; 0 when either set is empty."""
     if not a or not b:
         return 0.0
@@ -55,20 +55,26 @@ class OverlapReranker:
 
     A ranking scores many objects against one question, so the question's
     token set is kept from the last call and rebuilt only for a new
-    question.
+    question. Each object text's token set is kept for the reranker's
+    life, keyed by the text itself, so a text is tokenized once however
+    many questions pool it. The memo holds one entry per distinct text
+    scored: through a runner, at most one per corpus object.
     """
 
     def __init__(self) -> None:
         self._question: Optional[str] = None
         self._question_tokens: set[str] = set()
+        self._object_tokens: dict[str, frozenset[str]] = {}
 
     def score(self, question: str, serialized_object: str) -> float:
         if question != self._question:
             self._question = question
             self._question_tokens = set(normalize_tokens(question))
-        return overlap_coefficient(
-            self._question_tokens, set(normalize_tokens(serialized_object))
-        )
+        tokens = self._object_tokens.get(serialized_object)
+        if tokens is None:
+            tokens = frozenset(normalize_tokens(serialized_object))
+            self._object_tokens[serialized_object] = tokens
+        return overlap_coefficient(self._question_tokens, tokens)
 
 
 def rerank_retrieve(
@@ -374,12 +380,12 @@ def build_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRunn
 
         return run_dense
     if method == "rerank":
+        # one reranker for the runner's life, so its memo serves every question
+        reranker = OverlapReranker()
+        pool = max(min(cfg.rerank_pool, len(engine.corpus.objects)), top_k)
+
         def run_rerank(q: Question) -> tuple[list[str], int, int]:
-            pool = min(cfg.rerank_pool, len(engine.corpus.objects))
-            pool = max(pool, top_k)
-            ids = rerank_retrieve(
-                q.question, *common, OverlapReranker(), pool=pool, top_k=top_k
-            )
+            ids = rerank_retrieve(q.question, *common, reranker, pool=pool, top_k=top_k)
             return ids, 0, len(ids)
 
         return run_rerank

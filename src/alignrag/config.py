@@ -25,6 +25,21 @@ _TYPES = {
 }
 
 
+class _ReadOnlyDict(dict):
+    """A ``dict`` no method can change, so a frozen ``Config`` holding one
+    stays as checked; ``dataclasses.asdict``, ``json``, ``pickle`` and
+    ``copy`` still treat it as a ``dict``."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("template_files cannot change; use dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Config:
     """Every run knob, checked when made (``ConfigError``) and frozen after:
@@ -82,13 +97,17 @@ class Config:
     unit_k: int = 5
     # hash-embedding seed and the "mock-random" scorer's seed (engine set-up)
     seed: int = 0
-    # prompt name -> file overriding that default template (engine set-up)
+    # prompt name -> file overriding that default template, held as a
+    # read-only copy (engine set-up)
     template_files: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if type(self.strategies) in (tuple, list):
             pairs = tuple(tuple(s) if type(s) is list else s for s in self.strategies)
             object.__setattr__(self, "strategies", pairs)
+        if type(self.template_files) is dict:
+            paths = _ReadOnlyDict(self.template_files)
+            object.__setattr__(self, "template_files", paths)
         self.validate()
 
     def validate(self) -> None:
@@ -121,7 +140,9 @@ class Config:
             if len(pair) != 2 or not all(type(n) is int and n >= 1 for n in pair):
                 raise ConfigError(f"invalid strategy {strategy!r}")
         paths = self.template_files
-        if type(paths) is not dict or any(type(p) is not str for p in paths.values()):
+        if type(paths) is not _ReadOnlyDict or any(
+            type(p) is not str for p in paths.values()
+        ):
             raise ConfigError("template_files must map template names to paths")
         unknown_templates = set(self.template_files) - set(DEFAULT_TEMPLATES)
         if unknown_templates:

@@ -239,12 +239,7 @@ class RetrievalEngine:
         sims = clamp_relevance(object_similarity(self.store, question_vec))
         return dict(zip(self.store.object_ids, sims.tolist()))
 
-    def run_arm(
-        self,
-        question: str,
-        stage: str = "full",
-        final_k: Optional[int] = None,
-    ) -> ArmResult:
+    def run_arm(self, question: str, stage: str = "full") -> ArmResult:
         """Answer one question; stage truncates the pipeline for ablation.
 
         The whole run counts as a single decoding pass. When a search set
@@ -253,9 +248,6 @@ class RetrievalEngine:
         if stage not in STAGES:
             raise ValidationError(f"unknown stage {stage!r}")
         cfg = self.config
-        k_final = final_k if final_k is not None else cfg.final_k
-        if k_final < 1:
-            raise ValidationError(f"final_k must be >= 1, got {k_final}")
 
         keywords = extract_keywords(
             self.scorer, question, template=self.templates["keyword"]
@@ -289,7 +281,7 @@ class RetrievalEngine:
             base=base,
         )
         if stage == "ia":
-            result.final = [e.object_id for e in base[:k_final]]
+            result.final = [e.object_id for e in base[: cfg.final_k]]
             return result
 
         relevance = dict(zip(self.store.object_ids, embed.tolist()))
@@ -307,7 +299,7 @@ class RetrievalEngine:
             ranked = sorted(
                 best.object_ids, key=lambda oid: (-relevance.get(oid, 0.0), oid)
             )
-            result.final = ranked[:k_final]
+            result.final = ranked[: cfg.final_k]
             return result
 
         n_beams = max((len(al.lists) for al in alignments), default=0) or 1
@@ -340,7 +332,7 @@ class RetrievalEngine:
                     )
                 )
         result.confidence = aggregate(result.selections, vote_lambda=cfg.vote_lambda)
-        result.final = finalize(result.confidence, final_k=k_final)
+        result.final = finalize(result.confidence, final_k=cfg.final_k)
         return result
 
 

@@ -9,6 +9,7 @@ per criterion: exact equality for dual-route comparisons and determinism,
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
@@ -208,7 +209,8 @@ def test_c03_constrained_outputs_stay_in_bounds(bench, engine):
 
 def test_c04_planted_bridge_benchmark(bench):
     started = time.monotonic()
-    engine = RetrievalEngine(bench.corpus, config=bench.config)
+    config = dataclasses.replace(bench.config, final_k=5)
+    engine = RetrievalEngine(bench.corpus, config=config)
     questions = list(bench.questions)
     results = run_eval(engine, questions, methods=["dense", "arm"])
     arm_pr = results["arm"].perfect_recall_pct
@@ -218,7 +220,7 @@ def test_c04_planted_bridge_benchmark(bench):
     bridge_ok = True
     for question, bridge_id in zip(questions, bench.bridge_ids):
         dense_ids, _, _ = dense_runner(question)
-        run = engine.run_arm(question.question, final_k=5)
+        run = engine.run_arm(question.question)
         base_ids = [entry.object_id for entry in run.base]
         bridge_ok = bridge_ok and bridge_id not in dense_ids
         bridge_ok = bridge_ok and bridge_id not in base_ids

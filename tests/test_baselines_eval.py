@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +30,7 @@ from alignrag.baselines_eval import (
     run_eval,
 )
 from alignrag.config import Config
-from alignrag.corpus import serialize_object
+from alignrag.corpus import build_corpus, serialize_object
 from alignrag.embedding import HashEmbeddingProvider, embed_corpus
 from alignrag.errors import (
     EmptyGold,
@@ -37,6 +40,9 @@ from alignrag.errors import (
 )
 from alignrag.lm import MockScorer, SEP_TOKEN, STOP_TOKEN
 from alignrag.pipeline import RetrievalEngine
+from planted import build_planted
+
+BENCH_DIR = str(Path(__file__).resolve().parents[1] / "bench")
 
 
 def city_setup(city_corpus):
@@ -79,6 +85,19 @@ class CountryReranker:
         return 1.0 if "country" in serialized_object else 0.0
 
 
+def count_tokenized(monkeypatch) -> list[str]:
+    """Every text ``baselines_eval`` tokenizes from now on, in order."""
+    tokenized: list[str] = []
+    tokenize = baselines_eval.normalize_tokens
+
+    def counted(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(baselines_eval, "normalize_tokens", counted)
+    return tokenized
+
+
 class TestRerank:
     def test_overlap_coefficient(self):
         assert overlap_coefficient(set(), {"a"}) == 0.0
@@ -98,14 +117,7 @@ class TestRerank:
     def test_overlap_reranker_tokenizes_each_question_once(
         self, city_corpus, monkeypatch
     ):
-        tokenized = []
-        tokenize = baselines_eval.normalize_tokens
-
-        def counted(text):
-            tokenized.append(text)
-            return tokenize(text)
-
-        monkeypatch.setattr(baselines_eval, "normalize_tokens", counted)
+        tokenized = count_tokenized(monkeypatch)
         texts = [serialize_object(obj) for obj in city_corpus.objects]
         reranker = OverlapReranker()
         for question in ("city pop lyon", "paris", "city pop lyon"):
@@ -120,6 +132,22 @@ class TestRerank:
                 )
                 for text in texts
             ]
+
+    def test_overlap_reranker_tokenizes_each_object_text_once(
+        self, city_corpus, monkeypatch
+    ):
+        tokenized = count_tokenized(monkeypatch)
+        texts = [serialize_object(obj) for obj in city_corpus.objects]
+        reranker = OverlapReranker()
+        for question in ("city pop lyon", "paris", "france 643", "city pop lyon"):
+            # memoized scores equal the oracle's, not only the first ones
+            assert [reranker.score(question, text) for text in texts] == [
+                oracles.overlap(
+                    set(oracles.tokenize(question)), set(oracles.tokenize(text))
+                )
+                for text in texts
+            ]
+        assert sorted(t for t in tokenized if t in texts) == sorted(texts)
 
     def test_reranker_reorders_dense_pool(self, city_corpus):
         provider, store = city_setup(city_corpus)
@@ -148,6 +176,68 @@ class TestRerank:
                 "paris", store, provider, city_corpus, CountryReranker(),
                 pool=2, top_k=3,
             )
+
+
+@pytest.fixture(scope="module")
+def planted_engine():
+    planted = build_planted()
+    engine = RetrievalEngine(planted.corpus, config=planted.config)
+    return engine, list(planted.questions)
+
+
+@pytest.fixture(scope="module")
+def synth_engine():
+    """An engine on the ``synth-1k`` seed-7 corpus and its first 60
+    questions, in the benchmark's order and at its config."""
+    if BENCH_DIR not in sys.path:
+        sys.path.append(BENCH_DIR)
+    harness = importlib.import_module("harness")
+    generated = importlib.import_module("synth").generate(7)
+    questions = list(generated.questions)
+    random.Random(7).shuffle(questions)
+    config = Config(**harness.SYNTH_CONFIG)
+    corpus = build_corpus(generated.objects, chunk_units=config.chunk_units)
+    return RetrievalEngine(corpus, config=config), questions[:60]
+
+
+class TestRerankRunners:
+    """A rerank runner keeps one reranker, and so one token memo, for its
+    whole life; it answers as a fresh reranker per question did."""
+
+    @pytest.mark.parametrize("method", ["rerank", "rerank-decomp"])
+    @pytest.mark.parametrize("workload", ["planted_engine", "synth_engine"])
+    def test_one_runner_answers_as_a_fresh_one_per_question(
+        self, request, workload, method
+    ):
+        engine, questions = request.getfixturevalue(workload)
+        k = engine.config.final_k
+        runner = build_runner(method, engine, k)
+        for q in questions:
+            # a fresh runner builds a fresh OverlapReranker
+            assert runner(q) == build_runner(method, engine, k)(q)
+
+    @pytest.mark.parametrize("method", ["rerank", "rerank-decomp"])
+    def test_runner_tokenizes_each_object_text_once(
+        self, planted_engine, method, monkeypatch
+    ):
+        engine, questions = planted_engine
+        texts = {serialize_object(obj) for obj in engine.corpus.objects}
+        tokenized = count_tokenized(monkeypatch)
+        scored = []
+        overlap = baselines_eval.overlap_coefficient
+
+        def counted(a, b):
+            scored.append(b)
+            return overlap(a, b)
+
+        monkeypatch.setattr(baselines_eval, "overlap_coefficient", counted)
+        runner = build_runner(method, engine, engine.config.final_k)
+        for q in questions:
+            runner(q)
+        object_texts = [t for t in tokenized if t in texts]
+        assert len(object_texts) == len(set(object_texts))
+        # the memo answered most scores: far more were made than texts exist
+        assert len(scored) > 2 * len(texts)
 
 
 class TestDecomposition:

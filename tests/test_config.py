@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -96,6 +98,47 @@ class TestValidation:
         with pytest.raises(ConfigError, match="final_k must be an integer >= 1, got 0"):
             dataclasses.replace(cfg, final_k=0)
 
+    def test_template_files_cannot_change(self, tmp_path):
+        path = str(tmp_path / "keyword.txt")
+        given = {"keyword": path}
+        cfg = Config(template_files=given)
+        edits = [
+            lambda paths: paths.__setitem__("mystery", path),
+            lambda paths: paths.__delitem__("keyword"),
+            lambda paths: paths.update(mystery=path),
+            lambda paths: paths.pop("keyword"),
+            lambda paths: paths.popitem(),
+            lambda paths: paths.setdefault("mystery", path),
+            lambda paths: paths.clear(),
+            lambda paths: paths.__ior__({"mystery": path}),
+        ]
+        for edit in edits:
+            with pytest.raises(TypeError, match="template_files cannot change"):
+                edit(cfg.template_files)
+        with pytest.raises(TypeError, match="template_files cannot change"):
+            cfg.template_files["mystery"] = path
+        # the config holds its own copy of the mapping it was given
+        given["mystery"] = path
+        assert cfg.template_files == {"keyword": path}
+
+    def test_read_only_template_files_survive_copies(self, tmp_path):
+        cfg = Config(template_files={"keyword": str(tmp_path / "keyword.txt")})
+        as_dict = dataclasses.asdict(cfg)
+        assert json.loads(json.dumps(as_dict)) == {
+            **as_dict,
+            "strategies": [list(s) for s in cfg.strategies],
+        }
+        for twin in (
+            Config(**as_dict),
+            pickle.loads(pickle.dumps(cfg)),
+            copy.deepcopy(cfg),
+            copy.copy(cfg),
+            dataclasses.replace(cfg, final_k=2),
+        ):
+            assert twin.template_files == cfg.template_files
+            with pytest.raises(TypeError):
+                twin.template_files["verify"] = "x.txt"
+
 
 class TestLoadConfig:
     def write(self, tmp_path, payload) -> str:
@@ -114,6 +157,16 @@ class TestLoadConfig:
         assert cfg.alpha == 0.25
         assert cfg.base_size == 4
         assert cfg.strategies == ((1, 1), (3, 2))  # lists become tuples
+
+    def test_round_trips_asdict_output(self, tmp_path):
+        # the benchmark writes a config file as json.dumps(asdict(config))
+        cfg = Config(
+            base_size=5,
+            strategies=((2, 1),),
+            template_files={"keyword": str(tmp_path / "keyword.txt")},
+        )
+        path = self.write(tmp_path, dataclasses.asdict(cfg))
+        assert load_config(path) == cfg
 
     def test_unknown_key(self, tmp_path):
         path = self.write(tmp_path, {"alpa": 0.25})

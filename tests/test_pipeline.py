@@ -490,17 +490,13 @@ class TestRunArm:
 
     @pytest.mark.parametrize("stage", STAGES)
     @pytest.mark.parametrize("final_k", [0, -3])
-    def test_final_k_below_one_rejected_up_front(self, monkeypatch, stage, final_k):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("run_arm went on past a bad final_k")
-
-        engine = self.engine()
-        monkeypatch.setattr(pipeline, "extract_keywords", unreachable)
-        with pytest.raises(ValidationError, match="final_k must be >= 1"):
-            engine.run_arm(self.QUESTION, stage=stage, final_k=final_k)
+    def test_final_k_below_one_rejected_up_front(self, stage, final_k):
+        # no config, and so no engine, holds a bad final_k for run_arm to read
+        with pytest.raises(ConfigError, match="final_k must be an integer >= 1"):
+            self.engine(final_k=final_k).run_arm(self.QUESTION, stage=stage)
 
     def test_final_k_override(self):
-        result = self.engine().run_arm(self.QUESTION, final_k=1)
+        result = self.engine(final_k=1).run_arm(self.QUESTION)
         assert len(result.final) == 1
 
     def test_deterministic_across_fresh_engines(self):
