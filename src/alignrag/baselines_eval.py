@@ -432,6 +432,8 @@ def run_eval(
         raise ValidationError("no questions to evaluate")
     known = set(engine.corpus.by_id)
     for q in questions:
+        if not q.question.strip():
+            raise ValidationError(f"question {q.question_id!r} is empty")
         if not q.gold_ids:
             raise EmptyGold(f"question {q.question_id!r} has no gold objects")
         missing = [g for g in q.gold_ids if g not in known]

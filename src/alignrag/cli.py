@@ -25,7 +25,7 @@ from .baselines_eval import (
 )
 from .config import Config, resolve_config
 from .corpus import load_corpus
-from .errors import AlignragError, ConfigError
+from .errors import AlignragError, ConfigError, ValidationError
 from .pipeline import RetrievalEngine
 
 
@@ -56,6 +56,8 @@ def _resolve_config(args: argparse.Namespace) -> Config:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
+    if not args.question.strip():
+        raise ValidationError("question is empty")
     if args.trace is not None and args.method != "arm":
         # the trace is ARM's staged record; a baseline has none to write
         raise ConfigError(f"--trace needs --method arm, got --method {args.method}")

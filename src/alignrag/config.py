@@ -27,8 +27,8 @@ _TYPES = {
 
 class _ReadOnlyDict(dict):
     """A ``dict`` no method can change, so a frozen ``Config`` holding one
-    stays as checked; ``dataclasses.asdict``, ``json``, ``pickle`` and
-    ``copy`` still treat it as a ``dict``."""
+    stays as checked and hashes; ``dataclasses.asdict``, ``json``,
+    ``pickle`` and ``copy`` still treat it as a ``dict``."""
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("template_files cannot change; use dataclasses.replace")
@@ -38,6 +38,10 @@ class _ReadOnlyDict(dict):
 
     def __reduce__(self):
         return type(self), (dict(self),)
+
+    def __hash__(self):
+        # equal dicts hold equal items, whatever their insertion order
+        return hash(frozenset(self.items()))
 
 
 @dataclass(frozen=True)

@@ -353,7 +353,8 @@ class CompatibilityCache:
     (``array("d")``) with the bits of the scorer's block, 12 bytes an
     entry, so the rows an engine keeps grow with the connections of the
     objects it has touched, not with the corpus. ``score`` bisects the
-    positions.
+    positions; ``nominate`` ranks a transient dense copy of its members'
+    rows, the size of the block ``_UnitIndex.rows`` returns for them.
     """
 
     def __init__(
@@ -404,54 +405,29 @@ class CompatibilityCache:
     def nominate(self, members: Sequence[str], k: int) -> list[list[str]]:
         """For each of ``members``, the ``k`` objects outside ``members``
         most compatible with it, best first, ties by id; fewer when fewer
-        lie outside. Each member's positive entries fill one row of a
-        block as wide as the longest row, with those at members' own
-        positions, and the padding, set to 0; each pick is a row-wise
-        ``np.argmax``, which takes the first of equal maxima, and entries
-        lie in position order, which is id order. A member whose positive
-        entries run out takes the lowest free positions, its zeros in id
+        lie outside. Each member's held row is scattered into a dense row
+        over every object, a copy, with -1 at members' own positions; each
+        pick is a row-wise ``np.argmax``, which takes the first of equal
+        maxima, over positions in id order, and is then set to -1. A
+        member whose positive entries run out so takes its zeros in id
         order. The distinct picks' rows are then filled."""
         self._fill(members)
+        inside = [self._position[oid] for oid in members]
         rows = [self._rows[oid] for oid in members]
-        lengths = np.array([len(p) for p, _ in rows], dtype=np.intp)
-        positions = np.frombuffer(b"".join(p for p, _ in rows), dtype=np.intc)
-        inside = np.zeros(len(self._ids), dtype=bool)
-        inside[[self._position[oid] for oid in members]] = True
-        count = min(k, inside.size - int(np.count_nonzero(inside)))
-        # at least one column, so that every row has an argmax
-        shape = (len(rows), max(1, int(lengths.max(initial=0))))
-        filled = np.arange(shape[1]) < lengths[:, None]
-        block, at = np.zeros(shape), np.full(shape, -1, dtype=np.intp)
-        block[filled] = np.where(
-            inside[positions], 0.0, np.frombuffer(b"".join(v for _, v in rows))
-        )
-        at[filled] = positions
         every = np.arange(len(rows))
+        block = np.zeros((len(rows), len(self._ids)))
+        block[
+            every.repeat([len(positions) for positions, _ in rows]),
+            np.frombuffer(b"".join(positions for positions, _ in rows), dtype=np.intc),
+        ] = np.frombuffer(b"".join(values for _, values in rows))
+        block[:, inside] = -1.0
+        count = min(k, len(self._ids) - len(set(inside)))
         best = np.empty((count, len(rows)), dtype=np.intp)
         for i in range(count):
-            entry = block.argmax(axis=1)
-            best[i] = np.where(block[every, entry] > 0.0, at[every, entry], -1)
-            block[every, entry] = 0.0
-        picks = []
-        for m, row in enumerate(best.T.tolist()):
-            if row and row[-1] < 0:  # positive entries ran out
-                row = row[: row.index(-1)]
-                row += self._zeros(rows[m][0], inside, count - len(row))
-            picks.append(row)
-        self._fill([self._ids[j] for j in sorted(set(chain.from_iterable(picks)))])
-        return [[self._ids[j] for j in row] for row in picks]
-
-    @staticmethod
-    def _zeros(positions: array, inside: np.ndarray, need: int) -> list[int]:
-        """The ``need`` lowest positions neither ``inside`` nor among a
-        row's ``positions``, the row's zeros outside the members in id
-        order. They lie below ``need`` plus the positions excluded."""
-        excluded = int(np.count_nonzero(inside)) + len(positions)
-        limit = min(inside.size, need + excluded)
-        free = ~inside[:limit]
-        held = np.frombuffer(positions, dtype=np.intc)
-        free[held[held < limit]] = False
-        return np.flatnonzero(free)[:need].tolist()
+            best[i] = block.argmax(axis=1)
+            block[every, best[i]] = -1.0
+        self._fill([self._ids[j] for j in sorted(set(best.ravel().tolist()))])
+        return [[self._ids[j] for j in row] for row in best.T.tolist()]
 
     def get(self, id_a: str, id_b: str) -> Optional[Connection]:
         if id_a == id_b:

@@ -370,6 +370,17 @@ class TestRetrieve:
         )
         assert not trace_path.exists()
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_blank_question_rejected_before_any_work(
+        self, workdir, capsys, monkeypatch, method
+    ):
+        monkeypatch.setattr(cli, "load_corpus", no_work)
+        argv = ["retrieve", " \t ", "--corpus", workdir["corpus"], "--method", method]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: question is empty\n"
+
     def test_unknown_method_rejected_by_parser(self, workdir):
         with pytest.raises(SystemExit):
             main(
@@ -572,6 +583,70 @@ class TestSynthDigests:
         capsys.readouterr()
         trace = (out / "trace.jsonl").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == SYNTH_TRACE_PINS[10]
+
+
+# CI's verify templates: the picks mid-prompt, a field glued to text, and
+# a field outside the verify set
+VERIFY_TEMPLATES = {
+    "middle": (
+        "question: {user_question} selected: {selected} candidates: {draft}"
+        " keywords: {keywords} aligned: {alignment} pick:"
+    ),
+    "glued": "candidates:{draft} {selected}",
+    "unknown": "question: {user_question} {foo} {selected}",
+}
+
+
+@pytest.fixture(scope="module")
+def template_dir(tmp_path_factory):
+    """The files ``bench/prepare.py planted 1`` writes, the corpus file's
+    lines reversed in ``reversed.jsonl``, and for each verify template its
+    file ``<name>.txt`` and the config using it, ``<name>.json``."""
+    if BENCH_DIR not in sys.path:
+        sys.path.append(BENCH_DIR)
+    workdir = tmp_path_factory.mktemp("templates")
+    importlib.import_module("harness").prepare("planted", 1, workdir)
+    (workdir / "reversed.jsonl").write_text((workdir / "corpus.jsonl").read_text())
+    reverse_lines(workdir / "reversed.jsonl")
+    config = json.loads((workdir / "config.json").read_text())
+    for name, template in VERIFY_TEMPLATES.items():
+        path = workdir / f"{name}.txt"
+        path.write_text(template + "\n")
+        payload = {**config, "template_files": {"verify": str(path)}}
+        (workdir / f"{name}.json").write_text(json.dumps(payload))
+    return workdir
+
+
+def template_eval_argv(workdir, corpus, template, out):
+    """``eval run`` argv over every method with ``template``'s config;
+    the files, a trace included, go to ``workdir / out``."""
+    argv = ["eval", "run", "--corpus", str(workdir / corpus)]
+    argv += ["--questions", str(workdir / "questions.jsonl")]
+    argv += ["--config", str(workdir / f"{template}.json"), "--out", str(workdir / out)]
+    return argv + ["--trace", str(workdir / out / "trace.jsonl")]
+
+
+class TestVerifyTemplates:
+    """CI's verify template step, through ``main`` on planted."""
+
+    def test_middle_template_outputs_ignore_corpus_line_order(
+        self, template_dir, capsys
+    ):
+        for corpus, out in [("corpus.jsonl", "saved"), ("reversed.jsonl", "flipped")]:
+            assert main(template_eval_argv(template_dir, corpus, "middle", out)) == 0
+        capsys.readouterr()
+        for name in EVAL_FILES:
+            saved = (template_dir / "saved" / name).read_bytes()
+            assert saved and saved == (template_dir / "flipped" / name).read_bytes()
+
+    @pytest.mark.parametrize("template", ["glued", "unknown"])
+    def test_malformed_template_rejected(self, template_dir, capsys, template):
+        argv = template_eval_argv(template_dir, "corpus.jsonl", template, template)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(template_dir / f"{template}.txt") in captured.err
 
 
 class TestEvalRun:
@@ -800,6 +875,24 @@ class TestEvalRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: questions file {questions} line 1: ")
         assert "expected a JSON object" in err
+
+    @pytest.mark.parametrize("method", [None, *METHODS])
+    def test_blank_question_reported_by_id(self, workdir, capsys, method):
+        blank = {"question_id": "q3", "question": "  ", "gold_object_ids": ["t1"]}
+        questions = write_jsonl(
+            workdir["tmp"] / "blank.jsonl", [*QUESTION_RECORDS, blank]
+        )
+        out_dir = workdir["tmp"] / "out"
+        argv = ["eval", "run", "--corpus", workdir["corpus"]]
+        argv += ["--questions", questions, "--out", str(out_dir)]
+        argv += ["--trace", str(out_dir / "trace.jsonl")]
+        if method is not None:
+            argv += ["--method", method]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: question 'q3' is empty\n"
+        assert list(out_dir.iterdir()) == []
 
     def test_unknown_gold_id_reported(self, workdir, capsys):
         bad = write_jsonl(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import pickle
 
@@ -138,6 +139,30 @@ class TestValidation:
             assert twin.template_files == cfg.template_files
             with pytest.raises(TypeError):
                 twin.template_files["verify"] = "x.txt"
+
+    def test_configs_hash_by_value(self, tmp_path):
+        keyword, verify = str(tmp_path / "keyword.txt"), str(tmp_path / "verify.txt")
+        cfg = Config(template_files={"keyword": keyword, "verify": verify}, final_k=3)
+        twin = Config(final_k=3, template_files={"verify": verify, "keyword": keyword})
+        assert list(cfg.template_files) != list(twin.template_files)
+        assert cfg == twin and hash(cfg) == hash(twin)
+        assert hash(Config()) == hash(Config())
+        other = Config(template_files={"keyword": verify, "verify": keyword}, final_k=3)
+        assert other != cfg
+        assert Config(template_files={"keyword": keyword}) != Config()
+        seen = {cfg: "first", Config(): "default"}
+        assert seen[twin] == "first" and seen[Config()] == "default"
+        assert other not in seen
+
+        calls = []
+
+        @functools.lru_cache(maxsize=None)
+        def final_k(config):
+            calls.append(config)
+            return config.final_k
+
+        assert [final_k(c) for c in (cfg, twin, Config(), cfg)] == [3, 3, 5, 3]
+        assert calls == [cfg, Config()]
 
 
 class TestLoadConfig:

@@ -372,14 +372,24 @@ class TestCompatibilityCache:
             for m in members
         ]
         # k rises past the number of objects outside, then falls: picking
-        # leaves the stored rows as they were, and adds the picks' rows
+        # leaves the stored rows as they were, bytes and all, as a cache
+        # that never nominates computes them, and adds the picks' rows
         sizes = list(range(1, len(outside) + 2))
         picked = set()
+
+        def held(rows):
+            return {oid: (p.tobytes(), v.tobytes()) for oid, (p, v) in rows.items()}
+
         for k in sizes + sizes[::-1]:
+            before = held(cache._rows)
             got = cache.nominate(members, k)
             assert got == [w[:k] for w in want]
             picked.update(*got)
             assert cache._rows.keys() == set(members) | picked
+            after = held(cache._rows)
+            assert {oid: after[oid] for oid in before} == before
+            scores._fill(list(after))
+            assert after == held(scores._rows)
         assert picked == set(outside)
         assert want[-1] == sorted(outside)
 
