@@ -123,10 +123,12 @@ PLANTED_PINS = {
 }
 
 
-# README's SHA-256 of the 60-question synth-1k seed-7 trace, by base size
+# README's SHA-256 of the 60-question synth-1k seed-7 trace, by base size,
+# and at base size 5 under the seeded scorer
 SYNTH_TRACE_PINS = {
     5: "f2c907128cb1e7aa2c02deee56fde76ef768107cdebf6cae722bf1e4651b4c2f",
     10: "a286af9c9ae18f596ab2e1b6a67ab7e3d7ded9c0a773aa4bdbf8759e10d6ad5c",
+    "mock-random": "65babc835e5171cc3e0294b75ba0bd818329da85c2fd7f8a56ede1edb738dd3a",
 }
 BENCH_DIR = str(Path(__file__).resolve().parents[1] / "bench")
 
@@ -535,7 +537,8 @@ class TestRetrieve:
 def synth_dir(tmp_path_factory):
     """The files ``bench/prepare.py synth-1k 7`` writes, with the first 60
     questions in ``q60.jsonl``, the config at ``base_size`` 10 in
-    ``config10.json`` and the corpus file's lines reversed in
+    ``config10.json``, the config with the seeded scorer in
+    ``seeded.json`` and the corpus file's lines reversed in
     ``reversed.jsonl``."""
     if BENCH_DIR not in sys.path:
         sys.path.append(BENCH_DIR)
@@ -545,6 +548,8 @@ def synth_dir(tmp_path_factory):
     (workdir / "q60.jsonl").write_text("".join(lines[:60]))
     config = json.loads((workdir / "config.json").read_text())
     (workdir / "config10.json").write_text(json.dumps({**config, "base_size": 10}))
+    seeded = {**config, "scorer": "mock-random"}
+    (workdir / "seeded.json").write_text(json.dumps(seeded))
     (workdir / "reversed.jsonl").write_text((workdir / "corpus.jsonl").read_text())
     reverse_lines(workdir / "reversed.jsonl")
     return workdir
@@ -583,6 +588,12 @@ class TestSynthDigests:
         capsys.readouterr()
         trace = (out / "trace.jsonl").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == SYNTH_TRACE_PINS[10]
+
+    def test_seeded_scorer_digest(self, synth_dir, capsys):
+        out = synth_eval(synth_dir, "corpus.jsonl", "seeded.json", "seeded", ["arm"])
+        capsys.readouterr()
+        trace = (out / "trace.jsonl").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == SYNTH_TRACE_PINS["mock-random"]
 
 
 # CI's verify templates: the picks mid-prompt, a field glued to text, and
