@@ -369,7 +369,19 @@ MethodRunner = Callable[[Question], tuple[list[str], int, int]]
 
 def build_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRunner:
     """The runner of one baseline; ``arm`` has none, as its callers keep
-    the whole ``engine.run_arm`` result."""
+    the whole ``engine.run_arm`` result. A runner rejects a blank
+    question, as ``run_arm`` does."""
+    runner = _method_runner(method, engine, top_k)
+
+    def run(q: Question) -> tuple[list[str], int, int]:
+        if not q.question.strip():
+            raise ValidationError("question is empty")
+        return runner(q)
+
+    return run
+
+
+def _method_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRunner:
     cfg = engine.config
     dense = (engine.store, engine.provider)
     common = (*dense, engine.corpus)

@@ -8,7 +8,7 @@ through truncated stages for ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .config import Config
@@ -244,6 +244,8 @@ class RetrievalEngine:
 
         The whole run counts as a single decoding pass. When a search set
         is smaller than the configured selection size, k shrinks to fit.
+        Each distinct draft is serialized and verified once; its repeats
+        reuse both, and every branch keeps its own name and vote.
         """
         if stage not in STAGES:
             raise ValidationError(f"unknown stage {stage!r}")
@@ -306,20 +308,23 @@ class RetrievalEngine:
         alignment_texts = [render_alignment(alignments, bi) for bi in range(n_beams)]
         kept_units: dict[str, list[int]] = {}
         tokenized: dict[str, list[str]] = {}
+        # a draft that repeats an earlier one reuses its rendering and its
+        # beams' selections, under its own branch names, so every branch
+        # still votes; scoring is deterministic, so they are the same
+        verified: dict[Draft, tuple[SerializedDraft, list[BeamSelection]]] = {}
         for si, draft in enumerate(result.drafts):
-            sdraft = serialize_draft(
-                draft,
-                relevance,
-                self.corpus,
-                self.provider,
-                question_vec,
-                cache=self.cache,
-                unit_k=cfg.unit_k,
-                kept_units=kept_units,
-            )
-            result.serialized.append(sdraft)
-            for bi, alignment_text in enumerate(alignment_texts):
-                result.selections.append(
+            if draft not in verified:
+                sdraft = serialize_draft(
+                    draft,
+                    relevance,
+                    self.corpus,
+                    self.provider,
+                    question_vec,
+                    cache=self.cache,
+                    unit_k=cfg.unit_k,
+                    kept_units=kept_units,
+                )
+                verified[draft] = sdraft, [
                     verify_select(
                         self.scorer,
                         question,
@@ -330,7 +335,14 @@ class RetrievalEngine:
                         template=self.templates["verify"],
                         tokenized=tokenized,
                     )
-                )
+                    for bi, alignment_text in enumerate(alignment_texts)
+                ]
+            sdraft, selections = verified[draft]
+            result.serialized.append(sdraft)
+            result.selections.extend(
+                replace(selection, branch=f"s{si}b{bi}")
+                for bi, selection in enumerate(selections)
+            )
         result.confidence = aggregate(result.selections, vote_lambda=cfg.vote_lambda)
         result.final = finalize(result.confidence, final_k=cfg.final_k)
         return result

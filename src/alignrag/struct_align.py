@@ -2,13 +2,14 @@
 
 Compatibility blends semantic similarity of embeddings with exact-value
 overlap, specialized per object-kind pair. One sparse index of the
-corpus's cells, sentences and columns holds it, and one scorer reads it:
-for a batch of unit texts or column slots, it walks only the inverted
-lists that their buckets, tokens and values hit, and scores those pairs
-alone. ``CompatibilityCache`` computes the missing rows of a round of
-expansion's members, and then of its picks, in one such pass each, and
-``compatibility`` names the connection behind a pair's score from the
-same pair scores.
+corpus's cells, sentences and columns holds it, unit texts and column
+slots in one key space, and one scorer reads it: for a batch of keys of
+either kind, it walks only the inverted lists that their buckets, tokens
+and values hit, and scores those pairs alone. ``CompatibilityCache``
+computes the missing rows of a round of expansion's members, and then of
+its picks, in one such pass each, and the connections behind a draft's
+pairs in one more; ``compatibility`` names the connection behind a
+pair's score from the same pair scores.
 
 Selection is an integer program: choose exactly k objects and up to
 2(k-1) of their pairwise connections to maximize total relevance plus
@@ -96,22 +97,31 @@ def _distinct_rows(
     return SparseRows(ptr=ptr, indices=ids)
 
 
+# a witness: the places of a pair's best pair of units or columns, and its score
+_Witness = tuple[int, int, float]
+
+
 class _UnitIndex:
     """Every object's scoring units and columns, laid out so that one pass
-    scores a batch of unit texts or column slots against the corpus.
+    scores a batch of unit texts and column slots against the corpus.
 
     Units are cells and sentences with at least one token; those without
     score 0 against everything, so they are left out. Each distinct unit
-    text and column header is tokenized and embedded once. Unit texts are
-    stored as sparse rows of vector coordinates and of normalized-token
-    ids, column slots as rows of their header's coordinates and of value
-    ids, each with inverted lists, so that a pass walks only the buckets,
-    tokens and values its batch hits. Object ``j``, the ``j``-th of the
-    objects it is built over, holds the unit texts ``units.row(j)``, in
-    unit order with each unit's place in ``_units`` as its value
-    (``unit_sets.row(j)``: each text once, ascending), and the
-    column slots ``columns.row(j)``, numbered object by object;
-    ``holders`` lists each unit text's objects.
+    text and column header is tokenized and embedded once. Unit texts and
+    column slots share one key space: keys ``0..n_units - 1`` are the unit
+    texts, and the slots follow, numbered object by object. Each key is a
+    sparse row of vector coordinates (``vectors``, ``norms``) and of terms
+    (``terms``, ``n_terms``): a unit text's normalized-token ids, or a
+    slot's value ids. A slot's coordinates lie past the hash dimension and
+    its value ids past the token vocabulary, so a unit text and a slot
+    never share a bucket or a term, and the inverted lists ``buckets`` and
+    ``term_keys`` serve both kinds, so that a pass walks only the buckets
+    and terms its batch hits. Object ``j``, the ``j``-th of the objects it
+    is built over, holds the unit texts ``held.row(j)``, each once,
+    ascending, with the first place it takes in ``_units`` as its value,
+    and the slot keys ``held.row(n + j)``, with their column indices, for
+    ``n`` objects; ``holders`` lists each unit text's objects and
+    ``slot_owner`` each slot's object.
 
     The build runs in array passes over the flat units, headers and cell
     values: texts, tokens and values are numbered by first appearance
@@ -144,12 +154,13 @@ class _UnitIndex:
         starts = np.cumsum(per_object) - per_object
         place = np.arange(len(flat)) - np.repeat(starts, per_object)
         kept = tid >= 0
-        owner, tid = owner[kept], tid[kept]
-        ptr = np.zeros(n_objects + 1, dtype=np.intp)
-        np.cumsum(np.bincount(owner, minlength=n_objects), out=ptr[1:])
-        self.units = SparseRows(ptr, tid, place[kept])
-        self.unit_sets = _distinct_rows(owner, tid, n_objects, n_units)
-        self.holders = self.unit_sets.transpose(n_units)
+        # each object's distinct unit texts, ascending; an object's units
+        # run in place order, so the first of each text is its least place
+        distinct, first = np.unique(
+            owner[kept] * max(n_units, 1) + tid[kept], return_index=True
+        )
+        text_owner, unit_texts = np.divmod(distinct, max(n_units, 1))
+        first_places = place[kept][first]
 
         # the other headers, tokenless unit texts among them, follow in
         # first-seen order among the headers
@@ -166,152 +177,212 @@ class _UnitIndex:
             tokens=[token_lists[t] for t in texts],
         )
         dim = provider.dimension
-        self.vectors = vectors.take(np.arange(n_units))
-        self.norms = norms[:n_units]
-        self.buckets = self.vectors.transpose(dim)
+        key_text = np.concatenate((np.arange(n_units), slot_text))
+        self.n_units = n_units
+        self.vectors = vectors.take(key_text)
+        self.vectors.indices[self.vectors.ptr[n_units] :] += dim
+        self.norms = norms[key_text]
+        self.buckets = self.vectors.transpose(2 * dim)
+
+        # unit texts' tokens, then each column's values, column by column,
+        # object by object, past the tokens
         unit_tokens = [token_lists[t] for t in with_tokens.tolist()]
         vocab, token_ids = _first_seen(list(chain.from_iterable(unit_tokens)))
         lengths = np.fromiter(map(len, unit_tokens), dtype=np.intp, count=n_units)
-        text_rows = np.repeat(np.arange(n_units), lengths)
-        self.tokens = _distinct_rows(text_rows, token_ids, n_units, len(vocab))
-        self.token_texts = self.tokens.transpose(len(vocab))
-        self.n_tokens = np.diff(self.tokens.ptr)
-        self.slot_vectors = vectors.take(slot_text)
-        self.slot_norms = norms[slot_text]
-        self.slot_buckets = self.slot_vectors.transpose(dim)
-
-        # each column's values, column by column, object by object
         cells = chain.from_iterable(
             chain.from_iterable(zip(*obj.rows)) for obj in objects
         )
         values, value_ids = _first_seen(list(cells))
-        n_columns = [len(obj.columns) for obj in objects]
+        n_columns = np.array([len(obj.columns) for obj in objects], dtype=np.intp)
         n_rows = np.array([len(obj.rows) for obj in objects], dtype=np.intp)
-        slot_rows = np.repeat(np.arange(len(headers)), np.repeat(n_rows, n_columns))
-        self.values = _distinct_rows(slot_rows, value_ids, len(headers), len(values))
-        self.value_columns = self.values.transpose(len(values))
-        self.n_values = np.diff(self.values.ptr)
+        n_keys, n_terms = len(key_text), len(vocab) + len(values)
+        self.terms = _distinct_rows(
+            np.concatenate(
+                (
+                    np.repeat(np.arange(n_units), lengths),
+                    np.repeat(np.arange(n_units, n_keys), np.repeat(n_rows, n_columns)),
+                )
+            ),
+            np.concatenate((token_ids, len(vocab) + value_ids)),
+            n_keys,
+            n_terms,
+        )
+        self.term_keys = self.terms.transpose(n_terms)
+        self.n_terms = np.diff(self.terms.ptr)
 
-        self.slot_owner = np.repeat(np.arange(len(n_columns)), n_columns)
-        ptr = np.concatenate(([0], np.cumsum(n_columns, dtype=np.intp)))
-        self.columns = SparseRows(ptr=ptr, indices=np.arange(ptr[-1]))
+        self.slot_owner = np.repeat(np.arange(n_objects), n_columns)
+        column_starts = np.cumsum(n_columns) - n_columns
+        ptr = np.zeros(2 * n_objects + 1, dtype=np.intp)
+        np.cumsum(
+            np.concatenate((np.bincount(text_owner, minlength=n_objects), n_columns)),
+            out=ptr[1:],
+        )
+        columns = np.arange(n_keys - n_units) - column_starts[self.slot_owner]
+        self.held = SparseRows(
+            ptr,
+            np.concatenate((unit_texts, np.arange(n_units, n_keys))),
+            np.concatenate((first_places, columns)),
+        )
+        self.holders = SparseRows(ptr[: n_objects + 1], unit_texts).transpose(n_units)
         self.objects = objects
         self.is_table = np.array([obj.kind is ObjectKind.TABLE for obj in objects])
+        # witnesses ``prepare`` computed that ``witness`` has not yet read
+        self._prepared: dict[tuple[int, int, float], Optional[_Witness]] = {}
 
     def _pairs(
-        self,
-        keys: np.ndarray,
-        w: float,
-        columns: bool,
-        within: Optional[np.ndarray] = None,
+        self, keys: np.ndarray, w: float, within: Optional[np.ndarray] = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every pair of a key in ``keys`` (unit texts, or column slots when
-        ``columns``) with a key that shares a vector coordinate or a token
-        (a value) with it, optionally only the keys ``within``, as (position
-        in ``keys``, key, score), ordered by both.
+        """Every pair of a key in ``keys`` with a key that shares a vector
+        coordinate or a term with it, optionally only the keys ``within``,
+        as (position in ``keys``, key, score), ordered by both. The
+        restriction applies to the inverted lists' hits, before any
+        product or pair key is formed.
 
-        A unit pair scores ``w`` times the clamped cosine plus ``1 - w``
-        times the overlap coefficient of token sets; a column pair takes
-        the header cosine and the Jaccard index of value sets. Every other
-        pair scores 0. Each dot product sums its terms in ascending
-        coordinate order, as a dense dot over the key's coordinates would
-        (``np.bincount`` adds in input order), so a pair's score holds the
-        same bits whatever the batch and whichever side is the query.
+        A pair scores ``w`` times the clamped cosine plus ``1 - w`` times
+        the term overlap: the overlap coefficient of two unit texts' token
+        sets, or the Jaccard index of two slots' value sets. A unit text
+        and a slot share nothing, so they never pair. Each dot product sums
+        its terms in ascending coordinate order, as a dense dot over the
+        key's coordinates would (``np.bincount`` adds in input order), so
+        a pair's score holds the same bits whatever the batch and
+        whichever side is the query.
         """
-        if columns:
-            vectors, buckets = self.slot_vectors, self.slot_buckets
-            norms, sets, holders, sizes = (
-                self.slot_norms, self.values, self.value_columns, self.n_values
-            )
-        else:
-            vectors, buckets = self.vectors, self.buckets
-            norms, sets, holders, sizes = (
-                self.norms, self.tokens, self.token_texts, self.n_tokens
-            )
-        n = len(norms)
+        n = len(self.norms)
         queries = np.arange(len(keys))
-        coords, lengths = vectors.positions(keys)
-        hits, per_coord = buckets.positions(vectors.indices[coords])
-        products = buckets.values[hits] * np.repeat(vectors.values[coords], per_coord)
-        dot_keys = np.repeat(np.repeat(queries, lengths), per_coord) * n
-        dot_keys += buckets.indices[hits]
-        members, lengths = sets.positions(keys)
-        shares, per_member = holders.positions(sets.indices[members])
-        set_keys = np.repeat(np.repeat(queries, lengths), per_member) * n
-        set_keys += holders.indices[shares]
+        coords, lengths = self.vectors.positions(keys)
+        hits, per_coord = self.buckets.positions(self.vectors.indices[coords])
+        at = np.repeat(coords, per_coord)
+        dot_query = np.repeat(np.repeat(queries, lengths), per_coord)
+        dot_other = self.buckets.indices[hits]
+        members, lengths = self.terms.positions(keys)
+        shares, per_member = self.term_keys.positions(self.terms.indices[members])
+        set_query = np.repeat(np.repeat(queries, lengths), per_member)
+        set_other = self.term_keys.indices[shares]
         if within is not None:
             wanted = np.zeros(n, dtype=bool)
             wanted[within] = True
-            kept = wanted[dot_keys % n]
-            products, dot_keys = products[kept], dot_keys[kept]
-            set_keys = set_keys[wanted[set_keys % n]]
+            kept = wanted[dot_other]
+            hits, at, dot_query, dot_other = (
+                hits[kept], at[kept], dot_query[kept], dot_other[kept]
+            )
+            kept = wanted[set_other]
+            set_query, set_other = set_query[kept], set_other[kept]
+        products = self.buckets.values[hits] * self.vectors.values[at]
+        dot_keys = dot_query * n + dot_other
         pairs, inverse = np.unique(
-            np.concatenate((dot_keys, set_keys)), return_inverse=True
+            np.concatenate((dot_keys, set_query * n + set_other)), return_inverse=True
         )
         dots = np.bincount(inverse[: dot_keys.size], products, minlength=pairs.size)
         shared = np.bincount(inverse[dot_keys.size :], minlength=pairs.size)
         query, other = np.divmod(pairs, n)
         me = keys[query]
-        cosines = np.clip(dots / (norms[me] * norms[other]), 0.0, 1.0)
-        if columns:
-            # two empty value sets have a Jaccard index of 0
-            part = shared / np.maximum(sizes[me] + sizes[other] - shared, 1)
-        else:
-            part = shared / np.minimum(sizes[me], sizes[other])
+        cosines = np.clip(dots / (self.norms[me] * self.norms[other]), 0.0, 1.0)
+        sizes, other_sizes = self.n_terms[me], self.n_terms[other]
+        # a unit text has at least one token; two empty value sets have a
+        # Jaccard index of 0
+        part = shared / np.where(
+            other < self.n_units,
+            np.minimum(sizes, other_sizes),
+            np.maximum(sizes + other_sizes - shared, 1),
+        )
         return query, other, w * cosines + (1.0 - w) * part
 
     def rows(self, objects: np.ndarray, w: float) -> np.ndarray:
         """Each of ``objects``' compatibility with every object, by
-        position, in one pass: the best column pair when both are tables,
-        else the best unit pair, and 0 when no pair scores above it."""
+        position, in one pass over their unit texts and column slots: the
+        best column pair when both are tables, else the best unit pair,
+        and 0 when no pair scores above it."""
         n = len(self.objects)
         batch = np.arange(len(objects))
         out = np.zeros((len(objects), n))
-        members, per_object = self.unit_sets.positions(objects)
-        query, other, score = self._pairs(
-            self.unit_sets.indices[members], w, columns=False
-        )
-        owner = np.repeat(batch, per_object)[query]
-        holders, per_pair = self.holders.positions(other)
+        # unit texts, then column slots, so their pairs come in that order
+        held, lengths = self.held.positions(np.concatenate((objects, objects + n)))
+        query, other, score = self._pairs(self.held.indices[held], w)
+        owner = np.concatenate((batch, batch)).repeat(lengths)[query]
+        split = np.searchsorted(query, lengths[: len(objects)].sum())
+        holders, per_pair = self.holders.positions(other[:split])
         # each scatter indexes the flat block, which np.maximum.at walks
         # several times faster than a pair of index arrays
         np.maximum.at(
             out.ravel(),
-            np.repeat(owner * n, per_pair) + self.holders.indices[holders],
-            np.repeat(score, per_pair),
+            np.repeat(owner[:split] * n, per_pair) + self.holders.indices[holders],
+            np.repeat(score[:split], per_pair),
         )
         tables = self.is_table[objects]
         if tables.any():
-            slots, per_object = self.columns.positions(objects)
-            query, other, score = self._pairs(slots, w, columns=True)
-            owner = np.repeat(batch, per_object)[query]
             best = np.zeros((len(objects), n))
-            np.maximum.at(best.ravel(), owner * n + self.slot_owner[other], score)
+            columns = self.slot_owner[other[split:] - self.n_units]
+            np.maximum.at(best.ravel(), owner[split:] * n + columns, score[split:])
             np.copyto(out, best, where=tables[:, None] & self.is_table)
         return out
 
-    def witness(self, a: int, b: int, w: float) -> Optional[tuple[int, int, float]]:
-        """Positions of the best pair among ``a``'s and ``b``'s columns (two
-        tables) or units, and its score; None when no pair scores above 0.
-        Of equal scores, the first in row-major order, ``a`` down, wins.
-        Scores come from the scorer behind the rows, so a witness holds
+    def _sides(
+        self, objects: np.ndarray, tables: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each of ``objects``' keys, its column slots where ``tables``, else
+        its unit texts, as (index in ``objects``) * (number of keys) + key,
+        ascending, and the place each takes: a column's index, or a unit
+        text's first place in ``_units``."""
+        held, lengths = self.held.positions(objects + len(self.objects) * tables)
+        owner = np.arange(len(objects)).repeat(lengths)
+        return owner * len(self.norms) + self.held.indices[held], self.held.values[held]
+
+    def witnesses(
+        self, pairs: Sequence[tuple[int, int]], w: float
+    ) -> list[Optional[_Witness]]:
+        """For each pair ``(a, b)`` of positions, the places of its best pair
+        among ``a``'s and ``b``'s columns (two tables; column indices) or
+        units (places in ``_units``), and its score; None when no pair
+        scores above 0. Of equal scores, the first in row-major order, ``a``
+        down, wins. One ``_pairs`` pass scores every ``a`` side's keys
+        against the keys of the ``b`` sides, and keeps a pair's own;
+        scores come from the scorer behind the rows, so a witness holds
         the bits of the pair's row entry."""
-        tables = self.is_table[a] and self.is_table[b]
-        distinct, ordered = (
-            (self.columns, self.columns) if tables else (self.unit_sets, self.units)
-        )
-        texts_a, texts_b = distinct.row(a)[0], distinct.row(b)[0]
-        if not (len(texts_a) and len(texts_b)):
-            return None
-        inverse_a = np.searchsorted(texts_a, ordered.row(a)[0])
-        inverse_b = np.searchsorted(texts_b, ordered.row(b)[0])
-        query, other, score = self._pairs(texts_a, w, tables, within=texts_b)
-        matrix = np.zeros((len(texts_a), len(texts_b)))
-        matrix[query, np.searchsorted(texts_b, other)] = score
-        matrix = matrix[inverse_a][:, inverse_b]
-        i, k = np.unravel_index(np.argmax(matrix), matrix.shape)
-        best = float(matrix[i, k])
-        return (int(i), int(k), best) if best > 0.0 else None
+        if not pairs:
+            return []
+        a, b = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+        tables = self.is_table[a] & self.is_table[b]
+        n = len(self.norms)
+        queries, rows = self._sides(a, tables)
+        targets, columns = self._sides(b, tables)
+        query, other, score = self._pairs(queries % n, w, within=targets % n)
+        pair = queries[query] // n
+        wanted = pair * n + other
+        at = np.minimum(np.searchsorted(targets, wanted), len(targets) - 1)
+        kept = (targets[at] == wanted) & (score > 0.0)
+        pair, score = pair[kept], score[kept]
+        row, column = rows[query[kept]], columns[at[kept]]
+        order = np.lexsort((column, row, -score, pair))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = pair[order[1:]] != pair[order[:-1]]
+        best = order[first]
+        found: list[Optional[_Witness]] = [None] * len(pairs)
+        for p, *witness in zip(
+            *(part[best].tolist() for part in (pair, row, column, score))
+        ):
+            found[p] = tuple(witness)
+        return found
+
+    def prepare(self, pairs: Sequence[tuple[int, int]], w: float) -> None:
+        """Compute the witnesses of ``pairs``, each oriented as
+        ``compatibility`` orients it, in one ``witnesses`` pass, for
+        ``witness`` to read once."""
+        pairs = [_table_first(self, a, b) for a, b in pairs]
+        found = self.witnesses(pairs, w)
+        self._prepared.update(((a, b, w), best) for (a, b), best in zip(pairs, found))
+
+    def witness(self, a: int, b: int, w: float) -> Optional[_Witness]:
+        """The witness of one pair (see ``witnesses``): the one ``prepare``
+        computed, read once, else a batch of one."""
+        try:
+            return self._prepared.pop((a, b, w))
+        except KeyError:
+            return self.witnesses([(a, b)], w)[0]
+
+
+def _table_first(index: _UnitIndex, a: int, b: int) -> tuple[int, int]:
+    """A pair of positions with the table first when one of the two is."""
+    return (b, a) if index.is_table[b] and not index.is_table[a] else (a, b)
 
 
 def compatibility(
@@ -320,8 +391,7 @@ def compatibility(
     """The connection behind objects ``a`` and ``b``, by position, or None
     when they score 0; a table and a passage connect with the table as
     endpoint ``a``."""
-    if index.is_table[b] and not index.is_table[a]:
-        a, b = b, a
+    a, b = _table_first(index, a, b)
     best = index.witness(a, b, w)
     if best is None:
         return None
@@ -333,9 +403,8 @@ def compatibility(
     else:
         entity = obj_a.kind is ObjectKind.TABLE
         kind = ConnectionKind.ENTITY_LINK if entity else ConnectionKind.SENTENCE_LINK
-        place_a = int(index.units.row(a)[1][i])
-        loc_a = divmod(place_a, len(obj_a.columns)) if entity else place_a
-        loc_b = int(index.units.row(b)[1][k])
+        loc_a = divmod(i, len(obj_a.columns)) if entity else i
+        loc_b = k
     return Connection(kind, Endpoint(obj_a.id, loc_a), Endpoint(obj_b.id, loc_b), score)
 
 
@@ -344,8 +413,10 @@ class CompatibilityCache:
     first lookup builds. ``nominate`` computes rows a set at a time, a
     round's members' and then its picks', so every member of a search set
     has one; ``score(a, b)`` reads ``a``'s (a pair's entry holds the same
-    bits in either row). ``get`` returns the connection behind a pair,
-    memoized by the pair. Objects are held, and rows laid out, in
+    bits in either row). ``connect`` computes the connections behind a
+    set of pairs, a draft's, in one scoring pass, and ``get`` returns the
+    connection behind a pair, memoized by the pair, computing it alone
+    when ``connect`` has not. Objects are held, and rows laid out, in
     ascending id order, so ties by position are ties by id.
 
     A row holds its positive entries alone, the rest being 0: their
@@ -429,6 +500,22 @@ class CompatibilityCache:
         self._fill([self._ids[j] for j in sorted(set(best.ravel().tolist()))])
         return [[self._ids[j] for j in row] for row in best.T.tolist()]
 
+    def connect(self, pairs: Sequence[tuple[str, str]]) -> None:
+        """Compute the connections behind ``pairs`` that ``get`` has not
+        memoized, in one ``_UnitIndex.prepare`` pass; each then goes
+        through ``compatibility``, as ``get`` computes one alone."""
+        keys = []
+        for id_a, id_b in pairs:
+            if id_a == id_b:
+                raise ValidationError(f"compatibility of {id_a!r} with itself")
+            keys.append((id_a, id_b) if id_a < id_b else (id_b, id_a))
+        missing = [key for key in dict.fromkeys(keys) if key not in self._connections]
+        if missing:
+            positions = [(self._position[a], self._position[b]) for a, b in missing]
+            self._index.prepare(positions, self._w)
+            for key, (a, b) in zip(missing, positions):
+                self._connections[key] = compatibility(self._index, a, b, self._w)
+
     def get(self, id_a: str, id_b: str) -> Optional[Connection]:
         if id_a == id_b:
             raise ValidationError(f"compatibility of {id_a!r} with itself")
@@ -461,29 +548,41 @@ def expand_base(
     A strategy (k, l) runs l rounds; each round every current member
     nominates its k most compatible absent objects (ties by object id)
     and nominations merge at the end of the round. ``nominate(members,
-    k)`` is called once per round and lists those k objects for each
-    member. A round that nominates nothing leaves the members as they
-    are, so every later round would too: the strategy stops there.
+    k)`` lists those k objects for each member, best first. A round that
+    nominates nothing leaves the members as they are, so every later
+    round would too: the strategy stops there.
 
-    Strategies with the same k walk the same rounds, so each k's walk is
-    kept and each round is nominated once per call: the defaults (1, 1)
-    and (1, 2) share their opening round. A round only appends members,
-    so a walk is its members and their count after each round.
+    A member's ranking is a fixed order, score descending and then id
+    ascending, so its k picks are the first k of its picks at any larger
+    k: every walk opens from the base set, and that opening round is
+    nominated once, at the largest k, each walk taking its prefix.
+    Strategies with the same k walk the same later rounds too, so each
+    k's walk is kept and each round is nominated once per call: the
+    defaults (1, 1), (2, 1) and (1, 2) make two calls. A round only
+    appends members, so a walk is its members and their count after each
+    round. Every strategy is checked before the first call.
     """
+    for per_step, steps in strategies:
+        if per_step < 1 or steps < 1:
+            raise ValidationError(f"invalid strategy ({per_step}, {steps})")
+    base = list(dict.fromkeys(base_ids))
+    widest = max((per_step for per_step, _ in strategies), default=1)
+    opening: Optional[Sequence[Sequence[str]]] = None
     walks: dict[int, tuple[list[str], list[int]]] = {}
     stopped: set[int] = set()  # each k whose last round nominated nothing
     sets = []
     for per_step, steps in strategies:
-        if per_step < 1 or steps < 1:
-            raise ValidationError(f"invalid strategy ({per_step}, {steps})")
-        if per_step not in walks:
-            base = list(dict.fromkeys(base_ids))
-            walks[per_step] = (base, [len(base)])
-        members, sizes = walks[per_step]
+        members, sizes = walks.setdefault(per_step, (list(base), [len(base)]))
         while len(sizes) <= steps and per_step not in stopped:
+            if len(sizes) > 1:
+                lists = nominate(members, per_step)
+            else:
+                if opening is None:
+                    opening = nominate(base, widest)
+                lists = opening
             nominated: set[str] = set()
-            for picks in nominate(members, per_step):
-                nominated.update(picks)
+            for picks in lists:
+                nominated.update(picks[:per_step])
             if nominated:
                 members.extend(sorted(nominated))
                 sizes.append(len(members))

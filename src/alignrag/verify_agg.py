@@ -105,7 +105,9 @@ def serialize_draft(
     most similar to the question. ``kept_units`` memoizes those unit
     indices by object id: pass one dict for all drafts of one question
     (same question vector, provider and unit_k), so an object shared by
-    several drafts has its units embedded once.
+    several drafts has its units embedded once. The draft's connections
+    are computed together, in one ``CompatibilityCache.connect`` pass,
+    before each is read through ``cache.get``.
     """
     if unit_k < 1:
         raise ValidationError(f"unit_k must be >= 1, got {unit_k}")
@@ -121,6 +123,7 @@ def serialize_draft(
         object_lines.append(_object_line(obj, units))
     connection_lines = []
     if cache is not None:
+        cache.connect(draft.connections)
         for id_a, id_b in draft.connections:
             conn = cache.get(id_a, id_b)
             if conn is not None:

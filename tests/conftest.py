@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import importlib
+import random
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from alignrag.config import Config
 from alignrag.corpus import DataObject, ObjectKind, build_corpus
 from alignrag.ngram_index import CLOSE_TOKEN, OPEN_TOKEN, SEP_TOKEN, Vocabulary
+from alignrag.pipeline import RetrievalEngine
+
+BENCH_DIR = str(Path(__file__).resolve().parents[1] / "bench")
 
 
 def make_table(oid, title, columns, rows, description=None):
@@ -90,3 +99,18 @@ class DeadTrie:
 @pytest.fixture
 def dead_trie():
     return DeadTrie()
+
+
+@pytest.fixture(scope="module")
+def synth_engine():
+    """An engine on the ``synth-1k`` seed-7 corpus and its first 60
+    questions, in the benchmark's order and at its config."""
+    if BENCH_DIR not in sys.path:
+        sys.path.append(BENCH_DIR)
+    harness = importlib.import_module("harness")
+    generated = importlib.import_module("synth").generate(7)
+    questions = list(generated.questions)
+    random.Random(7).shuffle(questions)
+    config = Config(**harness.SYNTH_CONFIG)
+    corpus = build_corpus(generated.objects, chunk_units=config.chunk_units)
+    return RetrievalEngine(corpus, config=config), questions[:60]

@@ -244,9 +244,9 @@ def _inverted(rows, n_columns, values=None):
 
 
 def unit_index_reference(objects, embed, dimension: int) -> dict:
-    """Every array of the compatibility unit index over ``objects``, by
-    attribute name, from the definition one unit and one column at a time;
-    sparse rows are (ptr, indices, values) triples.
+    """Every attribute of the compatibility unit index over ``objects``, by
+    name, from the definition one unit and one column at a time; sparse
+    rows are (ptr, indices, values) triples.
 
     Units are cells row by row, or sentences, with at least one token.
     Texts are numbered by first appearance: unit texts with tokens, then
@@ -254,6 +254,11 @@ def unit_index_reference(objects, embed, dimension: int) -> dict:
     column by column, are numbered by first appearance too. ``embed(text)``
     is the text's dense vector; a stored vector keeps its non-zero
     coordinates, and its norm is ``euclidean_norm`` of the dense one.
+
+    The index keys the unit texts, then the column slots object by object,
+    in one space: a key's vector is its text's, a slot's coordinates
+    shifted by ``dimension``, and its terms are a unit text's token ids or
+    a slot's value ids shifted by the number of tokens.
     """
     texts: dict[str, int] = {}
     token_lists = []
@@ -296,29 +301,40 @@ def unit_index_reference(objects, embed, dimension: int) -> dict:
         supports.append(support.tolist())
         weights.append(vec[support].tolist())
         norms.append(euclidean_norm(vec))
-    slot_supports = [supports[t] for t in slot_texts]
-    slot_weights = [weights[t] for t in slot_texts]
-    unit_sets = [sorted(set(row)) for row in unit_rows]
-    n_columns = [len(obj.columns) for obj in objects]
-    column_ptr = np.concatenate(([0], np.cumsum(n_columns))).astype(np.intp)
+    key_supports, key_weights, key_norms = [], [], []
+    for key in range(n_units + len(slot_texts)):
+        text = key if key < n_units else slot_texts[key - n_units]
+        shift = 0 if key < n_units else dimension
+        key_supports.append([d + shift for d in supports[text]])
+        key_weights.append(weights[text])
+        key_norms.append(norms[text])
+    term_rows = token_rows + [[len(vocab) + v for v in row] for row in value_rows]
+    # each object's distinct unit texts with the first place of each, then
+    # each object's slot keys with their column indices
+    unit_sets, first_places = [], []
+    for ids, places in zip(unit_rows, place_rows):
+        first = {}
+        for text, place in zip(ids, places):
+            first.setdefault(text, place)
+        unit_sets.append(sorted(first))
+        first_places.append([first[text] for text in sorted(first)])
+    slot_rows, column_rows = [], []
+    key = n_units
+    for obj in objects:
+        slot_rows.append(list(range(key, key + len(obj.columns))))
+        column_rows.append(list(range(len(obj.columns))))
+        key += len(obj.columns)
     return {
-        "vectors": _csr(supports[:n_units], weights[:n_units]),
-        "norms": np.array(norms[:n_units], dtype=np.float64),
-        "buckets": _inverted(supports[:n_units], dimension, weights[:n_units]),
-        "tokens": _csr(token_rows),
-        "token_texts": _inverted(token_rows, len(vocab)),
-        "n_tokens": np.array([len(r) for r in token_rows], dtype=np.intp),
-        "slot_vectors": _csr(slot_supports, slot_weights),
-        "slot_norms": np.array([norms[t] for t in slot_texts], dtype=np.float64),
-        "slot_buckets": _inverted(slot_supports, dimension, slot_weights),
-        "values": _csr(value_rows),
-        "value_columns": _inverted(value_rows, len(values)),
-        "n_values": np.array([len(r) for r in value_rows], dtype=np.intp),
-        "units": _csr(unit_rows, place_rows, dtype=np.intp),
-        "unit_sets": _csr(unit_sets),
+        "n_units": n_units,
+        "vectors": _csr(key_supports, key_weights),
+        "norms": np.array(key_norms, dtype=np.float64),
+        "buckets": _inverted(key_supports, 2 * dimension, key_weights),
+        "terms": _csr(term_rows),
+        "term_keys": _inverted(term_rows, len(vocab) + len(values)),
+        "n_terms": np.array([len(r) for r in term_rows], dtype=np.intp),
+        "held": _csr(unit_sets + slot_rows, first_places + column_rows, dtype=np.intp),
         "holders": _inverted(unit_sets, n_units),
         "slot_owner": np.array(slot_owner, dtype=np.intp),
-        "columns": (column_ptr, np.arange(column_ptr[-1], dtype=np.intp), None),
         "is_table": np.array([obj.kind.value == "table" for obj in objects]),
     }
 

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import importlib
 import json
 import random
 import re
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +27,7 @@ from alignrag.baselines_eval import (
     run_eval,
 )
 from alignrag.config import Config
-from alignrag.corpus import build_corpus, serialize_object
+from alignrag.corpus import serialize_object
 from alignrag.embedding import HashEmbeddingProvider, embed_corpus
 from alignrag.errors import (
     EmptyGold,
@@ -41,8 +38,6 @@ from alignrag.errors import (
 from alignrag.lm import MockScorer, SEP_TOKEN, STOP_TOKEN
 from alignrag.pipeline import RetrievalEngine
 from planted import build_planted
-
-BENCH_DIR = str(Path(__file__).resolve().parents[1] / "bench")
 
 
 def city_setup(city_corpus):
@@ -183,21 +178,6 @@ def planted_engine():
     planted = build_planted()
     engine = RetrievalEngine(planted.corpus, config=planted.config)
     return engine, list(planted.questions)
-
-
-@pytest.fixture(scope="module")
-def synth_engine():
-    """An engine on the ``synth-1k`` seed-7 corpus and its first 60
-    questions, in the benchmark's order and at its config."""
-    if BENCH_DIR not in sys.path:
-        sys.path.append(BENCH_DIR)
-    harness = importlib.import_module("harness")
-    generated = importlib.import_module("synth").generate(7)
-    questions = list(generated.questions)
-    random.Random(7).shuffle(questions)
-    config = Config(**harness.SYNTH_CONFIG)
-    corpus = build_corpus(generated.objects, chunk_units=config.chunk_units)
-    return RetrievalEngine(corpus, config=config), questions[:60]
 
 
 class TestRerankRunners:
@@ -555,6 +535,18 @@ class TestRunEval:
         # run_eval and the CLI answer arm through engine.run_arm themselves
         with pytest.raises(ValidationError, match="'arm'"):
             build_runner("arm", engine, 5)
+
+
+class TestBlankQuestion:
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "arm"])
+    def test_every_runner_rejects_a_blank_question(self, planted_engine, method):
+        engine, _ = planted_engine
+        runner = build_runner(method, engine, engine.config.final_k)
+        for text in ("", "  ", "\t\n"):
+            with pytest.raises(ValidationError, match="question is empty"):
+                runner(Question("q", text, ("d00",)))
+        with pytest.raises(ValidationError, match="question is empty"):
+            engine.run_arm("  ")
 
 
 class TestReports:

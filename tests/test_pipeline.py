@@ -210,6 +210,60 @@ class TestEngine:
         assert [repr(v) for v in relevance.values()] == ["0.0", "0.0", "1.0"]
 
 
+class TestWorkDoneOnce:
+    """On one engine, over the ``synth-1k`` seed-7 questions after the
+    first: each distinct (draft, beam) is verified once, the unit index
+    scores rows at most once per expansion round depth, a draft's
+    connections take at most one scoring pass, and there is no other."""
+
+    def test_counts(self, synth_engine, monkeypatch):
+        engine, questions = synth_engine
+        engine.run_arm(questions[0].question)
+        counts = dict.fromkeys(("verify", "rows", "connections", "passes"), 0)
+        watched = [
+            (pipeline, "verify_select", "verify"),
+            (struct_align._UnitIndex, "rows", "rows"),
+            (struct_align._UnitIndex, "witnesses", "connections"),
+            (struct_align._UnitIndex, "_pairs", "passes"),
+        ]
+        for owner, name, key in watched:
+
+            def counted(*args, _inner=getattr(owner, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        # depth 0, the base set, then one per round
+        depths = 1 + max(steps for _, steps in engine.config.strategies)
+        branches = verified = 0
+        for question in questions[1:]:
+            counts.update(dict.fromkeys(counts, 0))
+            result = engine.run_arm(question.question)
+            beams = len(result.selections) // len(result.drafts)
+            distinct = len(set(result.drafts))
+            assert counts["verify"] == distinct * beams
+            assert counts["rows"] <= depths
+            assert counts["connections"] <= distinct
+            assert counts["passes"] == counts["rows"] + counts["connections"]
+            # a repeated draft keeps its own branch names and the first
+            # occurrence's serialization and selections
+            first = {}
+            for si, draft in enumerate(result.drafts):
+                first.setdefault(draft, si)
+                assert result.serialized[si] is result.serialized[first[draft]]
+                for bi in range(beams):
+                    selection = result.selections[si * beams + bi]
+                    origin = result.selections[first[draft] * beams + bi]
+                    assert selection.branch == f"s{si}b{bi}"
+                    assert (selection.selected, selection.weights) == (
+                        origin.selected,
+                        origin.weights,
+                    )
+            branches += len(result.selections)
+            verified += counts["verify"]
+        assert verified < branches
+
+
 class TestCompatibilityCost:
     def test_expansion_and_instances_read_rows(self, monkeypatch):
         bench = build_planted()

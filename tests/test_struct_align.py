@@ -640,12 +640,14 @@ def assert_same_arrays(got, want, where):
 
 def assert_matches_reference(index, objects, provider, embed):
     want = oracles.unit_index_reference(objects, embed, provider.dimension)
-    assert set(vars(index)) == set(want) | {"objects"}
+    assert set(vars(index)) == set(want) | {"objects", "_prepared"}
     for name, arrays in want.items():
         got = getattr(index, name)
         if isinstance(arrays, tuple):
             for part, array in zip(("ptr", "indices", "values"), arrays):
                 assert_same_arrays(getattr(got, part), array, f"{name}.{part}")
+        elif isinstance(arrays, int):
+            assert type(got) is int and got == arrays, name
         else:
             assert_same_arrays(got, arrays, name)
 
@@ -665,6 +667,91 @@ class TestUnitIndexReference:
         corpus, provider, embed = mixed_corpus(kind, tmp_path)
         index = CompatibilityCache(corpus, provider)._index
         assert_matches_reference(index, index.objects, provider, embed)
+
+
+@pytest.mark.parametrize("name", list(ROW_CORPORA))
+class TestConnectionBatch:
+    """A batch of connections, computed in one scoring pass, equals the
+    same pairs computed one at a time and the enumeration oracle."""
+
+    def test_every_pair_in_one_batch(self, name, monkeypatch):
+        corpus, provider, embed = ROW_CORPORA[name]
+        embed = functools.lru_cache(maxsize=None)(embed)
+        ids = sorted(corpus.object_ids())
+        pairs = list(combinations(ids, 2))
+        kinds = {
+            tuple(sorted(corpus.by_id[oid].kind.value for oid in pair))
+            for pair in pairs
+        }
+        if name in ("planted", "mixed"):
+            # the batch mixes table-table, table-passage and passage-passage
+            assert len(kinds) == 3
+        batched, alone = (CompatibilityCache(corpus, provider) for _ in range(2))
+        index = batched._index
+        passes = []
+        inner = struct_align._UnitIndex._pairs
+
+        def counted(*args, **kwargs):
+            passes.append(True)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(struct_align._UnitIndex, "_pairs", counted)
+        # each pair in both orders and twice over still takes one pass
+        batched.connect(pairs + [(b, a) for a, b in pairs[::2]])
+        assert len(passes) == 1 and index._prepared == {}
+        for a, b in pairs:
+            conn = batched.get(a, b)
+            assert conn == alone.get(a, b)
+            want, ids_ab, where = oracle_witness(
+                corpus.by_id[a], corpus.by_id[b], embed=embed
+            )
+            assert_witness(conn, alone.score(a, b), ids_ab, where)
+        # every pair was read from the batch; ``alone`` made one pass a pair
+        assert len(passes) == 1 + len(pairs) + len(alone._rows)
+
+    def test_random_batches_match_pairs_alone(self, name):
+        corpus, provider, _ = ROW_CORPORA[name]
+        ids = sorted(corpus.object_ids())
+        alone = CompatibilityCache(corpus, provider)
+        rng = random.Random(len(ids))
+        for _ in range(10):
+            cache = CompatibilityCache(corpus, provider)
+            batch = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(1, 12))]
+            cache.connect(batch)
+            assert cache._index._prepared == {}
+            for a, b in batch:
+                assert cache._connections[min(a, b), max(a, b)] == alone.get(a, b)
+
+    def test_self_pair_rejected(self, name):
+        corpus, provider, _ = ROW_CORPORA[name]
+        oid = corpus.object_ids()[0]
+        with pytest.raises(ValidationError, match="itself"):
+            CompatibilityCache(corpus, provider).connect([(oid, oid)])
+
+
+def test_connection_batch_edge_sides():
+    """In the mixed corpus, a passage with no token-carrying sentence
+    connects to nothing, and a rowless table, whose value sets are empty,
+    joins other tables through its headers alone, with the row score."""
+    corpus, provider, _ = ROW_CORPORA["mixed"]
+    cache = CompatibilityCache(corpus, provider)
+    others = [oid for oid in corpus.object_ids() if oid != "p-silent"]
+    cache.connect([("p-silent", oid) for oid in others])
+    assert all(cache.get("p-silent", oid) is None for oid in others)
+    tables = [
+        obj.id
+        for obj in corpus.objects
+        if obj.kind is ObjectKind.TABLE and obj.id != "t-empty"
+    ]
+    cache.connect([(oid, "t-empty") for oid in tables])
+    joined = 0
+    for oid in tables:
+        conn = cache.get("t-empty", oid)
+        assert (conn.score if conn else 0.0) == cache.score("t-empty", oid)
+        if conn is not None:
+            assert conn.kind is ConnectionKind.JOIN_COLUMN
+            joined += 1
+    assert joined
 
 
 class TestStrengths:
@@ -788,9 +875,11 @@ class TestExpandBase:
             assert search_set.object_ids == want
 
     def test_each_round_is_nominated_once(self):
-        """Strategies with the same k share their rounds: under the default
-        strategies, (1, 2) reuses (1, 1)'s opening round, and the sets are
-        the ones each strategy gives alone."""
+        """Every walk takes its opening round from one call at the largest
+        k, and strategies with the same k share their later rounds: under
+        the default strategies, (1, 1), (2, 1) and (1, 2) open with one
+        call at k = 2, and the sets are the ones each strategy gives
+        alone."""
         corpus, provider, _ = ROW_CORPORA["planted"]
         ids = sorted(corpus.object_ids())
         cache = CompatibilityCache(corpus, provider)
@@ -804,7 +893,8 @@ class TestExpandBase:
         strategies = build_planted().config.strategies
         assert strategies == ((1, 1), (2, 1), (1, 2))
         sets = expand_base(base, nominate, strategies)
-        assert len(calls) == len(set(calls)) == 3
+        assert len(calls) == len(set(calls)) == 2
+        assert calls[0] == (tuple(base), 2)
         for search_set, strategy in zip(sets, strategies):
             [alone] = expand_base(base, cache.nominate, [strategy])
             assert search_set == alone
@@ -812,7 +902,10 @@ class TestExpandBase:
         calls.clear()
         strategies = [(1, 3), (2, 1), (1, 1), (1, 3), (len(ids), 2), (len(ids), 1)]
         sets = expand_base(base, nominate, strategies)
-        assert len(calls) == len(set(calls)) == 3 + 1 + 2
+        # one opening call at k = len(ids), then k = 1's rounds two and
+        # three, and k = len(ids)'s second round, which nominates nothing
+        assert len(calls) == len(set(calls)) == 1 + 2 + 1
+        assert calls[0] == (tuple(base), len(ids))
         for search_set, strategy in zip(sets, strategies):
             [alone] = expand_base(base, cache.nominate, [strategy])
             assert search_set == alone
