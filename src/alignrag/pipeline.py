@@ -308,9 +308,8 @@ class RetrievalEngine:
         alignment_texts = [render_alignment(alignments, bi) for bi in range(n_beams)]
         kept_units: dict[str, list[int]] = {}
         tokenized: dict[str, list[str]] = {}
-        # a draft that repeats an earlier one reuses its rendering and its
-        # beams' selections, under its own branch names, so every branch
-        # still votes; scoring is deterministic, so they are the same
+        # scoring is deterministic, so a repeated draft's selections are
+        # those of its first occurrence
         verified: dict[Draft, tuple[SerializedDraft, list[BeamSelection]]] = {}
         for si, draft in enumerate(result.drafts):
             if draft not in verified:
