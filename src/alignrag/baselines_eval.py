@@ -77,6 +77,15 @@ class OverlapReranker:
         return overlap_coefficient(self._question_tokens, tokens)
 
 
+def _serialized(corpus: Corpus, texts: dict[str, str], oid: str) -> str:
+    """``oid``'s ``serialize_object`` text, made on first use and kept in
+    ``texts``, keyed by id."""
+    text = texts.get(oid)
+    if text is None:
+        text = texts[oid] = serialize_object(corpus.by_id[oid])
+    return text
+
+
 def rerank_retrieve(
     question: str,
     store: VectorStore,
@@ -85,13 +94,18 @@ def rerank_retrieve(
     reranker: Reranker,
     pool: int = 50,
     top_k: int = 5,
+    texts: Optional[dict[str, str]] = None,
 ) -> list[str]:
-    """Rescore the dense top pool with the reranker."""
+    """Rescore the dense top pool with the reranker. Each pooled object's
+    text is read from ``texts``, by id, or made and added there; a caller
+    that passes the same dict for many questions serializes an object
+    once."""
     if pool < top_k:
         raise ValidationError(f"pool {pool} smaller than top_k {top_k}")
+    texts = {} if texts is None else texts
     candidates = dense_retrieve(question, store, provider, top_k=pool)
     scored = [
-        (-reranker.score(question, serialize_object(corpus.by_id[oid])), oid)
+        (-reranker.score(question, _serialized(corpus, texts, oid)), oid)
         for oid in candidates
     ]
     scored.sort()
@@ -116,14 +130,16 @@ def decomposed_retrieve(
     top_k: int = 5,
     max_subquestions: int = 6,
     template: Optional[str] = None,
+    texts: Optional[dict[str, str]] = None,
 ) -> DecompositionResult:
     """Decompose, retrieve per sub-question, rescore the union.
 
     The single decomposition pass is the one model call. Without a
     reranker the union is ranked by its best dense score over any
     sub-question; with one, by reranker score against the original
-    question. A decode that yields nothing falls back to the question
-    itself as the only sub-question.
+    question, each object's text read from ``texts`` or made and added
+    there, as ``rerank_retrieve`` does. A decode that yields nothing falls
+    back to the question itself as the only sub-question.
     """
     prompt = (template or prompts.DECOMPOSE_TEMPLATE).format(user_question=question)
     tokens, _ = free_decode(scorer, prompt)
@@ -148,8 +164,9 @@ def decomposed_retrieve(
             if score > union.get(oid, float("-inf")):
                 union[oid] = score
     if reranker is not None:
+        texts = {} if texts is None else texts
         rescored = {
-            oid: reranker.score(question, serialize_object(corpus.by_id[oid]))
+            oid: reranker.score(question, _serialized(corpus, texts, oid))
             for oid in union
         }
     else:
@@ -391,13 +408,17 @@ def _method_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRu
             return ids, 0, len(ids)
 
         return run_dense
+    # the rerank runners keep one reranker, and one dict of object texts,
+    # for their life, so each memo serves every question
+    texts: dict[str, str] = {}
     if method == "rerank":
-        # one reranker for the runner's life, so its memo serves every question
         reranker = OverlapReranker()
         pool = max(min(cfg.rerank_pool, len(engine.corpus.objects)), top_k)
 
         def run_rerank(q: Question) -> tuple[list[str], int, int]:
-            ids = rerank_retrieve(q.question, *common, reranker, pool=pool, top_k=top_k)
+            ids = rerank_retrieve(
+                q.question, *common, reranker, pool=pool, top_k=top_k, texts=texts
+            )
             return ids, 0, len(ids)
 
         return run_rerank
@@ -414,6 +435,7 @@ def _method_runner(method: str, engine: RetrievalEngine, top_k: int) -> MethodRu
                 top_k=top_k,
                 max_subquestions=cfg.max_subquestions,
                 template=engine.templates["decompose"],
+                texts=texts,
             )
             return list(result.retrieved), result.llm_calls, len(result.retrieved)
 

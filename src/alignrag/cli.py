@@ -88,13 +88,14 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 def cmd_eval_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     os.makedirs(args.out, exist_ok=True)
-    _check_writable(args.trace)
+    json_path = os.path.join(args.out, "results.json")
+    csv_path = os.path.join(args.out, "results.csv")
+    for path in (json_path, csv_path, args.trace):
+        _check_writable(path)
     engine = _build_engine(args, config)
     questions = load_questions(args.questions)
     methods = list(dict.fromkeys(args.method or METHODS))  # a repeated --method runs once
     results = run_eval(engine, questions, methods=methods)
-    json_path = os.path.join(args.out, "results.json")
-    csv_path = os.path.join(args.out, "results.csv")
     with open(json_path, "w", encoding="utf-8") as handle:
         handle.write(eval_to_json(results))
     with open(csv_path, "w", encoding="utf-8") as handle:

@@ -390,7 +390,7 @@ def sparse_cosines(
     q = np.asarray(question_vec, dtype=np.float64)
     if q.shape != (dimension,):
         raise DimensionMismatch(f"question {q.shape}, vectors of dim {dimension}")
-    support = np.flatnonzero(q)
+    support = np.flatnonzero(q != 0.0)
     q_norm = _norm(q[support], "question")
     if q_norm == 0.0:
         raise ZeroVector("cosine undefined for zero-norm vector")
@@ -410,25 +410,46 @@ def object_similarity(store: VectorStore, question_vec: np.ndarray) -> np.ndarra
     return np.maximum.reduceat(cosines, store.offsets[:-1])
 
 
+# the largest k ``top_objects`` picks by argmax passes; above it a
+# partition is faster (crossover at k of 12 to 14 for 20, 1,000 and 3,520
+# scores on numpy 2.4)
+ARGMAX_PICKS = 12
+
+
 def top_objects(scores: np.ndarray, k: int) -> list[int]:
     """Positions of the ``k`` best ``scores``, best first, ties by
-    position (``-0.0`` ties ``0.0``).
+    position (``-0.0`` ties ``0.0``); the scores hold no NaN.
 
-    A partition finds the k-th best score. Every entry above it is kept,
-    and of the entries equal to it the first ones that make up ``k``;
-    only those ``k`` are sorted. The partition runs on the negated
-    scores at ``k - 1``: with a few high scores over a flat rest, as
-    retrieval's cosines and the mock scorer's logits are, that is several
-    times faster than partitioning the scores at ``n - k``.
+    Up to ``ARGMAX_PICKS``, each pick is an ``argmax`` over a float copy
+    of the scores, which takes the first of equal maxima, and is then set
+    to ``-inf`` there; once the best left is ``-inf``, the scores at
+    ``-inf`` follow by position. Above it, a partition finds the k-th best
+    score. Every entry above it is kept, and of the entries equal to it
+    the first ones that make up ``k``; only those ``k`` are sorted. The
+    partition runs on the negated scores at ``k - 1``: with a few high
+    scores over a flat rest, as retrieval's cosines and the mock scorer's
+    logits are, that is several times faster than partitioning the scores
+    at ``n - k``.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if k >= len(scores):
         top = np.arange(len(scores))
-    else:
+    elif k > ARGMAX_PICKS:
         worse = -scores
         kth = np.partition(worse, k - 1)[k - 1]
         above = np.flatnonzero(worse < kth)
         tied = np.flatnonzero(worse == kth)[: k - above.size]
         top = np.concatenate((above, tied))
+    else:
+        work = scores.astype(np.float64)
+        picks: list[int] = []
+        for _ in range(k):
+            j = int(work.argmax())
+            if work[j] == -np.inf:
+                rest = np.flatnonzero(scores == -np.inf)[: k - len(picks)]
+                return picks + rest.tolist()
+            picks.append(j)
+            work[j] = -np.inf
+        return picks
     return top[np.lexsort((top, -scores[top]))].tolist()

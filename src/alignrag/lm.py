@@ -398,15 +398,13 @@ def _kept(
     candidates, the ``width`` best by ``parent_total + logit``, ties by
     position, may. Every content candidate of one hypothesis has the same
     count, so this is the step's order among them, and the step's
-    ``width`` best lie among the survivors of its rows.
+    ``width`` best lie among the survivors of its rows. They are the
+    content candidates among the row's ``width + len(skip)`` best
+    (``top_objects``), in that order.
     """
-    positions = np.arange(len(scored))
-    totals = parent_total + scored
-    if skip:
-        positions = np.delete(positions, skip)
-        totals = totals[positions]
-    best = top_objects(totals, width)
-    return sorted(positions[best].tolist() + skip[1:])
+    best = top_objects(parent_total + scored, width + len(skip))
+    content = [j for j in best if j not in skip][:width]
+    return sorted(content + skip[1:])
 
 
 def constrained_ngram_decode(

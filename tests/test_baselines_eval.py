@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import random
 import re
@@ -218,6 +219,34 @@ class TestRerankRunners:
         assert len(object_texts) == len(set(object_texts))
         # the memo answered most scores: far more were made than texts exist
         assert len(scored) > 2 * len(texts)
+
+    @pytest.mark.parametrize("method", ["rerank", "rerank-decomp"])
+    def test_runner_serializes_each_pooled_object_once(
+        self, planted_engine, method, monkeypatch
+    ):
+        engine, questions = planted_engine
+        serialized = []
+        serialize = baselines_eval.serialize_object
+
+        def counted(obj):
+            serialized.append(obj.id)
+            return serialize(obj)
+
+        pooled = collections.defaultdict(set)
+
+        class Recording(OverlapReranker):
+            def score(self, question, serialized_object):
+                pooled[question].add(serialized_object)
+                return super().score(question, serialized_object)
+
+        monkeypatch.setattr(baselines_eval, "serialize_object", counted)
+        monkeypatch.setattr(baselines_eval, "OverlapReranker", Recording)
+        runner = build_runner(method, engine, engine.config.final_k)
+        first, second = questions[:2]
+        runner(first)
+        runner(second)
+        assert pooled[first.question] & pooled[second.question]
+        assert sorted(serialized) == sorted(set(serialized))
 
 
 class TestDecomposition:

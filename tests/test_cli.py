@@ -843,22 +843,32 @@ class TestEvalRun:
         assert err.startswith("error: ") and str(named) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("target", ["trace", "out"])
+    @pytest.mark.parametrize(
+        "target", ["trace", "out", "results.json", "results.csv"]
+    )
     def test_unwritable_output_reported_before_any_work(
         self, workdir, capsys, monkeypatch, target
     ):
+        # no engine is built: building one loads the corpus first
         monkeypatch.setattr(cli, "load_corpus", no_work)
         out_dir = workdir["tmp"] / "out"
-        trace_path = workdir["tmp"] / "nodir" / "traces.jsonl"
-        if target == "out":
+        trace_path = workdir["tmp"] / "traces.jsonl"
+        if target == "trace":
+            trace_path = named = workdir["tmp"] / "nodir" / "traces.jsonl"
+        elif target == "out":
+            named = out_dir
             out_dir.write_text("")
+        else:
+            # a directory where a results file goes
+            named = out_dir / target
+            named.mkdir(parents=True)
         argv = ["eval", "run", "--questions", workdir["questions"]]
         argv += ["--corpus", workdir["corpus"]]
         argv += ["--out", str(out_dir), "--trace", str(trace_path)]
         assert main(argv) == 1
-        assert_output_path_reported(capsys, out_dir if target == "out" else trace_path)
-        assert not (out_dir / "results.json").exists()
-        assert not (out_dir / "results.csv").exists()
+        assert_output_path_reported(capsys, named)
+        for path in (out_dir / "results.json", out_dir / "results.csv", trace_path):
+            assert not path.is_file()
 
     def test_missing_questions(self, workdir, capsys):
         code = main(

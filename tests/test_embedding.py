@@ -516,6 +516,10 @@ class TestBatchEmbedding:
         assert hex_list(vec) == hex_list(oracles.hash_embed(question))
 
 
+# k on each side of the argmax passes' limit, and at it
+SELECTION_EDGE = tuple(embedding.ARGMAX_PICKS + d for d in (-1, 0, 1))
+
+
 class TestTopObjects:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sorted_order(self, seed):
@@ -526,7 +530,7 @@ class TestTopObjects:
         zeros = scores[scores == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         want = sorted(range(n), key=lambda j: (-scores[j], j))
-        for k in (1, 2, n // 2, n - 1, n, n + 5):
+        for k in (1, 2, n // 2, n - 1, n, n + 5, *SELECTION_EDGE):
             assert top_objects(scores, k) == want[:k]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -538,7 +542,7 @@ class TestTopObjects:
         hits = rng.choice(n, size=40, replace=False)
         scores[hits] = rng.choice(np.array([0.9, 0.5, 0.25, 0.125]), size=40)
         want = sorted(range(n), key=lambda j: (-scores[j], j))
-        for k in (1, 5, 30, 50, 999, 1000, 1005):
+        for k in (1, 5, 30, 50, 999, 1000, 1005, *SELECTION_EDGE):
             assert top_objects(scores, k) == want[:k]
 
     def test_positive_tie_set_larger_than_needed(self):
@@ -551,6 +555,38 @@ class TestTopObjects:
             got = top_objects(scores, k)
             assert got == want[:k]
             assert scores[got[-1]] == 0.5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decoder_root_row(self, seed):
+        # a root row's logits: about 3,520 candidates, three of them non-zero
+        rng = np.random.default_rng(seed)
+        n = 3520
+        scores = rng.choice(np.array([0.0, -0.0]), size=n)
+        scores[rng.choice(n, size=3, replace=False)] = rng.choice(
+            np.array([1.5, 0.5, -0.5]), size=3
+        )
+        want = sorted(range(n), key=lambda j: (-scores[j], j))
+        assert top_objects(scores, 3) == want[:3]
+
+    def test_read_only_scores_left_unchanged(self):
+        # provider.embed and the scorers hand out read-only arrays
+        rng = np.random.default_rng(5)
+        scores = rng.choice(np.array([0.75, 0.5, 0.0, -0.0, -np.inf]), size=300)
+        scores.setflags(write=False)
+        before = scores.copy()
+        want = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
+        for k in (1, 3, *SELECTION_EDGE, 50):
+            assert top_objects(scores, k) == want[:k]
+        assert not scores.flags.writeable
+        assert np.array_equal(np.signbit(scores), np.signbit(before))
+        assert np.array_equal(scores, before)
+
+    def test_minus_infinity_ranks_last_by_position(self):
+        scores = np.full(40, -np.inf)
+        scores[[7, 30]] = [0.5, -1e308]
+        want = [7, 30] + [j for j in range(40) if j not in (7, 30)]
+        for k in (1, 2, 3, *SELECTION_EDGE, 39, 40):
+            assert top_objects(scores, k) == want[:k]
 
     def test_store_lays_objects_out_by_id(self):
         # position order is the tie order of every ranking over the store

@@ -444,6 +444,26 @@ class TestDecodeAgainstReference:
             assert max(built.values()) <= 2 * beam_width
             assert sum(scored) > 3 * sum(built.values())
 
+    @pytest.mark.parametrize("parent_total", [0.0, -1.5, -1.7e308])
+    @pytest.mark.parametrize("n", [7, 3520])
+    def test_kept_row_with_close_and_separator(self, parent_total, n):
+        # the delimiters hold the row's best logits, so they are among its
+        # best entries; at -1.7e308 the -1e308 logits' totals overflow to
+        # -inf, with numpy's overflow warning, and rank last by position
+        rng = np.random.default_rng(n)
+        scored = rng.choice(np.array([0.5, 0.0, -0.0, -0.25, -1e308]), size=n)
+        close, sep = 2, n - 3
+        scored[[close, sep]] = [2.0, 1.0]
+        for skip in ([close, sep], [close]):
+            content = [j for j in range(n) if j not in skip]
+            total = {j: parent_total + float(scored[j]) for j in content}
+            ranked = sorted(content, key=lambda j: (-total[j], j))
+            for width in (1, 3, 5, n - 1):
+                want = sorted(ranked[:width] + skip[1:])
+                with np.errstate(over="ignore"):
+                    got = lm._kept(parent_total, scored, list(skip), width)
+                assert got == want
+
 
 class TokensOnly:
     """Exposes only the scorer protocol, so the decoder scores a wide row's
