@@ -217,10 +217,6 @@ class SparseRows:
             values=None if values is None else np.concatenate(empty + list(values)),
         )
 
-    def row(self, i: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        span = slice(self.ptr[i], self.ptr[i + 1])
-        return self.indices[span], None if self.values is None else self.values[span]
-
     def transpose(self, n_columns: int) -> "SparseRows":
         """Inverted lists: column k lists the rows holding it, ascending."""
         owners = np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))

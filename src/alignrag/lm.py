@@ -400,9 +400,12 @@ def _kept(
     count, so this is the step's order among them, and the step's
     ``width`` best lie among the survivors of its rows. They are the
     content candidates among the row's ``width + len(skip)`` best
-    (``top_objects``), in that order.
+    (``top_objects``), in that order. A total past the float range is
+    ±inf, silently, as Python floats' sums are elsewhere in the decoder.
     """
-    best = top_objects(parent_total + scored, width + len(skip))
+    with np.errstate(over="ignore"):
+        totals = parent_total + scored
+    best = top_objects(totals, width + len(skip))
     content = [j for j in best if j not in skip][:width]
     return sorted(content + skip[1:])
 

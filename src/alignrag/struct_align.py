@@ -7,9 +7,10 @@ slots in one key space, and one scorer reads it: for a batch of keys of
 either kind, it walks only the inverted lists that their buckets, tokens
 and values hit, and scores those pairs alone. ``CompatibilityCache``
 computes the missing rows of a round of expansion's members, and then of
-its picks, in one such pass each, and the connections behind a draft's
-pairs in one more; ``compatibility`` names the connection behind a
-pair's score from the same pair scores.
+its picks, in one such pass each. ``CompatibilityCache.connect`` is the
+one place a connection is computed: the witnesses of a draft's pairs come
+from one more pass, from the same pair scores, and ``compatibility``
+names the connection behind each.
 
 Selection is an integer program: choose exactly k objects and up to
 2(k-1) of their pairwise connections to maximize total relevance plus
@@ -116,12 +117,12 @@ class _UnitIndex:
     its value ids past the token vocabulary, so a unit text and a slot
     never share a bucket or a term, and the inverted lists ``buckets`` and
     ``term_keys`` serve both kinds, so that a pass walks only the buckets
-    and terms its batch hits. Object ``j``, the ``j``-th of the objects it
-    is built over, holds the unit texts ``held.row(j)``, each once,
-    ascending, with the first place it takes in ``_units`` as its value,
-    and the slot keys ``held.row(n + j)``, with their column indices, for
-    ``n`` objects; ``holders`` lists each unit text's objects and
-    ``slot_owner`` each slot's object.
+    and terms its batch hits. Of ``n`` objects, object ``j``, the ``j``-th
+    of the objects it is built over, holds in row ``j`` of ``held`` its
+    unit texts, each once, ascending, with the first place it takes in
+    ``_units`` as its value, and in row ``n + j`` its slot keys, with their
+    column indices; ``holders`` lists each unit text's objects and
+    ``slot_owner`` each slot's object. Nothing is written after the build.
 
     The build runs in array passes over the flat units, headers and cell
     values: texts, tokens and values are numbered by first appearance
@@ -226,8 +227,6 @@ class _UnitIndex:
         self.holders = SparseRows(ptr[: n_objects + 1], unit_texts).transpose(n_units)
         self.objects = objects
         self.is_table = np.array([obj.kind is ObjectKind.TABLE for obj in objects])
-        # witnesses ``prepare`` computed that ``witness`` has not yet read
-        self._prepared: dict[tuple[int, int, float], Optional[_Witness]] = {}
 
     def _pairs(
         self, keys: np.ndarray, w: float, within: Optional[np.ndarray] = None
@@ -363,22 +362,6 @@ class _UnitIndex:
             found[p] = tuple(witness)
         return found
 
-    def prepare(self, pairs: Sequence[tuple[int, int]], w: float) -> None:
-        """Compute the witnesses of ``pairs``, each oriented as
-        ``compatibility`` orients it, in one ``witnesses`` pass, for
-        ``witness`` to read once."""
-        pairs = [_table_first(self, a, b) for a, b in pairs]
-        found = self.witnesses(pairs, w)
-        self._prepared.update(((a, b, w), best) for (a, b), best in zip(pairs, found))
-
-    def witness(self, a: int, b: int, w: float) -> Optional[_Witness]:
-        """The witness of one pair (see ``witnesses``): the one ``prepare``
-        computed, read once, else a batch of one."""
-        try:
-            return self._prepared.pop((a, b, w))
-        except KeyError:
-            return self.witnesses([(a, b)], w)[0]
-
 
 def _table_first(index: _UnitIndex, a: int, b: int) -> tuple[int, int]:
     """A pair of positions with the table first when one of the two is."""
@@ -386,13 +369,11 @@ def _table_first(index: _UnitIndex, a: int, b: int) -> tuple[int, int]:
 
 
 def compatibility(
-    index: _UnitIndex, a: int, b: int, w: float
+    index: _UnitIndex, a: int, b: int, best: Optional[_Witness]
 ) -> Optional[Connection]:
-    """The connection behind objects ``a`` and ``b``, by position, or None
-    when they score 0; a table and a passage connect with the table as
-    endpoint ``a``."""
-    a, b = _table_first(index, a, b)
-    best = index.witness(a, b, w)
+    """The connection behind objects ``a`` and ``b``, by position, ordered
+    by ``_table_first``, from their witness ``best``, or None when they
+    score 0 (no witness)."""
     if best is None:
         return None
     i, k, score = best
@@ -414,10 +395,10 @@ class CompatibilityCache:
     round's members' and then its picks', so every member of a search set
     has one; ``score(a, b)`` reads ``a``'s (a pair's entry holds the same
     bits in either row). ``connect`` computes the connections behind a
-    set of pairs, a draft's, in one scoring pass, and ``get`` returns the
-    connection behind a pair, memoized by the pair, computing it alone
-    when ``connect`` has not. Objects are held, and rows laid out, in
-    ascending id order, so ties by position are ties by id.
+    set of pairs, a draft's, in one scoring pass and memoizes them by
+    pair; ``get`` reads that memo, and a pair it lacks is a ``connect``
+    batch of one. Objects are held, and rows laid out, in ascending id
+    order, so ties by position are ties by id.
 
     A row holds its positive entries alone, the rest being 0: their
     positions ascending (``array("i")``, int32) and their values
@@ -501,9 +482,11 @@ class CompatibilityCache:
         return [[self._ids[j] for j in row] for row in best.T.tolist()]
 
     def connect(self, pairs: Sequence[tuple[str, str]]) -> None:
-        """Compute the connections behind ``pairs`` that ``get`` has not
-        memoized, in one ``_UnitIndex.prepare`` pass; each then goes
-        through ``compatibility``, as ``get`` computes one alone."""
+        """Compute and memoize the connections behind ``pairs`` that are
+        not yet memoized, the only place a connection is computed: each
+        pair, table first (``_table_first``), takes its witness from one
+        ``_UnitIndex.witnesses`` pass, and ``compatibility`` builds its
+        connection from it."""
         keys = []
         for id_a, id_b in pairs:
             if id_a == id_b:
@@ -511,22 +494,21 @@ class CompatibilityCache:
             keys.append((id_a, id_b) if id_a < id_b else (id_b, id_a))
         missing = [key for key in dict.fromkeys(keys) if key not in self._connections]
         if missing:
-            positions = [(self._position[a], self._position[b]) for a, b in missing]
-            self._index.prepare(positions, self._w)
-            for key, (a, b) in zip(missing, positions):
-                self._connections[key] = compatibility(self._index, a, b, self._w)
+            index = self._index
+            positions = [
+                _table_first(index, self._position[a], self._position[b])
+                for a, b in missing
+            ]
+            found = index.witnesses(positions, self._w)
+            for key, (a, b), best in zip(missing, positions, found):
+                self._connections[key] = compatibility(index, a, b, best)
 
     def get(self, id_a: str, id_b: str) -> Optional[Connection]:
-        if id_a == id_b:
-            raise ValidationError(f"compatibility of {id_a!r} with itself")
+        """The connection behind a pair, memoized by the pair; a pair not
+        yet memoized is a ``connect`` batch of one."""
         key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
         if key not in self._connections:
-            self._connections[key] = compatibility(
-                self._index,
-                self._position[key[0]],
-                self._position[key[1]],
-                self._w,
-            )
+            self.connect([key])
         return self._connections[key]
 
 

@@ -264,6 +264,39 @@ class TestWorkDoneOnce:
         assert verified < branches
 
 
+def test_unit_index_keeps_no_question_state(synth_engine):
+    """Answering the ``synth-1k`` questions on one engine leaves the unit
+    index's attributes as the first question left them: the same names,
+    and every array the same in dtype, shape and bytes. No attribute is a
+    mutable container, which could empty itself between questions."""
+    engine, questions = synth_engine
+
+    def state(index):
+        """Each attribute's arrays, a sparse layout's by field, as (dtype,
+        shape, bytes); any other value as itself."""
+        out = {}
+        for name, value in vars(index).items():
+            assert not isinstance(value, (dict, list, set)), name
+            parts = [value]
+            if dataclasses.is_dataclass(value):
+                parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
+            out[name] = [
+                (part.dtype, part.shape, part.tobytes())
+                if isinstance(part, np.ndarray)
+                else part
+                for part in parts
+            ]
+        return out
+
+    engine.run_arm(questions[0].question)
+    index = engine.cache._index
+    first = state(index)
+    for question in questions[1:]:
+        engine.run_arm(question.question)
+    assert engine.cache._index is index
+    assert state(index) == first
+
+
 class TestCompatibilityCost:
     def test_expansion_and_instances_read_rows(self, monkeypatch):
         bench = build_planted()

@@ -640,7 +640,7 @@ def assert_same_arrays(got, want, where):
 
 def assert_matches_reference(index, objects, provider, embed):
     want = oracles.unit_index_reference(objects, embed, provider.dimension)
-    assert set(vars(index)) == set(want) | {"objects", "_prepared"}
+    assert set(vars(index)) == set(want) | {"objects"}
     for name, arrays in want.items():
         got = getattr(index, name)
         if isinstance(arrays, tuple):
@@ -698,7 +698,7 @@ class TestConnectionBatch:
         monkeypatch.setattr(struct_align._UnitIndex, "_pairs", counted)
         # each pair in both orders and twice over still takes one pass
         batched.connect(pairs + [(b, a) for a, b in pairs[::2]])
-        assert len(passes) == 1 and index._prepared == {}
+        assert len(passes) == 1
         for a, b in pairs:
             conn = batched.get(a, b)
             assert conn == alone.get(a, b)
@@ -709,18 +709,54 @@ class TestConnectionBatch:
         # every pair was read from the batch; ``alone`` made one pass a pair
         assert len(passes) == 1 + len(pairs) + len(alone._rows)
 
-    def test_random_batches_match_pairs_alone(self, name):
+    def test_random_batches_match_pairs_alone(self, name, monkeypatch):
+        """Interleaved ``get`` and ``connect`` calls, some naming memoized
+        pairs alone: a call that names an unmemoized pair makes one scoring
+        pass, one that does not makes none, and ``compatibility`` runs
+        once per newly memoized pair."""
         corpus, provider, _ = ROW_CORPORA[name]
         ids = sorted(corpus.object_ids())
         alone = CompatibilityCache(corpus, provider)
+        passes, built = [], []
+        pairs = struct_align._UnitIndex._pairs
+        compatibility = struct_align.compatibility
+
+        def counted_pairs(index, *args, **kwargs):
+            passes.append(index)
+            return pairs(index, *args, **kwargs)
+
+        def counted_compatibility(index, *args):
+            built.append(index)
+            return compatibility(index, *args)
+
+        monkeypatch.setattr(struct_align._UnitIndex, "_pairs", counted_pairs)
+        monkeypatch.setattr(struct_align, "compatibility", counted_compatibility)
         rng = random.Random(len(ids))
+        calls = {True: 0, False: 0}  # by whether the call named a new pair
         for _ in range(10):
             cache = CompatibilityCache(corpus, provider)
-            batch = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(1, 12))]
-            cache.connect(batch)
-            assert cache._index._prepared == {}
-            for a, b in batch:
-                assert cache._connections[min(a, b), max(a, b)] == alone.get(a, b)
+            index = cache._index
+            for _ in range(6):
+                memo = list(cache._connections)
+                batch = [
+                    rng.choice(memo)[:: rng.choice((1, -1))]
+                    if memo and rng.random() < 0.5
+                    else tuple(rng.sample(ids, 2))
+                    for _ in range(rng.choice((1, rng.randint(1, 12))))
+                ]
+                new = {tuple(sorted(pair)) for pair in batch} - set(memo)
+                passes.clear()
+                built.clear()
+                if len(batch) == 1 and rng.random() < 0.5:
+                    assert cache.get(*batch[0]) == alone.get(*batch[0])
+                else:
+                    cache.connect(batch)
+                assert passes.count(index) == (1 if new else 0)
+                assert built.count(index) == len(new)
+                calls[bool(new)] += 1
+                for a, b in batch:
+                    assert cache._connections[min(a, b), max(a, b)] == alone.get(a, b)
+        assert all(calls.values())
 
     def test_self_pair_rejected(self, name):
         corpus, provider, _ = ROW_CORPORA[name]
